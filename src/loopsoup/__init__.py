@@ -10,8 +10,12 @@ from .errors import (
     BadChi,
     BadForm,
     BadGraph,
+    BadIntensity,
     BadPartition,
+    BadSamplerInput,
+    BadSeed,
     BadSupport,
+    BadTailCut,
     BudgetExceeded,
     Disconnected,
     DisconnectedSupport,
@@ -27,6 +31,7 @@ from .errors import (
     SingularTwist,
     TailTooHeavy,
     TooLarge,
+    UnknownSampler,
     ZeroNetwork,
 )
 from .eulerian import (
@@ -53,7 +58,6 @@ from .fields import (
     FieldSample,
     complex_wick_moment,
     ks_two_sample,
-    occupation_samples,
     ray_knight_check,
     sample_complex_field,
     sample_complex_fields,
@@ -82,15 +86,21 @@ from .homology import (
 )
 from .network import Network
 from .reports import StatLine, TestReport
-from .rng import as_generator, replica_map, replica_rng
+from .rng import BLOCK, as_generator, replica_map, replica_rng
 from .soup import (
     BasedLoop,
+    Histogram,
+    LoopBlock,
     LoopSoup,
+    direct_block,
     direct_sample,
     jump_matrix,
     merge_soups,
     mu_mass_nontrivial,
+    network_histogram,
     occupation,
+    occupation_samples,
+    wilson_counts,
     wilson_sample,
 )
 from .verify import run_all

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import LoopSoupError
+from .errors import BadIntensity, LoopSoupError
 from .eulerian import (
     ModifierMatrix,
     best_tour_count,
@@ -31,7 +31,6 @@ from .eulerian import (
 )
 from .fields import (
     CONVENTIONS,
-    occupation_samples,
     ray_knight_check,
     verify_det_identity,
     verify_isomorphism,
@@ -46,7 +45,7 @@ from .homology import (
 )
 from .network import Network
 from .reports import TestReport
-from .soup import direct_sample, jump_matrix, occupation, wilson_sample
+from .soup import direct_sample, jump_matrix, occupation, occupation_samples, wilson_sample
 from .verify import run_all
 
 
@@ -219,7 +218,7 @@ def _cmd_sample(args) -> tuple:
     kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
     if args.sampler == "wilson":
         if args.alpha != 1.0:
-            raise ValueError("the wilson sampler is defined at alpha = 1 only")
+            raise BadIntensity("the wilson sampler is defined at alpha = 1 only")
         _, soup = wilson_sample(kernel, args.seed)
     else:
         soup = direct_sample(kernel, args.alpha, eps=args.epsilon, seed=args.seed)
@@ -244,7 +243,7 @@ def _cmd_jumps(args) -> tuple:
     kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
     if args.sampler == "wilson":
         if args.alpha != 1.0:
-            raise ValueError("the wilson sampler is defined at alpha = 1 only")
+            raise BadIntensity("the wilson sampler is defined at alpha = 1 only")
         _, soup = wilson_sample(kernel, args.seed)
     else:
         soup = direct_sample(kernel, args.alpha, eps=args.epsilon, seed=args.seed)

@@ -83,3 +83,28 @@ class GridTooCoarse(LoopSoupError):
 
 class MismatchBeyondTolerance(LoopSoupError):
     """Two supposedly equal internal computations disagree."""
+
+
+class BadSamplerInput(LoopSoupError, ValueError):
+    """A Monte Carlo entry point got an argument outside its domain.
+
+    Also a ValueError, so callers that caught the plain ValueError these
+    inputs used to raise keep working.
+    """
+
+
+class BadIntensity(BadSamplerInput):
+    """The loop intensity alpha is not positive, or not 1 where the sampler
+    requires it (cycle popping)."""
+
+
+class BadTailCut(BadSamplerInput):
+    """The loop-length tail cut eps lies outside (0, 1e-6]."""
+
+
+class UnknownSampler(BadSamplerInput):
+    """A sampler name other than 'direct' or 'wilson'."""
+
+
+class BadSeed(BadSamplerInput):
+    """A seed that cannot key a (seed, block) stream: it must be an integer."""

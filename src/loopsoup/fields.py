@@ -16,6 +16,7 @@ Conventions, recorded in every report:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from .errors import BadChi, BadSupport, DuplicateIndex
 from .exact import permanent
 from .graphs import ChainKernel
 from .reports import TestReport
-from .rng import as_generator
-from .soup import direct_sample, jump_matrix, occupation
+from .rng import SCHEME, as_generator, replica_map, stream_seed
+from .soup import merge_diagnostics, network_histogram, occupation_samples
 
 CONVENTIONS = {
     "complex_field": "E[phi conj(phi)] = G, phi = (phi1 + i phi2)/sqrt(2)",
@@ -101,34 +102,23 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def occupation_samples(kernel: ChainKernel, alpha: float, replicas: int, seed,
-                       eps: float = 1e-9) -> np.ndarray:
-    """replicas x n matrix of occupation fields from independent ensembles."""
-    from .rng import replica_rng
-
-    out = np.empty((replicas, kernel.n))
-    base = int(seed) if not isinstance(seed, np.random.Generator) else None
-    rng = seed if base is None else None
-    for r in range(replicas):
-        stream = replica_rng(base, r) if base is not None else rng
-        soup = direct_sample(kernel, alpha, eps=eps, seed=stream)
-        out[r] = occupation(soup, kernel)
-    return out
-
-
 def verify_isomorphism(kernel: ChainKernel, replicas: int, seed) -> TestReport:
     """Occupation fields against squared Gaussian fields, moments 1-4 and
     pairwise joints; exact two-sample KS on a one-vertex graph."""
     report = TestReport(name="isomorphism", conventions=dict(CONVENTIONS))
-    report.meta["replicas"] = replicas
     names = kernel.graph.vertices
     n = kernel.n
-    seed = int(seed)
+    seed = stream_seed(seed)
 
-    occ_half = occupation_samples(kernel, 0.5, replicas, seed)
+    half_meta: dict = {}
+    one_meta: dict = {}
+    occ_half = occupation_samples(kernel, 0.5, replicas, seed, meta=half_meta)
     half_sq = 0.5 * sample_real_fields(kernel, replicas, seed + 1) ** 2
-    occ_one = occupation_samples(kernel, 1.0, replicas, seed + 2)
+    occ_one = occupation_samples(kernel, 1.0, replicas, seed + 2, meta=one_meta)
     abs_sq = np.abs(sample_complex_fields(kernel, replicas, seed + 3)) ** 2
+    report.meta.update({"replicas": replicas, "rng": dict(SCHEME),
+                        "sampler_diagnostics": {"alpha=0.5": half_meta,
+                                                "alpha=1": one_meta}})
 
     for label, occ, ref in (
         ("half_vs_half_sq", occ_half, half_sq),
@@ -163,31 +153,67 @@ class ChainExcursionField:
     rho: float
 
 
-def sample_excursion_field(kernel: ChainKernel, x0, rho: float, rng) -> ChainExcursionField:
-    """Excursion occupation: a Poisson((lam-kappa)_{x0} * rho) number of
-    independent excursions from x0, each walked in D until absorption back at
-    x0; entry at x0 is rho exactly."""
+def _excursion_block(kernel: ChainKernel, x0: int, rho: float, size: int, rng) -> tuple:
+    """Excursion occupations of `size` replicas from one generator, all
+    excursions walked in lockstep.
+
+    Draw order: a Poisson((lam-kappa)_{x0} * rho) excursion count per
+    replica; one uniform per excursion for its first step; then per round,
+    one Exp(1) holding time and one step uniform per excursion still away
+    from x0.  Returns the (size, n) occupations and block diagnostics.
+    """
     graph = kernel.graph
-    x0 = graph.index(x0)
-    occ = np.zeros(kernel.n)
-    occ[x0] = rho
+    n = kernel.n
+    occ = np.zeros((size, n))
+    occ[:, x0] = rho
     escape = float(kernel.lam[x0] - graph.killing[x0])
     if escape <= 0:
-        return ChainExcursionField(occ, x0, rho)
+        return occ, {"replicas": size, "excursions": 0, "walk_steps": 0}
     neighbors = np.flatnonzero(graph.conductance[x0] > 0)
     weights = np.cumsum(graph.conductance[x0, neighbors])
     weights /= weights[-1]
-    k = int(rng.poisson(escape * rho))
-    time = np.zeros(kernel.n)
-    for _ in range(k):
-        y = int(neighbors[np.searchsorted(weights, rng.random(), side="right")])
-        while y != x0:
-            time[y] += rng.standard_exponential()
-            y = kernel.walk_step(y, rng)
-            if y == -1:
-                raise BadSupport("excursion died away from x0; killing is not supported there")
-    occ += time / kernel.lam
-    return ChainExcursionField(occ, x0, rho)
+    owners = np.repeat(np.arange(size), rng.poisson(escape * rho, size=size))
+    excursions = len(owners)
+    y = neighbors[np.searchsorted(weights, rng.random(excursions), side="right")]
+    cells, hold = [], []
+    steps = 0
+    while len(owners):
+        cells.append(owners * n + y)
+        hold.append(rng.standard_exponential(len(owners)))
+        steps += len(owners)
+        y = kernel.walk_steps(y, rng.random(len(owners)))
+        if (y == -1).any():
+            raise BadSupport("excursion died away from x0; killing is not supported there")
+        away = y != x0
+        owners, y = owners[away], y[away]
+    if cells:
+        time = np.bincount(np.concatenate(cells), weights=np.concatenate(hold),
+                           minlength=size * n).reshape(size, n)
+        occ += time / kernel.lam
+    return occ, {"replicas": size, "excursions": excursions, "walk_steps": steps}
+
+
+def sample_excursion_field(kernel: ChainKernel, x0, rho: float, rng) -> ChainExcursionField:
+    """Excursion occupation: a Poisson((lam-kappa)_{x0} * rho) number of
+    independent excursions from x0, each walked in D until absorption back at
+    x0; entry at x0 is rho exactly.  The single-replica view of the block
+    sampler used by ray_knight_check."""
+    x0 = kernel.graph.index(x0)
+    occ, _ = _excursion_block(kernel, x0, rho, 1, rng)
+    return ChainExcursionField(occ[0], x0, rho)
+
+
+def _ray_knight_block(kernel, x0, rho, off, factor_d, rng, size) -> tuple:
+    """Both sides of the identity for `size` replicas from one generator:
+    the left field, the excursions, then the right field."""
+    shift = np.sqrt(2.0 * rho)
+    lhs = np.zeros((size, kernel.n))
+    lhs[:, off] = 0.5 * (rng.standard_normal((size, len(off))) @ factor_d) ** 2
+    exc, diagnostics = _excursion_block(kernel, x0, rho, size, rng)
+    lhs += exc
+    rhs = np.full((size, kernel.n), 0.5 * shift**2)
+    rhs[:, off] = 0.5 * (rng.standard_normal((size, len(off))) @ factor_d + shift) ** 2
+    return lhs, rhs, diagnostics
 
 
 def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -> TestReport:
@@ -197,7 +223,8 @@ def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -
     x0) plus an independent excursion occupation stopped at local time rho.
     Right side: half the square of an independent D-restricted field shifted
     by sqrt(2 rho).  The x0 coordinate is the constant rho on both sides and
-    is reported without a gate.
+    is reported without a gate.  Replicas are drawn block by block in
+    (seed, block) streams.
     """
     if rho <= 0:
         raise ValueError(f"stopping level must be positive, got {rho}")
@@ -211,23 +238,15 @@ def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -
     w, u = np.linalg.eigh(m_d)
     factor_d = (u / np.sqrt(w)) @ u.T  # symmetric square root of the D Green matrix
 
-    rng = as_generator(seed)
-    shift = np.sqrt(2.0 * rho)
-    lhs = np.empty((replicas, kernel.n))
-    rhs = np.empty((replicas, kernel.n))
-    for r in range(replicas):
-        phi = np.zeros(kernel.n)
-        phi[off] = factor_d @ rng.standard_normal(len(off))
-        exc = sample_excursion_field(kernel, x0, rho, rng)
-        lhs[r] = 0.5 * phi**2 + exc.occupation
-        phi2 = np.zeros(kernel.n)
-        phi2[off] = factor_d @ rng.standard_normal(len(off))
-        phi2[x0] = 0.0
-        rhs[r] = 0.5 * (phi2 + shift) ** 2
-        rhs[r, x0] = 0.5 * shift**2
+    parts = replica_map(partial(_ray_knight_block, kernel, x0, rho, off, factor_d),
+                        replicas, seed)
+    lhs = np.concatenate([p[0] for p in parts])
+    rhs = np.concatenate([p[1] for p in parts])
 
     report = TestReport(name="ray-knight", conventions=dict(CONVENTIONS))
-    report.meta.update({"x0": graph.vertices[x0], "rho": rho, "replicas": replicas})
+    report.meta.update({"x0": graph.vertices[x0], "rho": rho, "replicas": replicas,
+                        "rng": dict(SCHEME),
+                        "sampler_diagnostics": merge_diagnostics([p[2] for p in parts])})
     names = graph.vertices
     for x in off:
         report.add_bound(f"KS[{names[x]}]", ks_two_sample(lhs[:, x], rhs[:, x]), 0.02)
@@ -237,23 +256,6 @@ def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -
     report.add_info(f"x0[{names[x0]}] constant", float(np.max(np.abs(lhs[:, x0] - rho))),
                     note="left side at x0 minus rho; right side is rho by construction")
     return report
-
-
-def _network_statistics(kernel: ChainKernel, replicas: int, seed, stat_fn) -> tuple:
-    """Mean and standard error of stat_fn(Network) over intensity-1 ensembles."""
-    from .rng import replica_rng
-
-    total = 0.0
-    total_sq = 0.0
-    base = int(seed)
-    for r in range(replicas):
-        soup = direct_sample(kernel, 1.0, seed=replica_rng(base, r))
-        v = float(stat_fn(jump_matrix(soup)))
-        total += v
-        total_sq += v * v
-    mean = total / replicas
-    var = max(total_sq / replicas - mean * mean, 0.0)
-    return mean, float(np.sqrt(var / replicas))
 
 
 def verify_moment_formula(kernel: ChainKernel, edges, points, replicas: int, seed,
@@ -279,20 +281,18 @@ def verify_moment_formula(kernel: ChainKernel, edges, points, replicas: int, see
     for p in point_idx:
         closed *= kernel.lam[p]
 
-    def stat(net) -> float:
+    def stat(counts) -> float:
         val = 1.0
         for u, v in edge_idx:
-            val *= net.counts[u, v]
-        out_deg = net.counts.sum(axis=1)
+            val *= counts[u, v]
+        out_deg = counts.sum(axis=1)
         for p in point_idx:
             val *= out_deg[p] + 1
         return val
 
-    if histogram is not None:
-        mean, se, count = _histogram_stat(kernel, histogram, stat)
-        replicas = count
-    else:
-        mean, se = _network_statistics(kernel, replicas, seed, stat)
+    if histogram is None:
+        histogram = network_histogram(kernel, replicas, seed)
+    mean, se, replicas = _histogram_stat(histogram, stat)
 
     name = ",".join(f"{graph.vertices[u]}->{graph.vertices[v]}" for u, v in edge_idx)
     pname = ",".join(graph.vertices[p] for p in point_idx)
@@ -302,15 +302,14 @@ def verify_moment_formula(kernel: ChainKernel, edges, points, replicas: int, see
     return report
 
 
-def _histogram_stat(kernel: ChainKernel, histogram: dict, stat_fn) -> tuple:
-    from .network import Network
-
+def _histogram_stat(histogram: dict, stat_fn) -> tuple:
+    """Mean, standard error and replica count of stat_fn(count matrix) over
+    a {network key: replicas} histogram."""
     total = 0.0
     total_sq = 0.0
     count = 0
     for key, c in histogram.items():
-        net = Network(kernel.graph, np.array(key, dtype=np.int64))
-        v = float(stat_fn(net))
+        v = float(stat_fn(np.array(key, dtype=np.int64)))
         total += v * c
         total_sq += v * v * c
         count += c
@@ -334,15 +333,13 @@ def verify_det_identity(kernel: ChainKernel, chi, replicas: int, seed,
 
     lam = kernel.lam
 
-    def stat(net) -> float:
-        d = chi * (1.0 + net.counts.sum(axis=1)) / lam
-        return float(np.linalg.det(np.diag(d) - net.counts))
+    def stat(counts) -> float:
+        d = chi * (1.0 + counts.sum(axis=1)) / lam
+        return float(np.linalg.det(np.diag(d) - counts))
 
-    if histogram is not None:
-        mean, se, count = _histogram_stat(kernel, histogram, stat)
-        replicas = count
-    else:
-        mean, se = _network_statistics(kernel, replicas, seed, stat)
+    if histogram is None:
+        histogram = network_histogram(kernel, replicas, seed)
+    mean, se, replicas = _histogram_stat(histogram, stat)
 
     report = TestReport(name="det-identity", conventions=dict(CONVENTIONS))
     report.meta.update({"chi": chi.tolist(), "replicas": replicas})

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import BadForm, BadGraph, NonTransient
+from .errors import BadForm, BadGraph, BadTailCut, NonTransient, TailTooHeavy
 
 PIVOT_EPS = 1e-12
 
@@ -242,8 +242,9 @@ class EnergyForm:
 class ChainKernel:
     """Transition matrix, Green's function and derived tables of a transient chain.
 
-    Immutable after construction; lazy caches only memoize pure functions of the
-    fields, so sharing across threads or pickling to workers is safe.
+    Immutable after construction; cached properties are pure functions of the
+    fields, computed at most once, so sharing across threads or pickling to
+    workers is safe.
     """
 
     graph: WeightedGraph
@@ -308,19 +309,22 @@ class ChainKernel:
         return targets[i]
 
     @cached_property
-    def _q_powers(self) -> list:
-        return [np.eye(self.n), np.array(self.q_matrix)]
+    def _step_table(self) -> tuple:
+        """The walk tables padded to one width: targets with -1 (death) after
+        the last neighbor, cumulative jump probabilities padded with inf."""
+        width = max(len(targets) for targets, _ in self._walk_tables)
+        targets = np.full((self.n, width + 1), -1, dtype=np.intp)
+        cum = np.full((self.n, width), np.inf)
+        for x, (t, c) in enumerate(self._walk_tables):
+            targets[x, :len(t)] = t
+            cum[x, :len(c)] = c
+        return targets, cum
 
-    def q_powers(self, up_to: int) -> list:
-        """Powers [I, Q, ..., Q^up_to] of the jump matrix, grown on demand."""
-        pows = self._q_powers
-        while len(pows) <= up_to:
-            pows.append(pows[-1] @ pows[1])
-        return pows
-
-    @cached_property
-    def _length_cache(self) -> dict:
-        return {}
+    def walk_steps(self, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """walk_step for many walkers at once, given their uniforms u:
+        targets per walker, -1 for death."""
+        targets, cum = self._step_table
+        return targets[xs, (cum[xs] <= u[:, None]).sum(axis=1)]
 
     def length_distribution(self, eps: float):
         """Cumulative law of the jump count of a loop, cut at total tail mass eps.
@@ -329,13 +333,8 @@ class ChainKernel:
         normalized probability of length k+2, total_mass the retained loop
         measure, discarded the cut tail mass (< eps).
         """
-        from .errors import TailTooHeavy
-
         if not 0 < eps <= 1e-6:
-            raise ValueError(f"tail cut must be in (0, 1e-6], got {eps}")
-        cached = self._length_cache.get(eps)
-        if cached is not None:
-            return cached
+            raise BadTailCut(f"tail cut must be in (0, 1e-6], got {eps}")
         w = self.sym_eigs
         mprime = float(-np.sum(np.log1p(-w)))
         terms = []
@@ -352,9 +351,7 @@ class ChainKernel:
             partial += t
         total = partial
         cum = np.cumsum(terms) / total if terms else np.zeros(0)
-        out = (cum, total, n, mprime - partial)
-        self._length_cache[eps] = out
-        return out
+        return cum, total, n, mprime - partial
 
     def twisted_matrix(self, z: np.ndarray) -> np.ndarray:
         """M_lam - C * z for an entrywise edge modifier z."""

@@ -34,12 +34,12 @@ from .fields import (
     verify_isomorphism,
     verify_moment_formula,
 )
-from .graphs import ChainKernel, WeightedGraph, build_kernel
+from .graphs import WeightedGraph, build_kernel
 from .homology import cycle_basis, homology_distribution, jacobian_volume, network_homology_class
 from .network import Network
 from .reports import TestReport
-from .rng import as_generator, replica_map
-from .soup import direct_sample, jump_matrix, wilson_sample
+from .rng import SCHEME, as_generator
+from .soup import network_histogram
 
 DEFAULT_SEED = 20260816
 DEFAULT_REPLICAS = 100_000
@@ -112,44 +112,7 @@ def normalize_counter(counter: Counter) -> dict:
     return {k: v / total for k, v in counter.items()}
 
 
-# ---------------------------------------------------------------- sample collectors
-
-class _WilsonNetworkKey:
-    """Picklable replica task: one cycle ensemble, reduced to its jump network."""
-
-    def __init__(self, kernel: ChainKernel):
-        self.kernel = kernel
-
-    def __call__(self, rng) -> tuple:
-        _, soup = wilson_sample(self.kernel, rng)
-        return jump_matrix(soup).key()
-
-
-class _DirectNetworkKey:
-    def __init__(self, kernel: ChainKernel, alpha: float, eps: float):
-        self.kernel = kernel
-        self.alpha = alpha
-        self.eps = eps
-
-    def __call__(self, rng) -> tuple:
-        soup = direct_sample(self.kernel, self.alpha, eps=self.eps, seed=rng)
-        return jump_matrix(soup).key()
-
-
-def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
-                      sampler: str = "direct", alpha: float = 1.0,
-                      eps: float = 1e-9, workers: int = 1) -> Counter:
-    """Histogram of jump-network keys over independent replica ensembles."""
-    if sampler == "wilson":
-        if alpha != 1.0:
-            raise ValueError("the cycle-popping sampler is defined at alpha = 1 only")
-        fn = _WilsonNetworkKey(kernel)
-    elif sampler == "direct":
-        fn = _DirectNetworkKey(kernel, alpha, eps)
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}")
-    return Counter(replica_map(fn, replicas, seed, workers=workers))
-
+# ---------------------------------------------------------------- histogram helpers
 
 def edge_marginal(histogram: Counter, i: int, j: int) -> Counter:
     """Marginal histogram of one directed-edge count."""
@@ -157,6 +120,14 @@ def edge_marginal(histogram: Counter, i: int, j: int) -> Counter:
     for key, c in histogram.items():
         out[int(key[i][j])] += c
     return out
+
+
+def _record_sampling(report: TestReport, histograms: dict) -> None:
+    """Put the stream scheme and each histogram's sampler diagnostics in meta."""
+    report.meta["rng"] = dict(SCHEME)
+    report.meta["sampler_diagnostics"] = {
+        label: dict(getattr(hist, "diagnostics", {})) for label, hist in histograms.items()
+    }
 
 
 def _all_balanced_up_to(graph: WeightedGraph, max_total: int) -> list:
@@ -187,6 +158,7 @@ def check_geometric_law(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SE
     report = TestReport(name="geometric-law", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 1, "graph": "two-point", "sampler": "wilson",
                         "replicas": replicas})
+    _record_sampling(report, {"wilson": histogram})
     report.add_bound("TV(empirical, geometric)", tv_distance(marginal, exact), 0.02)
     report.add_bound("runtime_seconds", hist_seconds + (time.perf_counter() - t0), 60.0)
     return report
@@ -199,16 +171,19 @@ def check_negative_binomial(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAUL
     report = TestReport(name="negative-binomial", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 2, "graph": "two-point", "sampler": "direct",
                         "replicas": replicas})
+    used = {}
     for offset, alpha in enumerate((0.5, 2.0), start=1):
         hist = histograms.get(alpha) if histograms else None
         if hist is None:
             hist = network_histogram(kernel, replicas, seed + offset, "direct",
                                      alpha=alpha, workers=workers)
+        used[f"alpha={alpha}"] = hist
         marginal = normalize_counter(edge_marginal(hist, 0, 1))
         n_max = max(marginal) + 10
         exact = {n: nb_pmf(n, alpha) for n in range(n_max + 1)}
         report.add_bound(f"TV(empirical, NB) alpha={alpha}",
                          tv_distance(marginal, exact), 0.02)
+    _record_sampling(report, used)
     return report
 
 
@@ -254,11 +229,13 @@ def check_generating_function(replicas: int = DEFAULT_REPLICAS, seed: int = DEFA
     report = TestReport(name="generating-function", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 4, "graph": "triangle", "replicas": replicas,
                         "n_modifiers": n_modifiers})
+    used = {}
     for offset, alpha in enumerate((0.5, 1.0, 2.0)):
         hist = histograms.get(alpha) if histograms else None
         if hist is None:
             hist = network_histogram(kernel, replicas, seed + 3 + offset, "direct",
                                      alpha=alpha, workers=workers)
+        used[f"alpha={alpha}"] = hist
         total = sum(hist.values())
         keys = list(hist.keys())
         weights = np.array([hist[k] for k in keys], dtype=float)
@@ -276,6 +253,7 @@ def check_generating_function(replicas: int = DEFAULT_REPLICAS, seed: int = DEFA
                          mean.real, target.real, se_re)
             report.add_z(f"Im E[prod Z^N] alpha={alpha} Z#{zi}",
                          mean.imag, target.imag, se_im)
+    _record_sampling(report, used)
     return report
 
 
@@ -285,7 +263,10 @@ def check_isomorphism(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED
     tri = verify_isomorphism(build_kernel(triangle_graph()), replicas, seed + 10)
     single = verify_isomorphism(build_kernel(single_vertex_graph()), replicas, seed + 17)
     report = TestReport(name="field-isomorphism", conventions=dict(CONVENTIONS))
-    report.meta.update({"check": 5, "replicas": replicas})
+    report.meta.update({"check": 5, "replicas": replicas, "rng": dict(SCHEME),
+                        "sampler_diagnostics": {
+                            "triangle": tri.meta["sampler_diagnostics"],
+                            "single-vertex": single.meta["sampler_diagnostics"]}})
     for line in tri.lines:
         line.statistic = "triangle " + line.statistic
         report.lines.append(line)
@@ -315,6 +296,7 @@ def check_moment_formula(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_S
     report = TestReport(name="moment-formula", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 7, "graph": "two-point",
                         "replicas": sum(histogram.values())})
+    _record_sampling(report, {"wilson": histogram})
     cases = [
         ((("a", "b"),), (), 1.0 / 3.0, "E[N_ab]"),
         ((), ("a",), 4.0 / 3.0, "E[N_a + 1]"),
@@ -340,6 +322,7 @@ def check_det_identity(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEE
     report = TestReport(name="det-identity", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 8, "graph": "two-point",
                         "replicas": sum(histogram.values())})
+    _record_sampling(report, {"wilson": histogram})
     for scale, expected in ((1.0, 5.0 / 3.0), (2.0, 75.0 / 9.0)):
         sub = verify_det_identity(kernel, scale * kernel.lam, replicas, seed,
                                   histogram=histogram)
@@ -554,6 +537,7 @@ def check_homology_distribution(replicas: int = DEFAULT_REPLICAS,
     report = TestReport(name="homology-law", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 12, "graph": "triangle", "grid": grid,
                         "replicas": sum(histogram.values())})
+    _record_sampling(report, {"direct": histogram})
     report.add_bound("uncaptured window mass", 1.0 - law.captured_mass, 1e-3)
     report.add_bound("max |P(j) - P(-j)|", law.symmetry_defect(), 1e-8)
     report.add_bound("TV(empirical classes, law)", tv_distance(empirical, law.probs), 0.02)
@@ -577,6 +561,8 @@ def check_cross_sampler(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SE
     report.meta.update({"check": 13, "graph": "triangle",
                         "replicas": min(sum(wilson_histogram.values()),
                                         sum(direct_histogram.values()))})
+    _record_sampling(report, {"wilson": wilson_histogram,
+                              "direct": direct_histogram})
     report.add_bound("TV(wilson, direct)",
                      tv_distance(normalize_counter(wilson_histogram),
                                  normalize_counter(direct_histogram)), 0.02)

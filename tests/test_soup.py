@@ -1,20 +1,37 @@
 """Both loop-ensemble samplers: structure, determinism, quick law checks."""
 
+import contextlib
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from loopsoup import (
+    BLOCK,
+    BadIntensity,
+    BadSeed,
+    BadTailCut,
+    LoopSoupError,
     Network,
     TailTooHeavy,
+    UnknownSampler,
     WeightedGraph,
     build_kernel,
+    direct_block,
     direct_sample,
     jump_matrix,
     merge_soups,
     mu_mass_nontrivial,
+    network_histogram,
     occupation,
+    occupation_samples,
+    verify_isomorphism,
+    verify_moment_formula,
+    wilson_counts,
     wilson_sample,
 )
+from loopsoup.cli import main
 from loopsoup.soup import BasedLoop, _canonical
 
 
@@ -155,3 +172,121 @@ def test_loop_time_totals(triangle_kernel):
     for loop in soup.loops:
         assert loop.total_time == pytest.approx(sum(loop.times))
         assert not loop.is_trivial
+
+
+def test_single_sample_is_the_block_view(triangle_kernel):
+    # direct_sample reads one replica of direct_block; the loop-by-loop
+    # reductions of the view must equal the block's array reductions
+    for seed in range(20):
+        soup = direct_sample(triangle_kernel, 1.3, seed=seed)
+        block = direct_block(triangle_kernel, 1.3, 1, np.random.default_rng(seed), times=True)
+        assert np.array_equal(jump_matrix(soup).counts, block.counts()[0])
+        assert occupation(soup, triangle_kernel) == pytest.approx(block.occupation()[0])
+
+
+def test_block_reductions_match_loop_reference(triangle_kernel):
+    size = 64
+    block = direct_block(triangle_kernel, 2.0, size, np.random.default_rng(3), times=True)
+    counts = np.zeros((size, 3, 3), dtype=np.int64)
+    time = np.array(block.trivial_time)
+    for group in block.groups:
+        for r, verts, times in zip(group.owners, group.vertices, group.times):
+            for i, v in enumerate(verts):
+                counts[r, v, verts[(i + 1) % len(verts)]] += 1
+                time[r, v] += times[i]
+    assert counts.sum() > 0
+    assert np.array_equal(block.counts(), counts)
+    assert block.occupation() == pytest.approx(time / triangle_kernel.lam)
+    # holding times are drawn after every vertex, so the loops do not depend on them
+    bare = direct_block(triangle_kernel, 2.0, size, np.random.default_rng(3))
+    assert np.array_equal(bare.counts(), counts)
+
+
+def test_wilson_block_networks_balanced(two_point_kernel, triangle_kernel, path3_kernel):
+    # all walk transitions minus the tree edges: a wrong subtraction leaves
+    # a negative or unbalanced count
+    for kernel in (two_point_kernel, triangle_kernel, path3_kernel):
+        size = 3000
+        counts, diagnostics = wilson_counts(kernel, size, np.random.default_rng(5))
+        assert (counts >= 0).all()
+        assert np.array_equal(counts.sum(axis=1), counts.sum(axis=2))
+        assert counts.sum() > 0
+        # every vertex is left at least once, on its last exit
+        assert diagnostics["walk_steps"] >= size * kernel.n
+
+
+def test_wilson_histogram_edge_mean(two_point_kernel):
+    # E N_ab = 1/3 on the two-point chain
+    replicas = 20_000
+    hist = network_histogram(two_point_kernel, replicas, 8, "wilson")
+    values = np.array([key[0][1] for key in hist.elements()], dtype=float)
+    assert len(values) == replicas
+    se = values.std() / np.sqrt(replicas)
+    assert abs(values.mean() - 1 / 3) < 5 * se
+    assert hist.diagnostics["blocks"] == 3
+
+
+def test_worker_count_never_changes_results(triangle_kernel):
+    replicas = 2 * BLOCK + 100  # three blocks, the last one short
+    for sampler in ("direct", "wilson"):
+        one = network_histogram(triangle_kernel, replicas, 11, sampler, workers=1)
+        two = network_histogram(triangle_kernel, replicas, 11, sampler, workers=2)
+        assert one == two
+        assert one.diagnostics == two.diagnostics
+        assert one.diagnostics["blocks"] == 3
+    one = occupation_samples(triangle_kernel, 0.5, replicas, 12, workers=1)
+    two = occupation_samples(triangle_kernel, 0.5, replicas, 12, workers=2)
+    assert np.array_equal(one, two)
+
+
+def _typed(exc_info, kind):
+    assert isinstance(exc_info.value, kind)
+    assert isinstance(exc_info.value, LoopSoupError)
+    assert isinstance(exc_info.value, ValueError)
+
+
+def test_nonpositive_intensity_is_typed(triangle_kernel, tmp_path):
+    for call in (
+        lambda: direct_sample(triangle_kernel, 0.0, seed=1),
+        lambda: network_histogram(triangle_kernel, 10, 1, "direct", alpha=-1.0),
+        lambda: occupation_samples(triangle_kernel, float("nan"), 10, 1),
+    ):
+        with pytest.raises(BadIntensity) as info:
+            call()
+        _typed(info, BadIntensity)
+    graph = str(Path(__file__).resolve().parent.parent / "sample_graphs" / "triangle.json")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["occupation", "--graph", graph, "--alpha", "0",
+                     "--out", str(tmp_path / "out.json")])
+    assert code == 1 and "intensity must be positive" in err.getvalue()
+
+
+def test_tail_cut_out_of_range_is_typed(triangle_kernel):
+    for eps in (0.0, -1e-9, 1e-3):
+        with pytest.raises(BadTailCut) as info:
+            network_histogram(triangle_kernel, 10, 1, "direct", eps=eps)
+        _typed(info, BadTailCut)
+
+
+def test_unknown_sampler_is_typed(triangle_kernel):
+    with pytest.raises(UnknownSampler) as info:
+        network_histogram(triangle_kernel, 10, 1, "metropolis")
+    _typed(info, UnknownSampler)
+
+
+def test_wilson_off_intensity_one_is_typed(triangle_kernel):
+    with pytest.raises(BadIntensity) as info:
+        network_histogram(triangle_kernel, 10, 1, "wilson", alpha=2.0)
+    _typed(info, BadIntensity)
+
+
+def test_generator_seed_is_typed(two_point_kernel):
+    rng = np.random.default_rng(0)
+    for call in (
+        lambda: verify_moment_formula(two_point_kernel, [("a", "b")], [], 10, rng),
+        lambda: verify_isomorphism(two_point_kernel, 10, rng),
+        lambda: network_histogram(two_point_kernel, 10, rng),
+    ):
+        with pytest.raises(BadSeed) as info:
+            call()
+        _typed(info, BadSeed)
