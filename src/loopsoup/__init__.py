@@ -8,12 +8,16 @@ forms.
 
 from .errors import (
     BadChi,
+    BadExactInput,
     BadForm,
     BadGraph,
+    BadGrid,
     BadIntensity,
+    BadMassBudget,
     BadPartition,
     BadSamplerInput,
     BadSeed,
+    BadStoppingLevel,
     BadSupport,
     BadTailCut,
     BudgetExceeded,
@@ -28,6 +32,7 @@ from .errors import (
     NonIntegral,
     NonTransient,
     NotEulerian,
+    NotSquare,
     SingularTwist,
     TailTooHeavy,
     TooLarge,
@@ -49,7 +54,6 @@ from .eulerian import (
 from .exact import (
     alpha_permanent,
     arborescence_count,
-    det_complex,
     permanent,
     spanning_tree_weight_sum,
 )

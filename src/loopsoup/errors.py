@@ -108,3 +108,27 @@ class UnknownSampler(BadSamplerInput):
 
 class BadSeed(BadSamplerInput):
     """A seed that cannot key a (seed, block) stream: it must be an integer."""
+
+
+class BadStoppingLevel(BadSamplerInput):
+    """The Ray-Knight stopping level rho is not positive."""
+
+
+class BadExactInput(LoopSoupError, ValueError):
+    """An exact entry point got an argument outside its domain.
+
+    Also a ValueError, so callers that caught the plain ValueError these
+    inputs used to raise keep working.
+    """
+
+
+class BadMassBudget(BadExactInput):
+    """The enumeration mass budget delta lies outside (0, 0.01]."""
+
+
+class BadGrid(BadExactInput):
+    """A Fourier grid size that is not a power of two >= 8."""
+
+
+class NotSquare(BadExactInput):
+    """A permanent was asked of a matrix that is not square."""

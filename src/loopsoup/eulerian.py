@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     BadForm,
+    BadMassBudget,
     BadPartition,
     BudgetExceeded,
     DisconnectedSupport,
@@ -39,6 +40,8 @@ from .network import Network
 
 ALPHA_NETWORK_CAP = 8
 ENUMERATION_CAP = 20
+LAYER_CAP = 1 << 23  # edge counts in the candidate rows of one layer (64 MB)
+CONVOLUTION_CHUNK = 1 << 16  # key sums held at once
 
 
 @dataclass(frozen=True)
@@ -194,36 +197,115 @@ def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> f
     return float(coeff * kernel.det_i_minus_p**alpha * p_prod)
 
 
-def _balanced_layer(graph, directed_edges, m: int):
-    """All balanced count matrices with total m over the given directed edges."""
-    n = graph.n
-    results = []
-    counts = np.zeros((n, n), dtype=np.int64)
-
-    def rec(pos: int, remaining: int):
-        if pos == len(directed_edges):
-            if remaining == 0:
-                net = counts.sum(axis=1) - counts.sum(axis=0)
-                if not net.any():
-                    results.append(Network(graph, counts.copy()))
-            return
-        x, y = directed_edges[pos]
-        # prune: remaining edges can absorb anything, but balance needs checking at the end
-        for c in range(remaining + 1):
-            counts[x, y] = c
-            rec(pos + 1, remaining - c)
-        counts[x, y] = 0
-
-    rec(0, m)
-    return results
-
-
 def _directed_edges(graph):
     edges = []
     for i, j in graph.edge_pairs:
         edges.append((i, j))
         edges.append((j, i))
     return edges
+
+
+def _simple_cycles(graph, edges) -> np.ndarray:
+    """Edge-count rows, over the directed edges, of every simple directed
+    cycle of the graph up to the enumeration cap: 2-cycles x -> y -> x
+    included, each cycle once, from its smallest vertex."""
+    index = {edge: pos for pos, edge in enumerate(edges)}
+    adj = [np.flatnonzero(graph.conductance[x] > 0).tolist() for x in range(graph.n)]
+    rows = []
+
+    def extend(path: list) -> None:
+        for y in adj[path[-1]]:
+            if y == path[0] and len(path) >= 2:
+                row = np.zeros(len(edges), dtype=np.int64)
+                row[[index[e] for e in zip(path, path[1:] + path[:1])]] = 1
+                rows.append(row)
+            elif y > path[0] and y not in path and len(path) < ENUMERATION_CAP:
+                extend(path + [y])
+
+    for start in range(graph.n):
+        extend([start])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(edges))
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Distinct rows in lexicographic order (first column most significant)."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[fresh]
+
+
+def _circulation_layers(graph, edges):
+    """Yield every balanced nonnegative count vector over the directed edges,
+    layer m = 1, 2, ... of total m at a time, rows in lexicographic order.
+
+    A nonzero nonnegative circulation contains a simple directed cycle in its
+    support, and removing that cycle leaves a smaller one.  So layer m is
+    exactly the set of sums (layer m - L) + (simple cycle of length L).
+    """
+    cycles = _simple_cycles(graph, edges)
+    lengths = cycles.sum(axis=1)
+    by_length = [(int(length), cycles[lengths == length]) for length in np.unique(lengths)]
+    layers = [np.zeros((1, len(edges)), dtype=np.int64)]
+    while True:
+        m = len(layers)
+        sources = [(layers[m - length], group) for length, group in by_length
+                   if length <= m and len(layers[m - length])]
+        entries = sum(len(base) * len(group) for base, group in sources) * len(edges)
+        if entries > LAYER_CAP:
+            raise TooLarge(f"layer {m} would build {entries} > {LAYER_CAP} candidate counts")
+        parts = [(base[:, None, :] + group[None, :, :]).reshape(-1, len(edges))
+                 for base, group in sources]
+        rows = _unique_rows(np.concatenate(parts)) if parts else layers[0][:0]
+        layers.append(rows)
+        yield rows
+
+
+def _count_matrices(n: int, edges, rows: np.ndarray) -> np.ndarray:
+    """The (R, n, n) count matrices of R edge-count rows."""
+    counts = np.zeros((len(rows), n, n), dtype=np.int64)
+    counts[(slice(None), *np.array(edges, dtype=np.intp).reshape(-1, 2).T)] = rows
+    return counts
+
+
+def _arborescence_counts(counts: np.ndarray) -> np.ndarray:
+    """Arborescences toward the first support vertex of each nonzero balanced
+    network in a stack, by one stacked directed matrix-tree determinant.
+
+    The root and the vertices off the support get identity rows and columns,
+    which leaves the determinant of the support minor.
+    """
+    n = counts.shape[1]
+    out_deg = counts.sum(axis=2)
+    diag = np.arange(n)
+    root = np.argmax(out_deg > 0, axis=1)
+    keep = (out_deg > 0) & (diag[None, :] != root[:, None])
+    lap = -counts.astype(float)
+    lap[:, diag, diag] += out_deg
+    lap *= keep[:, :, None] & keep[:, None, :]
+    lap[:, diag, diag] += ~keep
+    val = np.linalg.det(lap)
+    tau = np.rint(val)
+    if (np.abs(val - tau) > 1e-6 * np.maximum(1.0, np.abs(val))).any():
+        raise ArithmeticError("an arborescence determinant is not close to an integer")
+    return np.maximum(tau, 0.0)
+
+
+def _layer_law(kernel: ChainKernel, edges, rows: np.ndarray):
+    """alpha = 1 probability and one-loop measure mu of every network of a
+    layer, the array form of exact_network_prob_alpha1 and mu_network_measure.
+    """
+    src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    counts = _count_matrices(kernel.n, edges, rows)
+    out_deg = counts.sum(axis=2)
+    top = int(rows.sum(axis=1).max(initial=0))
+    log_fact = np.array([math.lgamma(c + 1) for c in range(top + 1)])
+    # log of prod_{xy} P^k / k!, shared by both laws
+    log_weight = rows @ np.log(kernel.P[src, dst]) - log_fact[rows].sum(axis=1)
+    prob = kernel.det_i_minus_p * np.exp(log_weight + log_fact[out_deg].sum(axis=1))
+    tau = _arborescence_counts(counts)
+    mu = tau * np.exp(log_weight + log_fact[np.maximum(out_deg - 1, 0)].sum(axis=1))
+    return prob, mu
 
 
 @dataclass(frozen=True)
@@ -233,34 +315,45 @@ class NetworkLawEntry:
     mu_mass: float
 
 
+def _enumerate_layers(kernel: ChainKernel, delta: float) -> list:
+    """(rows, probability, mu) of each layer 0, 1, ..., M of
+    enumerate_eulerian; layer 0 holds the zero network."""
+    if not 0 < delta <= 0.01:
+        raise BadMassBudget(f"mass budget must be in (0, 0.01], got {delta}")
+    edges = _directed_edges(kernel.graph)
+    layers = [(np.zeros((1, len(edges)), dtype=np.int64),
+               np.array([kernel.det_i_minus_p]), np.zeros(1))]
+    accum = kernel.det_i_minus_p
+    grow = _circulation_layers(kernel.graph, edges)
+    while accum < 1.0 - delta:
+        if len(layers) > ENUMERATION_CAP:
+            raise BudgetExceeded(
+                f"accumulated probability {accum:.6g} < 1 - {delta:g} at |k| = {ENUMERATION_CAP}"
+            )
+        rows = next(grow)
+        prob, mu = _layer_law(kernel, edges, rows)
+        layers.append((rows, prob, mu))
+        accum += float(prob.sum())
+    return layers
+
+
 def enumerate_eulerian(kernel: ChainKernel, delta: float) -> list:
     """Balanced networks in increasing |k|, complete layers, until the
     accumulated alpha = 1 probability reaches 1 - delta.
 
     Complete layers matter: they make truncated convolutions exact on the
-    retained support.  Raises BudgetExceeded if |k| would pass 20.
+    retained support.  Each layer grows from smaller ones by simple directed
+    cycles, and its probabilities and loop measures come from array kernels.
+    Raises BudgetExceeded if |k| would pass 20, TooLarge if one layer would
+    build more than LAYER_CAP candidate counts.
     """
-    if not 0 < delta <= 0.01:
-        raise ValueError(f"mass budget must be in (0, 0.01], got {delta}")
     graph = kernel.graph
     edges = _directed_edges(graph)
-    entries = [
-        NetworkLawEntry(Network.zeros(graph), float(kernel.det_i_minus_p), 0.0)
+    return [
+        NetworkLawEntry(Network(graph, c), p, m)
+        for rows, prob, mu in _enumerate_layers(kernel, delta)
+        for c, p, m in zip(_count_matrices(graph.n, edges, rows), prob.tolist(), mu.tolist())
     ]
-    accum = entries[0].probability
-    m = 0
-    while accum < 1.0 - delta:
-        m += 1
-        if m > ENUMERATION_CAP:
-            raise BudgetExceeded(
-                f"accumulated probability {accum:.6g} < 1 - {delta:g} at |k| = {ENUMERATION_CAP}"
-            )
-        for net in _balanced_layer(graph, edges, m):
-            p = exact_network_prob_alpha1(kernel, net)
-            mu = mu_network_measure(kernel, net)
-            entries.append(NetworkLawEntry(net, p, mu))
-            accum += p
-    return entries
 
 
 def best_tour_count(k: Network) -> int:
@@ -306,54 +399,80 @@ def mu_network_measure(kernel: ChainKernel, k: Network) -> float:
     return float(math.exp(log_val))
 
 
+def _row_keys(layers, max_total: int) -> list:
+    """Exact int64 keys of the count rows, additive: key(a) + key(b) = key(a + b).
+
+    The keys are base-B numbers with one digit per directed edge, the first
+    edge most significant, so rows in lexicographic order have ascending keys.
+    A single edge carries at most half of a circulation's total (every
+    crossing x -> y is followed by one out of y along another edge), so
+    B = max_total // 2 + 1 keeps every digit of every sum within the support's
+    totals below B.  Raises TooLarge when B^E would not fit in an int64.
+    """
+    n_edges = layers[0].shape[1]
+    base = max_total // 2 + 1
+    if base**n_edges > 2**63:
+        raise TooLarge(
+            f"convolution keys need {base}^{n_edges} > 2^63 values; "
+            f"{n_edges} directed edges at |k| <= {max_total} do not fit in int64"
+        )
+    weights = base ** np.arange(n_edges - 1, -1, -1, dtype=np.int64)
+    return [rows @ weights for rows in layers]
+
+
 def verify_poisson_convolution(kernel: ChainKernel, delta: float):
     """Rebuild the alpha = 1 network law as det(I-P) * sum_j mu^(*j) / j!.
 
     Convolution runs over the truncated support; complete layers make every
-    retained value exact, so the comparison is a pure identity check.
+    retained value exact, so the comparison is a pure identity check.  The
+    support is held layer by layer as sorted integer keys; each convolution
+    power adds the keys of one layer pair at a time and finds the sums by
+    binary search in the layer of their total.
     Returns a TestReport.
     """
     from .reports import TestReport
 
-    entries = enumerate_eulerian(kernel, delta)
+    layers = _enumerate_layers(kernel, delta)
     report = TestReport(name="poisson-convolution")
-    report.meta["support_size"] = len(entries)
+    report.meta["support_size"] = sum(len(rows) for rows, _, _ in layers)
     report.meta["delta"] = delta
-    max_total = max(e.network.total for e in entries)
-    # flat integer tuples keep the convolution arithmetic cheap
-    flat = {e.network.key(): tuple(int(c) for c in e.network.counts.ravel()) for e in entries}
-    totals = {flat[e.network.key()]: e.network.total for e in entries}
-    mu = {
-        flat[e.network.key()]: e.mu_mass for e in entries if e.network.total > 0
-    }
-    zero_key = flat[Network.zeros(kernel.graph).key()]
-    reconstructed = {key: 0.0 for key in totals}
-    reconstructed[zero_key] = 1.0
-    current = {zero_key: 1.0}
+    max_total = len(layers) - 1
+    keys = _row_keys([rows for rows, _, _ in layers], max_total)
+    mu = [layer_mu for _, _, layer_mu in layers]
+    reconstructed = [np.zeros(len(k)) for k in keys]
+    reconstructed[0][0] = 1.0
+    current = [r.copy() for r in reconstructed]
     j = 0
     factorial = 1.0
     # grading by |k| terminates the expansion: every nonzero factor has |k| >= 2
-    while current:
+    while any(c.any() for c in current):
         j += 1
         factorial *= j
-        nxt: dict[tuple, float] = {}
-        for key_a, val_a in current.items():
-            budget = max_total - totals[key_a]
-            for key_b, mu_b in mu.items():
-                if totals[key_b] > budget:
+        nxt = [np.zeros(len(k)) for k in keys]
+        for total_a, (keys_a, val_a) in enumerate(zip(keys, current)):
+            if not val_a.any():
+                continue
+            for total_b in range(1, max_total - total_a + 1):
+                keys_b, target = keys[total_b], keys[total_a + total_b]
+                if not len(keys_b) or not len(target):
                     continue
-                key_s = tuple(a + b for a, b in zip(key_a, key_b))
-                if key_s in reconstructed:
-                    nxt[key_s] = nxt.get(key_s, 0.0) + val_a * mu_b
-        for key_s, val in nxt.items():
-            reconstructed[key_s] += val / factorial
+                step = max(1, CONVOLUTION_CHUNK // len(keys_b))
+                for lo in range(0, len(keys_a), step):
+                    sums = (keys_a[lo:lo + step, None] + keys_b[None, :]).ravel()
+                    pos = np.minimum(np.searchsorted(target, sums), len(target) - 1)
+                    found = target[pos] == sums
+                    terms = (val_a[lo:lo + step, None] * mu[total_b][None, :]).ravel()
+                    nxt[total_a + total_b] += np.bincount(
+                        pos[found], weights=terms[found], minlength=len(target))
+        for rec, val in zip(reconstructed, nxt):
+            rec += val / factorial
         current = nxt
-    max_err = 0.0
-    for e in entries:
-        rebuilt = kernel.det_i_minus_p * reconstructed[flat[e.network.key()]]
-        max_err = max(max_err, abs(rebuilt - e.probability))
+    max_err = max(
+        float(np.max(np.abs(kernel.det_i_minus_p * rec - prob)))
+        for rec, (_, prob, _) in zip(reconstructed, layers) if len(prob)
+    )
     report.add_bound("max_abs_reconstruction_error", max_err, 1e-6)
-    report.add_info("truncated_mu_mass", sum(mu.values()),
+    report.add_info("truncated_mu_mass", float(sum(m.sum() for m in mu[1:])),
                     note="sum over retained nonzero networks")
     report.add_info("total_mu_mass", kernel.mu_mass)
     return report

@@ -7,29 +7,22 @@ either finishes fast or raises TooLarge up front.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 
-from .errors import Disconnected, EmptyNetwork, TooLarge
+from .errors import Disconnected, EmptyNetwork, NotSquare, TooLarge
 from .graphs import WeightedGraph
 from .network import Network
 
 PERMANENT_CAP = 20
-ALPHA_PERMANENT_CAP = 10
-
-
-def det_complex(a) -> complex:
-    """Determinant of a complex matrix; thin wrapper kept for a uniform API."""
-    return complex(np.linalg.det(np.asarray(a, dtype=complex)))
+ALPHA_PERMANENT_CAP = 12
 
 
 def permanent(a) -> float | complex:
     """Permanent by Ryser's formula with Gray-code subset updates, O(2^n n)."""
     a = np.asarray(a)
-    n = a.shape[0]
+    n = a.shape[0] if a.ndim else 0
     if a.shape != (n, n):
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+        raise NotSquare(f"matrix must be square, got shape {a.shape}")
     if n > PERMANENT_CAP:
         raise TooLarge(f"permanent limited to {PERMANENT_CAP}x{PERMANENT_CAP}, got n={n}")
     if n == 0:
@@ -51,46 +44,55 @@ def permanent(a) -> float | complex:
     return complex(total) if np.iscomplexobj(a) else float(total)
 
 
-def _cycle_count(perm: tuple) -> int:
-    n = len(perm)
-    seen = [False] * n
-    cycles = 0
-    for i in range(n):
-        if seen[i]:
-            continue
-        cycles += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-    return cycles
-
-
 def alpha_permanent(a, alpha: float) -> float | complex:
     """Sum over permutations of alpha^(cycle count) times the matrix product.
 
-    alpha = 1 gives the permanent, alpha = -1 gives (-1)^n det.  Brute force
-    over n! permutations, so n is capped hard.
+    alpha = 1 gives the permanent, alpha = -1 gives (-1)^n det.  A permutation
+    is a set of disjoint cycles, so the sum runs over set partitions of the
+    rows, each block weighted alpha times the sum of its cyclic products
+    (Bjorklund, Husfeldt, Kaski, Koivisto, "Fourier meets Mobius", STOC'07):
+
+      * h[S], the cyclic products over S, from a Hamiltonian-path table g[S, v]
+        of paths that start at min(S), visit all of S and end at v,
+        O(2^n n^2);
+      * f[S] = alpha * sum over T with min(S) in T of h[T] f[S - T], O(3^n).
     """
     a = np.asarray(a)
-    n = a.shape[0]
+    n = a.shape[0] if a.ndim else 0
     if a.shape != (n, n):
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+        raise NotSquare(f"matrix must be square, got shape {a.shape}")
     if n > ALPHA_PERMANENT_CAP:
         raise TooLarge(
             f"alpha-permanent limited to {ALPHA_PERMANENT_CAP}x{ALPHA_PERMANENT_CAP}, got n={n}"
         )
     if n == 0:
         return 1.0
-    total = 0.0 + 0.0j if np.iscomplexobj(a) else 0.0
-    for perm in permutations(range(n)):
-        prod = 1.0
-        for i in range(n):
-            prod = prod * a[i, perm[i]]
-            if prod == 0:
-                break
-        if prod != 0:
-            total += (alpha ** _cycle_count(perm)) * prod
+    a = a.astype(np.result_type(a, float))
+    full = 1 << n
+    masks = np.arange(full)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    low = masks & -masks
+    low_index = np.log2(np.maximum(low, 1)).astype(np.intp)
+    size = bits.sum(axis=1)
+    above_low = (1 << np.arange(n))[None, :] > low[:, None]
+    g = np.zeros((full, n), dtype=a.dtype)
+    g[1 << np.arange(n), np.arange(n)] = 1.0
+    for k in range(1, n):
+        sets = masks[size == k]
+        ext = g[sets] @ a  # ext[s, w]: paths over s extended by the step to w
+        which, w = np.nonzero((bits[sets] == 0) & above_low[sets])
+        g[sets[which] | (1 << w), w] = ext[which, w]
+    h = np.einsum("sv,vs->s", g, a[:, low_index])  # close each path at min(S)
+    f = np.zeros(full, dtype=a.dtype)
+    f[0] = 1.0
+    submasks = [np.zeros(1, dtype=np.intp)]  # submasks[s]: every subset of s
+    for s, lowest in enumerate(low.tolist()[1:], start=1):
+        rest = s ^ lowest
+        sub = submasks[rest]
+        with_low = sub | lowest
+        submasks.append(np.concatenate((sub, with_low)))
+        f[s] = alpha * np.dot(h[with_low], f[rest ^ sub])
+    total = f[-1]
     return complex(total) if np.iscomplexobj(a) else float(total)
 
 

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BadChi, BadSupport, DuplicateIndex
+from .errors import BadChi, BadStoppingLevel, BadSupport, DuplicateIndex
 from .exact import permanent
 from .graphs import ChainKernel
 from .reports import TestReport
@@ -227,7 +227,7 @@ def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -
     (seed, block) streams.
     """
     if rho <= 0:
-        raise ValueError(f"stopping level must be positive, got {rho}")
+        raise BadStoppingLevel(f"stopping level must be positive, got {rho}")
     graph = kernel.graph
     x0 = graph.index(x0)
     off = [x for x in range(kernel.n) if x != x0]

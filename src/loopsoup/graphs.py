@@ -357,12 +357,14 @@ class ChainKernel:
         """M_lam - C * z for an entrywise edge modifier z."""
         return np.diag(self.lam).astype(complex) - self.graph.conductance * np.asarray(z)
 
-    def det_i_minus_pz(self, z: np.ndarray) -> complex:
-        """det(I - P^z) computed stably through the twisted energy matrix."""
+    def det_i_minus_pz(self, z: np.ndarray) -> complex | np.ndarray:
+        """det(I - P^z) computed stably through the twisted energy matrix.
+
+        A stack of modifiers (..., n, n) gives the array of determinants.
+        """
         sign, logabs = np.linalg.slogdet(self.twisted_matrix(z))
-        if logabs == -np.inf:
-            return 0.0 + 0.0j
-        return complex(sign * np.exp(logabs - np.sum(np.log(self.lam))))
+        det = sign * np.exp(logabs - np.sum(np.log(self.lam)))  # sign 0 when singular
+        return det if det.ndim else complex(det)
 
     @cached_property
     def field_factor(self) -> np.ndarray:

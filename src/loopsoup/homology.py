@@ -16,15 +16,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    BadForm,
+    BadGrid,
     Disconnected,
     EmptyBasis,
     GridTooCoarse,
     MismatchBeyondTolerance,
     NonIntegral,
     NotEulerian,
+    SingularTwist,
     TooLarge,
 )
-from .eulerian import generating_function
 from .exact import spanning_tree_weight_sum
 from .graphs import ChainKernel, WeightedGraph
 from .network import Network
@@ -33,6 +35,7 @@ HARMONIC_TOL = 1e-10
 VOLUME_TOL = 1e-10
 GRID_CAP = 512
 DIM_CAP = 3
+SLAB_POINTS = 1024  # grid points per stacked determinant call
 
 
 @dataclass(frozen=True)
@@ -264,6 +267,51 @@ def _indicator_forms(basis: CycleBasis) -> list:
     return out
 
 
+def _checked_forms(forms, n_vertices: int, n_cycles: int) -> list:
+    """The dual one-forms as real antisymmetric n x n arrays, one per cycle."""
+    forms = [np.asarray(f, dtype=float) for f in forms]
+    if len(forms) != n_cycles:
+        raise BadForm(f"need one form per basis cycle ({n_cycles}), got {len(forms)}")
+    for f in forms:
+        if f.shape != (n_vertices, n_vertices):
+            raise BadForm(f"one-form must be {n_vertices}x{n_vertices}, got shape {f.shape}")
+        if not np.allclose(f, -f.T, atol=1e-12, rtol=0.0):
+            raise BadForm("one-form must be antisymmetric")
+    return forms
+
+
+def _twisted_ratio_power(kernel: ChainKernel, z: np.ndarray, alpha: float) -> np.ndarray:
+    """generating_function over a stack of unit-modulus Hermitian modifiers."""
+    det_z = kernel.det_i_minus_pz(z)
+    if (np.abs(det_z) < 1e-300).any():
+        raise SingularTwist("det(I - P^Z) vanished; modifier outside the valid domain")
+    ratio = det_z / kernel.det_i_minus_p
+    out = ratio ** (-alpha)
+    # the twisted energy matrix is positive definite, so the ratio is real
+    # positive up to rounding and takes the real power
+    real = (np.abs(ratio.imag) < 1e-9 * np.maximum(1.0, np.abs(ratio.real))) & (ratio.real > 0)
+    out[real] = ratio.real[real] ** (-alpha)
+    return out
+
+
+def _generating_grid(kernel: ChainKernel, forms: list, alpha: float,
+                     grid_m: int) -> np.ndarray:
+    """generating_function at exp(2 pi i sum_i t_i forms[i]) for every t on the
+    grid {0, 1/grid_m, ...}^n, in slabs of whole rows along the first axis,
+    one stacked determinant per slab of at most SLAB_POINTS points."""
+    n = len(forms)
+    phi = np.empty((grid_m,) * n, dtype=complex)
+    ticks = np.arange(grid_m) / grid_m
+    rows = max(1, SLAB_POINTS // grid_m ** (n - 1))
+    for lo in range(0, grid_m, rows):
+        omega = 0.0
+        for axis, f in enumerate(forms):
+            t = ticks[lo:lo + rows] if axis == 0 else ticks
+            omega = omega + t.reshape((1,) * axis + (-1,) + (1,) * (n - axis + 1)) * f
+        phi[lo:lo + rows] = _twisted_ratio_power(kernel, np.exp(2j * np.pi * omega), alpha)
+    return phi
+
+
 def homology_distribution(kernel: ChainKernel, basis: CycleBasis, alpha: float,
                           grid_m: int, forms=None) -> HomologyLaw:
     """Law of the homology class by Fourier inversion of the twisted
@@ -274,19 +322,13 @@ def homology_distribution(kernel: ChainKernel, basis: CycleBasis, alpha: float,
     law; the harmonic duals are accepted for cross-checks.
     """
     if grid_m < 8 or grid_m & (grid_m - 1) != 0:
-        raise ValueError(f"grid size must be a power of two >= 8, got {grid_m}")
+        raise BadGrid(f"grid size must be a power of two >= 8, got {grid_m}")
     n = basis.n
     if n == 0:
         return HomologyLaw({(): 1.0}, grid_m, 1.0, 0.0, 0.0, alpha)
-    if forms is None:
-        forms = _indicator_forms(basis)
-    shape = (grid_m,) * n
-    phi = np.empty(shape, dtype=complex)
-    ticks = np.arange(grid_m) / grid_m
-    for idx in np.ndindex(shape):
-        omega = sum(ticks[i] * f for i, f in zip(idx, forms))
-        z = np.exp(2j * np.pi * omega)
-        phi[idx] = generating_function(kernel, z, alpha)
+    forms = _checked_forms(_indicator_forms(basis) if forms is None else forms,
+                           kernel.n, n)
+    phi = _generating_grid(kernel, forms, alpha, grid_m)
     raw = np.fft.fftn(phi) / grid_m**n
     imag_residue = float(np.max(np.abs(raw.imag)))
     real = raw.real
@@ -297,20 +339,18 @@ def homology_distribution(kernel: ChainKernel, basis: CycleBasis, alpha: float,
         )
     real = np.clip(real, 0.0, None)
     half = grid_m // 2
-    probs: dict = {}
-    captured = 0.0
-    for idx in np.ndindex(shape):
-        coords = tuple(i - grid_m if i >= half else i for i in idx)
-        if any(abs(c) >= half for c in coords):
-            continue
-        p = float(real[idx])
-        captured += p
-        if p >= 1e-15:
-            probs[coords] = p
+    # the window |coordinate| < half drops index half (coordinate -half) on every axis
+    window = np.ones(phi.shape, dtype=bool)
+    for axis in range(n):
+        window[(slice(None),) * axis + (half,)] = False
+    captured = float(real[window].sum())
     if captured < 0.999:
         raise GridTooCoarse(
             f"window holds {captured:.6f} < 0.999 of the mass at grid {grid_m}"
         )
+    kept = window & (real >= 1e-15)
+    coords = [np.where(i >= half, i - grid_m, i).tolist() for i in np.nonzero(kept)]
+    probs = dict(zip(zip(*coords), real[kept].tolist()))
     return HomologyLaw(probs, grid_m, captured, imag_residue, negative_residue, alpha)
 
 

@@ -15,9 +15,11 @@ from collections import Counter
 
 import numpy as np
 
+from .errors import BudgetExceeded
 from .eulerian import (
     ModifierMatrix,
-    _balanced_layer,
+    _circulation_layers,
+    _count_matrices,
     _directed_edges,
     best_tour_count,
     enumerate_eulerian,
@@ -133,8 +135,8 @@ def _record_sampling(report: TestReport, histograms: dict) -> None:
 def _all_balanced_up_to(graph: WeightedGraph, max_total: int) -> list:
     edges = _directed_edges(graph)
     nets = [Network.zeros(graph)]
-    for m in range(1, max_total + 1):
-        nets.extend(_balanced_layer(graph, edges, m))
+    for _, rows in zip(range(max_total), _circulation_layers(graph, edges)):
+        nets.extend(Network(graph, c) for c in _count_matrices(graph.n, edges, rows))
     return nets
 
 
@@ -428,11 +430,23 @@ def check_tour_count(seed: int = DEFAULT_SEED, cases: int = 24) -> TestReport:
 def check_mu_measure(delta_two_point: float = 1e-6,
                      delta_triangle: float = 1e-3) -> TestReport:
     """Loop-measure mass by network enumeration against the determinant,
-    plus exact reconstruction of the intensity-1 law from the measure."""
+    plus exact reconstruction of the intensity-1 law from the measure.
+
+    An enumeration that misses networks never reaches its mass budget; that
+    is reported as a failed line, not raised.
+    """
     report = TestReport(name="mu-measure", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 10, "delta_two_point": delta_two_point,
                         "delta_triangle": delta_triangle})
+    try:
+        _mu_measure_lines(report, delta_two_point, delta_triangle)
+    except BudgetExceeded as exc:
+        report.add_bound("enumerations past the |k| cap", 1.0, 0.0, note=str(exc))
+    return report
 
+
+def _mu_measure_lines(report: TestReport, delta_two_point: float,
+                      delta_triangle: float) -> None:
     kernel2 = build_kernel(two_point_graph())
     entries2 = enumerate_eulerian(kernel2, delta_two_point)
     mu_sum2 = sum(e.mu_mass for e in entries2 if e.network.total > 0)
@@ -469,7 +483,6 @@ def check_mu_measure(delta_two_point: float = 1e-6,
         for line in conv.lines:
             line.statistic = f"{label} {line.statistic}"
             report.lines.append(line)
-    return report
 
 
 def random_connected_graph(rng, max_extra_edges: int = 4,
@@ -586,12 +599,14 @@ def run_all(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
         for off, alpha in ((1, 0.5), (2, 2.0))
     }
     t0 = time.perf_counter()
-    hist3_direct = {
+    hist3_direct = {1.0: network_histogram(kernel3, replicas, seed + 3, "direct",
+                                           alpha=1.0, workers=workers)}
+    t_hist3_direct1 = time.perf_counter() - t0  # check 12 reads only this histogram
+    hist3_direct.update({
         alpha: network_histogram(kernel3, replicas, seed + off, "direct",
                                  alpha=alpha, workers=workers)
-        for off, alpha in ((3, 1.0), (4, 0.5), (5, 2.0))
-    }
-    t_hist3_direct1 = time.perf_counter() - t0
+        for off, alpha in ((4, 0.5), (5, 2.0))
+    })
     hist3_wilson = network_histogram(kernel3, replicas, seed + 6, "wilson",
                                      workers=workers)
 

@@ -3,27 +3,30 @@
 import itertools
 
 import numpy as np
+import oracles
 import pytest
 
 from loopsoup import (
+    BadExactInput,
     Disconnected,
     EmptyNetwork,
+    LoopSoupError,
     Network,
+    NotSquare,
     TooLarge,
     WeightedGraph,
     alpha_permanent,
     arborescence_count,
-    det_complex,
     permanent,
     spanning_tree_weight_sum,
 )
 
 
 def test_det_complex(two_point_kernel):
-    assert det_complex(np.eye(2) - two_point_kernel.P) == pytest.approx(0.75)
+    assert two_point_kernel.det_i_minus_p == pytest.approx(0.75)
     z = 0.5 + 0.5j
-    m = np.eye(2) - z * two_point_kernel.P
-    assert det_complex(m) == pytest.approx(1 - z**2 / 4)
+    # P^Z = z P when every off-diagonal modifier entry is z
+    assert two_point_kernel.det_i_minus_pz(np.full((2, 2), z)) == pytest.approx(1 - z**2 / 4)
 
 
 def test_permanent_small():
@@ -47,6 +50,41 @@ def test_permanent_matches_brute_force():
 def test_permanent_cap():
     with pytest.raises(TooLarge):
         permanent(np.ones((21, 21)))
+
+
+def test_permanents_reject_non_square():
+    for fn in (permanent, lambda a: alpha_permanent(a, 0.5)):
+        for a in (np.ones((2, 3)), np.ones(3), np.float64(2.0)):
+            with pytest.raises(ValueError):
+                fn(a)
+            with pytest.raises(NotSquare) as info:
+                fn(a)
+            assert isinstance(info.value, BadExactInput)
+            assert isinstance(info.value, LoopSoupError)
+
+
+def test_alpha_permanent_cap():
+    alpha_permanent(np.ones((12, 12)), 0.5)
+    with pytest.raises(TooLarge):
+        alpha_permanent(np.ones((13, 13)), 0.5)
+
+
+def test_alpha_permanent_matches_brute_force():
+    rng = np.random.default_rng(21)
+    for n in range(1, 9):
+        real = rng.normal(size=(n, n))
+        cases = (
+            real,
+            real + 1j * rng.normal(size=(n, n)),
+            real * (rng.random((n, n)) < 0.3),  # mostly zeros
+        )
+        for a in cases:
+            for alpha in (-1.0, 0.5, 1.0, 2.0):
+                fast = alpha_permanent(a, alpha)
+                assert isinstance(fast, complex) == np.iscomplexobj(a)
+                # the sum of |terms| bounds the cancellation both sides suffer
+                scale = oracles.alpha_permanent(np.abs(a), abs(alpha))
+                assert abs(fast - oracles.alpha_permanent(a, alpha)) <= 1e-12 * max(scale, 1e-300)
 
 
 def test_alpha_permanent_collapses():

@@ -5,8 +5,11 @@ import pytest
 
 from loopsoup import (
     BadChi,
+    BadSamplerInput,
+    BadStoppingLevel,
     BadSupport,
     DuplicateIndex,
+    LoopSoupError,
     complex_wick_moment,
     ks_two_sample,
     occupation_samples,
@@ -108,6 +111,15 @@ def test_ray_knight_bad_support(path3_kernel, two_point_kernel):
         ray_knight_check(path3_kernel, "b", 1.0, 10, 0)
     with pytest.raises(BadSupport):
         ray_knight_check(two_point_kernel, "a", 1.0, 10, 0)
+
+
+def test_ray_knight_nonpositive_level_is_typed(path3_kernel):
+    for rho in (0.0, -1.0):
+        with pytest.raises(BadStoppingLevel) as info:
+            ray_knight_check(path3_kernel, "a", rho, 10, 0)
+        assert isinstance(info.value, BadSamplerInput)
+        assert isinstance(info.value, LoopSoupError)
+        assert isinstance(info.value, ValueError)
 
 
 def test_moment_formula(two_point_kernel):

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from loopsoup import (
+    BadExactInput,
+    BadForm,
+    BadGrid,
     Disconnected,
     EmptyBasis,
     GridTooCoarse,
     HomologyClass,
+    LoopSoupError,
     Network,
     NotEulerian,
     TooLarge,
@@ -15,6 +19,7 @@ from loopsoup import (
     build_kernel,
     cycle_basis,
     direct_sample,
+    generating_function,
     harmonic_basis,
     homology_distribution,
     homology_distribution_auto,
@@ -24,6 +29,8 @@ from loopsoup import (
     network_homology_class,
     pairing_phase,
 )
+from loopsoup.homology import _generating_grid, _indicator_forms
+from loopsoup.verify import complete4_graph
 
 
 def _directed_triangle(graph, reverse=False):
@@ -178,6 +185,34 @@ def test_homology_distribution_bad_grid(triangle_kernel, triangle):
     for m in (4, 12, 17):
         with pytest.raises(ValueError):
             homology_distribution(triangle_kernel, basis, 1.0, m)
+        with pytest.raises(BadGrid) as info:
+            homology_distribution(triangle_kernel, basis, 1.0, m)
+        assert isinstance(info.value, BadExactInput)
+        assert isinstance(info.value, LoopSoupError)
+
+
+def test_homology_distribution_bad_forms(triangle_kernel, triangle):
+    basis = cycle_basis(triangle)
+    (form,) = _indicator_forms(basis)
+    for forms in ([form, form], [np.abs(form)], [form[:2, :2]]):
+        with pytest.raises(BadForm):
+            homology_distribution(triangle_kernel, basis, 1.0, 8, forms=forms)
+
+
+def test_stacked_grid_matches_pointwise(triangle_kernel, triangle):
+    k4 = complete4_graph()
+    cases = [(triangle_kernel, cycle_basis(triangle), 32),
+             (build_kernel(k4), cycle_basis(k4), 8)]
+    for kernel, basis, grid_m in cases:
+        harmonic = [f.values for f in harmonic_basis(kernel.graph, basis)]
+        ticks = np.arange(grid_m) / grid_m
+        for forms in (_indicator_forms(basis), harmonic):
+            for alpha in (0.5, 1.0, 2.0):
+                grid = _generating_grid(kernel, forms, alpha, grid_m)
+                for idx in np.ndindex(grid.shape):
+                    omega = sum(ticks[i] * f for i, f in zip(idx, forms))
+                    point = generating_function(kernel, np.exp(2j * np.pi * omega), alpha)
+                    assert abs(grid[idx] - point) <= 1e-14
 
 
 def test_homology_forms_gauge_invariance(triangle_kernel, triangle):

@@ -3,14 +3,18 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from loopsoup import (
+    BadExactInput,
     BadForm,
     BadGraph,
+    BadMassBudget,
     BadPartition,
     BudgetExceeded,
     DisconnectedSupport,
+    LoopSoupError,
     ModifierMatrix,
     Network,
     NotEulerian,
@@ -27,7 +31,14 @@ from loopsoup import (
     mu_network_measure,
     verify_poisson_convolution,
 )
-from loopsoup.verify import _all_balanced_up_to, nb_pmf
+from loopsoup.eulerian import (
+    _circulation_layers,
+    _count_matrices,
+    _directed_edges,
+    _layer_law,
+    _row_keys,
+)
+from loopsoup.verify import _all_balanced_up_to, nb_pmf, random_connected_graph
 
 
 def _two_point_net(graph, n):
@@ -199,6 +210,81 @@ def test_enumerate_bad_delta(two_point_kernel):
     for delta in (0.0, -1e-3, 0.02):
         with pytest.raises(ValueError):
             enumerate_eulerian(two_point_kernel, delta)
+        with pytest.raises(BadMassBudget) as info:
+            enumerate_eulerian(two_point_kernel, delta)
+        assert isinstance(info.value, BadExactInput)
+        assert isinstance(info.value, LoopSoupError)
+
+
+def _complete_graph(n: int, killing: float) -> WeightedGraph:
+    names = tuple("abcdef"[:n])
+    edges = [(u, v, 1.0) for i, u in enumerate(names) for v in names[i + 1:]]
+    return WeightedGraph.build(names, edges, {v: killing for v in names})
+
+
+def _oracle_cases(two_point, triangle, path3, complete4):
+    """(graph, deepest layer) pairs small enough for the composition filter."""
+    cases = [(two_point, 8), (triangle, 8), (path3, 8), (complete4, 8),
+             (_complete_graph(5, 1.0), 5)]
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        graph = random_connected_graph(rng)
+        n_edges = 2 * len(graph.edge_pairs)
+        top = max(m for m in range(1, 9) if math.comb(m + n_edges - 1, n_edges - 1) <= 20_000)
+        cases.append((graph, top))
+    return cases
+
+
+def test_circulation_layers_match_composition_filter(two_point, triangle, path3, complete4):
+    for graph, top in _oracle_cases(two_point, triangle, path3, complete4):
+        kernel = build_kernel(graph)
+        edges = _directed_edges(graph)
+        for m, rows in zip(range(1, top + 1), _circulation_layers(graph, edges)):
+            expected = oracles.balanced_layer(graph, edges, m)
+            counts = _count_matrices(graph.n, edges, rows)
+            assert len(counts) == len(expected)
+            for c, net in zip(counts, expected):
+                assert np.array_equal(c, net.counts)  # same networks, same order
+            prob, mu = _layer_law(kernel, edges, rows)
+            for p, w, net in zip(prob, mu, expected):
+                assert p == pytest.approx(exact_network_prob_alpha1(kernel, net), rel=1e-12)
+                assert w == pytest.approx(mu_network_measure(kernel, net), rel=1e-12, abs=0.0)
+
+
+def test_enumerate_matches_per_network_laws(triangle, triangle_kernel):
+    entries = enumerate_eulerian(triangle_kernel, 1e-3)
+    edges = _directed_edges(triangle)
+    top = entries[-1].network.total
+    expected = [Network.zeros(triangle)]
+    for m in range(1, top + 1):
+        expected.extend(oracles.balanced_layer(triangle, edges, m))
+    assert [e.network for e in entries] == expected
+    for e in entries[1:]:
+        assert e.probability == pytest.approx(
+            exact_network_prob_alpha1(triangle_kernel, e.network), rel=1e-12)
+        assert e.mu_mass == pytest.approx(
+            mu_network_measure(triangle_kernel, e.network), rel=1e-12, abs=0.0)
+
+
+def test_convolution_keys_stay_exact():
+    # K5 has 20 directed edges: base 5 keys at |k| <= 9 fit, and a wrapped
+    # key would misplace convolution terms far beyond the bound
+    k5 = build_kernel(_complete_graph(5, 4.0))
+    rep = verify_poisson_convolution(k5, 1e-3)
+    assert rep.meta["support_size"] == 16095
+    assert rep.lines[0].lhs < 1e-15
+    # keys equal the exact base-B numbers up to the largest B with B^20 <= 2^63
+    rng = np.random.default_rng(8)
+    rows = rng.integers(0, 8, size=(64, 20))
+    rows[0] = 7
+    exact = [int("".join(str(d) for d in row), 8) for row in rows.tolist()]
+    assert _row_keys([rows], 15)[0].tolist() == exact
+    assert exact[0] == 8**20 - 1
+    with pytest.raises(TooLarge):
+        _row_keys([rows], 16)
+    # K6 has 30 directed edges; its enumeration to 1e-3 does not fit
+    with pytest.raises(TooLarge):
+        verify_poisson_convolution(build_kernel(_complete_graph(6, 6.0)), 1e-3)
 
 
 def test_enumerate_budget_exceeded(triangle_kernel):
