@@ -15,6 +15,7 @@ from .errors import (
     BadIntensity,
     BadMassBudget,
     BadPartition,
+    BadReplicaCount,
     BadSamplerInput,
     BadSeed,
     BadStoppingLevel,
@@ -59,20 +60,17 @@ from .exact import (
 )
 from .fields import (
     CONVENTIONS,
-    FieldSample,
     complex_wick_moment,
     ks_two_sample,
     ray_knight_check,
-    sample_complex_field,
     sample_complex_fields,
     sample_excursion_field,
-    sample_real_field,
     sample_real_fields,
     verify_det_identity,
     verify_isomorphism,
     verify_moment_formula,
 )
-from .graphs import ChainKernel, EnergyForm, WeightedGraph, build_kernel, energy, twisted_energy
+from .graphs import ChainKernel, WeightedGraph, build_kernel, energy, twisted_energy
 from .homology import (
     CycleBasis,
     HarmonicForm,
@@ -100,7 +98,6 @@ from .soup import (
     direct_sample,
     jump_matrix,
     merge_soups,
-    mu_mass_nontrivial,
     network_histogram,
     occupation,
     occupation_samples,

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import BadIntensity, LoopSoupError
 from .eulerian import (
+    ALPHA_NETWORK_CAP,
     ModifierMatrix,
     best_tour_count,
     exact_network_prob_alpha,
@@ -262,7 +263,7 @@ def _cmd_exact_network(args) -> tuple:
     result = {"counts": net.counts.tolist(), "alpha": args.alpha}
     if args.alpha == 1.0:
         result["probability"] = exact_network_prob_alpha1(kernel, net)
-        if net.total <= 8:
+        if net.total <= ALPHA_NETWORK_CAP:
             result["probability_permutation_route"] = exact_network_prob_alpha(
                 kernel, net, 1.0)
     else:
@@ -344,7 +345,10 @@ def _cmd_det_identity(args) -> tuple:
 
 def _cmd_genfun(args) -> tuple:
     kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
-    u, v = _parse_edge_list(args.edge)[0]
+    edges = _parse_edge_list(args.edge)
+    if len(edges) != 1:
+        raise ValueError(f"--edge needs exactly one edge u:v, got {args.edge!r}")
+    (u, v), = edges
     re, im = (float(p) for p in args.z.split(","))
     mod = ModifierMatrix.from_edge_value(
         kernel.n, kernel.graph.index(u), kernel.graph.index(v), complex(re, im)

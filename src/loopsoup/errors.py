@@ -110,6 +110,10 @@ class BadSeed(BadSamplerInput):
     """A seed that cannot key a (seed, block) stream: it must be an integer."""
 
 
+class BadReplicaCount(BadSamplerInput):
+    """A replica count that is not an integer of at least 1."""
+
+
 class BadStoppingLevel(BadSamplerInput):
     """The Ray-Knight stopping level rho is not positive."""
 

@@ -4,10 +4,12 @@ The crossing-count matrix N of a loop ensemble at intensity alpha has a fully
 computable law on a transient chain:
 
   * moment generating functional  E[prod Z^N] = [det(I-P^Z)/det(I-P)]^(-alpha)
-  * pointwise probabilities, two independent routes (cycle-weighted
-    permutation sums for general alpha; a factorial formula at alpha = 1)
+  * pointwise probabilities, two independent routes: the loop-measure
+    Poisson series det(I-P)^alpha sum_j alpha^j/j! mu^(*j)(k) over the
+    sub-circulations of k for general alpha, and a factorial formula at
+    alpha = 1
   * the one-loop measure mu(k) via arborescence counts, whose Poisson
-    exponential reconstructs the alpha = 1 law layer by layer
+    exponential also reconstructs the alpha = 1 law layer by layer
   * rooted tour counts of a network (arborescences times factorials)
   * max flow across the network digraph
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice
 
 import numpy as np
 
@@ -130,73 +132,6 @@ def exact_network_prob_alpha1(kernel: ChainKernel, k: Network) -> float:
     return float(kernel.det_i_minus_p * math.exp(log_p))
 
 
-def _alpha_coefficient(k: Network, alpha: float) -> float:
-    """Cycle-weighted count of pairings realizing the crossing profile k.
-
-    Sum over permutations of the vertex list with each x repeated k_x times,
-    keeping those whose step profile equals k, weighted alpha^(cycle count);
-    divided by prod_x k_x! for the repetition symmetry.
-    """
-    counts = k.counts
-    out_deg = k.out_degrees
-    verts: list[int] = []
-    for x in range(counts.shape[0]):
-        verts.extend([x] * int(out_deg[x]))
-    m = len(verts)
-    if m == 0:
-        return 1.0
-    total = 0.0
-    target: dict[tuple[int, int], int] = {}
-    for x, y in zip(*np.nonzero(counts)):
-        target[(int(x), int(y))] = int(counts[x, y])
-    for sigma in permutations(range(m)):
-        profile: dict[tuple[int, int], int] = {}
-        ok = True
-        for i in range(m):
-            e = (verts[i], verts[sigma[i]])
-            if e not in target:
-                ok = False
-                break
-            c = profile.get(e, 0) + 1
-            if c > target[e]:
-                ok = False
-                break
-            profile[e] = c
-        if not ok:
-            continue
-        # full usage is implied: total steps m = |k| and no edge exceeded
-        seen = [False] * m
-        cycles = 0
-        for i in range(m):
-            if seen[i]:
-                continue
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = sigma[j]
-        total += alpha**cycles
-    sym = 1.0
-    for kx in out_deg:
-        sym *= math.factorial(int(kx))
-    return total / sym
-
-
-def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> float:
-    """P(N = k) at general alpha via the cycle-weighted permutation sum."""
-    if not k.is_eulerian():
-        raise NotEulerian("network is not balanced")
-    if k.total > ALPHA_NETWORK_CAP:
-        raise TooLarge(
-            f"general-alpha probability limited to |k| <= {ALPHA_NETWORK_CAP}, got {k.total}"
-        )
-    coeff = _alpha_coefficient(k, alpha)
-    p_prod = 1.0
-    for x, y in zip(*np.nonzero(k.counts)):
-        p_prod *= kernel.P[x, y] ** int(k.counts[x, y])
-    return float(coeff * kernel.det_i_minus_p**alpha * p_prod)
-
-
 def _directed_edges(graph):
     edges = []
     for i, j in graph.edge_pairs:
@@ -206,11 +141,13 @@ def _directed_edges(graph):
 
 
 def _simple_cycles(graph, edges) -> np.ndarray:
-    """Edge-count rows, over the directed edges, of every simple directed
-    cycle of the graph up to the enumeration cap: 2-cycles x -> y -> x
-    included, each cycle once, from its smallest vertex."""
+    """Edge-count rows, over the given directed edges, of every simple
+    directed cycle they carry up to the enumeration cap: 2-cycles
+    x -> y -> x included, each cycle once, from its smallest vertex."""
     index = {edge: pos for pos, edge in enumerate(edges)}
-    adj = [np.flatnonzero(graph.conductance[x] > 0).tolist() for x in range(graph.n)]
+    adj = [[] for _ in range(graph.n)]
+    for x, y in sorted(edges):
+        adj[x].append(y)
     rows = []
 
     def extend(path: list) -> None:
@@ -235,13 +172,15 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return rows[fresh]
 
 
-def _circulation_layers(graph, edges):
+def _circulation_layers(graph, edges, cap=None):
     """Yield every balanced nonnegative count vector over the directed edges,
-    layer m = 1, 2, ... of total m at a time, rows in lexicographic order.
+    layer m = 1, 2, ... of total m at a time, rows in lexicographic order;
+    with a cap row, only the vectors at most cap edge by edge.
 
     A nonzero nonnegative circulation contains a simple directed cycle in its
     support, and removing that cycle leaves a smaller one.  So layer m is
-    exactly the set of sums (layer m - L) + (simple cycle of length L).
+    exactly the set of sums (layer m - L) + (simple cycle of length L), and
+    the capped layers can drop every row past the cap as they grow.
     """
     cycles = _simple_cycles(graph, edges)
     lengths = cycles.sum(axis=1)
@@ -257,6 +196,8 @@ def _circulation_layers(graph, edges):
         parts = [(base[:, None, :] + group[None, :, :]).reshape(-1, len(edges))
                  for base, group in sources]
         rows = _unique_rows(np.concatenate(parts)) if parts else layers[0][:0]
+        if cap is not None:
+            rows = rows[(rows <= cap).all(axis=1)]
         layers.append(rows)
         yield rows
 
@@ -420,39 +361,29 @@ def _row_keys(layers, max_total: int) -> list:
     return [rows @ weights for rows in layers]
 
 
-def verify_poisson_convolution(kernel: ChainKernel, delta: float):
-    """Rebuild the alpha = 1 network law as det(I-P) * sum_j mu^(*j) / j!.
+def _poisson_series(keys, mu, alpha: float) -> list:
+    """sum_j alpha^j / j! mu^(*j), the loop-measure Poisson series, on a
+    support held layer by layer: keys[m] are the sorted additive keys of the
+    networks of total m (layer 0 holds the zero network) and mu[m] their
+    one-loop measures (mu[0] is not read).
 
-    Convolution runs over the truncated support; complete layers make every
-    retained value exact, so the comparison is a pure identity check.  The
-    support is held layer by layer as sorted integer keys; each convolution
-    power adds the keys of one layer pair at a time and finds the sums by
-    binary search in the layer of their total.
-    Returns a TestReport.
+    Each convolution power adds the keys of one layer pair at a time and
+    finds the sums by binary search in the layer of their total; sums off the
+    support are dropped.  So every value is exact when the support holds,
+    with each network, all the networks below it.
     """
-    from .reports import TestReport
-
-    layers = _enumerate_layers(kernel, delta)
-    report = TestReport(name="poisson-convolution")
-    report.meta["support_size"] = sum(len(rows) for rows, _, _ in layers)
-    report.meta["delta"] = delta
-    max_total = len(layers) - 1
-    keys = _row_keys([rows for rows, _, _ in layers], max_total)
-    mu = [layer_mu for _, _, layer_mu in layers]
-    reconstructed = [np.zeros(len(k)) for k in keys]
-    reconstructed[0][0] = 1.0
-    current = [r.copy() for r in reconstructed]
-    j = 0
+    max_total = len(keys) - 1
+    series = [np.zeros(len(k)) for k in keys]
+    series[0][0] = 1.0
+    current = [s.copy() for s in series]
     factorial = 1.0
-    # grading by |k| terminates the expansion: every nonzero factor has |k| >= 2
-    while any(c.any() for c in current):
-        j += 1
+    # every nonzero network has |k| >= 2, so mu^(*j) lives on |k| >= 2j
+    for j in range(1, max_total // 2 + 1):
         factorial *= j
         nxt = [np.zeros(len(k)) for k in keys]
-        for total_a, (keys_a, val_a) in enumerate(zip(keys, current)):
-            if not val_a.any():
-                continue
-            for total_b in range(1, max_total - total_a + 1):
+        for total_a in range(2 * j - 2, max_total - 1):
+            keys_a, val_a = keys[total_a], current[total_a]
+            for total_b in range(2, max_total - total_a + 1):
                 keys_b, target = keys[total_b], keys[total_a + total_b]
                 if not len(keys_b) or not len(target):
                     continue
@@ -464,15 +395,60 @@ def verify_poisson_convolution(kernel: ChainKernel, delta: float):
                     terms = (val_a[lo:lo + step, None] * mu[total_b][None, :]).ravel()
                     nxt[total_a + total_b] += np.bincount(
                         pos[found], weights=terms[found], minlength=len(target))
-        for rec, val in zip(reconstructed, nxt):
-            rec += val / factorial
+        for value, term in zip(series, nxt):
+            value += term * alpha**j / factorial
         current = nxt
+    return series
+
+
+def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> float:
+    """P(N = k) at general alpha: det(I-P)^alpha sum_j alpha^j / j! mu^(*j)(k).
+
+    At intensity alpha the crossing network is a Poisson superposition of
+    one-loop networks of intensity alpha mu, so only the sub-circulations of
+    k enter the series.  They are grown from the simple cycles of k's
+    support edges, keyed over those edges alone, and their loop measures
+    come from one layer-law call.
+    """
+    if not k.is_eulerian():
+        raise NotEulerian("network is not balanced")
+    if k.total > ALPHA_NETWORK_CAP:
+        raise TooLarge(
+            f"general-alpha probability limited to |k| <= {ALPHA_NETWORK_CAP}, got {k.total}"
+        )
+    edges = [(int(x), int(y)) for x, y in zip(*np.nonzero(k.counts))]
+    cap = k.counts[k.counts > 0]
+    layers = [np.zeros((1, len(edges)), dtype=np.int64)]
+    layers += islice(_circulation_layers(k.graph, edges, cap), k.total)
+    if len(layers[-1]) != 1:  # the rows up to k of total |k| can only be k
+        raise ArithmeticError("the network is not a sum of simple cycles of its support")
+    _, mu = _layer_law(kernel, edges, np.concatenate(layers))
+    sizes = np.cumsum([len(rows) for rows in layers])[:-1]
+    series = _poisson_series(_row_keys(layers, k.total), np.split(mu, sizes), alpha)
+    return float(kernel.det_i_minus_p**alpha * series[-1][0])
+
+
+def verify_poisson_convolution(kernel: ChainKernel, delta: float):
+    """Rebuild the alpha = 1 network law as det(I-P) * sum_j mu^(*j) / j!.
+
+    Convolution runs over the truncated support; complete layers make every
+    retained value exact, so the comparison is a pure identity check.
+    Returns a TestReport.
+    """
+    from .reports import TestReport
+
+    layers = _enumerate_layers(kernel, delta)
+    report = TestReport(name="poisson-convolution")
+    report.meta["support_size"] = sum(len(rows) for rows, _, _ in layers)
+    report.meta["delta"] = delta
+    keys = _row_keys([rows for rows, _, _ in layers], len(layers) - 1)
+    reconstructed = _poisson_series(keys, [mu for _, _, mu in layers], 1.0)
     max_err = max(
         float(np.max(np.abs(kernel.det_i_minus_p * rec - prob)))
         for rec, (_, prob, _) in zip(reconstructed, layers) if len(prob)
     )
     report.add_bound("max_abs_reconstruction_error", max_err, 1e-6)
-    report.add_info("truncated_mu_mass", float(sum(m.sum() for m in mu[1:])),
+    report.add_info("truncated_mu_mass", float(sum(mu.sum() for _, _, mu in layers[1:])),
                     note="sum over retained nonzero networks")
     report.add_info("total_mu_mass", kernel.mu_mass)
     return report

@@ -15,10 +15,17 @@ from .network import Network
 
 PERMANENT_CAP = 20
 ALPHA_PERMANENT_CAP = 12
+PERMANENT_CHUNK = 1 << 14  # column subsets per matrix product
 
 
 def permanent(a) -> float | complex:
-    """Permanent by Ryser's formula with Gray-code subset updates, O(2^n n)."""
+    """Permanent by Ryser's formula, O(2^n n^2) in matrix products:
+
+      per(A) = sum over column subsets S of (-1)^(n - |S|) prod_i sum_{j in S} a_ij,
+
+    with the subsets taken PERMANENT_CHUNK at a time as rows of 0/1 bits, so
+    one chunk's row sums are one product bits @ A^T.
+    """
     a = np.asarray(a)
     n = a.shape[0] if a.ndim else 0
     if a.shape != (n, n):
@@ -27,20 +34,13 @@ def permanent(a) -> float | complex:
         raise TooLarge(f"permanent limited to {PERMANENT_CAP}x{PERMANENT_CAP}, got n={n}")
     if n == 0:
         return 1.0
-    row_sums = np.zeros(n, dtype=complex if np.iscomplexobj(a) else float)
-    total = 0.0 + 0.0j if np.iscomplexobj(a) else 0.0
-    gray = 0
-    for k in range(1, 1 << n):
-        # flip the lowest bit that changes between consecutive Gray codes
-        bit = (k & -k).bit_length() - 1
-        mask = 1 << bit
-        if gray & mask:
-            row_sums -= a[:, bit]
-        else:
-            row_sums += a[:, bit]
-        gray ^= mask
-        sign = -1 if (n - bin(gray).count("1")) % 2 else 1
-        total += sign * np.prod(row_sums)
+    a_t = a.T.astype(np.result_type(a, float))
+    total = 0.0
+    for lo in range(1, 1 << n, PERMANENT_CHUNK):  # the empty subset adds 0
+        masks = np.arange(lo, min(lo + PERMANENT_CHUNK, 1 << n))
+        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+        signs = 1.0 - 2.0 * ((n - bits.sum(axis=1)) % 2)
+        total += signs @ np.prod(bits @ a_t, axis=1)
     return complex(total) if np.iscomplexobj(a) else float(total)
 
 

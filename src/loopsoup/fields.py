@@ -15,7 +15,6 @@ Conventions, recorded in every report:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -35,36 +34,10 @@ CONVENTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    kind: str
-    real: np.ndarray
-    imag: np.ndarray | None = None
-
-    @property
-    def values(self) -> np.ndarray:
-        if self.kind == "real":
-            return self.real
-        return self.real + 1j * self.imag
-
-
-def sample_real_field(kernel: ChainKernel, seed) -> FieldSample:
-    rng = as_generator(seed)
-    return FieldSample(kind="real", real=kernel.field_factor @ rng.standard_normal(kernel.n))
-
-
 def sample_real_fields(kernel: ChainKernel, count: int, seed) -> np.ndarray:
     """count x n matrix of independent real field samples."""
     rng = as_generator(seed)
     return rng.standard_normal((count, kernel.n)) @ kernel.field_factor
-
-
-def sample_complex_field(kernel: ChainKernel, seed) -> FieldSample:
-    rng = as_generator(seed)
-    f1 = kernel.field_factor @ rng.standard_normal(kernel.n)
-    f2 = kernel.field_factor @ rng.standard_normal(kernel.n)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    return FieldSample(kind="complex", real=f1 * inv_sqrt2, imag=f2 * inv_sqrt2)
 
 
 def sample_complex_fields(kernel: ChainKernel, count: int, seed) -> np.ndarray:
@@ -144,15 +117,6 @@ def verify_isomorphism(kernel: ChainKernel, replicas: int, seed) -> TestReport:
     return report
 
 
-@dataclass(frozen=True)
-class ChainExcursionField:
-    """Occupation of the chain run from x0 until its local time there hits rho."""
-
-    occupation: np.ndarray
-    x0: int
-    rho: float
-
-
 def _excursion_block(kernel: ChainKernel, x0: int, rho: float, size: int, rng) -> tuple:
     """Excursion occupations of `size` replicas from one generator, all
     excursions walked in lockstep.
@@ -193,14 +157,13 @@ def _excursion_block(kernel: ChainKernel, x0: int, rho: float, size: int, rng) -
     return occ, {"replicas": size, "excursions": excursions, "walk_steps": steps}
 
 
-def sample_excursion_field(kernel: ChainKernel, x0, rho: float, rng) -> ChainExcursionField:
-    """Excursion occupation: a Poisson((lam-kappa)_{x0} * rho) number of
-    independent excursions from x0, each walked in D until absorption back at
-    x0; entry at x0 is rho exactly.  The single-replica view of the block
-    sampler used by ray_knight_check."""
-    x0 = kernel.graph.index(x0)
-    occ, _ = _excursion_block(kernel, x0, rho, 1, rng)
-    return ChainExcursionField(occ[0], x0, rho)
+def sample_excursion_field(kernel: ChainKernel, x0, rho: float, rng) -> np.ndarray:
+    """Excursion occupation, the (n,) row of local times: a
+    Poisson((lam-kappa)_{x0} * rho) number of independent excursions from x0,
+    each walked in D until absorption back at x0; entry at x0 is rho exactly.
+    The single-replica view of the block sampler used by ray_knight_check."""
+    occ, _ = _excursion_block(kernel, kernel.graph.index(x0), rho, 1, rng)
+    return occ[0]
 
 
 def _ray_knight_block(kernel, x0, rho, off, factor_d, rng, size) -> tuple:

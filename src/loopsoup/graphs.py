@@ -222,22 +222,6 @@ def twisted_energy(graph: WeightedGraph, omega, f) -> float:
     return float(val.real)
 
 
-@dataclass(frozen=True)
-class EnergyForm:
-    """Callable wrapper around the (possibly twisted) Dirichlet form of a graph."""
-
-    graph: WeightedGraph
-
-    def bilinear(self, f, h):
-        return energy(self.graph, f, h)
-
-    def quadratic(self, f):
-        return energy(self.graph, f, f)
-
-    def twisted(self, omega, f) -> float:
-        return twisted_energy(self.graph, omega, f)
-
-
 @dataclass(frozen=True, eq=False)
 class ChainKernel:
     """Transition matrix, Green's function and derived tables of a transient chain.

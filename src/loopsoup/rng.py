@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadSeed
+from .errors import BadReplicaCount, BadSeed
 
 BLOCK = 8192
 SCHEME = {"generator": "Philox4x64-10", "key": "(seed, block)", "block": BLOCK}
@@ -59,9 +59,13 @@ def replica_map(fn: Callable, n_replicas: int, seed: int, workers: int = 1) -> l
     Block b covers replicas b*BLOCK onwards and gets the (seed, b) stream.
     fn must be picklable when workers > 1; worker processes are spawned,
     so they import the package afresh.  The result list does not depend on
-    the worker count.
+    the worker count.  Raises BadReplicaCount unless n_replicas is an
+    integer >= 1.
     """
     seed = stream_seed(seed)
+    if not isinstance(n_replicas, Integral) or n_replicas < 1:
+        raise BadReplicaCount(
+            f"need an integer count of at least one replica, got {n_replicas!r}")
     full, rest = divmod(int(n_replicas), BLOCK)
     sizes = [BLOCK] * full + ([rest] if rest else [])
     if workers is None or workers <= 1 or len(sizes) < 2:

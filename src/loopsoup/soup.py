@@ -536,8 +536,3 @@ def merge_soups(a: LoopSoup, b: LoopSoup) -> LoopSoup:
         trivial_time=np.asarray(a.trivial_time) + np.asarray(b.trivial_time),
         meta={"merged": [a.meta, b.meta]},
     )
-
-
-def mu_mass_nontrivial(kernel: ChainKernel) -> float:
-    """Total loop-measure mass of nontrivial loops, -log det(I - P)."""
-    return kernel.mu_mass

@@ -190,7 +190,8 @@ def check_negative_binomial(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAUL
 
 
 def check_alpha_routes_agree(max_total: int = 6) -> TestReport:
-    """The permutation-expansion network law at intensity one equals the
+    """The general-alpha network law at intensity one, the loop-measure
+    Poisson series over the sub-circulations of each network, equals the
     factorial closed form on every balanced network up to the size cap."""
     report = TestReport(name="network-law-routes", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 3, "max_total": max_total})

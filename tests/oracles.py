@@ -1,9 +1,12 @@
 """Brute-force references for the exact array kernels.
 
-Both enumerate everything they sum over, so they are slow and only fit
+Each enumerates everything it sums over, so they are slow and only fit
 small inputs; the tests compare the fast kernels against them.
 """
 
+import math
+from collections import Counter
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -64,3 +67,38 @@ def alpha_permanent(a, alpha: float):
         if prod != 0:
             total += (alpha ** _cycle_count(perm)) * prod
     return complex(total) if np.iscomplexobj(a) else float(total)
+
+
+@lru_cache(maxsize=None)
+def _pairing_cycles(counts: tuple) -> Counter:
+    """{cycle count: permutations} over the permutations sigma of the vertex
+    list, each x repeated k_x times, whose steps (v_i, v_sigma(i)) use every
+    edge x -> y exactly k_xy times."""
+    counts = np.array(counts, dtype=np.int64)
+    verts = [x for x in range(len(counts)) for _ in range(int(counts[x].sum()))]
+    target = {(int(x), int(y)): int(counts[x, y]) for x, y in zip(*np.nonzero(counts))}
+    profile = Counter()
+    for perm in permutations(range(len(verts))):
+        used = Counter()
+        for i, j in enumerate(perm):
+            edge = (verts[i], verts[j])
+            used[edge] += 1
+            if used[edge] > target.get(edge, 0):
+                break
+        else:  # no edge over its count and len(verts) = |k| steps: all used
+            profile[_cycle_count(perm)] += 1
+    return profile
+
+
+def network_prob_alpha(kernel, k, alpha: float) -> float:
+    """P(N = k) at intensity alpha as a cycle-weighted permutation sum:
+    det(I-P)^alpha prod P^k / prod_x k_x! times the sum of alpha^(cycle
+    count) over the pairings of _pairing_cycles."""
+    counts = k.counts
+    pairings = _pairing_cycles(tuple(map(tuple, counts.tolist())))
+    weight = sum(n * alpha**cycles for cycles, n in pairings.items())
+    for kx in counts.sum(axis=1):
+        weight /= math.factorial(int(kx))
+    for x, y in zip(*np.nonzero(counts)):
+        weight *= kernel.P[x, y] ** int(counts[x, y])
+    return float(kernel.det_i_minus_p**alpha * weight)

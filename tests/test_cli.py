@@ -204,6 +204,12 @@ def test_usage_errors(tmp_path):
         code = main(["kernel", "--graph", "/nonexistent/g.json"])
     assert code == 1
     assert "/nonexistent/g.json" in err.getvalue()
+    for edge in (",", "a:b,b:c"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["genfun", "--graph", TRIANGLE, "--edge", edge])
+        assert code == 1
+        assert err.getvalue().startswith("error:") and "exactly one edge" in err.getvalue()
 
 
 def test_stdout_default():

@@ -17,6 +17,7 @@ from loopsoup import (
     WeightedGraph,
     alpha_permanent,
     arborescence_count,
+    exact,
     permanent,
     spanning_tree_weight_sum,
 )
@@ -45,6 +46,18 @@ def test_permanent_matches_brute_force():
         for p in itertools.permutations(range(5))
     )
     assert permanent(a) == pytest.approx(brute)
+
+
+def test_permanent_chunks_match_brute_force(monkeypatch):
+    assert permanent(np.zeros((0, 0))) == 1.0
+    rng = np.random.default_rng(4)
+    monkeypatch.setattr(exact, "PERMANENT_CHUNK", 37)  # many chunks, a ragged last one
+    for n in range(1, 8):
+        for a in (rng.random((n, n)), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))):
+            got = permanent(a)
+            assert isinstance(got, complex if np.iscomplexobj(a) else float)
+            scale = oracles.alpha_permanent(np.abs(a), 1.0)
+            assert abs(got - oracles.alpha_permanent(a, 1.0)) <= 1e-12 * scale
 
 
 def test_permanent_cap():

@@ -14,14 +14,14 @@ from loopsoup import (
     ks_two_sample,
     occupation_samples,
     ray_knight_check,
-    sample_complex_field,
     sample_complex_fields,
-    sample_real_field,
+    sample_excursion_field,
     sample_real_fields,
     verify_det_identity,
     verify_isomorphism,
     verify_moment_formula,
 )
+from loopsoup.fields import _excursion_block
 
 
 def test_real_field_covariance(two_point_kernel):
@@ -44,13 +44,14 @@ def test_complex_field_covariance(triangle_kernel):
 
 
 def test_field_determinism(two_point_kernel):
-    a = sample_real_field(two_point_kernel, 7)
-    b = sample_real_field(two_point_kernel, 7)
-    assert a.values == pytest.approx(b.values)
-    c = sample_complex_field(two_point_kernel, 7)
-    d = sample_complex_field(two_point_kernel, 7)
-    assert c.values == pytest.approx(d.values)
-    assert c.values.dtype == complex
+    a = sample_real_fields(two_point_kernel, 1, 7)
+    b = sample_real_fields(two_point_kernel, 1, 7)
+    assert a.shape == (1, 2)
+    assert a == pytest.approx(b)
+    c = sample_complex_fields(two_point_kernel, 1, 7)
+    d = sample_complex_fields(two_point_kernel, 1, 7)
+    assert c == pytest.approx(d)
+    assert c.dtype == complex
 
 
 def test_complex_wick_moment(two_point_kernel):
@@ -104,6 +105,14 @@ def test_ray_knight(path3_kernel):
     # identity is checked away from the stopping vertex
     stats = " ".join(line.statistic for line in rep.lines)
     assert "b" in stats and "c" in stats
+
+
+def test_excursion_field_is_one_occupation_row(path3_kernel):
+    row = sample_excursion_field(path3_kernel, "a", 1.5, np.random.default_rng(4))
+    block, _ = _excursion_block(path3_kernel, 0, 1.5, 1, np.random.default_rng(4))
+    assert row.shape == (3,)
+    assert row[0] == 1.5
+    assert np.array_equal(row, block[0])
 
 
 def test_ray_knight_bad_support(path3_kernel, two_point_kernel):

@@ -14,7 +14,6 @@ from loopsoup import (
     energy,
     twisted_energy,
 )
-from loopsoup.graphs import EnergyForm
 
 
 def test_two_point_kernel_oracles(two_point_kernel):
@@ -112,9 +111,7 @@ def test_energy_values(two_point):
     # quadratic form at f = (1, 1): sum kappa = 2
     assert energy(two_point, (1.0, 1.0), (1.0, 1.0)) == pytest.approx(2.0)
     assert energy(two_point, {"a": 1.0, "b": 1.0}, {"a": 1.0, "b": 1.0}) == pytest.approx(2.0)
-    form = EnergyForm(two_point)
-    assert form.quadratic((1.0, 1.0)) == pytest.approx(2.0)
-    assert form.bilinear((1.0, 0.0), (0.0, 1.0)) == pytest.approx(-1.0)
+    assert energy(two_point, (1.0, 0.0), (0.0, 1.0)) == pytest.approx(-1.0)
 
 
 def test_twisted_energy_two_point(two_point):
@@ -127,12 +124,11 @@ def test_twisted_energy_two_point(two_point):
 
 def test_twisted_energy_is_real_and_bounded_below(triangle):
     rng = np.random.default_rng(5)
-    form = EnergyForm(triangle)
     for _ in range(10):
         raw = rng.normal(size=(3, 3))
         omega = raw - raw.T
         f = rng.normal(size=3) + 1j * rng.normal(size=3)
-        value = form.twisted(omega, f)
+        value = twisted_energy(triangle, omega, f)
         assert isinstance(value, float)
         assert value >= -1e-12
 

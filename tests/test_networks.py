@@ -24,6 +24,7 @@ from loopsoup import (
     best_tour_count,
     build_kernel,
     enumerate_eulerian,
+    eulerian,
     exact_network_prob_alpha,
     exact_network_prob_alpha1,
     generating_function,
@@ -185,6 +186,53 @@ def test_exact_prob_routes_agree_triangle(triangle, triangle_kernel):
 def test_exact_prob_alpha_cap(two_point, two_point_kernel):
     with pytest.raises(TooLarge):
         exact_network_prob_alpha(two_point_kernel, _two_point_net(two_point, 5), 1.0)
+
+
+def _assert_alpha_route_matches_oracle(graph, max_total):
+    kernel = build_kernel(graph)
+    for net in _all_balanced_up_to(graph, max_total):
+        for alpha in (0.5, 1.0, 2.0):
+            want = oracles.network_prob_alpha(kernel, net, alpha)
+            got = exact_network_prob_alpha(kernel, net, alpha)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_alpha_route_matches_permutation_sum(two_point, triangle, path3, complete4):
+    for graph in (two_point, triangle):
+        _assert_alpha_route_matches_oracle(graph, 8)
+    rng = np.random.default_rng(11)
+    for graph in (path3, complete4, *(random_connected_graph(rng) for _ in range(4))):
+        _assert_alpha_route_matches_oracle(graph, 6)
+
+
+def test_alpha_route_on_a_wide_graph():
+    # K6 has 30 directed edges; keys over the support alone keep |k| = 8 in reach
+    k6 = _complete_graph(6, 2.0)
+    kernel = build_kernel(k6)
+    hexagon = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
+    counts = np.zeros((6, 6), dtype=np.int64)
+    for x, y in hexagon + [(0, 3), (3, 0)]:
+        counts[x, y] += 1
+    net = Network(k6, counts)
+    for alpha in (0.5, 2.0):
+        assert exact_network_prob_alpha(kernel, net, alpha) == pytest.approx(
+            oracles.network_prob_alpha(kernel, net, alpha), rel=1e-12, abs=0.0)
+    for x, y in [(0, 2), (2, 4), (4, 0)]:
+        counts[x, y] += 1
+    with pytest.raises(TooLarge):
+        exact_network_prob_alpha(kernel, Network(k6, counts), 0.5)
+
+
+def test_alpha_route_needs_the_cycles_of_its_support(triangle, triangle_kernel, monkeypatch):
+    original = eulerian._simple_cycles
+
+    def drop_three_cycles(*args):
+        cycles = original(*args)
+        return cycles[cycles.sum(axis=1) != 3]
+
+    monkeypatch.setattr(eulerian, "_simple_cycles", drop_three_cycles)
+    with pytest.raises(ArithmeticError):
+        exact_network_prob_alpha(triangle_kernel, _directed_triangle(triangle), 1.0)
 
 
 # -------------------------------------------------------------- enumeration

@@ -10,6 +10,8 @@ import pytest
 from loopsoup import (
     BLOCK,
     BadIntensity,
+    BadReplicaCount,
+    BadSamplerInput,
     BadSeed,
     BadTailCut,
     LoopSoupError,
@@ -22,10 +24,13 @@ from loopsoup import (
     direct_sample,
     jump_matrix,
     merge_soups,
-    mu_mass_nontrivial,
     network_histogram,
     occupation,
     occupation_samples,
+    ray_knight_check,
+    replica_map,
+    run_all,
+    verify_det_identity,
     verify_isomorphism,
     verify_moment_formula,
     wilson_counts,
@@ -156,8 +161,8 @@ def test_merge_soups(triangle_kernel):
 
 
 def test_mu_mass_nontrivial(two_point_kernel, triangle_kernel):
-    assert mu_mass_nontrivial(two_point_kernel) == pytest.approx(-np.log(0.75))
-    assert mu_mass_nontrivial(triangle_kernel) == pytest.approx(-np.log(16 / 27))
+    assert two_point_kernel.mu_mass == pytest.approx(-np.log(0.75))
+    assert triangle_kernel.mu_mass == pytest.approx(-np.log(16 / 27))
 
 
 def test_tail_too_heavy():
@@ -290,3 +295,31 @@ def test_generator_seed_is_typed(two_point_kernel):
         with pytest.raises(BadSeed) as info:
             call()
         _typed(info, BadSeed)
+
+
+def test_replica_count_below_one_is_typed(triangle_kernel, path3_kernel, tmp_path):
+    for replicas in (0, -1, -5, 2.5):
+        for call in (
+            lambda: replica_map(lambda rng, size: size, replicas, 1),
+            lambda: network_histogram(triangle_kernel, replicas, 1),
+            lambda: occupation_samples(triangle_kernel, 1.0, replicas, 1),
+            lambda: verify_isomorphism(triangle_kernel, replicas, 1),
+            lambda: verify_moment_formula(triangle_kernel, [("a", "b")], [], replicas, 1),
+            lambda: verify_det_identity(triangle_kernel, triangle_kernel.lam, replicas, 1),
+            lambda: ray_knight_check(path3_kernel, "a", 1.0, replicas, 1),
+            lambda: run_all(replicas=replicas),
+        ):
+            with pytest.raises(BadReplicaCount) as info:
+                call()
+            _typed(info, BadReplicaCount)
+            assert isinstance(info.value, BadSamplerInput)
+    graph = str(Path(__file__).resolve().parent.parent / "sample_graphs" / "triangle.json")
+    for argv in (["moments", "--graph", graph, "--edges", "a:b", "--replicas", "-1"],
+                 ["moments", "--graph", graph, "--edges", "a:b", "--replicas", "0"],
+                 ["occupation", "--graph", graph, "--replicas", "0"],
+                 ["isomorphism", "--graph", graph, "--replicas", "0"],
+                 ["verify-all", "--replicas", "0"]):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([*argv, "--out", str(tmp_path / "out.json")])
+        assert code == 1 and "at least one replica" in err.getvalue()
+        assert not (tmp_path / "out.json").exists()
