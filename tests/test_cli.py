@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from loopsoup.cli import main
+from loopsoup.cli import _COMMANDS, _build_parser, main
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_graphs"
 TWO_POINT = str(SAMPLES / "two_point.json")
@@ -210,6 +210,54 @@ def test_usage_errors(tmp_path):
             code = main(["genfun", "--graph", TRIANGLE, "--edge", edge])
         assert code == 1
         assert err.getvalue().startswith("error:") and "exactly one edge" in err.getvalue()
+    for scale in ("-1", "nan", "inf"):  # rejected before the battery starts
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["verify-all", "--replicas", "1", "--gate-scale", scale])
+        assert code == 1
+        assert err.getvalue().startswith("error:") and "--gate-scale" in err.getvalue()
+
+
+def _parse_outcome(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed, code = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            parsed, code = None, exc.code
+    return parsed, code, out.getvalue(), err.getvalue()
+
+
+def test_one_branch_parses_like_the_whole_tree():
+    required = ["--graph", "g", "--network", "n", "--x0", "a", "--sources", "a",
+                "--sinks", "b", "--edge", "a:b"]
+    whole = _build_parser()
+    for name in _COMMANDS:
+        for rest in ([], ["-h"], ["--graph", "g"], required, ["--bad"], ["--version"],
+                     required + ["--alpha", "2", "--seed", "7", "--format", "csv"],
+                     ["--graph", "g", "--seed", "x"]):
+            argv = [name, *rest]
+            assert _parse_outcome(_build_parser(name), argv) == _parse_outcome(whole, argv)
+    for argv in (["--help"], ["--help", "kernel"]):  # top-level help is the whole tree's
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert out.getvalue() == whole.format_help()
+
+
+def test_repeated_calls_in_one_process(tmp_path):
+    first = run(tmp_path, "sample", "--graph", TRIANGLE)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["sample", "--graph", TRIANGLE, "--alpha", "x"]) == 1
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["--version"]) == 0
+    assert out.getvalue().startswith("loopsoup ")
+    run(tmp_path, "sample", "--graph", TRIANGLE, "--seed", "5", "--alpha", "2")
+    last = run(tmp_path, "sample", "--graph", TRIANGLE)
+    assert last["config"]["seed"] == 0 and last["config"]["alpha"] == 1.0
+    first.pop("timestamp")
+    last.pop("timestamp")
+    assert last == first
 
 
 def test_stdout_default():

@@ -1,12 +1,14 @@
 """The battery must fail when a known defect is planted.
 
-Each test patches the direct block sampler or the exact network enumeration,
-reruns the full battery at the acceptance size and seed, and asserts that
-the checks reading the patched code catch the defect while the checks that
-never touch it still pass.
+Each test patches one sampler (direct, cycle popping or excursions) or the
+exact network enumeration, reruns the full battery at the acceptance size
+and seed, and asserts that the checks reading the patched code catch the
+defect while the checks that never touch it still pass.
 """
 
-from loopsoup import eulerian, soup
+import numpy as np
+
+from loopsoup import eulerian, fields, soup
 from loopsoup.verify import DEFAULT_REPLICAS, DEFAULT_SEED, run_all
 
 CATCHING = {2, 4, 5, 13}
@@ -56,3 +58,39 @@ def test_dropped_three_cycles_fail_the_exact_check(monkeypatch):
     failing = _failing_checks(monkeypatch, drop_three_cycles, eulerian, "_simple_cycles")
     assert 10 in failing
     assert not failing & MONTE_CARLO
+
+
+class _DoubledFirstNeighbour:
+    """The kernel's walk with each vertex's jump weight to its first neighbour
+    doubled and the row (death included) renormalised: a uniform landing in
+    the first neighbour's share 2 p1 / (1 + p1) is mapped into [0, p1), any
+    other into [p1, 1)."""
+
+    def __init__(self, kernel):
+        self.n, self._kernel = kernel.n, kernel
+        self._p1 = kernel._step_table[1][:, 0]
+
+    def walk_steps(self, xs, u):
+        p1 = self._p1[xs]
+        u = np.where(u * (1 + p1) < 2 * p1, u * (1 + p1) / 2, u * (1 + p1) - p1)
+        return self._kernel.walk_steps(xs, u)
+
+
+def test_skewed_cycle_popping_walk_fails_the_battery(monkeypatch):
+    original = soup.wilson_counts
+
+    def doubled_first_neighbour(kernel, size, rng):
+        return original(_DoubledFirstNeighbour(kernel), size, rng)
+
+    failing = _failing_checks(monkeypatch, doubled_first_neighbour, soup, "wilson_counts")
+    assert failing == {1, 7, 8, 13}  # the checks that read wilson histograms
+
+
+def test_raised_excursion_level_fails_the_ray_knight_check(monkeypatch):
+    original = fields._excursion_block
+
+    def stop_at_1_1_rho(kernel, x0, rho, size, rng):
+        return original(kernel, x0, 1.1 * rho, size, rng)
+
+    failing = _failing_checks(monkeypatch, stop_at_1_1_rho, fields, "_excursion_block")
+    assert failing == {6}
