@@ -308,7 +308,12 @@ class ChainKernel:
         """walk_step for many walkers at once, given their uniforms u:
         targets per walker, -1 for death."""
         targets, cum = self._step_table
-        return targets[xs, (cum[xs] <= u[:, None]).sum(axis=1)]
+        # count the cumulative probabilities at or below u one column at a
+        # time: a boolean row sum over 2-3 columns is about 7x slower
+        hit = xs * targets.shape[1]
+        for col in cum.T:
+            hit += col[xs] <= u
+        return targets.ravel()[hit]
 
     def length_distribution(self, eps: float):
         """Cumulative law of the jump count of a loop, cut at total tail mass eps.

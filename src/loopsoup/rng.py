@@ -49,6 +49,14 @@ def replica_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _check_count(count) -> int:
+    """The count as an int; BadReplicaCount unless it is an integer >= 1."""
+    if not isinstance(count, Integral) or count < 1:
+        raise BadReplicaCount(
+            f"need an integer count of at least one replica, got {count!r}")
+    return int(count)
+
+
 def _run_block(fn: Callable, seed: int, block: int, size: int):
     return fn(replica_rng(seed, block), size)
 
@@ -63,10 +71,7 @@ def replica_map(fn: Callable, n_replicas: int, seed: int, workers: int = 1) -> l
     integer >= 1.
     """
     seed = stream_seed(seed)
-    if not isinstance(n_replicas, Integral) or n_replicas < 1:
-        raise BadReplicaCount(
-            f"need an integer count of at least one replica, got {n_replicas!r}")
-    full, rest = divmod(int(n_replicas), BLOCK)
+    full, rest = divmod(_check_count(n_replicas), BLOCK)
     sizes = [BLOCK] * full + ([rest] if rest else [])
     if workers is None or workers <= 1 or len(sizes) < 2:
         return [_run_block(fn, seed, b, size) for b, size in enumerate(sizes)]

@@ -26,6 +26,7 @@ counts, occupation) are compared across samplers.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -201,8 +202,8 @@ def wilson_sample(kernel: ChainKernel, seed) -> tuple:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not alpha > 0:
-        raise BadIntensity(f"intensity must be positive, got {alpha}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise BadIntensity(f"intensity must be positive and finite, got {alpha}")
 
 
 def _concat(parts: list, dtype) -> np.ndarray:
@@ -265,25 +266,71 @@ def _matrix_powers(q: np.ndarray, top: int) -> np.ndarray:
     return pows
 
 
-def _pick_rows(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row, the index drawn with probability proportional to the weights."""
-    cum = np.cumsum(weights, axis=1)
-    hits = (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
-    return np.minimum(hits, weights.shape[1] - 1)
+# entries of the conditional-CDF table of _bridges (32 MB); a longer tail
+# computes its rows step by step instead
+_TABLE_CAP = 1 << 22
 
 
-def _bridges(q: np.ndarray, pows: np.ndarray, length: int, count: int, rng) -> np.ndarray:
-    """`count` closed chain paths of the given length, rooted with weight
-    Q^length[x, x] and filled in one step at a time by bridge conditioning."""
-    diag = np.cumsum(np.diag(pows[length]))
-    start = np.searchsorted(diag, rng.random(count) * diag[-1], side="right")
-    start = start.clip(0, len(q) - 1)
-    verts = np.empty((count, length), dtype=np.intp)
-    verts[:, 0] = start
-    for j in range(1, length):
-        # weight of z: Q[y, z] Q^(length - j)[z, start]
-        weights = q[verts[:, j - 1]] * pows[length - j].T[start]
-        verts[:, j] = _pick_rows(weights, rng.random(count))
+def _pick(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each of m draws, given as one column of the (n, m) cumulative
+    weights, the index drawn with uniform u: the number of cumulative
+    weights at or below u times the total, counting all but the total
+    itself, so the index stays below n."""
+    thr = u * cdfs[-1]
+    # one column at a time: a boolean row sum over 2-3 columns is about 7x slower
+    hit = (cdfs[0] <= thr).astype(np.intp)
+    for col in cdfs[1:-1]:
+        hit += col <= thr
+    return hit
+
+
+def _bridges(q: np.ndarray, lengths: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
+             rng) -> np.ndarray:
+    """Closed chain paths with the given lengths (sorted, `counts` loops of
+    each of the `sizes`), rooted with weight Q^length[x, x] and filled in by
+    bridge conditioning: step j picks z with weight Q[y, z] Q^(length - j)[z, start].
+
+    All loops are filled in lockstep; the loops still open at step j are a
+    suffix of the sorted lengths.  The uniforms are one array laid out
+    group by group as (length, count), row 0 for the starts; the vertices
+    come back in one array laid out group by group as (count, length).
+    """
+    n = len(q)
+    top = int(sizes[-1])
+    pows = _matrix_powers(q, top)
+    span = sizes * counts
+    offset = np.repeat(np.cumsum(span) - span, counts)
+    rank = np.arange(len(lengths)) - np.repeat(np.cumsum(counts) - counts, counts)
+    stride = np.repeat(counts, counts)
+    upos = offset + rank  # each loop's next uniform, one stride on per step
+    vpos = offset + rank * lengths  # each loop's next vertex, one on per step
+    u = rng.random(int(span.sum()))
+    verts = np.empty(len(u), dtype=np.intp)
+    diag = np.cumsum(np.diagonal(pows, axis1=1, axis2=2), axis=1).T.copy()
+    prev = verts[vpos] = _pick(diag.take(lengths, axis=1), u[upos])
+    # column (r * n + s) * n + p of the table: the cumsum over z of Q[p, z] Q^r[z, s]
+    if top * n**3 <= _TABLE_CAP:
+        table = np.cumsum(q[None, None] * pows[:top].transpose(0, 2, 1)[:, :, None],
+                          axis=-1).reshape(-1, n).T.copy()
+
+        def cdfs(col):
+            return table.take(col, axis=1)
+    else:
+        pows_t = pows.transpose(0, 2, 1)
+
+        def cdfs(col):
+            r, s, p = col // (n * n), col // n % n, col % n
+            return np.cumsum(q[p] * pows_t[r, s], axis=1).T
+    col = (lengths * n + prev) * n  # r = length - j: one n * n down per step
+    done = 0
+    for lo in np.searchsorted(lengths, np.arange(1, top), side="right").tolist():
+        prev = prev[lo - done:]
+        done = lo
+        upos[lo:] += stride[lo:]
+        vpos[lo:] += 1
+        col[lo:] -= n * n
+        prev = _pick(cdfs(col[lo:] + prev), u.take(upos[lo:]))
+        verts[vpos[lo:]] = prev
     return verts
 
 
@@ -297,30 +344,39 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng,
     each later vertex.  With times: one Exp(1) holding time per visit, in
     group order, then Gamma(alpha, 1) one-point time per replica and vertex.
     Holding times come after every vertex, so the loops do not depend on
-    `times`.
+    `times`.  The bridges of all lengths are filled in lockstep, one step
+    for every open loop at a time (see _bridges); the draw order above is
+    kept by drawing all bridge uniforms as one array.
     """
     _check_alpha(alpha)
     cum, total_mass, cut_length, discarded = kernel.length_distribution(eps)
-    owners = np.repeat(np.arange(size), rng.poisson(alpha * total_mass, size=size))
+    try:
+        loops = rng.poisson(alpha * total_mass, size=size)
+    except ValueError:  # a mean beyond the int64 range
+        raise BadIntensity(f"intensity too large: a loop count mean of {alpha * total_mass} "
+                           "is beyond the Poisson sampler's range") from None
+    owners = np.repeat(np.arange(size), loops)
     lengths = 2 + np.searchsorted(cum, rng.random(len(owners)), side="right")
     lengths = lengths.clip(2, len(cum) + 1)
-    q = kernel.q_matrix
-    pows = _matrix_powers(q, int(lengths.max(initial=0)))
-    sizes = np.unique(lengths)
-    owner_sets = [owners[lengths == length] for length in sizes]
-    verts = [_bridges(q, pows, int(length), len(o), rng)
-             for length, o in zip(sizes, owner_sets)]
+    order = np.argsort(lengths.astype(np.uint16), kind="stable")  # radix: lengths < 10^4 + 2
+    owners, lengths = owners[order], lengths[order]
+    sizes, first, counts = np.unique(lengths, return_index=True, return_counts=True)
+    verts = (_bridges(kernel.q_matrix, lengths, sizes, counts, rng) if len(lengths)
+             else np.zeros(0, dtype=np.intp))
+    ends = np.cumsum(sizes * counts)[:-1]
+    shapes = list(zip(counts.tolist(), sizes.tolist()))
+    verts = [part.reshape(shape) for part, shape in zip(np.split(verts, ends), shapes)]
     hold = [None] * len(verts)
     trivial = None
     if times:
         flat = rng.standard_exponential(sum(v.size for v in verts))
-        ends = np.cumsum([v.size for v in verts])
-        hold = [part.reshape(v.shape) for part, v in zip(np.split(flat, ends[:-1]), verts)]
+        hold = [part.reshape(shape) for part, shape in zip(np.split(flat, ends), shapes)]
         trivial = rng.gamma(alpha, 1.0, size=(size, kernel.n))
     return LoopBlock(
         kernel=kernel,
         size=size,
-        groups=tuple(LoopGroup(o, v, t) for o, v, t in zip(owner_sets, verts, hold)),
+        groups=tuple(LoopGroup(o, v, t)
+                     for o, v, t in zip(np.split(owners, first[1:]), verts, hold)),
         trivial_time=trivial,
         cut_length=cut_length,
         discarded_mu_mass=discarded,
@@ -359,48 +415,58 @@ def wilson_counts(kernel: ChainKernel, size: int, rng) -> tuple:
     one uniform per walking replica per round.  A walk's phase ends at the
     cemetery or at a settled vertex; the loop-erased path is then settled
     by following last exits from the phase's start, and the replica starts
-    its next phase at its first unsettled vertex.
+    its next phase at its first unsettled vertex.  A settled vertex is never
+    left again, so its last exit stays its tree edge.
+
+    State lives in flat arrays of cells: replica r owns cells r * (n + 1)
+    onwards, the first one its cemetery (always settled) and 1 + x its
+    vertex x.  The kernel is read only through n and walk_steps.
 
     Returns the (size, n, n) counts and block diagnostics (walk steps).
     """
     n = kernel.n
-    settled = np.zeros((size, n), dtype=bool)
-    exit_to = np.full((size, n), -1, dtype=np.intp)
-    start = np.zeros(size, dtype=np.intp)
-    rows = np.arange(size)  # replicas still walking
+    w = n + 1
+    settled = np.zeros(size * w, dtype=bool)
+    settled[::w] = True
+    exit_to = np.arange(size * w)  # the cell of each cell's last exit
+    # per walking replica: the cell of its vertex 0, of its phase start, and
+    # the vertex it stands on
+    row = np.arange(size) * w + 1
+    start = row.copy()
     pos = np.zeros(size, dtype=np.intp)
-    jumps, tree = [], []
+    jumps = []
     steps = 0
-    while len(rows):
-        z = kernel.walk_steps(pos, rng.random(len(rows)))
-        steps += len(rows)
-        exit_to[rows, pos] = z
-        live = z >= 0
-        jumps.append((rows[live] * n + pos[live]) * n + z[live])
-        done = ~live
-        done[live] = settled[rows[live], z[live]]
+    while len(row):
+        z = kernel.walk_steps(pos, rng.random(len(row)))
+        steps += len(row)
+        cell, nxt = row + pos, row + z  # z = -1 steps into the cemetery cell
+        exit_to[cell] = nxt
+        jumps.append(cell * w + (z + 1))
         pos = z
-        if not done.any():
+        ended = np.flatnonzero(settled[nxt])
+        if not len(ended):
             continue
-        ended = rows[done]
-        r, v = ended, start[ended]
-        while len(r):
-            settled[r, v] = True
-            nxt = exit_to[r, v]
-            on = nxt >= 0
-            tree.append((r[on] * n + v[on]) * n + nxt[on])
-            on[on] = ~settled[r[on], nxt[on]]
-            r, v = r[on], nxt[on]
-        free = ~settled[ended]
-        start[ended] = free.argmax(axis=1)
-        pos[done] = start[ended]
-        walking = np.ones(len(rows), dtype=bool)
-        walking[done] = free.any(axis=1)
-        rows, pos = rows[walking], pos[walking]
-    cells = size * n * n
-    counts = (np.bincount(_concat(jumps, np.intp), minlength=cells)
-              - np.bincount(_concat(tree, np.intp), minlength=cells))
-    return counts.reshape(size, n, n), {"replicas": size, "walk_steps": steps}
+        cur = start[ended]
+        while True:  # past the path's end the last exits run through settled cells
+            settled[cur] = True
+            cur = exit_to[cur]
+            if settled[cur].all():
+                break
+        first = np.full(len(ended), n)  # n: every vertex settled
+        zero = row[ended]
+        for x in range(n - 1, -1, -1):
+            first = np.where(settled[zero + x], first, x)
+        start[ended] = zero + first
+        pos[ended] = first
+        stop = ended[first == n]
+        if len(stop):
+            walking = np.ones(len(row), dtype=bool)
+            walking[stop] = False
+            row, start, pos = row[walking], start[walking], pos[walking]
+    counts = np.bincount(_concat(jumps, np.intp), minlength=size * w * w)
+    cells = np.arange(size * w)
+    counts[cells * w + exit_to - cells // w * w] -= 1  # the tree edges
+    return counts.reshape(size, w, w)[:, 1:, 1:], {"replicas": size, "walk_steps": steps}
 
 
 _MAX_DIAGNOSTICS = ("max_loop_length", "discarded_mu_mass")
@@ -435,15 +501,26 @@ class Histogram(Counter):
 
 def _key_counts(counts: np.ndarray) -> tuple:
     """Distinct rows of the flattened count matrices, in lexicographic order,
-    with their frequencies.  Columns are folded into one rank per row, a
-    column at a time, so the codes stay below rows * (column max + 1)."""
+    with their frequencies.  The columns are folded into one int64
+    mixed-radix code per row; the codes are replaced by their ranks only
+    when the next column would take them past 2^63.  Equal codes mean equal
+    rows, so one sort of the codes finds the rows and their frequencies."""
     rows = counts.reshape(len(counts), -1)
     code = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # every code lies in [0, bound)
     for col in rows.T:
-        if col.any():
-            _, code = np.unique(code * (int(col.max()) + 1) + col, return_inverse=True)
-    _, first, freq = np.unique(code, return_index=True, return_counts=True)
-    return rows[first], freq
+        top = int(col.max(initial=0))
+        if not top:
+            continue
+        if bound * (top + 1) > 1 << 63:
+            ranked, code = np.unique(code, return_inverse=True)
+            bound = len(ranked)
+        code = code * (top + 1) + col
+        bound *= top + 1
+    order = np.argsort(code)
+    code = code[order]
+    first = np.flatnonzero(np.diff(code, prepend=-1))
+    return rows[order[first]], np.diff(first, append=len(code))
 
 
 def _direct_histogram_block(kernel, alpha, eps, rng, size) -> tuple:

@@ -1,7 +1,11 @@
-"""Brute-force references for the exact array kernels.
+"""Brute-force references for the exact array kernels, and the earlier
+forms of the Monte Carlo block kernels.
 
-Each enumerates everything it sums over, so they are slow and only fit
-small inputs; the tests compare the fast kernels against them.
+Each exact reference enumerates everything it sums over, so they are slow
+and only fit small inputs; the tests compare the fast kernels against them.
+The sampler references draw the same random numbers as the block kernels in
+the same order, one length group, one boolean row sum or one column rank at
+a time, so the tests can demand exact array equality.
 """
 
 import math
@@ -12,6 +16,7 @@ from itertools import permutations
 import numpy as np
 
 from loopsoup import Network
+from loopsoup.soup import LoopBlock, LoopGroup, _check_alpha, _concat, _matrix_powers
 
 
 def balanced_layer(graph, directed_edges, m: int) -> list:
@@ -102,3 +107,119 @@ def network_prob_alpha(kernel, k, alpha: float) -> float:
     for x, y in zip(*np.nonzero(counts)):
         weight *= kernel.P[x, y] ** int(counts[x, y])
     return float(kernel.det_i_minus_p**alpha * weight)
+
+
+def walk_steps(kernel, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """walk_step for many walkers at once, given their uniforms u:
+    targets per walker, -1 for death."""
+    targets, cum = kernel._step_table
+    return targets[xs, (cum[xs] <= u[:, None]).sum(axis=1)]
+
+
+def _pick_rows(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the index drawn with probability proportional to the weights."""
+    cum = np.cumsum(weights, axis=1)
+    hits = (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
+    return np.minimum(hits, weights.shape[1] - 1)
+
+
+def _bridges(q: np.ndarray, pows: np.ndarray, length: int, count: int, rng) -> np.ndarray:
+    """`count` closed chain paths of the given length, rooted with weight
+    Q^length[x, x] and filled in one step at a time by bridge conditioning."""
+    diag = np.cumsum(np.diag(pows[length]))
+    start = np.searchsorted(diag, rng.random(count) * diag[-1], side="right")
+    start = start.clip(0, len(q) - 1)
+    verts = np.empty((count, length), dtype=np.intp)
+    verts[:, 0] = start
+    for j in range(1, length):
+        # weight of z: Q[y, z] Q^(length - j)[z, start]
+        weights = q[verts[:, j - 1]] * pows[length - j].T[start]
+        verts[:, j] = _pick_rows(weights, rng.random(count))
+    return verts
+
+
+def direct_block(kernel, alpha: float, size: int, rng,
+                 eps: float = 1e-9, times: bool = False) -> LoopBlock:
+    """direct_block with the bridges filled one length group at a time."""
+    _check_alpha(alpha)
+    cum, total_mass, cut_length, discarded = kernel.length_distribution(eps)
+    owners = np.repeat(np.arange(size), rng.poisson(alpha * total_mass, size=size))
+    lengths = 2 + np.searchsorted(cum, rng.random(len(owners)), side="right")
+    lengths = lengths.clip(2, len(cum) + 1)
+    q = kernel.q_matrix
+    pows = _matrix_powers(q, int(lengths.max(initial=0)))
+    sizes = np.unique(lengths)
+    owner_sets = [owners[lengths == length] for length in sizes]
+    verts = [_bridges(q, pows, int(length), len(o), rng)
+             for length, o in zip(sizes, owner_sets)]
+    hold = [None] * len(verts)
+    trivial = None
+    if times:
+        flat = rng.standard_exponential(sum(v.size for v in verts))
+        ends = np.cumsum([v.size for v in verts])
+        hold = [part.reshape(v.shape) for part, v in zip(np.split(flat, ends[:-1]), verts)]
+        trivial = rng.gamma(alpha, 1.0, size=(size, kernel.n))
+    return LoopBlock(
+        kernel=kernel,
+        size=size,
+        groups=tuple(LoopGroup(o, v, t) for o, v, t in zip(owner_sets, verts, hold)),
+        trivial_time=trivial,
+        cut_length=cut_length,
+        discarded_mu_mass=discarded,
+    )
+
+
+def wilson_counts(kernel, size: int, rng) -> tuple:
+    """wilson_counts on (replica, vertex) index pairs, with the next phase
+    start found by argmax over each replica's unsettled row."""
+    n = kernel.n
+    settled = np.zeros((size, n), dtype=bool)
+    exit_to = np.full((size, n), -1, dtype=np.intp)
+    start = np.zeros(size, dtype=np.intp)
+    rows = np.arange(size)  # replicas still walking
+    pos = np.zeros(size, dtype=np.intp)
+    jumps, tree = [], []
+    steps = 0
+    while len(rows):
+        z = kernel.walk_steps(pos, rng.random(len(rows)))
+        steps += len(rows)
+        exit_to[rows, pos] = z
+        live = z >= 0
+        jumps.append((rows[live] * n + pos[live]) * n + z[live])
+        done = ~live
+        done[live] = settled[rows[live], z[live]]
+        pos = z
+        if not done.any():
+            continue
+        ended = rows[done]
+        r, v = ended, start[ended]
+        while len(r):
+            settled[r, v] = True
+            nxt = exit_to[r, v]
+            on = nxt >= 0
+            tree.append((r[on] * n + v[on]) * n + nxt[on])
+            on[on] = ~settled[r[on], nxt[on]]
+            r, v = r[on], nxt[on]
+        free = ~settled[ended]
+        start[ended] = free.argmax(axis=1)
+        pos[done] = start[ended]
+        walking = np.ones(len(rows), dtype=bool)
+        walking[done] = free.any(axis=1)
+        rows, pos = rows[walking], pos[walking]
+    cells = size * n * n
+    counts = (np.bincount(_concat(jumps, np.intp), minlength=cells)
+              - np.bincount(_concat(tree, np.intp), minlength=cells))
+    return counts.reshape(size, n, n), {"replicas": size, "walk_steps": steps}
+
+
+def key_counts(counts: np.ndarray) -> tuple:
+    """Distinct rows of the flattened count matrices, in lexicographic order,
+    with their frequencies.  Columns are folded into one rank per row, a
+    column at a time, so the codes stay below rows * (column max + 1)."""
+    rows = counts.reshape(len(counts), -1)
+    code = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        if col.any():
+            _, code = np.unique(code * (int(col.max()) + 1) + col, return_inverse=True)
+    _, first, freq = np.unique(code, return_index=True, return_counts=True)
+    return rows[first], freq

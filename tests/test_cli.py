@@ -216,6 +216,12 @@ def test_usage_errors(tmp_path):
             code = main(["verify-all", "--replicas", "1", "--gate-scale", scale])
         assert code == 1
         assert err.getvalue().startswith("error:") and "--gate-scale" in err.getvalue()
+    for alpha in ("inf", "1e300"):  # a typed intensity error, not numpy's message
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["sample", "--graph", TRIANGLE, "--alpha", alpha])
+        assert code == 1
+        assert err.getvalue().startswith("error: intensity")
 
 
 def _parse_outcome(parser, argv):

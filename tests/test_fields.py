@@ -5,6 +5,7 @@ import pytest
 
 from loopsoup import (
     BadChi,
+    BadReplicaCount,
     BadSamplerInput,
     BadStoppingLevel,
     BadSupport,
@@ -52,6 +53,15 @@ def test_field_determinism(two_point_kernel):
     d = sample_complex_fields(two_point_kernel, 1, 7)
     assert c == pytest.approx(d)
     assert c.dtype == complex
+
+
+def test_field_count_is_typed(two_point_kernel):
+    for count in (0, -1, 2.5, "3"):
+        for sampler in (sample_real_fields, sample_complex_fields):
+            with pytest.raises(BadReplicaCount) as info:
+                sampler(two_point_kernel, count, 7)
+            assert isinstance(info.value, LoopSoupError)
+            assert isinstance(info.value, ValueError)
 
 
 def test_complex_wick_moment(two_point_kernel):

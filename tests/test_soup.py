@@ -266,6 +266,21 @@ def test_nonpositive_intensity_is_typed(triangle_kernel, tmp_path):
     assert code == 1 and "intensity must be positive" in err.getvalue()
 
 
+def test_non_finite_or_huge_intensity_is_typed(triangle_kernel):
+    # inf is refused up front; a finite alpha whose loop count mean numpy
+    # cannot draw from is refused at the draw
+    for alpha in (float("inf"), 1e300):
+        for call in (
+            lambda: direct_block(triangle_kernel, alpha, 10, np.random.default_rng(1)),
+            lambda: direct_sample(triangle_kernel, alpha, seed=1),
+            lambda: network_histogram(triangle_kernel, 10, 1, "direct", alpha=alpha),
+            lambda: occupation_samples(triangle_kernel, alpha, 10, 1),
+        ):
+            with pytest.raises(BadIntensity) as info:
+                call()
+            _typed(info, BadIntensity)
+
+
 def test_tail_cut_out_of_range_is_typed(triangle_kernel):
     for eps in (0.0, -1e-9, 1e-3):
         with pytest.raises(BadTailCut) as info:

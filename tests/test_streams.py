@@ -1,0 +1,89 @@
+"""Pinned random-number streams of the Monte Carlo samplers.
+
+Each digest is the SHA-256 of a sampler's whole output at a fixed seed, so
+a change that moves one random number, or the order in which numbers are
+drawn, fails here even when every statistical check still passes.  A change
+that moves the streams on purpose updates the digests and says why; run
+this file as a script to print the current ones.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from loopsoup import (
+    BLOCK,
+    build_kernel,
+    direct_sample,
+    network_histogram,
+    occupation_samples,
+)
+from loopsoup.verify import triangle_graph, two_point_graph
+
+SEED = 20260816
+HIST_REPLICAS = BLOCK + 500  # one full block and one partial block
+OCC_REPLICAS = 2 * BLOCK + 300  # two full blocks and one partial block
+
+HISTOGRAMS = {
+    ("triangle", "direct", 0.5):
+        "848310ea08269d30c7541076047f977d532431f97cfdb79c25291ec97569dc0a",
+    ("triangle", "direct", 1.0):
+        "a0899d3068f8d0d6bcbec0dddafebb01cf3bcb9623117ac25c6a54facd4c6526",
+    ("triangle", "direct", 2.0):
+        "4d7a6b851be830cc7c4ea77f8d8e6c58829642a5e94c9a9c77a7bfe2c75a2356",
+    ("two_point", "wilson", 1.0):
+        "c8cfad7d2c676d092cb0ca4d6dc34a139aa453472d241f76d823d2baea941946",
+    ("triangle", "wilson", 1.0):
+        "1499604c1dc4247eee28637ac406594bd48333853c0db9bd5598fe0038f603b7",
+}
+OCCUPATION = "296ea3ae0fa522581c05a67c3a5d29f2cf87bcaca210eb69320bae3156082184"
+DIRECT_SAMPLES = "71c614465a3f93c2807d06617dfddb36aaecea2ddfbd1de7470e9ec4448d2341"
+
+_GRAPHS = {"triangle": triangle_graph, "two_point": two_point_graph}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _kernel(name: str):
+    return build_kernel(_GRAPHS[name]())
+
+
+def histogram_digest(graph: str, sampler: str, alpha: float) -> str:
+    hist = network_histogram(_kernel(graph), HIST_REPLICAS, SEED, sampler, alpha=alpha)
+    return _sha(repr((sorted(hist.items()), sorted(hist.diagnostics.items()))))
+
+
+def occupation_digest() -> str:
+    meta: dict = {}
+    occ = occupation_samples(_kernel("triangle"), 1.0, OCC_REPLICAS, SEED, meta=meta)
+    return hashlib.sha256(np.ascontiguousarray(occ, dtype="<f8").tobytes()
+                          + repr(sorted(meta.items())).encode()).hexdigest()
+
+
+def direct_samples_digest() -> str:
+    kernel = _kernel("triangle")
+    soups = [direct_sample(kernel, 1.5, seed=seed) for seed in range(10)]
+    return _sha(repr([(soup.loops, soup.trivial_time.tolist()) for soup in soups]))
+
+
+@pytest.mark.parametrize("graph, sampler, alpha", list(HISTOGRAMS))
+def test_histogram_streams(graph, sampler, alpha):
+    assert histogram_digest(graph, sampler, alpha) == HISTOGRAMS[(graph, sampler, alpha)]
+
+
+def test_occupation_stream():
+    assert occupation_digest() == OCCUPATION
+
+
+def test_direct_sample_streams():
+    assert direct_samples_digest() == DIRECT_SAMPLES
+
+
+if __name__ == "__main__":
+    for key in HISTOGRAMS:
+        print(key, histogram_digest(*key))
+    print("occupation", occupation_digest())
+    print("direct_sample", direct_samples_digest())
