@@ -97,7 +97,6 @@ from .soup import (
     direct_block,
     direct_sample,
     jump_matrix,
-    merge_soups,
     network_histogram,
     occupation,
     occupation_samples,

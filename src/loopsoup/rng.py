@@ -12,8 +12,6 @@ changes every Monte Carlo number, so it is a constant, not a parameter.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from numbers import Integral
 from typing import Callable
 
@@ -75,6 +73,10 @@ def replica_map(fn: Callable, n_replicas: int, seed: int, workers: int = 1) -> l
     sizes = [BLOCK] * full + ([rest] if rest else [])
     if workers is None or workers <= 1 or len(sizes) < 2:
         return [_run_block(fn, seed, b, size) for b, size in enumerate(sizes)]
+    # imported here: they make up about half of the package's import time
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     n = len(sizes)
     with ProcessPoolExecutor(max_workers=min(workers, n),
                              mp_context=multiprocessing.get_context("spawn")) as pool:

@@ -234,8 +234,12 @@ class LoopBlock(NamedTuple):
     def counts(self) -> np.ndarray:
         """(size, n, n) directed crossing counts of each replica's loops."""
         n = self.kernel.n
-        idx = [((g.owners[:, None] * n + g.vertices) * n
-                + np.roll(g.vertices, -1, axis=1)).ravel() for g in self.groups]
+        idx = []
+        for g in self.groups:
+            cell = (g.owners[:, None] * n + g.vertices) * n
+            cell[:, :-1] += g.vertices[:, 1:]  # each jump's target; the loop
+            cell[:, -1] += g.vertices[:, 0]  # closes on its first vertex
+            idx.append(cell.ravel())
         flat = np.bincount(_concat(idx, np.intp), minlength=self.size * n * n)
         return flat.reshape(self.size, n, n)
 
@@ -335,7 +339,8 @@ def _bridges(q: np.ndarray, lengths: np.ndarray, sizes: np.ndarray, counts: np.n
 
 
 def direct_block(kernel: ChainKernel, alpha: float, size: int, rng,
-                 eps: float = 1e-9, times: bool = False) -> LoopBlock:
+                 eps: float = 1e-9, times: bool = False, law: tuple | None = None
+                 ) -> LoopBlock:
     """`size` independent ensembles at intensity alpha, all from one generator.
 
     Draw order: a Poisson(alpha * truncated mass) loop total per replica;
@@ -347,9 +352,14 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng,
     `times`.  The bridges of all lengths are filled in lockstep, one step
     for every open loop at a time (see _bridges); the draw order above is
     kept by drawing all bridge uniforms as one array.
+
+    law, when given, is kernel.length_distribution(eps), so that a run of
+    many blocks computes it once.
     """
     _check_alpha(alpha)
-    cum, total_mass, cut_length, discarded = kernel.length_distribution(eps)
+    if law is None:
+        law = kernel.length_distribution(eps)
+    cum, total_mass, cut_length, discarded = law
     try:
         loops = rng.poisson(alpha * total_mass, size=size)
     except ValueError:  # a mean beyond the int64 range
@@ -499,13 +509,11 @@ class Histogram(Counter):
         self.diagnostics = dict(diagnostics or {})
 
 
-def _key_counts(counts: np.ndarray) -> tuple:
-    """Distinct rows of the flattened count matrices, in lexicographic order,
-    with their frequencies.  The columns are folded into one int64
-    mixed-radix code per row; the codes are replaced by their ranks only
-    when the next column would take them past 2^63.  Equal codes mean equal
-    rows, so one sort of the codes finds the rows and their frequencies."""
-    rows = counts.reshape(len(counts), -1)
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """One int64 code per row of a 2-d integer array, ordered like the rows
+    lexicographically: the columns are folded into a mixed-radix code, and
+    the codes are replaced by their ranks only when the next column would
+    take them past 2^63."""
     code = np.zeros(len(rows), dtype=np.int64)
     bound = 1  # every code lies in [0, bound)
     for col in rows.T:
@@ -517,14 +525,23 @@ def _key_counts(counts: np.ndarray) -> tuple:
             bound = len(ranked)
         code = code * (top + 1) + col
         bound *= top + 1
+    return code
+
+
+def _key_counts(counts: np.ndarray) -> tuple:
+    """Distinct rows of the flattened count matrices, in lexicographic order,
+    with their frequencies.  Equal row codes mean equal rows, so one sort of
+    the codes finds the rows and their frequencies."""
+    rows = counts.reshape(len(counts), -1)
+    code = _row_codes(rows)
     order = np.argsort(code)
     code = code[order]
     first = np.flatnonzero(np.diff(code, prepend=-1))
     return rows[order[first]], np.diff(first, append=len(code))
 
 
-def _direct_histogram_block(kernel, alpha, eps, rng, size) -> tuple:
-    block = direct_block(kernel, alpha, size, rng, eps=eps)
+def _direct_histogram_block(kernel, alpha, law, rng, size) -> tuple:
+    block = direct_block(kernel, alpha, size, rng, law=law)
     return _key_counts(block.counts()) + (block.diagnostics(),)
 
 
@@ -533,8 +550,8 @@ def _wilson_histogram_block(kernel, rng, size) -> tuple:
     return _key_counts(counts) + (diagnostics,)
 
 
-def _direct_occupation_block(kernel, alpha, eps, rng, size) -> tuple:
-    block = direct_block(kernel, alpha, size, rng, eps=eps, times=True)
+def _direct_occupation_block(kernel, alpha, law, rng, size) -> tuple:
+    block = direct_block(kernel, alpha, size, rng, times=True, law=law)
     return block.occupation(), block.diagnostics()
 
 
@@ -542,26 +559,38 @@ def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
                       sampler: str = "direct", alpha: float = 1.0,
                       eps: float = 1e-9, workers: int = 1) -> Histogram:
     """Histogram of jump networks over independent replica ensembles, drawn
-    block by block in (seed, block) streams."""
+    block by block in (seed, block) streams.
+
+    The networks are inserted in the order of their first block, and in
+    lexicographic order within it.  Statistics summed over the histogram in
+    its iteration order (fields._histogram_stat) depend on that order in
+    their last bits, so it is kept as the definition of a run's result.
+    """
     if sampler == "wilson":
         if alpha != 1.0:
             raise BadIntensity("the cycle-popping sampler is defined at alpha = 1 only")
         task = partial(_wilson_histogram_block, kernel)
     elif sampler == "direct":
         _check_alpha(alpha)
-        task = partial(_direct_histogram_block, kernel, alpha, eps)
+        task = partial(_direct_histogram_block, kernel, alpha, kernel.length_distribution(eps))
     else:
         raise UnknownSampler(f"unknown sampler {sampler!r}; use 'direct' or 'wilson'")
     parts = replica_map(task, replicas, seed, workers=workers)
     diagnostics = {"sampler": sampler, "alpha": alpha, **merge_diagnostics([p[2] for p in parts])}
     if sampler == "direct":
         diagnostics["eps"] = eps
-    hist = Histogram(diagnostics=diagnostics)
+    # each block's keys are distinct and sorted; a stable sort of all keys'
+    # codes groups equal keys with the first block's copy at the front
+    rows = np.concatenate([p[0] for p in parts])
+    code = _row_codes(rows)
+    order = np.argsort(code, kind="stable")
+    first = np.flatnonzero(np.diff(code[order], prepend=-1))
+    total = np.add.reduceat(np.concatenate([p[1] for p in parts])[order], first)
+    seen = order[first]  # the row of each key's first block
+    keep = np.argsort(seen)
     n = kernel.n
-    for keys, freq, _ in parts:
-        for row, count in zip(keys.tolist(), freq.tolist()):
-            hist[tuple(tuple(row[i:i + n]) for i in range(0, n * n, n))] += count
-    return hist
+    keys = [tuple(map(tuple, key)) for key in rows[seen[keep]].reshape(-1, n, n).tolist()]
+    return Histogram(dict(zip(keys, total[keep].tolist())), diagnostics=diagnostics)
 
 
 def occupation_samples(kernel: ChainKernel, alpha: float, replicas: int, seed,
@@ -571,7 +600,8 @@ def occupation_samples(kernel: ChainKernel, alpha: float, replicas: int, seed,
     drawn block by block in (seed, block) streams.  meta, when given,
     receives the sampler diagnostics."""
     _check_alpha(alpha)
-    parts = replica_map(partial(_direct_occupation_block, kernel, alpha, eps),
+    parts = replica_map(partial(_direct_occupation_block, kernel, alpha,
+                                kernel.length_distribution(eps)),
                         replicas, seed, workers=workers)
     if meta is not None:
         meta.update({"sampler": "direct", "alpha": alpha, "eps": eps,
@@ -600,16 +630,3 @@ def jump_matrix(soup: LoopSoup) -> Network:
         for i in range(p):
             counts[verts[i], verts[(i + 1) % p]] += 1
     return Network(soup.graph, counts)
-
-
-def merge_soups(a: LoopSoup, b: LoopSoup) -> LoopSoup:
-    """Superpose two independent ensembles; intensities add."""
-    if a.graph.vertices != b.graph.vertices:
-        raise ValueError("cannot merge ensembles over different graphs")
-    return LoopSoup(
-        graph=a.graph,
-        alpha=a.alpha + b.alpha,
-        loops=a.loops + b.loops,
-        trivial_time=np.asarray(a.trivial_time) + np.asarray(b.trivial_time),
-        meta={"merged": [a.meta, b.meta]},
-    )

@@ -1,11 +1,13 @@
 """Brute-force references for the exact array kernels, and the earlier
-forms of the Monte Carlo block kernels.
+forms of the Monte Carlo block kernels and of the reductions over a run.
 
 Each exact reference enumerates everything it sums over, so they are slow
 and only fit small inputs; the tests compare the fast kernels against them.
 The sampler references draw the same random numbers as the block kernels in
 the same order, one length group, one boolean row sum or one column rank at
-a time, so the tests can demand exact array equality.
+a time, so the tests can demand exact array equality.  The reductions
+(the KS distance, the merge of block histograms) do the same arithmetic as
+their replacements, so those tests demand exact equality too.
 """
 
 import math
@@ -212,6 +214,16 @@ def wilson_counts(kernel, size: int, rng) -> tuple:
     return counts.reshape(size, n, n), {"replicas": size, "walk_steps": steps}
 
 
+def block_counts(block: LoopBlock) -> np.ndarray:
+    """(size, n, n) directed crossing counts of a block's loops, each loop's
+    successors taken by rolling its vertex row."""
+    n = block.kernel.n
+    idx = [((g.owners[:, None] * n + g.vertices) * n
+            + np.roll(g.vertices, -1, axis=1)).ravel() for g in block.groups]
+    flat = np.bincount(_concat(idx, np.intp), minlength=block.size * n * n)
+    return flat.reshape(block.size, n, n)
+
+
 def key_counts(counts: np.ndarray) -> tuple:
     """Distinct rows of the flattened count matrices, in lexicographic order,
     with their frequencies.  Columns are folded into one rank per row, a
@@ -223,3 +235,25 @@ def key_counts(counts: np.ndarray) -> tuple:
             _, code = np.unique(code * (int(col.max()) + 1) + col, return_inverse=True)
     _, first, freq = np.unique(code, return_index=True, return_counts=True)
     return rows[first], freq
+
+
+def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov distance: both empirical CDFs evaluated
+    at every point of both samples, each point binary-searched into each
+    sorted sample."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / len(a)
+    fb = np.searchsorted(b, grid, side="right") / len(b)
+    return float(np.max(np.abs(fa - fb)))
+
+
+def merge_block_keys(n: int, parts) -> Counter:
+    """Histogram of per-block (keys, freq) pairs, one key row at a time as a
+    tuple of row tuples, in block order."""
+    hist = Counter()
+    for keys, freq in parts:
+        for row, count in zip(keys.tolist(), freq.tolist()):
+            hist[tuple(tuple(row[i:i + n]) for i in range(0, n * n, n))] += count
+    return hist

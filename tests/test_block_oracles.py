@@ -5,13 +5,28 @@ column at a time, keep cycle-popping state in flat cells and fold histogram
 keys into one code; the oracles fill one length group at a time, sum boolean
 rows, index (replica, vertex) pairs and rank every column.  Both draw the
 same numbers in the same order, so every array must be equal, not close.
+The reductions over a run (the KS distance, the merge of block histograms,
+the one length law per run) are held to their earlier forms the same way.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 
 import oracles
-from loopsoup import build_kernel, direct_block, replica_rng, soup, wilson_counts
+from loopsoup import (
+    BLOCK,
+    build_kernel,
+    direct_block,
+    ks_two_sample,
+    network_histogram,
+    occupation_samples,
+    replica_map,
+    replica_rng,
+    soup,
+    wilson_counts,
+)
 from loopsoup.soup import _key_counts
 from loopsoup.verify import (
     complete4_graph,
@@ -56,6 +71,7 @@ def _compare_direct(kernel, alpha, size, seed, times):
     new = direct_block(kernel, alpha, size, new_rng, times=times)
     old = oracles.direct_block(kernel, alpha, size, old_rng, times=times)
     _assert_same_block(new, old)
+    assert np.array_equal(new.counts(), oracles.block_counts(old))
     assert new_rng.random() == old_rng.random()  # both used up the same numbers
     return new
 
@@ -183,3 +199,63 @@ def test_key_counts_all_zero_block():
     assert rows.shape == (1, 1)
     block = direct_block(KERNELS["single_vertex"], 1.0, 300, replica_rng(1, 0))
     _assert_same_keys(block.counts())
+
+
+def _ks_cases() -> dict:
+    rng = np.random.default_rng(20260819)
+    ties = rng.integers(0, 6, 400).astype(float)
+    return {
+        "ties": (ties, rng.integers(0, 6, 250).astype(float)),
+        "unequal_sizes": (rng.standard_normal(1000), rng.standard_normal(37)),
+        "one_point": (np.array([0.5]), np.array([0.5])),
+        "one_point_vs_many": (np.array([0.25]), rng.random(9)),
+        "identical": (ties, ties.copy()),
+        "disjoint": (rng.random(50), 2.0 + rng.random(80)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_ks_cases()))
+def test_ks_matches_full_grid(case):
+    a, b = _ks_cases()[case]
+    assert ks_two_sample(a, b) == oracles.ks_two_sample(a, b)
+    assert ks_two_sample(b, a) == oracles.ks_two_sample(b, a)
+
+
+def _direct_keys(kernel, rng, size):
+    return _key_counts(direct_block(kernel, 1.0, size, rng).counts())
+
+
+def _wilson_keys(kernel, rng, size):
+    return _key_counts(wilson_counts(kernel, size, rng)[0])
+
+
+MERGE_REPLICAS = 2 * BLOCK + 700  # two full blocks and a partial one
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_histogram_merge_matches_row_merge(workers):
+    for name in ("two_point", "triangle"):
+        kernel = KERNELS[name]
+        for sampler, keys in (("direct", _direct_keys), ("wilson", _wilson_keys)):
+            parts = replica_map(partial(keys, kernel), MERGE_REPLICAS, 5)
+            ref = oracles.merge_block_keys(kernel.n, parts)
+            hist = network_histogram(kernel, MERGE_REPLICAS, 5, sampler, workers=workers)
+            assert list(hist.items()) == list(ref.items())  # insertion order too
+            if name == "triangle":  # later blocks bring keys below earlier ones
+                assert list(hist) != sorted(hist)
+
+
+def test_one_length_law_per_run(monkeypatch):
+    kernel = KERNELS["triangle"]
+    law = type(kernel).length_distribution
+    calls = []
+
+    def spy(self, eps):
+        calls.append(eps)
+        return law(self, eps)
+
+    monkeypatch.setattr(type(kernel), "length_distribution", spy)
+    network_histogram(kernel, MERGE_REPLICAS, 5, "direct", alpha=0.5)
+    assert len(calls) == 1
+    occupation_samples(kernel, 0.5, MERGE_REPLICAS, 5)
+    assert len(calls) == 2

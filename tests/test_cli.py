@@ -4,10 +4,14 @@ import contextlib
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import loopsoup
 from loopsoup.cli import _COMMANDS, _build_parser, main
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_graphs"
@@ -273,3 +277,15 @@ def test_stdout_default():
         code = main(["kernel", "--graph", TWO_POINT])
     assert code == 0
     assert json.loads(buf.getvalue())["result"]["det_i_minus_p"] == pytest.approx(0.75)
+
+
+def test_cli_import_leaves_process_pools_out():
+    # a shell call of the CLI imports the package afresh; the process-pool
+    # modules cost about half of that import and only workers > 1 uses them
+    src = str(pathlib.Path(loopsoup.__file__).resolve().parent.parent)
+    code = ("import sys, loopsoup.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -85,6 +85,13 @@ def test_ks_two_sample():
     assert d < 0.05
 
 
+def test_ks_two_sample_empty_is_typed():
+    for a, b in (([], [1.0]), ([1.0], np.zeros(0)), ([], [])):
+        with pytest.raises(BadReplicaCount) as info:
+            ks_two_sample(a, b)
+        assert isinstance(info.value, LoopSoupError)
+
+
 def test_occupation_samples_mean(two_point_kernel):
     occ = occupation_samples(two_point_kernel, 1.0, 4000, 55)
     mean = occ.mean(axis=0)

@@ -23,7 +23,6 @@ from loopsoup import (
     direct_block,
     direct_sample,
     jump_matrix,
-    merge_soups,
     network_histogram,
     occupation,
     occupation_samples,
@@ -149,15 +148,6 @@ def test_edge_count_mean_two_point(two_point_kernel):
         _, soup = wilson_sample(two_point_kernel, r)
         acc += jump_matrix(soup).counts[0, 1]
     assert acc / n == pytest.approx(1 / 3, abs=0.03)
-
-
-def test_merge_soups(triangle_kernel):
-    a = direct_sample(triangle_kernel, 0.5, seed=1)
-    b = direct_sample(triangle_kernel, 1.0, seed=2)
-    m = merge_soups(a, b)
-    assert m.alpha == pytest.approx(1.5)
-    assert len(m.loops) == len(a.loops) + len(b.loops)
-    assert m.trivial_time == pytest.approx(a.trivial_time + b.trivial_time)
 
 
 def test_mu_mass_nontrivial(two_point_kernel, triangle_kernel):

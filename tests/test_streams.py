@@ -1,10 +1,14 @@
-"""Pinned random-number streams of the Monte Carlo samplers.
+"""Pinned random-number streams of the Monte Carlo samplers, and the
+battery statistics built from them.
 
-Each digest is the SHA-256 of a sampler's whole output at a fixed seed, so
-a change that moves one random number, or the order in which numbers are
-drawn, fails here even when every statistical check still passes.  A change
-that moves the streams on purpose updates the digests and says why; run
-this file as a script to print the current ones.
+Each sampler digest is the SHA-256 of a sampler's whole output at a fixed
+seed, so a change that moves one random number, or the order in which
+numbers are drawn, fails here even when every statistical check still
+passes.  The battery digest covers every StatLine of run_all except the
+runtimes, so a change to a reduction over the samples (a sum taken in
+another order, say) fails here too.  A change that moves the streams or the
+statistics on purpose updates the digests and says why; run this file as a
+script to print the current ones.
 """
 
 import hashlib
@@ -19,7 +23,7 @@ from loopsoup import (
     network_histogram,
     occupation_samples,
 )
-from loopsoup.verify import triangle_graph, two_point_graph
+from loopsoup.verify import run_all, triangle_graph, two_point_graph
 
 SEED = 20260816
 HIST_REPLICAS = BLOCK + 500  # one full block and one partial block
@@ -39,6 +43,8 @@ HISTOGRAMS = {
 }
 OCCUPATION = "296ea3ae0fa522581c05a67c3a5d29f2cf87bcaca210eb69320bae3156082184"
 DIRECT_SAMPLES = "71c614465a3f93c2807d06617dfddb36aaecea2ddfbd1de7470e9ec4448d2341"
+BATTERY_REPLICAS = 20_000
+BATTERY = "9bb2d04323a4420275b8ad4a5874dcb759678b14c18c1a032ee0ba29bb8cf5f9"
 
 _GRAPHS = {"triangle": triangle_graph, "two_point": two_point_graph}
 
@@ -69,6 +75,14 @@ def direct_samples_digest() -> str:
     return _sha(repr([(soup.loops, soup.trivial_time.tolist()) for soup in soups]))
 
 
+def battery_digest() -> str:
+    lines = [(report.name, line.statistic, line.lhs, line.rhs, line.stderr, line.z,
+              line.passed, line.note)
+             for report in run_all(BATTERY_REPLICAS, SEED) for line in report.lines
+             if line.statistic != "runtime_seconds"]
+    return _sha(repr(lines))
+
+
 @pytest.mark.parametrize("graph, sampler, alpha", list(HISTOGRAMS))
 def test_histogram_streams(graph, sampler, alpha):
     assert histogram_digest(graph, sampler, alpha) == HISTOGRAMS[(graph, sampler, alpha)]
@@ -82,8 +96,13 @@ def test_direct_sample_streams():
     assert direct_samples_digest() == DIRECT_SAMPLES
 
 
+def test_battery_statistics():
+    assert battery_digest() == BATTERY
+
+
 if __name__ == "__main__":
     for key in HISTOGRAMS:
         print(key, histogram_digest(*key))
     print("occupation", occupation_digest())
     print("direct_sample", direct_samples_digest())
+    print("battery", battery_digest())
