@@ -88,7 +88,7 @@ from .homology import (
 )
 from .network import Network
 from .reports import StatLine, TestReport
-from .rng import BLOCK, as_generator, replica_map, replica_rng
+from .rng import BLOCK, replica_map, replica_rng
 from .soup import (
     BasedLoop,
     Histogram,

@@ -143,15 +143,18 @@ def _cmd_kernel(args) -> tuple:
     return result, None
 
 
-def _cmd_sample(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+def _sample_soup(kernel, args):
+    """One ensemble from the sampler, intensity, tail cut and seed given."""
     if args.sampler == "wilson":
         if args.alpha != 1.0:
             raise BadIntensity("the wilson sampler is defined at alpha = 1 only")
-        _, soup = wilson_sample(kernel, args.seed)
-    else:
-        soup = direct_sample(kernel, args.alpha, eps=args.epsilon, seed=args.seed)
-    return _soup_payload(soup), None
+        return wilson_sample(kernel, args.seed)[1]
+    return direct_sample(kernel, args.alpha, eps=args.epsilon, seed=args.seed)
+
+
+def _cmd_sample(args) -> tuple:
+    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    return _soup_payload(_sample_soup(kernel, args)), None
 
 
 def _cmd_occupation(args) -> tuple:
@@ -170,12 +173,7 @@ def _cmd_occupation(args) -> tuple:
 
 def _cmd_jumps(args) -> tuple:
     kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
-    if args.sampler == "wilson":
-        if args.alpha != 1.0:
-            raise BadIntensity("the wilson sampler is defined at alpha = 1 only")
-        _, soup = wilson_sample(kernel, args.seed)
-    else:
-        soup = direct_sample(kernel, args.alpha, eps=args.epsilon, seed=args.seed)
+    soup = _sample_soup(kernel, args)
     net = jump_matrix(soup)
     occ = occupation(soup, kernel)
     return {

@@ -23,7 +23,7 @@ from .errors import BadChi, BadStoppingLevel, BadSupport, DuplicateIndex
 from .exact import permanent
 from .graphs import ChainKernel
 from .reports import TestReport
-from .rng import SCHEME, _check_count, as_generator, replica_map, stream_seed
+from .rng import SCHEME, _check_count, replica_map, stream_seed
 from .soup import merge_diagnostics, network_histogram, occupation_samples
 
 CONVENTIONS = {
@@ -38,7 +38,7 @@ def sample_real_fields(kernel: ChainKernel, count: int, seed) -> np.ndarray:
     """count x n matrix of independent real field samples.  Raises
     BadReplicaCount unless count is an integer >= 1."""
     count = _check_count(count)
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     return rng.standard_normal((count, kernel.n)) @ kernel.field_factor
 
 
@@ -46,7 +46,7 @@ def sample_complex_fields(kernel: ChainKernel, count: int, seed) -> np.ndarray:
     """count x n matrix of independent complex field samples.  Raises
     BadReplicaCount unless count is an integer >= 1."""
     count = _check_count(count)
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     f1 = rng.standard_normal((count, kernel.n)) @ kernel.field_factor
     f2 = rng.standard_normal((count, kernel.n)) @ kernel.field_factor
     return (f1 + 1j * f2) / np.sqrt(2.0)

@@ -17,7 +17,6 @@ dense; target graphs are desk scale, tens of vertices at most.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, fields as _dc_fields
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -274,34 +273,26 @@ class ChainKernel:
         s = 1.0 / np.sqrt(self.lam)
         return np.linalg.eigvalsh(self.graph.conductance * np.outer(s, s))
 
-    @cached_property
-    def _walk_tables(self) -> list:
-        tables = []
-        for x in range(self.n):
-            targets = np.flatnonzero(self.graph.conductance[x] > 0)
-            cum = np.cumsum(self.graph.conductance[x, targets]) / self.lam[x]
-            tables.append((targets.tolist(), cum.tolist()))
-        return tables
-
     def walk_step(self, x: int, rng: np.random.Generator) -> int:
-        """One jump of the chain from x; returns the target index or -1 for death."""
-        targets, cum = self._walk_tables[x]
-        u = rng.random()
-        i = bisect_right(cum, u)
-        if i >= len(targets):
-            return -1
-        return targets[i]
+        """One jump of the chain from x, on one uniform of rng: the one-walker
+        view of walk_steps.  Returns the target index or -1 for death."""
+        return int(self.walk_steps(np.array([x]), np.array([rng.random()]))[0])
 
     @cached_property
     def _step_table(self) -> tuple:
-        """The walk tables padded to one width: targets with -1 (death) after
-        the last neighbor, cumulative jump probabilities padded with inf."""
-        width = max(len(targets) for targets, _ in self._walk_tables)
-        targets = np.full((self.n, width + 1), -1, dtype=np.intp)
-        cum = np.full((self.n, width), np.inf)
-        for x, (t, c) in enumerate(self._walk_tables):
-            targets[x, :len(t)] = t
-            cum[x, :len(c)] = c
+        """Each vertex's neighbors in index order, padded to one width:
+        targets with -1 (death) after the last neighbor, and the cumulative
+        jump probabilities C[x, y] / lam[x] over them, padded with inf."""
+        edge = self.graph.conductance > 0
+        degree = edge.sum(axis=1)
+        slot = np.arange(degree.max()) < degree[:, None]
+        targets = np.full((self.n, slot.shape[1] + 1), -1, dtype=np.intp)
+        targets[np.nonzero(slot)] = np.nonzero(edge)[1]
+        weights = np.zeros(slot.shape)
+        weights[slot] = self.graph.conductance[edge]
+        # the zero padding follows the neighbors, so the cumulative sums over
+        # them are the unpadded ones
+        cum = np.where(slot, np.cumsum(weights, axis=1) / self.lam[:, None], np.inf)
         return targets, cum
 
     def walk_steps(self, xs: np.ndarray, u: np.ndarray) -> np.ndarray:

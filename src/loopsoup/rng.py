@@ -25,13 +25,6 @@ SCHEME = {"generator": "Philox4x64-10", "key": "(seed, block)", "block": BLOCK}
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Accept an int seed or a ready Generator and return a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def stream_seed(seed) -> int:
     """The master seed of a (seed, block) stream family; integers only."""
     if not isinstance(seed, Integral):

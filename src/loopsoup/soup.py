@@ -14,9 +14,10 @@ Two independent samplers produce the ensemble law:
 Monte Carlo runs go through a replica axis: direct_block and wilson_counts
 draw a whole block of replicas from one generator as arrays, and
 network_histogram and occupation_samples reduce the blocks of a run (see
-rng for the (seed, block) streams).  direct_sample is the single-replica
-view of direct_block; wilson_sample keeps one ensemble's spanning tree and
-loops, which the block form does not build.
+rng for the (seed, block) streams).  The single-ensemble samplers are
+one-replica views: direct_sample of direct_block, and wilson_sample of the
+cycle-popping walk that wilson_counts reduces to jump networks; only the
+view builds the spanning tree, the loops and their holding times.
 
 Loops of a LoopSoup are stored as shift-equivalence representatives, rotated
 so the minimal vertex index comes first (ties broken by the lexicographically
@@ -27,6 +28,7 @@ counts, occupation) are compared across samplers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -37,7 +39,7 @@ import numpy as np
 from .errors import BadIntensity, UnknownSampler
 from .graphs import ChainKernel, WeightedGraph
 from .network import Network
-from .rng import as_generator, replica_map
+from .rng import replica_map
 
 
 @dataclass(frozen=True)
@@ -99,81 +101,56 @@ def _canonical(verts, times) -> tuple:
 def wilson_sample(kernel: ChainKernel, seed) -> tuple:
     """Run loop-erased walks to the cemetery; return (parents, LoopSoup at 1).
 
-    parents[x] is the tree parent of x, -1 meaning the cemetery.  The erased
-    cycles at each vertex are regrouped into loops by a Poisson-Dirichlet(0,1)
-    split of the vertex's base local time; stick mass not claimed by any cycle
-    becomes one-point loop time.
+    The one-replica view of wilson_counts: its walk at size 1 on
+    np.random.default_rng(seed), then one Exp(1) holding time per visit.
+    parents[x] is the tree parent of x, the walk's last exit from x, -1
+    meaning the cemetery.  The erased cycles at each vertex are regrouped
+    into loops by a Poisson-Dirichlet(0,1) split of the vertex's base local
+    time; stick mass not claimed by any cycle becomes one-point loop time.
     """
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     n = kernel.n
-    settled = [False] * n
-    parent = [-1] * n
+    jumps, exit_to, steps = _cycle_popping_walk(kernel, 1, rng)
+    visits = (jumps // (n + 1) - 1).tolist()  # index // (n + 1): the cell 1 + x a jump leaves
     cycles_at: list = [[] for _ in range(n)]
-    leftover = [0.0] * n
-
-    for start in range(n):
-        if settled[start]:
+    # a phase never visits a vertex an earlier phase settled, so one loop
+    # erasure over all visits erases each phase's cycles and keeps each
+    # vertex's last visit, whose hold is its base time outside the cycles
+    path, holds, pos = [], [], {}
+    for x, hold in zip(visits, rng.standard_exponential(steps).tolist()):
+        j = pos.get(x)
+        if j is None:
+            pos[x] = len(path)
+            path.append(x)
+            holds.append(hold)
             continue
-        path = [start]
-        pos = {start: 0}
-        holds = [rng.standard_exponential()]
-        while True:
-            y = path[-1]
-            z = kernel.walk_step(y, rng)
-            if z == -1 or settled[z]:
-                for i, v in enumerate(path):
-                    settled[v] = True
-                    parent[v] = path[i + 1] if i + 1 < len(path) else (-1 if z == -1 else z)
-                    leftover[v] = holds[i]
-                break
-            j = pos.get(z)
-            if j is not None:
-                # walk returned to z: erase the cycle, keep its visit times
-                cycles_at[z].append((holds[j], tuple(path[j + 1:]), tuple(holds[j + 1:])))
-                for v in path[j + 1:]:
-                    del pos[v]
-                del path[j + 1:]
-                del holds[j + 1:]
-                holds[j] = rng.standard_exponential()
-            else:
-                path.append(z)
-                pos[z] = len(path) - 1
-                holds.append(rng.standard_exponential())
+        # walk returned to x: erase the cycle, keep its visit times
+        cycles_at[x].append((holds[j], tuple(path[j + 1:]), tuple(holds[j + 1:])))
+        for v in path[j + 1:]:
+            del pos[v]
+        del path[j + 1:], holds[j + 1:]
+        holds[j] = hold
 
     loops = []
     trivial = np.zeros(n)
     for z in range(n):
         cycles = cycles_at[z]
-        base_total = leftover[z] + sum(c[0] for c in cycles)
-        if not cycles:
-            trivial[z] = base_total
-            continue
+        base_total = holds[pos[z]] + sum(c[0] for c in cycles)
         # size-biased i.i.d. allocation of cycles onto PD(0,1) sticks,
         # generated lazily by uniform stick breaking
         fracs: list = []
         cum: list = []
         rem = 1.0
-        assignment = []
-        for _ in cycles:
+        by_stick: dict = {}
+        for idx in range(len(cycles)):
             u = rng.random()
             while not cum or u >= cum[-1]:
                 piece = rem * rng.random()
                 fracs.append(piece)
                 rem -= piece
                 cum.append(1.0 - rem)
-            lo = 0
-            hi = len(cum) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if u < cum[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            assignment.append(lo)
+            by_stick.setdefault(bisect_right(cum, u), []).append(idx)
         used = 0.0
-        by_stick: dict = {}
-        for idx, stick in enumerate(assignment):
-            by_stick.setdefault(stick, []).append(idx)
         for stick in sorted(by_stick):
             members = by_stick[stick]
             stick_time = fracs[stick] * base_total
@@ -196,9 +173,9 @@ def wilson_sample(kernel: ChainKernel, seed) -> tuple:
         alpha=1.0,
         loops=tuple(loops),
         trivial_time=trivial,
-        meta={"sampler": "wilson"},
+        meta={"sampler": "wilson", "walk_steps": steps},
     )
-    return tuple(parent), soup
+    return tuple((exit_to[1:] - 1).tolist()), soup
 
 
 def _check_alpha(alpha: float) -> None:
@@ -396,7 +373,7 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng,
 def direct_sample(kernel: ChainKernel, alpha: float, eps: float = 1e-9, seed=None) -> LoopSoup:
     """One ensemble: the single-replica view of direct_block, with every loop
     rotated to its canonical representative."""
-    block = direct_block(kernel, alpha, 1, as_generator(seed), eps=eps, times=True)
+    block = direct_block(kernel, alpha, 1, np.random.default_rng(seed), eps=eps, times=True)
     loops = []
     for group in block.groups:
         for verts, times in zip(group.vertices.tolist(), group.times.tolist()):
@@ -415,24 +392,25 @@ def direct_sample(kernel: ChainKernel, alpha: float, eps: float = 1e-9, seed=Non
     )
 
 
-def wilson_counts(kernel: ChainKernel, size: int, rng) -> tuple:
-    """Jump networks of `size` cycle-popping ensembles, all from one generator.
+def _cycle_popping_walk(kernel: ChainKernel, size: int, rng) -> tuple:
+    """The loop-erased walks of `size` cycle-popping replicas, all from one
+    generator.
 
-    The network of wilson_sample is every walk transition minus the tree
-    edges x -> parent(x), and the tree parent of x is where the walk went on
-    its last exit from x.  So the Poisson-Dirichlet split and the holding
-    times do not matter here, and the walks of all replicas run in lockstep,
-    one uniform per walking replica per round.  A walk's phase ends at the
-    cemetery or at a settled vertex; the loop-erased path is then settled
-    by following last exits from the phase's start, and the replica starts
-    its next phase at its first unsettled vertex.  A settled vertex is never
-    left again, so its last exit stays its tree edge.
+    The walks of all replicas run in lockstep, one uniform per walking
+    replica per round.  A walk's phase ends at the cemetery or at a settled
+    vertex; the loop-erased path is then settled by following last exits
+    from the phase's start, and the replica starts its next phase at its
+    first unsettled vertex.  A settled vertex is never left again, so its
+    last exit stays its tree edge.
 
     State lives in flat arrays of cells: replica r owns cells r * (n + 1)
     onwards, the first one its cemetery (always settled) and 1 + x its
     vertex x.  The kernel is read only through n and walk_steps.
 
-    Returns the (size, n, n) counts and block diagnostics (walk steps).
+    Returns the raw walk: every jump, in round order, as the index
+    cell * (n + 1) + 1 + z of a step from `cell` to its replica's vertex z
+    (z = -1 the cemetery); exit_to, the cell of each cell's last exit (a
+    cemetery cell's own); and the number of steps.
     """
     n = kernel.n
     w = n + 1
@@ -468,12 +446,25 @@ def wilson_counts(kernel: ChainKernel, size: int, rng) -> tuple:
             first = np.where(settled[zero + x], first, x)
         start[ended] = zero + first
         pos[ended] = first
-        stop = ended[first == n]
-        if len(stop):
-            walking = np.ones(len(row), dtype=bool)
-            walking[stop] = False
+        if (first == n).any():  # a replica with every vertex settled (start = row + n) stops
+            walking = start < row + n
             row, start, pos = row[walking], start[walking], pos[walking]
-    counts = np.bincount(_concat(jumps, np.intp), minlength=size * w * w)
+    return _concat(jumps, np.intp), exit_to, steps
+
+
+def wilson_counts(kernel: ChainKernel, size: int, rng) -> tuple:
+    """Jump networks of `size` cycle-popping ensembles, all from one generator.
+
+    The network is every walk transition minus the tree edges x -> parent(x),
+    the walk's last exits, so only the walk (_cycle_popping_walk) is drawn:
+    the holding times and the Poisson-Dirichlet split do not matter here.
+    At size 1 the walk is wilson_sample's.
+
+    Returns the (size, n, n) counts and block diagnostics (walk steps).
+    """
+    jumps, exit_to, steps = _cycle_popping_walk(kernel, size, rng)
+    w = kernel.n + 1
+    counts = np.bincount(jumps, minlength=size * w * w)
     cells = np.arange(size * w)
     counts[cells * w + exit_to - cells // w * w] -= 1  # the tree edges
     return counts.reshape(size, w, w)[:, 1:, 1:], {"replicas": size, "walk_steps": steps}

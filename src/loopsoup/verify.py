@@ -40,7 +40,7 @@ from .graphs import WeightedGraph, build_kernel
 from .homology import cycle_basis, homology_distribution, jacobian_volume, network_homology_class
 from .network import Network
 from .reports import TestReport
-from .rng import SCHEME, as_generator
+from .rng import SCHEME
 from .soup import network_histogram
 
 DEFAULT_SEED = 20260816
@@ -227,7 +227,7 @@ def check_generating_function(replicas: int = DEFAULT_REPLICAS, seed: int = DEFA
     """Monte Carlo mean of the edge-count pairing against the determinant
     ratio, on the triangle, for random Hermitian modifiers."""
     kernel = build_kernel(triangle_graph())
-    rng = as_generator(seed + 30)
+    rng = np.random.default_rng(seed + 30)
     modifiers = [_random_hermitian_modifier(kernel.n, rng) for _ in range(n_modifiers)]
     report = TestReport(name="generating-function", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 4, "graph": "triangle", "replicas": replicas,
@@ -408,7 +408,7 @@ def random_eulerian_network(graph: WeightedGraph, rng, max_total: int = 8) -> Ne
 def check_tour_count(seed: int = DEFAULT_SEED, cases: int = 24) -> TestReport:
     """Arborescence tour formula against exhaustive enumeration on random
     balanced networks over three reference graphs."""
-    rng = as_generator(seed + 31)
+    rng = np.random.default_rng(seed + 31)
     graphs = [two_point_graph(), triangle_graph(), complete4_graph()]
     report = TestReport(name="tour-count", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 9, "cases": cases})
@@ -510,7 +510,7 @@ def random_connected_graph(rng, max_extra_edges: int = 4,
 def check_jacobian_volume(seed: int = DEFAULT_SEED, cases: int = 20) -> TestReport:
     """Harmonic-Gram route and tree-weight route to the torus volume on
     random conductance graphs."""
-    rng = as_generator(seed + 32)
+    rng = np.random.default_rng(seed + 32)
     report = TestReport(name="jacobian-volume", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 11, "cases": cases})
     worst = 0.0

@@ -1,5 +1,6 @@
 """Brute-force references for the exact array kernels, and the earlier
-forms of the Monte Carlo block kernels and of the reductions over a run.
+forms of the Monte Carlo block kernels, of the scalar chain step and of the
+reductions over a run.
 
 Each exact reference enumerates everything it sums over, so they are slow
 and only fit small inputs; the tests compare the fast kernels against them.
@@ -11,6 +12,7 @@ their replacements, so those tests demand exact equality too.
 """
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
@@ -109,6 +111,27 @@ def network_prob_alpha(kernel, k, alpha: float) -> float:
     for x, y in zip(*np.nonzero(counts)):
         weight *= kernel.P[x, y] ** int(counts[x, y])
     return float(kernel.det_i_minus_p**alpha * weight)
+
+
+def walk_tables(kernel) -> list:
+    """Per vertex, its neighbors and the cumulative jump probabilities to
+    them, as lists."""
+    tables = []
+    for x in range(kernel.n):
+        targets = np.flatnonzero(kernel.graph.conductance[x] > 0)
+        cum = np.cumsum(kernel.graph.conductance[x, targets]) / kernel.lam[x]
+        tables.append((targets.tolist(), cum.tolist()))
+    return tables
+
+
+def walk_step(kernel, x: int, rng) -> int:
+    """One jump of the chain from x; returns the target index or -1 for death."""
+    targets, cum = walk_tables(kernel)[x]
+    u = rng.random()
+    i = bisect_right(cum, u)
+    if i >= len(targets):
+        return -1
+    return targets[i]
 
 
 def walk_steps(kernel, xs: np.ndarray, u: np.ndarray) -> np.ndarray:

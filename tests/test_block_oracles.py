@@ -104,6 +104,16 @@ def test_direct_block_without_the_table(monkeypatch):
         _compare_direct(KERNELS[name], 2.0, 300, 11, True)
 
 
+class _Uniform:
+    """A generator stub whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 def test_walk_steps_matches_row_sum():
     rng = np.random.default_rng(5)
     for kernel in KERNELS.values():
@@ -116,6 +126,14 @@ def test_walk_steps_matches_row_sum():
         edge = cum[x, col]
         for u in (edge, np.nextafter(edge, 0), np.nextafter(edge, 1)):
             assert np.array_equal(kernel.walk_steps(x, u), oracles.walk_steps(kernel, x, u))
+        # walk_step, the one-walker view, against its bisect form on the same
+        # boundaries, read from the unpadded tables, and around 0, 0.5 and 1
+        # (the only uniforms of the single vertex, whose table has width 0)
+        for x, (_, cum) in enumerate(oracles.walk_tables(kernel)):
+            for edge in cum + [0.0, 0.5, np.nextafter(1.0, 0.0)]:
+                for u in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)):
+                    step = kernel.walk_step(x, _Uniform(float(u)))
+                    assert step == oracles.walk_step(kernel, x, _Uniform(float(u)))
 
 
 def test_bridge_pick_on_boundaries():

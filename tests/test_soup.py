@@ -35,8 +35,16 @@ from loopsoup import (
     wilson_counts,
     wilson_sample,
 )
+from loopsoup import soup as soup_module
 from loopsoup.cli import main
 from loopsoup.soup import BasedLoop, _canonical
+from loopsoup.verify import (
+    complete4_graph,
+    path3_graph,
+    single_vertex_graph,
+    triangle_graph,
+    two_point_graph,
+)
 
 
 def _assert_canonical(loop: BasedLoop):
@@ -177,6 +185,27 @@ def test_single_sample_is_the_block_view(triangle_kernel):
         block = direct_block(triangle_kernel, 1.3, 1, np.random.default_rng(seed), times=True)
         assert np.array_equal(jump_matrix(soup).counts, block.counts()[0])
         assert occupation(soup, triangle_kernel) == pytest.approx(block.occupation()[0])
+
+
+@pytest.mark.parametrize("graph", [two_point_graph, triangle_graph, path3_graph,
+                                   complete4_graph, single_vertex_graph])
+def test_wilson_sample_is_the_walk_view(graph):
+    # wilson_sample reads the one-replica cycle-popping walk of wilson_counts
+    # and then draws one holding time per visit
+    kernel = build_kernel(graph())
+    n = kernel.n
+    for seed in range(50):
+        parents, soup = wilson_sample(kernel, seed)
+        counts, _ = wilson_counts(kernel, 1, np.random.default_rng(seed))
+        assert np.array_equal(jump_matrix(soup).counts, counts[0])
+        rng = np.random.default_rng(seed)
+        jumps, _, steps = soup_module._cycle_popping_walk(kernel, 1, rng)
+        src, dst = np.divmod(jumps, n + 1)
+        last_exit = dict(zip((src - 1).tolist(), (dst - 1).tolist()))
+        assert parents == tuple(last_exit[x] for x in range(n))
+        held = np.bincount(src - 1, weights=rng.standard_exponential(steps), minlength=n)
+        assert occupation(soup, kernel) * kernel.lam == pytest.approx(held, rel=1e-12)
+        assert soup.meta["walk_steps"] == steps
 
 
 def test_block_reductions_match_loop_reference(triangle_kernel):

@@ -22,6 +22,7 @@ from loopsoup import (
     direct_sample,
     network_histogram,
     occupation_samples,
+    wilson_sample,
 )
 from loopsoup.verify import run_all, triangle_graph, two_point_graph
 
@@ -43,6 +44,7 @@ HISTOGRAMS = {
 }
 OCCUPATION = "296ea3ae0fa522581c05a67c3a5d29f2cf87bcaca210eb69320bae3156082184"
 DIRECT_SAMPLES = "71c614465a3f93c2807d06617dfddb36aaecea2ddfbd1de7470e9ec4448d2341"
+WILSON_SAMPLES = "ec4ff36a09b6068b9a1692d3ee175681a2b726931dfc8e53067b3bf100fdf43b"
 BATTERY_REPLICAS = 20_000
 BATTERY = "9bb2d04323a4420275b8ad4a5874dcb759678b14c18c1a032ee0ba29bb8cf5f9"
 
@@ -75,6 +77,13 @@ def direct_samples_digest() -> str:
     return _sha(repr([(soup.loops, soup.trivial_time.tolist()) for soup in soups]))
 
 
+def wilson_samples_digest() -> str:
+    kernel = _kernel("triangle")
+    samples = [wilson_sample(kernel, seed) for seed in range(10)]
+    return _sha(repr([(parents, soup.loops, soup.trivial_time.tolist())
+                      for parents, soup in samples]))
+
+
 def battery_digest() -> str:
     lines = [(report.name, line.statistic, line.lhs, line.rhs, line.stderr, line.z,
               line.passed, line.note)
@@ -96,6 +105,10 @@ def test_direct_sample_streams():
     assert direct_samples_digest() == DIRECT_SAMPLES
 
 
+def test_wilson_sample_streams():
+    assert wilson_samples_digest() == WILSON_SAMPLES
+
+
 def test_battery_statistics():
     assert battery_digest() == BATTERY
 
@@ -105,4 +118,5 @@ if __name__ == "__main__":
         print(key, histogram_digest(*key))
     print("occupation", occupation_digest())
     print("direct_sample", direct_samples_digest())
+    print("wilson_sample", wilson_samples_digest())
     print("battery", battery_digest())
