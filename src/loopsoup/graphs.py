@@ -111,13 +111,18 @@ class WeightedGraph:
         for key in ("vertices", "edges"):
             if key not in data:
                 raise BadGraph(f"{where}: missing required field {key!r}")
+            if not isinstance(data[key], list):
+                raise BadGraph(f"{where}: field {key!r} must be an array")
+        killing = data.get("killing")
+        if killing is not None and not isinstance(killing, dict):
+            raise BadGraph(f"{where}: field 'killing' must be an object")
         edges = []
         for pos, e in enumerate(data["edges"]):
             if not isinstance(e, dict) or not {"u", "v", "c"} <= set(e):
                 raise BadGraph(f"{where}: edges[{pos}] must be an object with u, v, c")
             edges.append((e["u"], e["v"], e["c"]))
         try:
-            return cls.build(data["vertices"], edges, data.get("killing", {}))
+            return cls.build(data["vertices"], edges, killing)
         except BadGraph as exc:
             raise BadGraph(f"{where}: {exc}") from None
 
@@ -262,10 +267,6 @@ class ChainKernel:
         products agree between the two normalizations.
         """
         return self.graph.conductance / self.lam[:, None]
-
-    @cached_property
-    def death_prob(self) -> np.ndarray:
-        return self.graph.killing / self.lam
 
     @cached_property
     def sym_eigs(self) -> np.ndarray:

@@ -125,23 +125,29 @@ class HomologyClass:
         return HomologyClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
 
-def network_homology_class(k: Network, basis: CycleBasis) -> HomologyClass:
-    """Coordinates of the antisymmetric part of k in the cycle basis.
+def _class_coords(counts: np.ndarray, basis: CycleBasis) -> np.ndarray:
+    """Cycle-basis coordinates of a stack of count matrices, shape (R, n, n)
+    in, (R, basis.n) out: the crossing flow at each non-tree edge.
 
     The crossing flow k_{xy} - k_{yx} of a balanced network is an integer
     circulation, hence an exact integer combination of the fundamental
     cycles; the residual is asserted to vanish.
     """
-    if not k.is_eulerian():
+    if (counts.sum(axis=2) != counts.sum(axis=1)).any():
         raise NotEulerian("network is not balanced")
-    flow = k.counts - k.counts.T
-    coords = tuple(int(flow[u, v]) for u, v in basis.nontree_edges)
-    residual = flow.astype(np.int64)
-    for j, c in zip(coords, basis.cycles):
-        residual = residual - j * c
-    if residual.any():
+    flow = counts - counts.transpose(0, 2, 1)
+    u, v = np.array(basis.nontree_edges, dtype=np.intp).reshape(-1, 2).T
+    coords = flow[:, u, v]
+    cycles = np.array(basis.cycles, dtype=np.int64).reshape(-1, *flow.shape[1:])
+    if (flow - np.tensordot(coords, cycles, axes=1)).any():
         raise NonIntegral("crossing flow is not an integer span of the cycle basis")
-    return HomologyClass(coords)
+    return coords
+
+
+def network_homology_class(k: Network, basis: CycleBasis) -> HomologyClass:
+    """Coordinates of the antisymmetric part of k in the cycle basis: the
+    one-network view of the stacked pass above."""
+    return HomologyClass(tuple(_class_coords(k.counts[None], basis)[0].tolist()))
 
 
 @dataclass(frozen=True)

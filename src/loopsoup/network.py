@@ -52,7 +52,13 @@ class Network:
     def from_json_dict(cls, graph: WeightedGraph, data) -> "Network":
         if not isinstance(data, dict) or "counts" not in data:
             raise BadGraph("network data must be an object with a 'counts' matrix")
-        return cls(graph, np.asarray(data["counts"]))
+        try:
+            counts = np.asarray(data["counts"])
+            if counts.dtype.kind not in "biuf":
+                raise ValueError
+        except ValueError:  # ragged rows, strings or nulls
+            raise BadGraph("network counts must be a matrix of numbers") from None
+        return cls(graph, counts)
 
     def to_json_dict(self) -> dict:
         return {"counts": self.counts.tolist()}
@@ -69,11 +75,6 @@ class Network:
     @cached_property
     def in_degrees(self) -> np.ndarray:
         return self.counts.sum(axis=0)
-
-    @cached_property
-    def vertex_counts(self) -> np.ndarray:
-        """Visits per vertex; equals out_degrees for an Eulerian network."""
-        return self.out_degrees
 
     def is_eulerian(self) -> bool:
         """Balanced at every vertex: out-count equals in-count."""

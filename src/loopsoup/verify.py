@@ -1,10 +1,14 @@
 """Verification battery: every advertised identity checked end to end.
 
-The module owns the small reference chains, the shared Monte Carlo
-histograms, and one check function per guarantee.  run_all executes the
-battery in a fixed order, drawing each expensive ensemble once and passing
-it to every check that can reuse it.  Checks return TestReports; nothing
-here raises on a statistical miss, only on broken preconditions.
+The module owns the small reference chains and one check function per
+guarantee.  run_all executes the battery in a fixed order.  It draws the
+seven shared Monte Carlo ensembles (network histograms) once and hands them
+to the checks that read them; those checks only reduce what they are given.
+Checks 5 and 6 draw their own occupation and excursion samples, and the
+exact checks draw no Monte Carlo samples.  The settings that run_all does
+not vary are module constants, recorded in each report's meta.  Checks
+return TestReports; nothing here raises on a statistical miss, only on
+broken preconditions.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .fields import (
     verify_moment_formula,
 )
 from .graphs import WeightedGraph, build_kernel
-from .homology import cycle_basis, homology_distribution, jacobian_volume, network_homology_class
+from .homology import _class_coords, cycle_basis, homology_distribution, jacobian_volume
 from .network import Network
 from .reports import TestReport
 from .rng import SCHEME
@@ -45,6 +49,12 @@ from .soup import network_histogram
 
 DEFAULT_SEED = 20260816
 DEFAULT_REPLICAS = 100_000
+ROUTES_MAX_TOTAL = 6  # check 3: largest network size on which the two routes are compared
+N_MODIFIERS = 5  # check 4: random Hermitian modifiers per intensity
+RAY_KNIGHT_RHO = 1.0  # check 6: local time at which the chain is stopped
+TOUR_CASES = 24  # check 9: random balanced networks
+DELTA_TWO_POINT = 1e-6  # check 10: mass budget of the two-point enumeration
+JACOBIAN_CASES = 20  # check 11: random conductance graphs
 
 
 # ---------------------------------------------------------------- reference chains
@@ -142,43 +152,30 @@ def _all_balanced_up_to(graph: WeightedGraph, max_total: int) -> list:
 
 # ---------------------------------------------------------------- check functions
 
-def check_geometric_law(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
-                        workers: int = 1, histogram: Counter | None = None,
-                        hist_seconds: float = 0.0) -> TestReport:
+def check_geometric_law(histogram: Counter, hist_seconds: float) -> TestReport:
     """Round-trip count on the two-point chain under the cycle-popping
     sampler follows the ratio-1/4 geometric law."""
     t0 = time.perf_counter()
-    kernel = build_kernel(two_point_graph())
-    if histogram is None:
-        h0 = time.perf_counter()
-        histogram = network_histogram(kernel, replicas, seed, "wilson", workers=workers)
-        hist_seconds = time.perf_counter() - h0
-    replicas = sum(histogram.values())
     marginal = normalize_counter(edge_marginal(histogram, 0, 1))
     n_max = max(marginal) + 10
     exact = {n: geometric_pmf(n) for n in range(n_max + 1)}
     report = TestReport(name="geometric-law", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 1, "graph": "two-point", "sampler": "wilson",
-                        "replicas": replicas})
+                        "replicas": sum(histogram.values())})
     _record_sampling(report, {"wilson": histogram})
     report.add_bound("TV(empirical, geometric)", tv_distance(marginal, exact), 0.02)
     report.add_bound("runtime_seconds", hist_seconds + (time.perf_counter() - t0), 60.0)
     return report
 
 
-def check_negative_binomial(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
-                            workers: int = 1, histograms: dict | None = None) -> TestReport:
-    """Two-point round-trip count at fractional and doubled intensity."""
-    kernel = build_kernel(two_point_graph())
+def check_negative_binomial(histograms: dict) -> TestReport:
+    """Two-point round-trip count at fractional and doubled intensity;
+    histograms maps each intensity to its direct-sampler histogram."""
     report = TestReport(name="negative-binomial", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 2, "graph": "two-point", "sampler": "direct",
-                        "replicas": replicas})
+                        "replicas": min(sum(h.values()) for h in histograms.values())})
     used = {}
-    for offset, alpha in enumerate((0.5, 2.0), start=1):
-        hist = histograms.get(alpha) if histograms else None
-        if hist is None:
-            hist = network_histogram(kernel, replicas, seed + offset, "direct",
-                                     alpha=alpha, workers=workers)
+    for alpha, hist in histograms.items():
         used[f"alpha={alpha}"] = hist
         marginal = normalize_counter(edge_marginal(hist, 0, 1))
         n_max = max(marginal) + 10
@@ -189,17 +186,17 @@ def check_negative_binomial(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAUL
     return report
 
 
-def check_alpha_routes_agree(max_total: int = 6) -> TestReport:
+def check_alpha_routes_agree() -> TestReport:
     """The general-alpha network law at intensity one, the loop-measure
     Poisson series over the sub-circulations of each network, equals the
     factorial closed form on every balanced network up to the size cap."""
     report = TestReport(name="network-law-routes", conventions=dict(CONVENTIONS))
-    report.meta.update({"check": 3, "max_total": max_total})
+    report.meta.update({"check": 3, "max_total": ROUTES_MAX_TOTAL})
     for label, graph in (("two-point", two_point_graph()), ("triangle", triangle_graph())):
         kernel = build_kernel(graph)
         worst = 0.0
         count = 0
-        for net in _all_balanced_up_to(graph, max_total):
+        for net in _all_balanced_up_to(graph, ROUTES_MAX_TOTAL):
             a = exact_network_prob_alpha(kernel, net, 1.0)
             b = exact_network_prob_alpha1(kernel, net)
             worst = max(worst, abs(a - b))
@@ -221,23 +218,20 @@ def _random_hermitian_modifier(n: int, rng) -> ModifierMatrix:
     return ModifierMatrix(z)
 
 
-def check_generating_function(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
-                              workers: int = 1, histograms: dict | None = None,
-                              n_modifiers: int = 5) -> TestReport:
+def check_generating_function(seed: int, histograms: dict) -> TestReport:
     """Monte Carlo mean of the edge-count pairing against the determinant
-    ratio, on the triangle, for random Hermitian modifiers."""
+    ratio, on the triangle, for random Hermitian modifiers; histograms maps
+    the intensities 0.5, 1 and 2 to their direct-sampler histograms."""
     kernel = build_kernel(triangle_graph())
     rng = np.random.default_rng(seed + 30)
-    modifiers = [_random_hermitian_modifier(kernel.n, rng) for _ in range(n_modifiers)]
+    modifiers = [_random_hermitian_modifier(kernel.n, rng) for _ in range(N_MODIFIERS)]
     report = TestReport(name="generating-function", conventions=dict(CONVENTIONS))
-    report.meta.update({"check": 4, "graph": "triangle", "replicas": replicas,
-                        "n_modifiers": n_modifiers})
+    report.meta.update({"check": 4, "graph": "triangle",
+                        "replicas": min(sum(h.values()) for h in histograms.values()),
+                        "n_modifiers": N_MODIFIERS})
     used = {}
-    for offset, alpha in enumerate((0.5, 1.0, 2.0)):
-        hist = histograms.get(alpha) if histograms else None
-        if hist is None:
-            hist = network_histogram(kernel, replicas, seed + 3 + offset, "direct",
-                                     alpha=alpha, workers=workers)
+    for alpha in (0.5, 1.0, 2.0):
+        hist = histograms[alpha]
         used[f"alpha={alpha}"] = hist
         total = sum(hist.values())
         keys = list(hist.keys())
@@ -279,23 +273,20 @@ def check_isomorphism(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED
     return report
 
 
-def check_ray_knight(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
-                     rho: float = 1.0) -> TestReport:
+def check_ray_knight(replicas: int = DEFAULT_REPLICAS,
+                     seed: int = DEFAULT_SEED) -> TestReport:
     """Stopped local-time identity on the path with killing at one end; the
     chain starts and stops where the killing sits, so every excursion into
     the rest of the path returns almost surely."""
     kernel = build_kernel(path3_graph())
-    report = ray_knight_check(kernel, "a", rho, replicas, seed + 25)
+    report = ray_knight_check(kernel, "a", RAY_KNIGHT_RHO, replicas, seed + 25)
     report.meta["check"] = 6
     return report
 
 
-def check_moment_formula(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
-                         histogram: Counter | None = None) -> TestReport:
+def check_moment_formula(replicas: int, seed: int, histogram: Counter) -> TestReport:
     """Two-point closed-form moments: single edge, vertex visit, cross pair."""
     kernel = build_kernel(two_point_graph())
-    if histogram is None:
-        histogram = network_histogram(kernel, replicas, seed, "wilson")
     report = TestReport(name="moment-formula", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 7, "graph": "two-point",
                         "replicas": sum(histogram.values())})
@@ -315,13 +306,10 @@ def check_moment_formula(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_S
     return report
 
 
-def check_det_identity(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
-                       histogram: Counter | None = None) -> TestReport:
+def check_det_identity(replicas: int, seed: int, histogram: Counter) -> TestReport:
     """Random-generator determinant mean on the two-point chain, at the
     duality weights and at their double."""
     kernel = build_kernel(two_point_graph())
-    if histogram is None:
-        histogram = network_histogram(kernel, replicas, seed, "wilson")
     report = TestReport(name="det-identity", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 8, "graph": "two-point",
                         "replicas": sum(histogram.values())})
@@ -405,16 +393,16 @@ def random_eulerian_network(graph: WeightedGraph, rng, max_total: int = 8) -> Ne
     return Network(graph, counts)
 
 
-def check_tour_count(seed: int = DEFAULT_SEED, cases: int = 24) -> TestReport:
+def check_tour_count(seed: int = DEFAULT_SEED) -> TestReport:
     """Arborescence tour formula against exhaustive enumeration on random
     balanced networks over three reference graphs."""
     rng = np.random.default_rng(seed + 31)
     graphs = [two_point_graph(), triangle_graph(), complete4_graph()]
     report = TestReport(name="tour-count", conventions=dict(CONVENTIONS))
-    report.meta.update({"check": 9, "cases": cases})
+    report.meta.update({"check": 9, "cases": TOUR_CASES})
     worst = 0
     checked = 0
-    while checked < cases:
+    while checked < TOUR_CASES:
         graph = graphs[checked % len(graphs)]
         net = random_eulerian_network(graph, rng)
         if net.total == 0:
@@ -428,8 +416,7 @@ def check_tour_count(seed: int = DEFAULT_SEED, cases: int = 24) -> TestReport:
     return report
 
 
-def check_mu_measure(delta_two_point: float = 1e-6,
-                     delta_triangle: float = 1e-3) -> TestReport:
+def check_mu_measure(delta_triangle: float = 1e-3) -> TestReport:
     """Loop-measure mass by network enumeration against the determinant,
     plus exact reconstruction of the intensity-1 law from the measure.
 
@@ -437,19 +424,18 @@ def check_mu_measure(delta_two_point: float = 1e-6,
     is reported as a failed line, not raised.
     """
     report = TestReport(name="mu-measure", conventions=dict(CONVENTIONS))
-    report.meta.update({"check": 10, "delta_two_point": delta_two_point,
+    report.meta.update({"check": 10, "delta_two_point": DELTA_TWO_POINT,
                         "delta_triangle": delta_triangle})
     try:
-        _mu_measure_lines(report, delta_two_point, delta_triangle)
+        _mu_measure_lines(report, delta_triangle)
     except BudgetExceeded as exc:
         report.add_bound("enumerations past the |k| cap", 1.0, 0.0, note=str(exc))
     return report
 
 
-def _mu_measure_lines(report: TestReport, delta_two_point: float,
-                      delta_triangle: float) -> None:
+def _mu_measure_lines(report: TestReport, delta_triangle: float) -> None:
     kernel2 = build_kernel(two_point_graph())
-    entries2 = enumerate_eulerian(kernel2, delta_two_point)
+    entries2 = enumerate_eulerian(kernel2, DELTA_TWO_POINT)
     mu_sum2 = sum(e.mu_mass for e in entries2 if e.network.total > 0)
     report.add_bound("two-point |sum mu - mass|",
                      abs(mu_sum2 - kernel2.mu_mass), 1e-6,
@@ -478,7 +464,7 @@ def _mu_measure_lines(report: TestReport, delta_two_point: float,
                      abs(mu_sum3 - kernel3.mu_mass), 1e-6,
                      note=f"{len(entries3)} networks, analytic tail {tail:.3e}")
 
-    for label, kernel, delta in (("two-point", kernel2, delta_two_point),
+    for label, kernel, delta in (("two-point", kernel2, DELTA_TWO_POINT),
                                  ("triangle", kernel3, delta_triangle)):
         conv = verify_poisson_convolution(kernel, delta)
         for line in conv.lines:
@@ -507,15 +493,15 @@ def random_connected_graph(rng, max_extra_edges: int = 4,
     return WeightedGraph.build(verts, edges, {kill_at: float(0.5 + rng.random())})
 
 
-def check_jacobian_volume(seed: int = DEFAULT_SEED, cases: int = 20) -> TestReport:
+def check_jacobian_volume(seed: int = DEFAULT_SEED) -> TestReport:
     """Harmonic-Gram route and tree-weight route to the torus volume on
     random conductance graphs."""
     rng = np.random.default_rng(seed + 32)
     report = TestReport(name="jacobian-volume", conventions=dict(CONVENTIONS))
-    report.meta.update({"check": 11, "cases": cases})
+    report.meta.update({"check": 11, "cases": JACOBIAN_CASES})
     worst = 0.0
     degenerate = 0
-    for _ in range(cases):
+    for _ in range(JACOBIAN_CASES):
         graph = random_connected_graph(rng)
         vol = jacobian_volume(graph)
         if vol.degenerate:
@@ -523,30 +509,24 @@ def check_jacobian_volume(seed: int = DEFAULT_SEED, cases: int = 20) -> TestRepo
         worst = max(worst, abs(vol.via_intersection - vol.via_trees)
                     / abs(vol.via_trees))
     report.add_bound("max relative route difference", worst, 1e-10,
-                     note=f"{cases} graphs, {degenerate} without cycles")
+                     note=f"{JACOBIAN_CASES} graphs, {degenerate} without cycles")
     return report
 
 
-def check_homology_distribution(replicas: int = DEFAULT_REPLICAS,
-                                seed: int = DEFAULT_SEED, grid: int = 64,
-                                workers: int = 1,
-                                histogram: Counter | None = None,
-                                hist_seconds: float = 0.0) -> TestReport:
+def check_homology_distribution(grid: int, histogram: Counter,
+                                hist_seconds: float) -> TestReport:
     """Fourier-inverted winding-number law on the triangle against Monte
     Carlo class frequencies."""
     t0 = time.perf_counter()
     kernel = build_kernel(triangle_graph())
     basis = cycle_basis(kernel.graph)
     law = homology_distribution(kernel, basis, 1.0, grid)
-    if histogram is None:
-        h0 = time.perf_counter()
-        histogram = network_histogram(kernel, replicas, seed + 3, "direct",
-                                      workers=workers)
-        hist_seconds = time.perf_counter() - h0
+    # one array pass classifies every key; counting the classes in the
+    # histogram's order keeps the order, and so the bits, of the TV sum
+    coords = _class_coords(np.array(list(histogram), dtype=np.int64), basis)
     class_counts: Counter = Counter()
-    for key, c in histogram.items():
-        net = Network(kernel.graph, np.array(key, dtype=np.int64))
-        class_counts[network_homology_class(net, basis).coords] += c
+    for row, c in zip(map(tuple, coords.tolist()), histogram.values()):
+        class_counts[row] += c
     empirical = normalize_counter(class_counts)
     report = TestReport(name="homology-law", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 12, "graph": "triangle", "grid": grid,
@@ -559,18 +539,8 @@ def check_homology_distribution(replicas: int = DEFAULT_REPLICAS,
     return report
 
 
-def check_cross_sampler(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
-                        workers: int = 1,
-                        wilson_histogram: Counter | None = None,
-                        direct_histogram: Counter | None = None) -> TestReport:
+def check_cross_sampler(wilson_histogram: Counter, direct_histogram: Counter) -> TestReport:
     """Cycle-popping and length-biased samplers induce the same network law."""
-    kernel = build_kernel(triangle_graph())
-    if wilson_histogram is None:
-        wilson_histogram = network_histogram(kernel, replicas, seed + 6, "wilson",
-                                             workers=workers)
-    if direct_histogram is None:
-        direct_histogram = network_histogram(kernel, replicas, seed + 3, "direct",
-                                             workers=workers)
     report = TestReport(name="sampler-agreement", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 13, "graph": "triangle",
                         "replicas": min(sum(wilson_histogram.values()),
@@ -612,22 +582,17 @@ def run_all(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
                                      workers=workers)
 
     return [
-        check_geometric_law(replicas, seed, workers, histogram=hist2_wilson,
-                            hist_seconds=t_hist2_wilson),
-        check_negative_binomial(replicas, seed, workers, histograms=hist2_direct),
+        check_geometric_law(hist2_wilson, t_hist2_wilson),
+        check_negative_binomial(hist2_direct),
         check_alpha_routes_agree(),
-        check_generating_function(replicas, seed, workers, histograms=hist3_direct),
+        check_generating_function(seed, hist3_direct),
         check_isomorphism(replicas, seed),
         check_ray_knight(replicas, seed),
-        check_moment_formula(replicas, seed, histogram=hist2_wilson),
-        check_det_identity(replicas, seed, histogram=hist2_wilson),
+        check_moment_formula(replicas, seed, hist2_wilson),
+        check_det_identity(replicas, seed, hist2_wilson),
         check_tour_count(seed),
-        check_mu_measure(delta_triangle=delta),
+        check_mu_measure(delta),
         check_jacobian_volume(seed),
-        check_homology_distribution(replicas, seed, grid, workers,
-                                    histogram=hist3_direct[1.0],
-                                    hist_seconds=t_hist3_direct1),
-        check_cross_sampler(replicas, seed, workers,
-                            wilson_histogram=hist3_wilson,
-                            direct_histogram=hist3_direct[1.0]),
+        check_homology_distribution(grid, hist3_direct[1.0], t_hist3_direct1),
+        check_cross_sampler(hist3_wilson, hist3_direct[1.0]),
     ]

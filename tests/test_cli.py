@@ -102,6 +102,33 @@ def test_best_and_mu_commands(tmp_path, round_trip_net):
     assert mu["result"]["mu"] == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("counts", [[["0", "1"], ["1", "0"]], [[0, None], [1, 0]], [[0, 1], [1]]],
+                         ids=["strings", "null", "ragged"])
+def test_malformed_network_file(tmp_path, counts):
+    path = tmp_path / "bad_net.json"
+    path.write_text(json.dumps({"counts": counts}))
+    for command in ("best-count", "mu-network", "exact-network"):
+        err = run(tmp_path, command, "--graph", TWO_POINT, "--network", str(path), expect=1)
+        assert err.startswith("error: network counts") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("graph", [
+    {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "c": 1}], "killing": [1, 2]},
+    {"vertices": 2, "edges": []},
+    {"vertices": None, "edges": []},
+    {"vertices": ["a"], "edges": 3},
+    {"vertices": ["a"], "edges": None},
+    # read character by character this would be a valid graph on a and b
+    {"vertices": "ab", "edges": [], "killing": {"a": 1.0, "b": 1.0}},
+], ids=["killing-list", "vertices-number", "vertices-null", "edges-number", "edges-null",
+        "vertices-string"])
+def test_malformed_graph_file(tmp_path, graph):
+    path = tmp_path / "bad_graph.json"
+    path.write_text(json.dumps(graph))
+    err = run(tmp_path, "kernel", "--graph", str(path), expect=1)
+    assert err.startswith(f"error: graph file {path}:") and "Traceback" not in err
+
+
 def test_convolution_command(tmp_path):
     payload = run(tmp_path, "convolution-check", "--graph", TWO_POINT, "--delta", "1e-6")
     assert payload["pass"] is True

@@ -64,10 +64,6 @@ def test_transition_normalization(two_point_kernel, path3_kernel, triangle_kerne
         assert np.max(np.abs(np.linalg.eigvals(k.P))) < 1
 
 
-def test_death_prob(path3_kernel):
-    assert path3_kernel.death_prob == pytest.approx([0.5, 0.0, 0.0])
-
-
 def test_build_rejects_bad_input():
     with pytest.raises(BadGraph, match="vertices"):
         WeightedGraph.build((), ())

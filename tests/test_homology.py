@@ -1,5 +1,7 @@
 """Cycle space, harmonic duals, torus volumes, and the winding-class law."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from loopsoup import (
     HomologyClass,
     LoopSoupError,
     Network,
+    NonIntegral,
     NotEulerian,
     TooLarge,
     WeightedGraph,
@@ -26,11 +29,13 @@ from loopsoup import (
     intersection_matrix,
     jacobian_volume,
     jump_matrix,
+    network_histogram,
     network_homology_class,
     pairing_phase,
 )
-from loopsoup.homology import _generating_grid, _indicator_forms
-from loopsoup.verify import complete4_graph
+from loopsoup import homology, network, verify
+from loopsoup.homology import _class_coords, _generating_grid, _indicator_forms
+from loopsoup.verify import _all_balanced_up_to, complete4_graph, random_connected_graph
 
 
 def _directed_triangle(graph, reverse=False):
@@ -95,6 +100,63 @@ def test_homology_class(triangle):
     with pytest.raises(NotEulerian):
         network_homology_class(unbal, basis)
     assert (HomologyClass((1,)) + HomologyClass((2,))).coords == (3,)
+
+
+def _stack_graphs():
+    rng = np.random.default_rng(6)  # draws of cycle rank 1, 4, 1 and 4
+    return [verify.triangle_graph(), verify.path3_graph(), complete4_graph(),
+            *(random_connected_graph(rng) for _ in range(4))]
+
+
+@pytest.mark.parametrize("graph", _stack_graphs(),
+                         ids=["triangle", "path3", "K4", *(f"random{i}" for i in range(4))])
+def test_stacked_classes_match_one_network_view(graph):
+    nets = _all_balanced_up_to(graph, 6)
+    basis = cycle_basis(graph)
+    coords = _class_coords(np.array([net.counts for net in nets]), basis)
+    assert coords.shape == (len(nets), basis.n)
+    assert [tuple(row) for row in coords.tolist()] == [
+        network_homology_class(net, basis).coords for net in nets]
+
+
+def test_stacked_classes_reject_bad_rows(triangle, path3):
+    basis = cycle_basis(triangle)
+    stack = np.array([net.counts for net in _all_balanced_up_to(triangle, 3)])
+    unbalanced = stack.copy()
+    unbalanced[-1, 0, 1] += 1
+    with pytest.raises(NotEulerian):
+        _class_coords(unbalanced, basis)
+    # a balanced directed triangle on path3, whose chord a-c is no edge
+    off_edges = np.zeros((2, 3, 3), dtype=np.int64)
+    off_edges[1, 0, 2] = off_edges[1, 2, 1] = off_edges[1, 1, 0] = 1
+    with pytest.raises(NonIntegral):
+        _class_coords(off_edges, cycle_basis(path3))
+
+
+def test_homology_check_builds_no_networks(monkeypatch, triangle_kernel, triangle):
+    hist = network_histogram(triangle_kernel, 20_000, 5, "direct")
+    basis = cycle_basis(triangle)
+    reference = Counter()
+    for key, c in hist.items():
+        reference[network_homology_class(Network(triangle, np.array(key)), basis).coords] += c
+    calls = []
+
+    def spy(original):
+        def wrapper(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(network.Network, "__post_init__", spy(network.Network.__post_init__))
+    monkeypatch.setattr(homology, "network_homology_class", spy(network_homology_class))
+    # verify would call it through its own binding if it imported it by name
+    monkeypatch.setattr(verify, "network_homology_class", spy(network_homology_class),
+                        raising=False)
+    report = verify.check_homology_distribution(grid=64, histogram=hist, hist_seconds=0.0)
+    assert calls == []
+    law = homology_distribution(triangle_kernel, basis, 1.0, 64)
+    tv = [line.lhs for line in report.lines if line.statistic.startswith("TV")]
+    assert tv == [verify.tv_distance(verify.normalize_counter(reference), law.probs)]
 
 
 # ------------------------------------------------------------- harmonic forms
