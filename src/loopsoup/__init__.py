@@ -70,21 +70,18 @@ from .fields import (
     verify_isomorphism,
     verify_moment_formula,
 )
-from .graphs import ChainKernel, WeightedGraph, build_kernel, energy, twisted_energy
+from .graphs import ChainKernel, WeightedGraph, build_kernel
 from .homology import (
     CycleBasis,
-    HarmonicForm,
     HomologyClass,
     HomologyLaw,
     JacobianVolume,
     cycle_basis,
-    harmonic_basis,
     homology_distribution,
     homology_distribution_auto,
     intersection_matrix,
     jacobian_volume,
     network_homology_class,
-    pairing_phase,
 )
 from .network import Network
 from .reports import StatLine, TestReport

@@ -46,7 +46,14 @@ from .homology import (
 )
 from .network import Network
 from .reports import TestReport
-from .soup import direct_sample, jump_matrix, occupation, occupation_samples, wilson_sample
+from .soup import (
+    direct_sample,
+    jump_matrix,
+    network_histogram,
+    occupation,
+    occupation_samples,
+    wilson_sample,
+)
 from .verify import run_all
 
 
@@ -262,13 +269,15 @@ def _cmd_moments(args) -> tuple:
     points = _parse_vertex_list(args.points)
     if not edges and not points:
         raise ValueError("need at least one of --edges or --points")
-    return None, verify_moment_formula(kernel, edges, points, args.replicas, args.seed)
+    histogram = network_histogram(kernel, args.replicas, args.seed)
+    return None, verify_moment_formula(kernel, edges, points, histogram)
 
 
 def _cmd_det_identity(args) -> tuple:
     kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
     chi = args.chi_scale * kernel.lam
-    return None, verify_det_identity(kernel, chi, args.replicas, args.seed)
+    histogram = network_histogram(kernel, args.replicas, args.seed)
+    return None, verify_det_identity(kernel, chi, histogram)
 
 
 def _cmd_genfun(args) -> tuple:

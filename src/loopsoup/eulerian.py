@@ -69,24 +69,12 @@ class ModifierMatrix:
         object.__setattr__(self, "entries", z)
 
     @classmethod
-    def ones(cls, n: int) -> "ModifierMatrix":
-        return cls(np.ones((n, n), dtype=complex))
-
-    @classmethod
     def from_edge_value(cls, n: int, i: int, j: int, value: complex) -> "ModifierMatrix":
         """All-ones modifier with value at (i, j) and its conjugate at (j, i)."""
         z = np.ones((n, n), dtype=complex)
         z[i, j] = value
         z[j, i] = np.conj(value)
         return cls(z)
-
-    @classmethod
-    def from_one_form(cls, omega) -> "ModifierMatrix":
-        """Unit-modulus modifier exp(2 pi i omega) from an antisymmetric one-form."""
-        omega = np.asarray(omega, dtype=float)
-        if not np.allclose(omega, -omega.T, atol=1e-12, rtol=0.0):
-            raise BadForm("one-form must be antisymmetric")
-        return cls(np.exp(2j * np.pi * omega))
 
 
 def _as_modifier_array(kernel: ChainKernel, z) -> np.ndarray:

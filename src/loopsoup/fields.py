@@ -24,7 +24,7 @@ from .exact import permanent
 from .graphs import ChainKernel
 from .reports import TestReport
 from .rng import SCHEME, _check_count, replica_map, stream_seed
-from .soup import merge_diagnostics, network_histogram, occupation_samples
+from .soup import merge_diagnostics, occupation_samples
 
 CONVENTIONS = {
     "complex_field": "E[phi conj(phi)] = G, phi = (phi1 + i phi2)/sqrt(2)",
@@ -239,13 +239,10 @@ def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -
     return report
 
 
-def verify_moment_formula(kernel: ChainKernel, edges, points, replicas: int, seed,
-                          histogram=None) -> TestReport:
-    """Monte Carlo E[prod N_edge prod (N_vertex + 1)] against the closed-form
-    complex Wick value prod C prod lam * Per(G block).
-
-    histogram: optional {network key: count} reuse of an existing batch.
-    """
+def verify_moment_formula(kernel: ChainKernel, edges, points, histogram: dict) -> TestReport:
+    """Monte Carlo E[prod N_edge prod (N_vertex + 1)] over a {network key:
+    replicas} histogram against the closed-form complex Wick value
+    prod C prod lam * Per(G block)."""
     graph = kernel.graph
     edge_idx = [(graph.index(u), graph.index(v)) for u, v in edges]
     point_idx = [graph.index(p) for p in points]
@@ -271,8 +268,6 @@ def verify_moment_formula(kernel: ChainKernel, edges, points, replicas: int, see
             val *= out_deg[p] + 1
         return val
 
-    if histogram is None:
-        histogram = network_histogram(kernel, replicas, seed)
     mean, se, replicas = _histogram_stat(histogram, stat)
 
     name = ",".join(f"{graph.vertices[u]}->{graph.vertices[v]}" for u, v in edge_idx)
@@ -299,10 +294,10 @@ def _histogram_stat(histogram: dict, stat_fn) -> tuple:
     return mean, float(np.sqrt(var / count)), count
 
 
-def verify_det_identity(kernel: ChainKernel, chi, replicas: int, seed,
-                        histogram=None) -> TestReport:
+def verify_det_identity(kernel: ChainKernel, chi, histogram: dict) -> TestReport:
     """Monte Carlo E[det(M_chi D_N - N)] with the lam-normalized diagonal
-    chi_x (1 + N_x)/lam_x, against det(M_chi - C) * Per(G)."""
+    chi_x (1 + N_x)/lam_x over a {network key: replicas} histogram, against
+    det(M_chi - C) * Per(G)."""
     chi = np.asarray(chi, dtype=float)
     if chi.shape != (kernel.n,):
         raise BadChi(f"chi must be a vector of length {kernel.n}")
@@ -318,8 +313,6 @@ def verify_det_identity(kernel: ChainKernel, chi, replicas: int, seed,
         d = chi * (1.0 + counts.sum(axis=1)) / lam
         return float(np.linalg.det(np.diag(d) - counts))
 
-    if histogram is None:
-        histogram = network_histogram(kernel, replicas, seed)
     mean, se, replicas = _histogram_stat(histogram, stat)
 
     report = TestReport(name="det-identity", conventions=dict(CONVENTIONS))

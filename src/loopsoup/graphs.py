@@ -19,11 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields as _dc_fields
 from functools import cached_property
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import BadForm, BadGraph, BadTailCut, NonTransient, TailTooHeavy
+from .errors import BadGraph, BadTailCut, NonTransient, TailTooHeavy
 
 PIVOT_EPS = 1e-12
 
@@ -166,20 +165,6 @@ class WeightedGraph:
             (i, j) for i in range(n) for j in range(i + 1, n) if self.conductance[i, j] > 0
         )
 
-    def as_vector(self, f) -> np.ndarray:
-        """Coerce a vertex function (mapping by name or sequence by order) to an array."""
-        if isinstance(f, Mapping):
-            out = np.zeros(self.n, dtype=complex)
-            for k, v in f.items():
-                out[self.index(k)] = v
-        else:
-            out = np.asarray(f)
-            if out.shape != (self.n,):
-                raise BadGraph(f"vertex function has shape {out.shape}, expected ({self.n},)")
-        if np.iscomplexobj(out) and np.allclose(out.imag, 0.0):
-            out = out.real
-        return out.astype(complex) if np.iscomplexobj(out) else out.astype(float)
-
     def is_connected(self) -> bool:
         n = self.n
         seen = np.zeros(n, dtype=bool)
@@ -192,38 +177,6 @@ class WeightedGraph:
                     seen[y] = True
                     stack.append(int(y))
         return bool(seen.all())
-
-
-def energy(graph: WeightedGraph, f, h) -> float | complex:
-    """Dirichlet energy form: half the sum of C[x,y] (f(x)-f(y)) conj(h(x)-h(y))
-    over ordered pairs, plus the killing term.  Sesquilinear in (f, h)."""
-    fv = graph.as_vector(f)
-    hv = graph.as_vector(h)
-    lam = graph.conductance.sum(axis=1) + graph.killing
-    m = np.diag(lam) - graph.conductance
-    val = np.conj(hv) @ m @ fv
-    if np.iscomplexobj(fv) or np.iscomplexobj(hv):
-        return complex(val)
-    return float(np.real(val))
-
-
-def twisted_energy(graph: WeightedGraph, omega, f) -> float:
-    """Energy form twisted by the unitary phase exp(2 pi i omega).
-
-    omega is a real antisymmetric matrix indexed by ordered vertex pairs.
-    The twisted form is Hermitian and nonnegative for any such omega, so
-    the value is real.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (graph.n, graph.n):
-        raise BadForm(f"one-form must be {graph.n}x{graph.n}, got shape {omega.shape}")
-    if not np.allclose(omega, -omega.T, atol=1e-12, rtol=0.0):
-        raise BadForm("one-form must be antisymmetric")
-    fv = graph.as_vector(f).astype(complex)
-    lam = graph.conductance.sum(axis=1) + graph.killing
-    m = np.diag(lam).astype(complex) - graph.conductance * np.exp(2j * np.pi * omega)
-    val = np.vdot(fv, m @ fv)
-    return float(val.real)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,22 +1,21 @@
-"""Cycle space of the graph, harmonic one-forms, and the law of the random
+"""Cycle space of the graph, the torus volume, and the law of the random
 homology class of a loop ensemble.
 
 The cycle basis comes from a deterministic spanning tree: one oriented cycle
 per non-tree edge.  A balanced network's class is read off its antisymmetric
 part.  The class law is recovered by evaluating the crossing-count generating
-functional at unit-modulus twists on a uniform grid of the dual torus and
-inverting with a discrete Fourier transform.
+functional at unit-modulus twists of the non-tree edges on a uniform grid of
+the dual torus and inverting with a discrete Fourier transform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
-    BadForm,
+    BadExactInput,
     BadGrid,
     Disconnected,
     EmptyBasis,
@@ -31,7 +30,6 @@ from .exact import spanning_tree_weight_sum
 from .graphs import ChainKernel, WeightedGraph
 from .network import Network
 
-HARMONIC_TOL = 1e-10
 VOLUME_TOL = 1e-10
 GRID_CAP = 512
 DIM_CAP = 3
@@ -121,9 +119,6 @@ def cycle_basis(graph: WeightedGraph) -> CycleBasis:
 class HomologyClass:
     coords: tuple
 
-    def __add__(self, other: "HomologyClass") -> "HomologyClass":
-        return HomologyClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
 
 def _class_coords(counts: np.ndarray, basis: CycleBasis) -> np.ndarray:
     """Cycle-basis coordinates of a stack of count matrices, shape (R, n, n)
@@ -148,54 +143,6 @@ def network_homology_class(k: Network, basis: CycleBasis) -> HomologyClass:
     """Coordinates of the antisymmetric part of k in the cycle basis: the
     one-network view of the stacked pass above."""
     return HomologyClass(tuple(_class_coords(k.counts[None], basis)[0].tolist()))
-
-
-@dataclass(frozen=True)
-class HarmonicForm:
-    """Antisymmetric edge function with zero conductance-weighted divergence."""
-
-    values: np.ndarray
-
-    def holonomy(self, cycle: np.ndarray) -> float:
-        return float(0.5 * np.sum(cycle * self.values))
-
-
-def harmonic_basis(graph: WeightedGraph, basis: CycleBasis) -> list:
-    """Harmonic forms dual to the cycle basis: holonomy(omega_i, c_j) = d_ij.
-
-    Solved as a joint linear system of per-vertex harmonicity constraints and
-    per-cycle holonomy constraints over the edge values.
-    """
-    if not graph.is_connected():
-        raise Disconnected("harmonic forms need a connected graph")
-    edges = graph.edge_pairs
-    n_e = len(edges)
-    rows = []
-    for x in range(graph.n):
-        row = np.zeros(n_e)
-        for e_idx, (u, v) in enumerate(edges):
-            if x == u:
-                row[e_idx] = graph.conductance[u, v]
-            elif x == v:
-                row[e_idx] = -graph.conductance[u, v]
-        rows.append(row)
-    for c in basis.cycles:
-        rows.append(np.array([c[u, v] for u, v in edges], dtype=float))
-    a = np.vstack(rows) if rows else np.zeros((0, n_e))
-    out = []
-    for i in range(basis.n):
-        b = np.zeros(graph.n + basis.n)
-        b[graph.n + i] = 1.0
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-        if np.max(np.abs(a @ sol - b)) > HARMONIC_TOL:
-            raise ArithmeticError("harmonic system did not close to tolerance")
-        values = np.zeros((graph.n, graph.n))
-        for e_idx, (u, v) in enumerate(edges):
-            values[u, v] = sol[e_idx]
-            values[v, u] = -sol[e_idx]
-        values.setflags(write=False)
-        out.append(HarmonicForm(values))
-    return out
 
 
 def intersection_matrix(basis: CycleBasis, graph: WeightedGraph) -> np.ndarray:
@@ -263,29 +210,6 @@ class HomologyLaw:
         return worst
 
 
-def _indicator_forms(basis: CycleBasis) -> list:
-    out = []
-    for u, v in basis.nontree_edges:
-        m = np.zeros((basis.graph.n, basis.graph.n))
-        m[u, v] = 1.0
-        m[v, u] = -1.0
-        out.append(m)
-    return out
-
-
-def _checked_forms(forms, n_vertices: int, n_cycles: int) -> list:
-    """The dual one-forms as real antisymmetric n x n arrays, one per cycle."""
-    forms = [np.asarray(f, dtype=float) for f in forms]
-    if len(forms) != n_cycles:
-        raise BadForm(f"need one form per basis cycle ({n_cycles}), got {len(forms)}")
-    for f in forms:
-        if f.shape != (n_vertices, n_vertices):
-            raise BadForm(f"one-form must be {n_vertices}x{n_vertices}, got shape {f.shape}")
-        if not np.allclose(f, -f.T, atol=1e-12, rtol=0.0):
-            raise BadForm("one-form must be antisymmetric")
-    return forms
-
-
 def _twisted_ratio_power(kernel: ChainKernel, z: np.ndarray, alpha: float) -> np.ndarray:
     """generating_function over a stack of unit-modulus Hermitian modifiers."""
     det_z = kernel.det_i_minus_pz(z)
@@ -300,41 +224,39 @@ def _twisted_ratio_power(kernel: ChainKernel, z: np.ndarray, alpha: float) -> np
     return out
 
 
-def _generating_grid(kernel: ChainKernel, forms: list, alpha: float,
+def _generating_grid(kernel: ChainKernel, basis: CycleBasis, alpha: float,
                      grid_m: int) -> np.ndarray:
-    """generating_function at exp(2 pi i sum_i t_i forms[i]) for every t on the
-    grid {0, 1/grid_m, ...}^n, in slabs of whole rows along the first axis,
-    one stacked determinant per slab of at most SLAB_POINTS points."""
-    n = len(forms)
+    """generating_function at the modifier exp(2 pi i t_i) on each non-tree
+    edge (u_i, v_i) and exp(-2 pi i t_i) on (v_i, u_i), ones elsewhere, for
+    every t on the grid {0, 1/grid_m, ...}^n, in slabs of whole rows along the
+    first axis, one stacked determinant per slab of at most SLAB_POINTS points."""
+    n = basis.n
     phi = np.empty((grid_m,) * n, dtype=complex)
     ticks = np.arange(grid_m) / grid_m
     rows = max(1, SLAB_POINTS // grid_m ** (n - 1))
     for lo in range(0, grid_m, rows):
-        omega = 0.0
-        for axis, f in enumerate(forms):
-            t = ticks[lo:lo + rows] if axis == 0 else ticks
-            omega = omega + t.reshape((1,) * axis + (-1,) + (1,) * (n - axis + 1)) * f
-        phi[lo:lo + rows] = _twisted_ratio_power(kernel, np.exp(2j * np.pi * omega), alpha)
+        slab = phi[lo:lo + rows]
+        z = np.ones(slab.shape + (kernel.n, kernel.n), dtype=complex)
+        axes = np.ix_(ticks[lo:lo + rows], *[ticks] * (n - 1))
+        for (u, v), t in zip(basis.nontree_edges, axes):
+            z[..., u, v] = np.exp(2j * np.pi * t)
+            z[..., v, u] = np.exp(2j * np.pi * -t)
+        slab[...] = _twisted_ratio_power(kernel, z, alpha)
     return phi
 
 
 def homology_distribution(kernel: ChainKernel, basis: CycleBasis, alpha: float,
-                          grid_m: int, forms=None) -> HomologyLaw:
+                          grid_m: int) -> HomologyLaw:
     """Law of the homology class by Fourier inversion of the twisted
-    determinant ratio on a uniform grid of the dual torus.
-
-    forms: one-forms dual to the cycle basis; defaults to the non-tree edge
-    indicators.  Any dual family with integer holonomy pairing gives the same
-    law; the harmonic duals are accepted for cross-checks.
-    """
+    determinant ratio on a uniform grid of the dual torus."""
     if grid_m < 8 or grid_m & (grid_m - 1) != 0:
         raise BadGrid(f"grid size must be a power of two >= 8, got {grid_m}")
     n = basis.n
     if n == 0:
         return HomologyLaw({(): 1.0}, grid_m, 1.0, 0.0, 0.0, alpha)
-    forms = _checked_forms(_indicator_forms(basis) if forms is None else forms,
-                           kernel.n, n)
-    phi = _generating_grid(kernel, forms, alpha, grid_m)
+    if basis.graph.n != kernel.n:
+        raise BadExactInput(f"cycle basis has {basis.graph.n} vertices, kernel {kernel.n}")
+    phi = _generating_grid(kernel, basis, alpha, grid_m)
     raw = np.fft.fftn(phi) / grid_m**n
     imag_residue = float(np.max(np.abs(raw.imag)))
     real = raw.real
@@ -384,8 +306,3 @@ def homology_distribution_auto(kernel: ChainKernel, basis: CycleBasis, alpha: fl
         m *= 2
     raise GridTooCoarse(f"grid cap {GRID_CAP} reached without convergence")
 
-
-def pairing_phase(network: Network, omega: np.ndarray) -> complex:
-    """exp(2 pi i sum_{x,y} k_{x,y} omega^{x,y}) for an antisymmetric omega."""
-    s = float(np.sum(network.counts * omega))
-    return complex(np.exp(2j * np.pi * s))

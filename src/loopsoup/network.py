@@ -29,6 +29,8 @@ class Network:
         if counts.shape != (n, n):
             raise BadGraph(f"network counts must be {n}x{n}, got shape {counts.shape}")
         if not np.issubdtype(counts.dtype, np.integer):
+            if not np.isfinite(counts).all():
+                raise BadGraph("network counts must be finite")
             rounded = np.rint(counts)
             if not np.allclose(counts, rounded, atol=1e-9, rtol=0.0):
                 raise BadGraph("network counts must be integers")

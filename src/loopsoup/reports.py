@@ -80,11 +80,3 @@ class TestReport:
             "conventions": self.conventions,
             "meta": self.meta,
         }
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        worst = ""
-        bad = self.failures()
-        if bad:
-            worst = f" ({bad[0].statistic}: {bad[0].lhs:.6g} vs {bad[0].rhs:.6g})"
-        return f"{self.name}: {verdict} [{len(self.lines)} checks]{worst}"

@@ -59,14 +59,6 @@ class BasedLoop:
     def length(self) -> int:
         return len(self.vertices)
 
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.vertices) == 1
-
-    @property
-    def total_time(self) -> float:
-        return float(sum(self.times))
-
 
 @dataclass(frozen=True)
 class LoopSoup:

@@ -30,7 +30,6 @@ from .eulerian import (
     exact_network_prob_alpha,
     exact_network_prob_alpha1,
     generating_function,
-    mu_network_measure,
     verify_poisson_convolution,
 )
 from .fields import (
@@ -284,7 +283,7 @@ def check_ray_knight(replicas: int = DEFAULT_REPLICAS,
     return report
 
 
-def check_moment_formula(replicas: int, seed: int, histogram: Counter) -> TestReport:
+def check_moment_formula(histogram: Counter) -> TestReport:
     """Two-point closed-form moments: single edge, vertex visit, cross pair."""
     kernel = build_kernel(two_point_graph())
     report = TestReport(name="moment-formula", conventions=dict(CONVENTIONS))
@@ -297,8 +296,7 @@ def check_moment_formula(replicas: int, seed: int, histogram: Counter) -> TestRe
         ((("a", "b"), ("b", "a")), (), 5.0 / 9.0, "E[N_ab N_ba]"),
     ]
     for edges, points, expected, label in cases:
-        sub = verify_moment_formula(kernel, edges, points, replicas, seed,
-                                    histogram=histogram)
+        sub = verify_moment_formula(kernel, edges, points, histogram)
         line = sub.lines[0]
         report.add_bound(f"{label} closed form", abs(line.rhs - expected), 1e-12)
         line.statistic = label + " MC vs closed form"
@@ -306,7 +304,7 @@ def check_moment_formula(replicas: int, seed: int, histogram: Counter) -> TestRe
     return report
 
 
-def check_det_identity(replicas: int, seed: int, histogram: Counter) -> TestReport:
+def check_det_identity(histogram: Counter) -> TestReport:
     """Random-generator determinant mean on the two-point chain, at the
     duality weights and at their double."""
     kernel = build_kernel(two_point_graph())
@@ -315,8 +313,7 @@ def check_det_identity(replicas: int, seed: int, histogram: Counter) -> TestRepo
                         "replicas": sum(histogram.values())})
     _record_sampling(report, {"wilson": histogram})
     for scale, expected in ((1.0, 5.0 / 3.0), (2.0, 75.0 / 9.0)):
-        sub = verify_det_identity(kernel, scale * kernel.lam, replicas, seed,
-                                  histogram=histogram)
+        sub = verify_det_identity(kernel, scale * kernel.lam, histogram)
         line = sub.lines[0]
         report.add_bound(f"target chi={scale}*lam closed form",
                          abs(line.rhs - expected), 1e-12)
@@ -588,8 +585,8 @@ def run_all(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
         check_generating_function(seed, hist3_direct),
         check_isomorphism(replicas, seed),
         check_ray_knight(replicas, seed),
-        check_moment_formula(replicas, seed, hist2_wilson),
-        check_det_identity(replicas, seed, hist2_wilson),
+        check_moment_formula(hist2_wilson),
+        check_det_identity(hist2_wilson),
         check_tour_count(seed),
         check_mu_measure(delta),
         check_jacobian_volume(seed),

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -110,6 +111,17 @@ def test_malformed_network_file(tmp_path, counts):
     for command in ("best-count", "mu-network", "exact-network"):
         err = run(tmp_path, command, "--graph", TWO_POINT, "--network", str(path), expect=1)
         assert err.startswith("error: network counts") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", ["1e400", "-1e400", "NaN"])
+def test_non_finite_network_file(tmp_path, count):
+    path = tmp_path / "bad_net.json"
+    path.write_text(f'{{"counts": [[0, {count}], [{count}, 0]]}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = run(tmp_path, "best-count", "--graph", TWO_POINT, "--network", str(path),
+                  expect=1)
+    assert err == "error: network counts must be finite\n"
 
 
 @pytest.mark.parametrize("graph", [

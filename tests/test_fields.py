@@ -13,6 +13,7 @@ from loopsoup import (
     LoopSoupError,
     complex_wick_moment,
     ks_two_sample,
+    network_histogram,
     occupation_samples,
     ray_knight_check,
     sample_complex_fields,
@@ -149,29 +150,33 @@ def test_ray_knight_nonpositive_level_is_typed(path3_kernel):
 
 
 def test_moment_formula(two_point_kernel):
-    rep = verify_moment_formula(two_point_kernel, [("a", "b")], ["a"], 20_000, 63)
+    hist = network_histogram(two_point_kernel, 20_000, 63)
+    rep = verify_moment_formula(two_point_kernel, [("a", "b")], ["a"], hist)
     assert rep.passed
     with pytest.raises(DuplicateIndex):
-        verify_moment_formula(two_point_kernel, [("a", "b"), ("a", "b")], [], 10, 0)
+        verify_moment_formula(two_point_kernel, [("a", "b"), ("a", "b")], [], hist)
     with pytest.raises(DuplicateIndex):
-        verify_moment_formula(two_point_kernel, [], ["a", "a"], 10, 0)
+        verify_moment_formula(two_point_kernel, [], ["a", "a"], hist)
 
 
 def test_moment_formula_closed_forms(two_point_kernel):
     # E N_ab = C_ab Per(G_ab) = 1/3 and E (N_a + 1) = lam_a G_aa = 4/3
-    rep = verify_moment_formula(two_point_kernel, [("a", "b")], [], 20_000, 64)
+    rep = verify_moment_formula(two_point_kernel, [("a", "b")], [],
+                                network_histogram(two_point_kernel, 20_000, 64))
     edge_line = rep.lines[0]
     assert edge_line.rhs == pytest.approx(1 / 3)
-    rep2 = verify_moment_formula(two_point_kernel, [], ["a"], 20_000, 65)
+    rep2 = verify_moment_formula(two_point_kernel, [], ["a"],
+                                 network_histogram(two_point_kernel, 20_000, 65))
     assert rep2.lines[0].rhs == pytest.approx(4 / 3)
 
 
 def test_det_identity(two_point_kernel):
-    rep = verify_det_identity(two_point_kernel, two_point_kernel.lam, 20_000, 66)
+    hist = network_histogram(two_point_kernel, 20_000, 66)
+    rep = verify_det_identity(two_point_kernel, two_point_kernel.lam, hist)
     assert rep.passed
     # target: det(M_chi - C) * Per(G) = 3 * 5/9 at chi = lam
     assert rep.lines[0].rhs == pytest.approx(5 / 3)
     with pytest.raises(BadChi):
-        verify_det_identity(two_point_kernel, [1.0, 2.0, 3.0], 10, 0)
+        verify_det_identity(two_point_kernel, [1.0, 2.0, 3.0], hist)
     with pytest.raises(BadChi):
-        verify_det_identity(two_point_kernel, 0.5 * two_point_kernel.lam, 10, 0)
+        verify_det_identity(two_point_kernel, 0.5 * two_point_kernel.lam, hist)

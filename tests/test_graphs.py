@@ -1,19 +1,11 @@
-"""Graph construction, kernel derivation, and energy forms."""
+"""Graph construction, kernel derivation, and the twisted energy matrix."""
 
 import json
 
 import numpy as np
 import pytest
 
-from loopsoup import (
-    BadForm,
-    BadGraph,
-    NonTransient,
-    WeightedGraph,
-    build_kernel,
-    energy,
-    twisted_energy,
-)
+from loopsoup import BadGraph, NonTransient, WeightedGraph, build_kernel
 
 
 def test_two_point_kernel_oracles(two_point_kernel):
@@ -103,30 +95,15 @@ def test_is_connected(two_point, single_vertex):
     assert not g.is_connected()
 
 
-def test_energy_values(two_point):
-    # quadratic form at f = (1, 1): sum kappa = 2
-    assert energy(two_point, (1.0, 1.0), (1.0, 1.0)) == pytest.approx(2.0)
-    assert energy(two_point, {"a": 1.0, "b": 1.0}, {"a": 1.0, "b": 1.0}) == pytest.approx(2.0)
-    assert energy(two_point, (1.0, 0.0), (0.0, 1.0)) == pytest.approx(-1.0)
-
-
-def test_twisted_energy_two_point(two_point):
-    # half-integer flux on the only edge turns -C into +C: value 6 at f=(1,1)
-    omega = np.array([[0.0, 0.5], [-0.5, 0.0]])
-    assert twisted_energy(two_point, omega, (1.0, 1.0)) == pytest.approx(6.0)
-    with pytest.raises(BadForm):
-        twisted_energy(two_point, np.array([[0.0, 0.5], [0.5, 0.0]]), (1.0, 1.0))
-
-
-def test_twisted_energy_is_real_and_bounded_below(triangle):
+def test_twisted_energy_is_real_and_bounded_below(triangle_kernel):
+    # generating_function takes the real power of the determinant ratio
+    # because the twisted energy matrix is Hermitian positive definite
     rng = np.random.default_rng(5)
     for _ in range(10):
         raw = rng.normal(size=(3, 3))
-        omega = raw - raw.T
-        f = rng.normal(size=3) + 1j * rng.normal(size=3)
-        value = twisted_energy(triangle, omega, f)
-        assert isinstance(value, float)
-        assert value >= -1e-12
+        m = triangle_kernel.twisted_matrix(np.exp(2j * np.pi * (raw - raw.T)))
+        assert np.allclose(m, m.conj().T, atol=1e-14, rtol=0.0)
+        assert np.linalg.eigvalsh(m).min() > 0
 
 
 def test_json_round_trip(tmp_path, triangle):

@@ -1,4 +1,4 @@
-"""Cycle space, harmonic duals, torus volumes, and the winding-class law."""
+"""Cycle space, homology classes, torus volumes, and the winding-class law."""
 
 from collections import Counter
 
@@ -7,12 +7,10 @@ import pytest
 
 from loopsoup import (
     BadExactInput,
-    BadForm,
     BadGrid,
     Disconnected,
     EmptyBasis,
     GridTooCoarse,
-    HomologyClass,
     LoopSoupError,
     Network,
     NonIntegral,
@@ -21,20 +19,16 @@ from loopsoup import (
     WeightedGraph,
     build_kernel,
     cycle_basis,
-    direct_sample,
     generating_function,
-    harmonic_basis,
     homology_distribution,
     homology_distribution_auto,
     intersection_matrix,
     jacobian_volume,
-    jump_matrix,
     network_histogram,
     network_homology_class,
-    pairing_phase,
 )
 from loopsoup import homology, network, verify
-from loopsoup.homology import _class_coords, _generating_grid, _indicator_forms
+from loopsoup.homology import _class_coords, _generating_grid
 from loopsoup.verify import _all_balanced_up_to, complete4_graph, random_connected_graph
 
 
@@ -99,7 +93,6 @@ def test_homology_class(triangle):
     unbal = Network(triangle, np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
     with pytest.raises(NotEulerian):
         network_homology_class(unbal, basis)
-    assert (HomologyClass((1,)) + HomologyClass((2,))).coords == (3,)
 
 
 def _stack_graphs():
@@ -157,33 +150,6 @@ def test_homology_check_builds_no_networks(monkeypatch, triangle_kernel, triangl
     law = homology_distribution(triangle_kernel, basis, 1.0, 64)
     tv = [line.lhs for line in report.lines if line.statistic.startswith("TV")]
     assert tv == [verify.tv_distance(verify.normalize_counter(reference), law.probs)]
-
-
-# ------------------------------------------------------------- harmonic forms
-
-
-def test_harmonic_basis_duality(triangle, complete4):
-    for graph in (triangle, complete4):
-        basis = cycle_basis(graph)
-        forms = harmonic_basis(graph, basis)
-        assert len(forms) == basis.n
-        for i, form in enumerate(forms):
-            # dual pairing with the fundamental cycles
-            for j, cyc in enumerate(basis.cycles):
-                expected = 1.0 if i == j else 0.0
-                assert form.holonomy(cyc) == pytest.approx(expected, abs=1e-9)
-            # conductance-weighted divergence vanishes at every vertex
-            div = (graph.conductance * form.values).sum(axis=1)
-            assert np.abs(div).max() < 1e-9
-            assert np.allclose(form.values, -form.values.T)
-
-
-def test_harmonic_triangle_values(triangle):
-    basis = cycle_basis(triangle)
-    (form,) = harmonic_basis(triangle, basis)
-    # unit conductances: the dual form spreads 1/3 around the loop
-    off = np.abs(form.values[np.nonzero(form.values)])
-    assert off == pytest.approx(np.full(6, 1 / 3))
 
 
 # -------------------------------------------------------- intersection, volume
@@ -253,12 +219,12 @@ def test_homology_distribution_bad_grid(triangle_kernel, triangle):
         assert isinstance(info.value, LoopSoupError)
 
 
-def test_homology_distribution_bad_forms(triangle_kernel, triangle):
-    basis = cycle_basis(triangle)
-    (form,) = _indicator_forms(basis)
-    for forms in ([form, form], [np.abs(form)], [form[:2, :2]]):
-        with pytest.raises(BadForm):
-            homology_distribution(triangle_kernel, basis, 1.0, 8, forms=forms)
+def test_homology_distribution_foreign_basis(triangle_kernel, triangle):
+    k4 = complete4_graph()
+    for kernel, basis in ((triangle_kernel, cycle_basis(k4)),
+                          (build_kernel(k4), cycle_basis(triangle))):
+        with pytest.raises(BadExactInput):
+            homology_distribution(kernel, basis, 1.0, 8)
 
 
 def test_stacked_grid_matches_pointwise(triangle_kernel, triangle):
@@ -266,38 +232,16 @@ def test_stacked_grid_matches_pointwise(triangle_kernel, triangle):
     cases = [(triangle_kernel, cycle_basis(triangle), 32),
              (build_kernel(k4), cycle_basis(k4), 8)]
     for kernel, basis, grid_m in cases:
-        harmonic = [f.values for f in harmonic_basis(kernel.graph, basis)]
         ticks = np.arange(grid_m) / grid_m
-        for forms in (_indicator_forms(basis), harmonic):
-            for alpha in (0.5, 1.0, 2.0):
-                grid = _generating_grid(kernel, forms, alpha, grid_m)
-                for idx in np.ndindex(grid.shape):
-                    omega = sum(ticks[i] * f for i, f in zip(idx, forms))
-                    point = generating_function(kernel, np.exp(2j * np.pi * omega), alpha)
-                    assert abs(grid[idx] - point) <= 1e-14
-
-
-def test_homology_forms_gauge_invariance(triangle_kernel, triangle):
-    basis = cycle_basis(triangle)
-    law_ind = homology_distribution(triangle_kernel, basis, 0.5, 16)
-    duals = [f.values for f in harmonic_basis(triangle, basis)]
-    law_harm = homology_distribution(triangle_kernel, basis, 0.5, 16, forms=duals)
-    for key in set(law_ind.probs) | set(law_harm.probs):
-        assert law_ind.prob(key) == pytest.approx(law_harm.prob(key), abs=1e-10)
-
-
-def test_pairing_phase_matches_class(triangle_kernel, triangle):
-    basis = cycle_basis(triangle)
-    (u, v) = basis.nontree_edges[0]
-    t = 0.37
-    omega = np.zeros((3, 3))
-    omega[u, v] = t
-    omega[v, u] = -t
-    for seed in range(20):
-        net = jump_matrix(direct_sample(triangle_kernel, 1.0, seed=seed))
-        coords = network_homology_class(net, basis).coords
-        expected = np.exp(2j * np.pi * t * coords[0])
-        assert pairing_phase(net, omega) == pytest.approx(expected)
+        for alpha in (0.5, 1.0, 2.0):
+            grid = _generating_grid(kernel, basis, alpha, grid_m)
+            for idx in np.ndindex(grid.shape):
+                # the indicator twist: t_i on non-tree edge (u_i, v_i), -t_i back
+                omega = np.zeros((kernel.n, kernel.n))
+                for i, (u, v) in zip(idx, basis.nontree_edges):
+                    omega[u, v], omega[v, u] = ticks[i], -ticks[i]
+                point = generating_function(kernel, np.exp(2j * np.pi * omega), alpha)
+                assert abs(grid[idx] - point) <= 1e-14
 
 
 def test_grid_too_coarse():

@@ -15,7 +15,6 @@ from loopsoup import (
     BadSeed,
     BadTailCut,
     LoopSoupError,
-    Network,
     TailTooHeavy,
     UnknownSampler,
     WeightedGraph,
@@ -29,9 +28,7 @@ from loopsoup import (
     ray_knight_check,
     replica_map,
     run_all,
-    verify_det_identity,
     verify_isomorphism,
-    verify_moment_formula,
     wilson_counts,
     wilson_sample,
 )
@@ -173,8 +170,9 @@ def test_tail_too_heavy():
 def test_loop_time_totals(triangle_kernel):
     _, soup = wilson_sample(triangle_kernel, 123)
     for loop in soup.loops:
-        assert loop.total_time == pytest.approx(sum(loop.times))
-        assert not loop.is_trivial
+        assert len(loop.vertices) >= 2  # one-visit time goes to trivial_time
+        assert len(loop.times) == len(loop.vertices)
+        assert all(t > 0 for t in loop.times)
 
 
 def test_single_sample_is_the_block_view(triangle_kernel):
@@ -322,7 +320,6 @@ def test_wilson_off_intensity_one_is_typed(triangle_kernel):
 def test_generator_seed_is_typed(two_point_kernel):
     rng = np.random.default_rng(0)
     for call in (
-        lambda: verify_moment_formula(two_point_kernel, [("a", "b")], [], 10, rng),
         lambda: verify_isomorphism(two_point_kernel, 10, rng),
         lambda: network_histogram(two_point_kernel, 10, rng),
     ):
@@ -338,8 +335,6 @@ def test_replica_count_below_one_is_typed(triangle_kernel, path3_kernel, tmp_pat
             lambda: network_histogram(triangle_kernel, replicas, 1),
             lambda: occupation_samples(triangle_kernel, 1.0, replicas, 1),
             lambda: verify_isomorphism(triangle_kernel, replicas, 1),
-            lambda: verify_moment_formula(triangle_kernel, [("a", "b")], [], replicas, 1),
-            lambda: verify_det_identity(triangle_kernel, triangle_kernel.lam, replicas, 1),
             lambda: ray_knight_check(path3_kernel, "a", 1.0, replicas, 1),
             lambda: run_all(replicas=replicas),
         ):
