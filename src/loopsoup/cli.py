@@ -32,6 +32,8 @@ from .eulerian import (
 )
 from .fields import (
     CONVENTIONS,
+    _checked_chi,
+    _moment_indices,
     ray_knight_check,
     verify_det_identity,
     verify_isomorphism,
@@ -45,7 +47,7 @@ from .homology import (
     jacobian_volume,
 )
 from .network import Network
-from .reports import TestReport
+from .reports import Z_GATE, TestReport
 from .soup import (
     direct_sample,
     jump_matrix,
@@ -113,12 +115,12 @@ def _load_network(graph: WeightedGraph, path: str) -> Network:
 
 
 def _rescale_gates(report: TestReport, scale: float) -> None:
-    """Loosen or tighten every gate by a factor; z-gates are nominally 3."""
+    """Loosen or tighten every gate by a factor; z-gates are nominally Z_GATE."""
     if scale == 1.0:
         return
     for line in report.lines:
         if line.z is not None:
-            line.passed = abs(line.z) <= 3.0 * scale
+            line.passed = abs(line.z) <= Z_GATE * scale
         elif line.stderr is None and line.lhs != line.rhs:
             line.rhs = line.rhs * scale
             line.passed = line.lhs <= line.rhs
@@ -269,13 +271,14 @@ def _cmd_moments(args) -> tuple:
     points = _parse_vertex_list(args.points)
     if not edges and not points:
         raise ValueError("need at least one of --edges or --points")
+    _moment_indices(kernel, edges, points)  # bad input fails before the draw
     histogram = network_histogram(kernel, args.replicas, args.seed)
     return None, verify_moment_formula(kernel, edges, points, histogram)
 
 
 def _cmd_det_identity(args) -> tuple:
     kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
-    chi = args.chi_scale * kernel.lam
+    chi = _checked_chi(kernel, args.chi_scale * kernel.lam)  # before the draw
     histogram = network_histogram(kernel, args.replicas, args.seed)
     return None, verify_det_identity(kernel, chi, histogram)
 

@@ -14,7 +14,9 @@ class NonTransient(LoopSoupError):
 
 
 class BadForm(LoopSoupError):
-    """A one-form argument is not antisymmetric or has the wrong shape."""
+    """An edge modifier is not a Hermitian square matrix with entries of
+    modulus at most 1 (ModifierMatrix), or not n x n for the chain that
+    generating_function twists with it."""
 
 
 class TooLarge(LoopSoupError):

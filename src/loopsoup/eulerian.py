@@ -36,7 +36,7 @@ from .errors import (
     TooLarge,
     ZeroNetwork,
 )
-from .exact import arborescence_count
+from .exact import _arborescence_counts
 from .graphs import ChainKernel
 from .network import Network
 
@@ -87,22 +87,28 @@ def _as_modifier_array(kernel: ChainKernel, z) -> np.ndarray:
     return arr
 
 
-def generating_function(kernel: ChainKernel, z, alpha: float) -> complex:
-    """E[prod_{x,y} Z_{x,y}^{N_{x,y}}] = [det(I-P^Z)/det(I-P)]^(-alpha).
-
-    For a Hermitian modifier with |Z| <= 1 the determinant ratio is a real
-    number >= 1, so the value is real in (0, 1].
-    """
-    arr = _as_modifier_array(kernel, z)
-    det_z = kernel.det_i_minus_pz(arr)
-    if abs(det_z) < 1e-300:
+def _generating_values(kernel: ChainKernel, z: np.ndarray, alpha: float) -> np.ndarray:
+    """[det(I-P^Z)/det(I-P)]^(-alpha) for every modifier of a stack (..., n, n)
+    of checked modifiers, by one stacked determinant call."""
+    det_z = kernel.det_i_minus_pz(z)
+    if (np.abs(det_z) < 1e-300).any():
         raise SingularTwist("det(I - P^Z) vanished; modifier outside the valid domain")
     ratio = det_z / kernel.det_i_minus_p
-    # Hermitian |Z|<=1 keeps the twisted energy matrix positive definite,
-    # so the ratio is real positive and the principal power is the right one.
-    if abs(ratio.imag) < 1e-9 * max(1.0, abs(ratio.real)) and ratio.real > 0:
-        return complex(ratio.real ** (-alpha))
-    return complex(ratio ** (-alpha))
+    # Hermitian |Z| <= 1 keeps the twisted energy matrix positive definite, so
+    # the ratio is real positive up to rounding and takes the real power
+    real = (ratio.real > 0) & (np.abs(ratio.imag) < 1e-9 * np.maximum(1.0, ratio.real))
+    return np.where(real, np.abs(ratio.real) ** -alpha, ratio ** -alpha)
+
+
+def generating_function(kernel: ChainKernel, z, alpha: float) -> complex:
+    """E[prod_{x,y} Z_{x,y}^{N_{x,y}}] = [det(I-P^Z)/det(I-P)]^(-alpha): the
+    one-modifier view of the stacked form the homology grid evaluates.
+
+    For a Hermitian modifier with |Z| <= 1 the determinant ratio is a real
+    number >= 1, so the value is real in (0, 1].  Raises BadForm for an
+    invalid modifier, SingularTwist when det(I - P^Z) vanishes.
+    """
+    return complex(_generating_values(kernel, _as_modifier_array(kernel, z)[None], alpha)[0])
 
 
 def exact_network_prob_alpha1(kernel: ChainKernel, k: Network) -> float:
@@ -197,33 +203,12 @@ def _count_matrices(n: int, edges, rows: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _arborescence_counts(counts: np.ndarray) -> np.ndarray:
-    """Arborescences toward the first support vertex of each nonzero balanced
-    network in a stack, by one stacked directed matrix-tree determinant.
-
-    The root and the vertices off the support get identity rows and columns,
-    which leaves the determinant of the support minor.
-    """
-    n = counts.shape[1]
-    out_deg = counts.sum(axis=2)
-    diag = np.arange(n)
-    root = np.argmax(out_deg > 0, axis=1)
-    keep = (out_deg > 0) & (diag[None, :] != root[:, None])
-    lap = -counts.astype(float)
-    lap[:, diag, diag] += out_deg
-    lap *= keep[:, :, None] & keep[:, None, :]
-    lap[:, diag, diag] += ~keep
-    val = np.linalg.det(lap)
-    tau = np.rint(val)
-    if (np.abs(val - tau) > 1e-6 * np.maximum(1.0, np.abs(val))).any():
-        raise ArithmeticError("an arborescence determinant is not close to an integer")
-    return np.maximum(tau, 0.0)
-
-
 def _layer_law(kernel: ChainKernel, edges, rows: np.ndarray):
-    """alpha = 1 probability and one-loop measure mu of every network of a
-    layer, the array form of exact_network_prob_alpha1 and mu_network_measure.
-    """
+    """alpha = 1 probability det(I-P) prod_x k_x! prod P^k / k! and one-loop
+    measure tau(k) prod_x (k_x - 1)! prod P^k / k! of every balanced network
+    of a stack of edge-count rows over the directed edges; tau counts the
+    arborescences toward k's first support vertex.  mu_network_measure is
+    its one-row view; exact_network_prob_alpha1 keeps a scalar probability."""
     src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     counts = _count_matrices(kernel.n, edges, rows)
     out_deg = counts.sum(axis=2)
@@ -232,7 +217,7 @@ def _layer_law(kernel: ChainKernel, edges, rows: np.ndarray):
     # log of prod_{xy} P^k / k!, shared by both laws
     log_weight = rows @ np.log(kernel.P[src, dst]) - log_fact[rows].sum(axis=1)
     prob = kernel.det_i_minus_p * np.exp(log_weight + log_fact[out_deg].sum(axis=1))
-    tau = _arborescence_counts(counts)
+    tau = _arborescence_counts(counts, np.argmax(out_deg > 0, axis=1))
     mu = tau * np.exp(log_weight + log_fact[np.maximum(out_deg - 1, 0)].sum(axis=1))
     return prob, mu
 
@@ -294,20 +279,22 @@ def best_tour_count(k: Network) -> int:
         raise ZeroNetwork("the zero network has no tours")
     if not k.is_eulerian():
         raise NotEulerian("network is not balanced")
-    if not k.support_connected():
+    sup = k.support
+    # one matrix-tree determinant per support root, in one stacked call
+    taus = _arborescence_counts(np.broadcast_to(k.counts, (len(sup), *k.counts.shape)), sup)
+    if (taus != taus[0]).any():
+        raise ArithmeticError(f"arborescence count varies with root: {taus.tolist()}")
+    if taus[0] == 0:  # balanced: the support is connected iff a root has a tree
         raise DisconnectedSupport("network support is not connected")
-    sup = [int(v) for v in k.support]
-    taus = [arborescence_count(k, root) for root in sup]
-    if len(set(taus)) != 1:
-        raise ArithmeticError(f"arborescence count varies with root: {taus}")
-    count = k.total * taus[0]
+    count = k.total * int(taus[0])
     for x in sup:
         count *= math.factorial(int(k.out_degrees[x]) - 1)
     return int(count)
 
 
 def mu_network_measure(kernel: ChainKernel, k: Network) -> float:
-    """One-loop measure of a network: tau(k) prod_x (k_x-1)! prod_{xy} P^k / k!.
+    """One-loop measure of a network: tau(k) prod_x (k_x-1)! prod_{xy} P^k / k!,
+    the row of _layer_law over the network's own nonzero edges.
 
     Zero when the support is disconnected (a single loop cannot split).
     """
@@ -315,17 +302,8 @@ def mu_network_measure(kernel: ChainKernel, k: Network) -> float:
         raise ZeroNetwork("the zero network carries no loop measure")
     if not k.is_eulerian():
         raise NotEulerian("network is not balanced")
-    sup = [int(v) for v in k.support]
-    tau = arborescence_count(k, sup[0])
-    if tau == 0:
-        return 0.0
-    log_val = math.log(tau)
-    for x in sup:
-        log_val += math.lgamma(int(k.out_degrees[x]))
-    for x, y in zip(*np.nonzero(k.counts)):
-        c = int(k.counts[x, y])
-        log_val += c * math.log(kernel.P[x, y]) - math.lgamma(c + 1)
-    return float(math.exp(log_val))
+    _, mu = _layer_law(kernel, np.argwhere(k.counts), k.counts[k.counts > 0][None])
+    return float(mu[0])
 
 
 def _row_keys(layers, max_total: int) -> list:

@@ -115,28 +115,31 @@ def spanning_tree_weight_sum(graph: WeightedGraph) -> float:
     return float(np.exp(logabs))
 
 
+def _arborescence_counts(counts: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Arborescences toward roots[r] of the multigraph counts[r], for a stack
+    (R, n, n), by one stacked directed matrix-tree determinant.  The minor
+    keeps every vertex a crossing touches, in or out, except the root; each
+    struck vertex gets a unit row.  A root off the support leaves the whole
+    support Laplacian, whose rows sum to zero: count 0."""
+    n = counts.shape[1]
+    out_deg = counts.sum(axis=2)
+    keep = (out_deg + counts.sum(axis=1) > 0) & (np.arange(n) != roots[:, None])
+    eye = np.eye(n)
+    # Laplacian for arborescences toward the root: out-degree on the diagonal
+    lap = np.where(keep[:, :, None], out_deg[:, :, None] * eye - counts, eye)
+    val = np.linalg.det(lap)
+    tau = np.rint(val)
+    if (np.abs(val - tau) > 1e-6 * np.maximum(1.0, np.abs(val))).any():
+        raise ArithmeticError("an arborescence determinant is not close to an integer")
+    return np.maximum(tau, 0.0)
+
+
 def arborescence_count(network: Network, root) -> int:
     """Number of arborescences of the network's support digraph oriented
-    toward the root, counted with edge multiplicity.
-
-    Directed matrix-tree on the multigraph whose arc multiplicities are the
-    crossing counts.  Returns 0 if the root cannot be reached.
-    """
+    toward the root, counted with edge multiplicity: the one-network view of
+    the stacked matrix-tree kernel.  The network need not be balanced.
+    Returns 0 when some support vertex cannot reach the root."""
     if network.total == 0:
         raise EmptyNetwork("cannot count arborescences of an empty network")
     root = network.graph.index(root)
-    sup = [int(v) for v in network.support]
-    if root not in sup:
-        return 0
-    k = network.counts[np.ix_(sup, sup)].astype(float)
-    # Laplacian for arborescences toward the root: out-degree on the diagonal
-    lap = np.diag(k.sum(axis=1)) - k
-    keep = [i for i, v in enumerate(sup) if v != root]
-    if not keep:
-        return 1
-    minor = lap[np.ix_(keep, keep)]
-    val = float(np.linalg.det(minor))
-    out = int(round(val))
-    if abs(val - out) > 1e-6 * max(1.0, abs(val)):
-        raise ArithmeticError(f"arborescence determinant {val} is not close to an integer")
-    return max(out, 0)
+    return int(_arborescence_counts(network.counts[None], np.array([root]))[0])

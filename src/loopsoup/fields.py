@@ -63,11 +63,10 @@ def complex_wick_moment(kernel: ChainKernel, sources, targets) -> float:
     return float(permanent(kernel.G[np.ix_(src, tgt)]))
 
 
-def _two_sample_z(report: TestReport, name: str, a: np.ndarray, b: np.ndarray,
-                  gate: float = 3.0, note: str = "") -> None:
+def _two_sample_z(report: TestReport, name: str, a: np.ndarray, b: np.ndarray) -> None:
     ma, mb = float(np.mean(a)), float(np.mean(b))
     se = float(np.sqrt(np.var(a) / len(a) + np.var(b) / len(b)))
-    report.add_z(name, ma, mb, se, gate=gate, note=note)
+    report.add_z(name, ma, mb, se)
 
 
 def _ks_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -151,12 +150,12 @@ def _excursion_block(kernel: ChainKernel, x0: int, rho: float, size: int, rng) -
     escape = float(kernel.lam[x0] - graph.killing[x0])
     if escape <= 0:
         return occ, {"replicas": size, "excursions": 0, "walk_steps": 0}
-    neighbors = np.flatnonzero(graph.conductance[x0] > 0)
-    weights = np.cumsum(graph.conductance[x0, neighbors])
-    weights /= weights[-1]
     owners = np.repeat(np.arange(size), rng.poisson(escape * rho, size=size))
     excursions = len(owners)
-    y = neighbors[np.searchsorted(weights, rng.random(excursions), side="right")]
+    # first steps survive: u * mass < mass for every uniform u < 1, with the
+    # step table's own escape mass at x0, so none reaches the death slot
+    cum = kernel._step_table[1][x0]
+    y = kernel.walk_steps(np.full(excursions, x0), rng.random(excursions) * cum[cum < np.inf][-1])
     cells, hold = [], []
     steps = 0
     while len(owners):
@@ -239,10 +238,8 @@ def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -
     return report
 
 
-def verify_moment_formula(kernel: ChainKernel, edges, points, histogram: dict) -> TestReport:
-    """Monte Carlo E[prod N_edge prod (N_vertex + 1)] over a {network key:
-    replicas} histogram against the closed-form complex Wick value
-    prod C prod lam * Per(G block)."""
+def _moment_indices(kernel: ChainKernel, edges, points) -> tuple:
+    """verify_moment_formula's edge and point indices; DuplicateIndex on a repeat."""
     graph = kernel.graph
     edge_idx = [(graph.index(u), graph.index(v)) for u, v in edges]
     point_idx = [graph.index(p) for p in points]
@@ -250,6 +247,15 @@ def verify_moment_formula(kernel: ChainKernel, edges, points, histogram: dict) -
         raise DuplicateIndex("oriented edges must be pairwise distinct")
     if len(set(point_idx)) != len(point_idx):
         raise DuplicateIndex("vertices must be pairwise distinct")
+    return edge_idx, point_idx
+
+
+def verify_moment_formula(kernel: ChainKernel, edges, points, histogram: dict) -> TestReport:
+    """Monte Carlo E[prod N_edge prod (N_vertex + 1)] over a {network key:
+    replicas} histogram against the closed-form complex Wick value
+    prod C prod lam * Per(G block)."""
+    graph = kernel.graph
+    edge_idx, point_idx = _moment_indices(kernel, edges, points)
 
     sources = [u for u, _ in edge_idx] + point_idx
     targets = [v for _, v in edge_idx] + point_idx
@@ -294,15 +300,24 @@ def _histogram_stat(histogram: dict, stat_fn) -> tuple:
     return mean, float(np.sqrt(var / count)), count
 
 
+def _checked_chi(kernel: ChainKernel, chi) -> np.ndarray:
+    """verify_det_identity's chi as a vector; BadChi unless it is n long,
+    finite and >= lam."""
+    chi = np.asarray(chi, dtype=float)
+    if chi.shape != (kernel.n,):
+        raise BadChi(f"chi must be a vector of length {kernel.n}")
+    if not np.isfinite(chi).all():
+        raise BadChi("chi must be finite")
+    if (chi < kernel.lam - 1e-12).any():
+        raise BadChi("chi must dominate lam entrywise")
+    return chi
+
+
 def verify_det_identity(kernel: ChainKernel, chi, histogram: dict) -> TestReport:
     """Monte Carlo E[det(M_chi D_N - N)] with the lam-normalized diagonal
     chi_x (1 + N_x)/lam_x over a {network key: replicas} histogram, against
     det(M_chi - C) * Per(G)."""
-    chi = np.asarray(chi, dtype=float)
-    if chi.shape != (kernel.n,):
-        raise BadChi(f"chi must be a vector of length {kernel.n}")
-    if (chi < kernel.lam - 1e-12).any():
-        raise BadChi("chi must dominate lam entrywise")
+    chi = _checked_chi(kernel, chi)
 
     target = float(np.linalg.det(np.diag(chi) - kernel.graph.conductance)
                    * permanent(kernel.G))

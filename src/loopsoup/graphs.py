@@ -179,13 +179,19 @@ class WeightedGraph:
         return bool(seen.all())
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class ChainKernel:
     """Transition matrix, Green's function and derived tables of a transient chain.
 
-    Immutable after construction; cached properties are pure functions of the
-    fields, computed at most once, so sharing across threads or pickling to
-    workers is safe.
+    Immutable after construction: every array, cached ones included, is
+    read-only (writing into one raises ValueError), and cached properties are
+    pure functions of the fields, computed at most once, so sharing across
+    threads or pickling to workers is safe.
     """
 
     graph: WeightedGraph
@@ -219,13 +225,13 @@ class ChainKernel:
         Diagonally similar to P, so all traces, determinants and closed-loop
         products agree between the two normalizations.
         """
-        return self.graph.conductance / self.lam[:, None]
+        return _frozen(self.graph.conductance / self.lam[:, None])
 
     @cached_property
     def sym_eigs(self) -> np.ndarray:
         """Eigenvalues of the symmetrized jump matrix, all inside (-1, 1)."""
         s = 1.0 / np.sqrt(self.lam)
-        return np.linalg.eigvalsh(self.graph.conductance * np.outer(s, s))
+        return _frozen(np.linalg.eigvalsh(self.graph.conductance * np.outer(s, s)))
 
     def walk_step(self, x: int, rng: np.random.Generator) -> int:
         """One jump of the chain from x, on one uniform of rng: the one-walker
@@ -247,7 +253,7 @@ class ChainKernel:
         # the zero padding follows the neighbors, so the cumulative sums over
         # them are the unpadded ones
         cum = np.where(slot, np.cumsum(weights, axis=1) / self.lam[:, None], np.inf)
-        return targets, cum
+        return _frozen(targets), _frozen(cum)
 
     def walk_steps(self, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
         """walk_step for many walkers at once, given their uniforms u:
@@ -305,7 +311,7 @@ class ChainKernel:
         """Symmetric square root of the Green's function, for field sampling."""
         w, u = np.linalg.eigh(self.G)
         w = np.clip(w, 0.0, None)
-        return (u * np.sqrt(w)) @ u.T
+        return _frozen((u * np.sqrt(w)) @ u.T)
 
 
 def build_kernel(graph: WeightedGraph) -> ChainKernel:
@@ -321,14 +327,12 @@ def build_kernel(graph: WeightedGraph) -> ChainKernel:
     green = (green + green.T) / 2.0
     p = graph.conductance / lam[None, :]
     log_dimp = float(np.sum(np.log(w)) - np.sum(np.log(lam)))
-    for arr in (lam, m, green, p):
-        arr.setflags(write=False)
     return ChainKernel(
         graph=graph,
-        lam=lam,
-        P=p,
-        G=green,
-        energy_matrix=m,
+        lam=_frozen(lam),
+        P=_frozen(p),
+        G=_frozen(green),
+        energy_matrix=_frozen(m),
         det_i_minus_p=float(np.exp(log_dimp)),
         log_det_i_minus_p=log_dimp,
     )

@@ -23,9 +23,9 @@ from .errors import (
     MismatchBeyondTolerance,
     NonIntegral,
     NotEulerian,
-    SingularTwist,
     TooLarge,
 )
+from .eulerian import _generating_values
 from .exact import spanning_tree_weight_sum
 from .graphs import ChainKernel, WeightedGraph
 from .network import Network
@@ -210,20 +210,6 @@ class HomologyLaw:
         return worst
 
 
-def _twisted_ratio_power(kernel: ChainKernel, z: np.ndarray, alpha: float) -> np.ndarray:
-    """generating_function over a stack of unit-modulus Hermitian modifiers."""
-    det_z = kernel.det_i_minus_pz(z)
-    if (np.abs(det_z) < 1e-300).any():
-        raise SingularTwist("det(I - P^Z) vanished; modifier outside the valid domain")
-    ratio = det_z / kernel.det_i_minus_p
-    out = ratio ** (-alpha)
-    # the twisted energy matrix is positive definite, so the ratio is real
-    # positive up to rounding and takes the real power
-    real = (np.abs(ratio.imag) < 1e-9 * np.maximum(1.0, np.abs(ratio.real))) & (ratio.real > 0)
-    out[real] = ratio.real[real] ** (-alpha)
-    return out
-
-
 def _generating_grid(kernel: ChainKernel, basis: CycleBasis, alpha: float,
                      grid_m: int) -> np.ndarray:
     """generating_function at the modifier exp(2 pi i t_i) on each non-tree
@@ -241,7 +227,7 @@ def _generating_grid(kernel: ChainKernel, basis: CycleBasis, alpha: float,
         for (u, v), t in zip(basis.nontree_edges, axes):
             z[..., u, v] = np.exp(2j * np.pi * t)
             z[..., v, u] = np.exp(2j * np.pi * -t)
-        slab[...] = _twisted_ratio_power(kernel, z, alpha)
+        slab[...] = _generating_values(kernel, z, alpha)
     return phi
 
 
@@ -282,13 +268,13 @@ def homology_distribution(kernel: ChainKernel, basis: CycleBasis, alpha: float,
     return HomologyLaw(probs, grid_m, captured, imag_residue, negative_residue, alpha)
 
 
-def homology_distribution_auto(kernel: ChainKernel, basis: CycleBasis, alpha: float,
-                               start: int = 8) -> HomologyLaw:
-    """Double the grid until the captured mass and a Cauchy criterion
+def homology_distribution_auto(kernel: ChainKernel, basis: CycleBasis,
+                               alpha: float) -> HomologyLaw:
+    """Double the grid from 8 until the captured mass and a Cauchy criterion
     (max change 1e-8 between grids) both hold; cap at 512 per dimension."""
     if basis.n > DIM_CAP:
         raise TooLarge(f"auto grid limited to {DIM_CAP} cycles, got {basis.n}")
-    m = max(8, start)
+    m = 8
     prev: HomologyLaw | None = None
     while m <= GRID_CAP:
         try:

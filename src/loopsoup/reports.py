@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+Z_GATE = 3.0  # |z| at or below which a z-line passes
+
 
 @dataclass
 class StatLine:
@@ -40,14 +42,14 @@ class TestReport:
     meta: dict = field(default_factory=dict)
 
     def add_z(self, statistic: str, lhs: float, rhs: float, stderr: float,
-              gate: float = 3.0, note: str = "") -> StatLine:
-        """Compare an estimate to a target with a z-score gate."""
+              note: str = "") -> StatLine:
+        """Compare an estimate to a target with the z-score gate Z_GATE."""
         if stderr > 0:
             z = (lhs - rhs) / stderr
         else:
             z = 0.0 if lhs == rhs else float("inf")
         line = StatLine(statistic, float(lhs), float(rhs), float(stderr),
-                        float(z), bool(abs(z) <= gate), note)
+                        float(z), bool(abs(z) <= Z_GATE), note)
         self.lines.append(line)
         return line
 

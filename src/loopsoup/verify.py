@@ -355,9 +355,9 @@ def brute_force_tour_count(k: Network) -> int:
     return sum(ways(x, start) for x in support)
 
 
-def random_eulerian_network(graph: WeightedGraph, rng, max_total: int = 8) -> Network:
-    """Random balanced network with connected support: a chain of short
-    cycles, each overlapping the support built so far."""
+def random_eulerian_network(graph: WeightedGraph, rng) -> Network:
+    """Random balanced network with connected support and 2 to 8 crossings:
+    a chain of short cycles, each overlapping the support built so far."""
     n = graph.n
     cycles = []
     for i, j in graph.edge_pairs:
@@ -374,7 +374,7 @@ def random_eulerian_network(graph: WeightedGraph, rng, max_total: int = 8) -> Ne
                     cycles.append(m)
                     cycles.append(m.T.copy())
     counts = np.zeros((n, n), dtype=np.int64)
-    target = int(rng.integers(2, max_total + 1))
+    target = int(rng.integers(2, 9))
     while True:
         total = int(counts.sum())
         sizes = [int(m.sum()) for m in cycles]
@@ -469,10 +469,9 @@ def _mu_measure_lines(report: TestReport, delta_triangle: float) -> None:
             report.lines.append(line)
 
 
-def random_connected_graph(rng, max_extra_edges: int = 4,
-                           c_range: tuple = (0.1, 10.0)) -> WeightedGraph:
-    """Random tree plus up to max_extra_edges chords, random conductances,
-    killing at one random vertex."""
+def random_connected_graph(rng) -> WeightedGraph:
+    """Random tree on 2 to 6 vertices plus up to 4 chords, conductances
+    uniform in [0.1, 10), killing at one random vertex."""
     n = int(rng.integers(2, 7))
     verts = tuple(f"v{i}" for i in range(n))
     edge_set = set()
@@ -481,9 +480,9 @@ def random_connected_graph(rng, max_extra_edges: int = 4,
     chords = [(i, j) for i in range(n) for j in range(i + 1, n)
               if (i, j) not in edge_set]
     rng.shuffle(chords)
-    extra = int(rng.integers(0, min(max_extra_edges, len(chords)) + 1))
+    extra = int(rng.integers(0, min(4, len(chords)) + 1))
     edge_set.update(chords[:extra])
-    lo, hi = c_range
+    lo, hi = 0.1, 10.0
     edges = [(verts[i], verts[j], float(lo + (hi - lo) * rng.random()))
              for i, j in sorted(edge_set)]
     kill_at = verts[int(rng.integers(0, n))]

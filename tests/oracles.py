@@ -1,6 +1,7 @@
-"""Brute-force references for the exact array kernels, and the earlier
-forms of the Monte Carlo block kernels, of the scalar chain step and of the
-reductions over a run.
+"""Brute-force references for the exact array kernels, the scalar forms of
+the matrix-tree count and the one-loop measure, and the earlier forms of the
+Monte Carlo block kernels, of the scalar chain step and of the reductions
+over a run.
 
 Each exact reference enumerates everything it sums over, so they are slow
 and only fit small inputs; the tests compare the fast kernels against them.
@@ -111,6 +112,35 @@ def network_prob_alpha(kernel, k, alpha: float) -> float:
     for x, y in zip(*np.nonzero(counts)):
         weight *= kernel.P[x, y] ** int(counts[x, y])
     return float(kernel.det_i_minus_p**alpha * weight)
+
+
+def arborescences(k, root: int) -> int:
+    """Arborescences of k's support toward root: one directed matrix-tree
+    determinant of the out-degree Laplacian over the support less the root."""
+    support = [int(v) for v in k.support]
+    if root not in support:
+        return 0
+    keep = [v for v in support if v != root]
+    counts = k.counts.astype(float)
+    lap = np.diag(counts.sum(axis=1)) - counts
+    return max(int(round(np.linalg.det(lap[np.ix_(keep, keep)]))), 0)
+
+
+def mu_network(kernel, k) -> float:
+    """One-loop measure tau(k) prod_x (k_x - 1)! prod_{xy} P^k / k! of a
+    nonzero balanced network, summed in logs one vertex and one edge at a
+    time, with tau rooted at the first support vertex."""
+    support = [int(v) for v in k.support]
+    tau = arborescences(k, support[0])
+    if tau == 0:
+        return 0.0
+    log_val = math.log(tau)
+    for x in support:
+        log_val += math.lgamma(int(k.out_degrees[x]))
+    for x, y in zip(*np.nonzero(k.counts)):
+        c = int(k.counts[x, y])
+        log_val += c * math.log(kernel.P[x, y]) - math.lgamma(c + 1)
+    return math.exp(log_val)
 
 
 def walk_tables(kernel) -> list:

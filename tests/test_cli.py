@@ -13,6 +13,7 @@ import warnings
 import pytest
 
 import loopsoup
+from loopsoup import cli
 from loopsoup.cli import _COMMANDS, _build_parser, main
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_graphs"
@@ -180,6 +181,23 @@ def test_moments_command(tmp_path):
     assert payload["pass"] is True
     msg = run(tmp_path, "moments", "--graph", TWO_POINT, expect=1)
     assert "edges" in msg or "points" in msg
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("moments", "--graph", TRIANGLE, "--points", "a,a"), "distinct"),
+    (("moments", "--graph", TRIANGLE, "--edges", "a:b,a:b", "--replicas", "0"), "distinct"),
+    (("det-identity", "--graph", TWO_POINT, "--chi-scale", "0.5"), "dominate"),
+    (("det-identity", "--graph", TWO_POINT, "--chi-scale", "0.5", "--replicas", "0"),
+     "dominate"),
+    (("det-identity", "--graph", TWO_POINT, "--chi-scale", "nan"), "finite"),
+    (("det-identity", "--graph", TWO_POINT, "--chi-scale", "inf"), "finite"),
+])
+def test_verifier_input_fails_before_drawing(tmp_path, monkeypatch, argv, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("network_histogram called on an input error path")
+
+    monkeypatch.setattr(cli, "network_histogram", no_draw)
+    assert message in run(tmp_path, *argv, expect=1)
 
 
 def test_ray_knight_command(tmp_path):

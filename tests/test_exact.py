@@ -198,6 +198,18 @@ def test_arborescence_brute_force(triangle, complete4):
             assert arborescence_count(net, root) == count
 
 
+def test_arborescence_unbalanced_in_only_vertex(triangle, complete4):
+    # a -> b twice, a -> c three times, b -> c once: c only receives.  Toward
+    # c, a goes by b (2 ways) or straight (3 ways); no tree reaches a or b,
+    # because c has no way out, so c must stay in the minor
+    sink = _net(triangle, {(0, 1): 2, (0, 2): 3, (1, 2): 1})
+    assert [arborescence_count(sink, root) for root in "abc"] == [0, 0, 5]
+    assert [oracles.arborescences(sink, root) for root in range(3)] == [0, 0, 5]
+    # the same network in K4: the root d is off the support
+    off = _net(complete4, {(0, 1): 2, (0, 2): 3, (1, 2): 1})
+    assert [arborescence_count(off, root) for root in range(4)] == [0, 0, 5, 0]
+
+
 def _reaches(parent_of, start, root, limit=16):
     x = start
     for _ in range(limit):

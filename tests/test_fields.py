@@ -180,3 +180,6 @@ def test_det_identity(two_point_kernel):
         verify_det_identity(two_point_kernel, [1.0, 2.0, 3.0], hist)
     with pytest.raises(BadChi):
         verify_det_identity(two_point_kernel, 0.5 * two_point_kernel.lam, hist)
+    for bad in (np.nan, np.inf):  # nan failed the gate, inf passed it
+        with pytest.raises(BadChi):
+            verify_det_identity(two_point_kernel, [bad, 1.0], hist)

@@ -106,6 +106,17 @@ def test_twisted_energy_is_real_and_bounded_below(triangle_kernel):
         assert np.linalg.eigvalsh(m).min() > 0
 
 
+def test_kernel_arrays_are_read_only(triangle):
+    # every field array and every cached array, so no caller can change
+    # what later samples or determinants read
+    k = build_kernel(triangle)
+    arrays = [k.lam, k.P, k.G, k.energy_matrix, k.q_matrix, k.sym_eigs,
+              *k._step_table, k.field_factor]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def test_json_round_trip(tmp_path, triangle):
     data = triangle.to_json_dict()
     path = tmp_path / "g.json"

@@ -1,9 +1,11 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every module-level private function or class is used somewhere.
 
-No linter ships with the project, so this scan stands in for one: it parses
-each module with ast and fails on an imported name that the module never
-reads.  The package __init__ is exempt, because its imports are the public
-re-exports.
+No linter ships with the project, so these scans stand in for one: they
+parse the sources with ast.  The import scan fails on an imported name that
+its module never reads; the package __init__ is exempt, because its imports
+are the public re-exports.  The private-name scan fails on a module-level
+`_name` function or class that no module of the package and no test reads.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "loopsoup"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "loopsoup"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -38,3 +41,47 @@ def test_scan_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names_read(node) -> set:
+    """Every name a subtree reads, as a bare name, an attribute or an import."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.split(".")[-1])
+    return names
+
+
+def unreferenced_private(package: dict, readers: list) -> list:
+    """(module, name) of each module-level private function or class of the
+    package sources {module: source} that neither the package nor a reader
+    source reads; a definition's own body does not count as a reader."""
+    defs, read = [], set()
+    for source in [*package.values(), *readers]:
+        for node in ast.parse(source).body:
+            names = _names_read(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+            read |= names
+    for module, source in package.items():
+        defs += [(module, node.name) for node in ast.parse(source).body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name.startswith("_") and not node.name.startswith("__")]
+    return sorted(d for d in defs if d[1] not in read)
+
+
+def test_private_scan_sees_dead_and_live_names():
+    package = {"a": "def _dead():\n    return _dead()\n\ndef _live():\n    pass\n"
+                    "class _Used:\n    pass\n",
+               "b": "from a import _live\n"}
+    assert unreferenced_private(package, ["import a\na._Used()\n"]) == [("a", "_dead")]
+
+
+def test_no_unreferenced_private_definitions():
+    package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    readers = [p.read_text() for p in TESTS.glob("*.py")]
+    assert unreferenced_private(package, readers) == []

@@ -40,7 +40,12 @@ from loopsoup.eulerian import (
     _layer_law,
     _row_keys,
 )
-from loopsoup.verify import _all_balanced_up_to, nb_pmf, random_connected_graph
+from loopsoup.verify import (
+    _all_balanced_up_to,
+    nb_pmf,
+    random_connected_graph,
+    random_eulerian_network,
+)
 
 
 def _two_point_net(graph, n):
@@ -308,7 +313,7 @@ def test_circulation_layers_match_composition_filter(two_point, triangle, path3,
             prob, mu = _layer_law(kernel, edges, rows)
             for p, w, net in zip(prob, mu, expected):
                 assert p == pytest.approx(exact_network_prob_alpha1(kernel, net), rel=1e-12)
-                assert w == pytest.approx(mu_network_measure(kernel, net), rel=1e-12, abs=0.0)
+                assert w == pytest.approx(oracles.mu_network(kernel, net), rel=1e-12, abs=0.0)
 
 
 def test_enumerate_matches_per_network_laws(triangle, triangle_kernel):
@@ -323,7 +328,7 @@ def test_enumerate_matches_per_network_laws(triangle, triangle_kernel):
         assert e.probability == pytest.approx(
             exact_network_prob_alpha1(triangle_kernel, e.network), rel=1e-12)
         assert e.mu_mass == pytest.approx(
-            mu_network_measure(triangle_kernel, e.network), rel=1e-12, abs=0.0)
+            oracles.mu_network(triangle_kernel, e.network), rel=1e-12, abs=0.0)
 
 
 def test_convolution_keys_stay_exact():
@@ -384,6 +389,17 @@ def test_mu_measure_oracles(two_point, triangle, two_point_kernel, triangle_kern
     assert mu_network_measure(triangle_kernel, _directed_triangle(triangle)) == pytest.approx(1 / 27)
     with pytest.raises(ZeroNetwork):
         mu_network_measure(two_point_kernel, Network.zeros(two_point))
+
+
+def test_mu_view_matches_scalar_formula(complete4):
+    # the one-row view of _layer_law against the formula summed in logs
+    rng = np.random.default_rng(21)
+    for graph in (complete4, *(random_connected_graph(rng) for _ in range(4))):
+        kernel = build_kernel(graph)
+        for _ in range(8):
+            net = random_eulerian_network(graph, rng)
+            assert mu_network_measure(kernel, net) == pytest.approx(
+                oracles.mu_network(kernel, net), rel=1e-12, abs=0.0)
 
 
 def test_mu_partial_sums(two_point, two_point_kernel):

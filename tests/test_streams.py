@@ -2,9 +2,10 @@
 battery statistics built from them.
 
 Each sampler digest is the SHA-256 of a sampler's whole output at a fixed
-seed, so a change that moves one random number, or the order in which
-numbers are drawn, fails here even when every statistical check still
-passes.  The battery digest covers every StatLine of run_all except the
+seed (for the Ray-Knight excursions, the raw occupations and diagnostics of
+several full blocks), so a change that moves one random number, or the
+order in which numbers are drawn, fails here even when every statistical
+check still passes.  The battery digest covers every StatLine of run_all except the
 runtimes, so a change to a reduction over the samples (a sum taken in
 another order, say) fails here too.  A change that moves the streams or the
 statistics on purpose updates the digests and says why; run this file as a
@@ -18,13 +19,16 @@ import pytest
 
 from loopsoup import (
     BLOCK,
+    WeightedGraph,
     build_kernel,
     direct_sample,
     network_histogram,
     occupation_samples,
     wilson_sample,
 )
-from loopsoup.verify import run_all, triangle_graph, two_point_graph
+from loopsoup.fields import _excursion_block
+from loopsoup.rng import replica_map
+from loopsoup.verify import path3_graph, run_all, triangle_graph, two_point_graph
 
 SEED = 20260816
 HIST_REPLICAS = BLOCK + 500  # one full block and one partial block
@@ -45,10 +49,28 @@ HISTOGRAMS = {
 OCCUPATION = "296ea3ae0fa522581c05a67c3a5d29f2cf87bcaca210eb69320bae3156082184"
 DIRECT_SAMPLES = "71c614465a3f93c2807d06617dfddb36aaecea2ddfbd1de7470e9ec4448d2341"
 WILSON_SAMPLES = "ec4ff36a09b6068b9a1692d3ee175681a2b726931dfc8e53067b3bf100fdf43b"
+EXCURSION_REPLICAS = 4 * BLOCK  # four full blocks
+EXCURSIONS = {  # (graph, start vertex x0, stopping local time rho)
+    ("path3", "a", 1.0):
+        "5bde4a9687476674af6bf14ae308151c72227c4b796be34c88fedb09c618479f",
+    ("three_neighbours", "b", 1.5):
+        "e24a196e60dd48f87f6f82d6f5942ddf9170ca98ea03fc7aa1573ebfd22d7419",
+}
 BATTERY_REPLICAS = 20_000
 BATTERY = "9bb2d04323a4420275b8ad4a5874dcb759678b14c18c1a032ee0ba29bb8cf5f9"
 
-_GRAPHS = {"triangle": triangle_graph, "two_point": two_point_graph}
+
+def three_neighbours_graph() -> WeightedGraph:
+    """Killing only at b, whose three neighbours have unequal conductances."""
+    return WeightedGraph.build(
+        ("a", "b", "c", "d"),
+        (("b", "a", 0.5), ("b", "c", 1.0), ("b", "d", 2.5), ("a", "c", 0.7)),
+        {"b": 0.3},
+    )
+
+
+_GRAPHS = {"triangle": triangle_graph, "two_point": two_point_graph,
+           "path3": path3_graph, "three_neighbours": three_neighbours_graph}
 
 
 def _sha(text: str) -> str:
@@ -84,6 +106,18 @@ def wilson_samples_digest() -> str:
                       for parents, soup in samples]))
 
 
+def excursion_digest(graph: str, x0: str, rho: float) -> str:
+    kernel = _kernel(graph)
+    x0 = kernel.graph.index(x0)
+    digest = hashlib.sha256()
+    for occ, diagnostics in replica_map(
+            lambda rng, size: _excursion_block(kernel, x0, rho, size, rng),
+            EXCURSION_REPLICAS, SEED):
+        digest.update(np.ascontiguousarray(occ, dtype="<f8").tobytes())
+        digest.update(repr(sorted(diagnostics.items())).encode())
+    return digest.hexdigest()
+
+
 def battery_digest() -> str:
     lines = [(report.name, line.statistic, line.lhs, line.rhs, line.stderr, line.z,
               line.passed, line.note)
@@ -109,6 +143,11 @@ def test_wilson_sample_streams():
     assert wilson_samples_digest() == WILSON_SAMPLES
 
 
+@pytest.mark.parametrize("graph, x0, rho", list(EXCURSIONS))
+def test_excursion_streams(graph, x0, rho):
+    assert excursion_digest(graph, x0, rho) == EXCURSIONS[(graph, x0, rho)]
+
+
 def test_battery_statistics():
     assert battery_digest() == BATTERY
 
@@ -119,4 +158,6 @@ if __name__ == "__main__":
     print("occupation", occupation_digest())
     print("direct_sample", direct_samples_digest())
     print("wilson_sample", wilson_samples_digest())
+    for key in EXCURSIONS:
+        print(key, excursion_digest(*key))
     print("battery", battery_digest())
