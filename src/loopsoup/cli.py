@@ -69,27 +69,40 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser(command: str | None = None) -> _Parser:
-    """The argument tree.  Given a command name, only that subcommand's branch
-    is added, which parses an argv starting with that name exactly as the
-    whole tree does and costs a tenth as much to build."""
+def _add_arguments(parser: _Parser, name: str) -> _Parser:
+    """Command `name`'s options, for its flat parser and its branch of the tree."""
+    _, _, graph, options = _COMMANDS[name]
+    if graph:
+        parser.add_argument("--graph", required=True, help="graph JSON file")
+    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+def _build_parser() -> _Parser:
+    """The whole argument tree: every command as a branch of `loopsoup`."""
     parser = _Parser(prog="loopsoup", description=__doc__)
     parser.add_argument("--version", action="version", version=f"loopsoup {__version__}")
-    # one branch alone still names every command in the usage line
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
-                                metavar=metavar)
-    for name, (_, help_text, graph, options) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
-        p = sub.add_parser(name, help=help_text)
-        if graph:
-            p.add_argument("--graph", required=True, help="graph JSON file")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        for flag, kwargs in options:
-            p.add_argument(flag, **kwargs)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (_, help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """argv parsed as the whole tree parses it.  When argv[0] names a command,
+    its flat parser reads the rest, and the tree is built only for leftovers,
+    so that usage errors are the tree's; an argument "--=..." goes to the tree
+    as well, whose top level finds it ambiguous."""
+    if argv and argv[0] in _COMMANDS and not any(a.startswith("--=") for a in argv):
+        parser = _add_arguments(_Parser(prog=f"loopsoup {argv[0]}"), argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _parse_vertex_list(raw: str) -> list:
@@ -407,9 +420,8 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     config = {k: v for k, v in sorted(vars(args).items())}

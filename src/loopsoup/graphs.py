@@ -201,6 +201,7 @@ class ChainKernel:
     energy_matrix: np.ndarray
     det_i_minus_p: float
     log_det_i_minus_p: float
+    log_prod_lam: float
 
     def __getstate__(self):
         names = {f.name for f in _dc_fields(self)}
@@ -277,21 +278,23 @@ class ChainKernel:
             raise BadTailCut(f"tail cut must be in (0, 1e-6], got {eps}")
         w = self.sym_eigs
         mprime = float(-np.sum(np.log1p(-w)))
-        terms = []
-        partial = 0.0
-        n = 1
+        # mu(|l| = n) = tr(P^n) / n, 64 terms at a time, summed one term at a
+        # time in order, so the cut does not depend on the chunking
+        chunks, partial, lo = [], 0.0, 2
         while mprime - partial > eps:
-            n += 1
-            if n > 10_000:
-                raise TailTooHeavy(
-                    f"loop-length tail cannot be cut to {eps} within 10^4 steps"
-                )
-            t = max(float(np.sum(w**n)) / n, 0.0)
-            terms.append(t)
-            partial += t
-        total = partial
-        cum = np.cumsum(terms) / total if terms else np.zeros(0)
-        return cum, total, n, mprime - partial
+            if lo > 10_000:
+                raise TailTooHeavy(f"loop-length tail cannot be cut to {eps} within 10^4 steps")
+            ns = np.arange(lo, min(lo + 64, 10_001))
+            powers = w ** ns[:, None]
+            if lo == 2:
+                powers[0] = w**2  # numpy squares, which can differ from pow by an ulp
+            chunks.append(np.maximum(np.sum(powers, axis=1) / ns, 0.0))
+            partial = np.cumsum(np.append(partial, chunks[-1]))[-1]
+            lo += 64
+        sums = np.cumsum(np.concatenate([[0.0], *chunks]))  # sums[k]: the first k terms
+        k = int(np.count_nonzero(mprime - sums > eps))  # sums never fall: the cut
+        total = float(sums[k])
+        return sums[1 : k + 1] / total, total, k + 1, mprime - total
 
     def twisted_matrix(self, z: np.ndarray) -> np.ndarray:
         """M_lam - C * z for an entrywise edge modifier z."""
@@ -303,7 +306,7 @@ class ChainKernel:
         A stack of modifiers (..., n, n) gives the array of determinants.
         """
         sign, logabs = np.linalg.slogdet(self.twisted_matrix(z))
-        det = sign * np.exp(logabs - np.sum(np.log(self.lam)))  # sign 0 when singular
+        det = sign * np.exp(logabs - self.log_prod_lam)  # sign 0 when singular
         return det if det.ndim else complex(det)
 
     @cached_property
@@ -326,7 +329,8 @@ def build_kernel(graph: WeightedGraph) -> ChainKernel:
     green = np.linalg.inv(m)
     green = (green + green.T) / 2.0
     p = graph.conductance / lam[None, :]
-    log_dimp = float(np.sum(np.log(w)) - np.sum(np.log(lam)))
+    log_prod_lam = float(np.sum(np.log(lam)))
+    log_dimp = float(np.sum(np.log(w)) - log_prod_lam)
     return ChainKernel(
         graph=graph,
         lam=_frozen(lam),
@@ -335,4 +339,5 @@ def build_kernel(graph: WeightedGraph) -> ChainKernel:
         energy_matrix=_frozen(m),
         det_i_minus_p=float(np.exp(log_dimp)),
         log_det_i_minus_p=log_dimp,
+        log_prod_lam=log_prod_lam,
     )

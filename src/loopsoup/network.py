@@ -87,23 +87,6 @@ class Network:
         """Vertices touched by at least one crossing."""
         return np.flatnonzero((self.out_degrees + self.in_degrees) > 0)
 
-    def support_connected(self) -> bool:
-        """Weak connectivity of the sub-digraph of positive counts."""
-        sup = self.support
-        if len(sup) == 0:
-            return True
-        adj = (self.counts > 0) | (self.counts.T > 0)
-        seen = {int(sup[0])}
-        stack = [int(sup[0])]
-        while stack:
-            x = stack.pop()
-            for y in np.flatnonzero(adj[x]):
-                y = int(y)
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen >= set(int(s) for s in sup)
-
     def key(self) -> tuple:
         """Hashable identity of the count matrix."""
         return tuple(map(tuple, self.counts.tolist()))

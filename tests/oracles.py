@@ -1,6 +1,7 @@
 """Brute-force references for the exact array kernels, the scalar forms of
-the matrix-tree count and the one-loop measure, and the earlier forms of the
-Monte Carlo block kernels, of the scalar chain step and of the reductions
+the matrix-tree count, the one-loop measure and the loop-length law, a
+search for the connectivity of a network's support, and the earlier forms of
+the Monte Carlo block kernels, of the scalar chain step and of the reductions
 over a run.
 
 Each exact reference enumerates everything it sums over, so they are slow
@@ -20,7 +21,7 @@ from itertools import permutations
 
 import numpy as np
 
-from loopsoup import Network
+from loopsoup import Network, TailTooHeavy
 from loopsoup.soup import LoopBlock, LoopGroup, _check_alpha, _concat, _matrix_powers
 
 
@@ -141,6 +142,45 @@ def mu_network(kernel, k) -> float:
         c = int(k.counts[x, y])
         log_val += c * math.log(kernel.P[x, y]) - math.lgamma(c + 1)
     return math.exp(log_val)
+
+
+def length_distribution(kernel, eps: float):
+    """ChainKernel.length_distribution one term at a time: mu(|l| = n) =
+    sum(w^n) / n over the symmetrized spectrum w, added to the running sum
+    until the tail left of -sum(log(1 - w)) is at most eps."""
+    w = kernel.sym_eigs
+    mprime = float(-np.sum(np.log1p(-w)))
+    terms = []
+    partial = 0.0
+    n = 1
+    while mprime - partial > eps:
+        n += 1
+        if n > 10_000:
+            raise TailTooHeavy(f"loop-length tail cannot be cut to {eps} within 10^4 steps")
+        t = max(float(np.sum(w**n)) / n, 0.0)
+        terms.append(t)
+        partial += t
+    cum = np.cumsum(terms) / partial if terms else np.zeros(0)
+    return cum, partial, n, mprime - partial
+
+
+def support_connected(net) -> bool:
+    """Weak connectivity of the sub-digraph of positive counts, by a
+    depth-first search from one touched vertex."""
+    sup = net.support
+    if len(sup) == 0:
+        return True
+    adj = (net.counts > 0) | (net.counts.T > 0)
+    seen = {int(sup[0])}
+    stack = [int(sup[0])]
+    while stack:
+        x = stack.pop()
+        for y in np.flatnonzero(adj[x]):
+            y = int(y)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen >= set(int(s) for s in sup)
 
 
 def walk_tables(kernel) -> list:

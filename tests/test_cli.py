@@ -14,7 +14,7 @@ import pytest
 
 import loopsoup
 from loopsoup import cli
-from loopsoup.cli import _COMMANDS, _build_parser, main
+from loopsoup.cli import _COMMANDS, _build_parser, _parse_args, main
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_graphs"
 TWO_POINT = str(SAMPLES / "two_point.json")
@@ -285,26 +285,33 @@ def test_usage_errors(tmp_path):
         assert err.getvalue().startswith("error: intensity")
 
 
-def _parse_outcome(parser, argv):
+def _parse_outcome(parse, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            parsed, code = vars(parser.parse_args(argv)), None
+            parsed, code = vars(parse(list(argv))), None
         except SystemExit as exc:
             parsed, code = None, exc.code
     return parsed, code, out.getvalue(), err.getvalue()
 
 
-def test_one_branch_parses_like_the_whole_tree():
+def test_dispatch_parses_like_the_whole_tree():
+    # main parses through _parse_args, which builds one flat parser for the
+    # command named; every outcome must be the whole tree's, usage errors,
+    # help and --version included
     required = ["--graph", "g", "--network", "n", "--x0", "a", "--sources", "a",
                 "--sinks", "b", "--edge", "a:b"]
     whole = _build_parser()
     for name in _COMMANDS:
         for rest in ([], ["-h"], ["--graph", "g"], required, ["--bad"], ["--version"],
                      required + ["--alpha", "2", "--seed", "7", "--format", "csv"],
-                     ["--graph", "g", "--seed", "x"]):
+                     ["--graph", "g", "--seed", "x"], required + ["stray"],
+                     ["--gr", "g"], required + ["--out", "f", "--format", "csv"],
+                     ["--graph", "g", "--version"], required + ["--=x"]):
             argv = [name, *rest]
-            assert _parse_outcome(_build_parser(name), argv) == _parse_outcome(whole, argv)
+            assert _parse_outcome(_parse_args, argv) == _parse_outcome(whole.parse_args, argv)
+    for argv in ([], ["nope"], ["--version"], ["--graph", "g", "kernel"]):
+        assert _parse_outcome(_parse_args, argv) == _parse_outcome(whole.parse_args, argv)
     for argv in (["--help"], ["--help", "kernel"]):  # top-level help is the whole tree's
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(argv) == 0

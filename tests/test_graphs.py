@@ -1,11 +1,17 @@
 """Graph construction, kernel derivation, and the twisted energy matrix."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from loopsoup import BadGraph, NonTransient, WeightedGraph, build_kernel
+from loopsoup import BadGraph, NonTransient, TailTooHeavy, WeightedGraph, build_kernel
+from loopsoup.verify import complete4_graph, single_vertex_graph
+
+import oracles
+
+_SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_graphs"
 
 
 def test_two_point_kernel_oracles(two_point_kernel):
@@ -152,6 +158,66 @@ def test_length_distribution_two_point(two_point_kernel):
     assert discarded <= 1e-9
     with pytest.raises(ValueError):
         two_point_kernel.length_distribution(1e-3)
+
+
+def _random_connected(rng, n: int) -> WeightedGraph:
+    """Random tree on n vertices plus up to n chords, conductances uniform in
+    [0.1, 10), killing in [0.05, 2) at one vertex and at each other with
+    probability 0.2."""
+    verts = [f"v{i}" for i in range(n)]
+    edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+    for _ in range(int(rng.integers(0, n + 1))):
+        i, j = sorted(rng.choice(n, 2, replace=False))
+        edges.add((int(i), int(j)))
+    killed = rng.random(n) < 0.2
+    killed[int(rng.integers(0, n))] = True
+    return WeightedGraph.build(
+        verts, [(verts[i], verts[j], float(rng.uniform(0.1, 10.0))) for i, j in sorted(edges)],
+        {v: float(rng.uniform(0.05, 2.0)) for v, k in zip(verts, killed) if k})
+
+
+def _law_or_error(law, kernel, eps):
+    try:
+        return law(kernel, eps)
+    except TailTooHeavy as exc:
+        return str(exc)
+
+
+def test_length_distribution_matches_scalar_loop():
+    # the chunked law sums in the scalar loop's order, so it must agree with
+    # it bit for bit, the cut and the 10^4-term cap included
+    rng = np.random.default_rng(12)
+    graphs = [complete4_graph(), single_vertex_graph(),
+              *(WeightedGraph.from_json_file(p) for p in sorted(_SAMPLES.glob("*.json"))),
+              *(_random_connected(rng, int(rng.integers(2, 21))) for _ in range(30))]
+    outcomes = {"cut": 0, "raised": 0}
+    for graph in graphs:
+        kernel = build_kernel(graph)
+        for eps in (1e-6, 1e-9, 1e-13):
+            want = _law_or_error(oracles.length_distribution, kernel, eps)
+            got = _law_or_error(type(kernel).length_distribution, kernel, eps)
+            if isinstance(want, str):
+                assert got == want
+                outcomes["raised"] += 1
+                continue
+            assert np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+            assert [type(v) for v in got[1:]] == [type(v) for v in want[1:]]
+            outcomes["cut"] += 1
+    assert outcomes["cut"] >= 90 and outcomes["raised"] > 0
+
+
+def test_length_distribution_cap_is_decided_by_rounding():
+    # two killings 2e-14 apart on the path a-b-c: the first reaches the cut
+    # at term 9926, the second never does within 10^4 terms
+    def kernel(k):
+        return build_kernel(WeightedGraph.build(
+            "abc", [("a", "b", 1.0), ("b", "c", 1.0)], {"a": k}))
+
+    cum, total, n_max, discarded = kernel(0.010742402424948522).length_distribution(1e-13)
+    assert n_max == 9926 and len(cum) == 9925 and discarded <= 1e-13
+    with pytest.raises(TailTooHeavy):
+        kernel(0.010742402424930332).length_distribution(1e-13)
 
 
 def test_walk_step_distribution(path3_kernel):
