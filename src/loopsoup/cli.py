@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import BadIntensity, LoopSoupError
+from .errors import BadIntensity, BadReplicaCount, LoopSoupError
 from .eulerian import (
     ALPHA_NETWORK_CAP,
     ModifierMatrix,
@@ -48,6 +48,7 @@ from .homology import (
 )
 from .network import Network
 from .reports import Z_GATE, TestReport
+from .rng import _check_count
 from .soup import (
     direct_sample,
     jump_matrix,
@@ -180,6 +181,9 @@ def _cmd_sample(args) -> tuple:
 
 
 def _cmd_occupation(args) -> tuple:
+    if _check_count(args.replicas) < 2:
+        raise BadReplicaCount(
+            f"a standard error needs at least 2 replicas, got {args.replicas}")
     kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
     samples = occupation_samples(kernel, args.alpha, args.replicas, args.seed,
                                  eps=args.epsilon)
@@ -197,7 +201,7 @@ def _cmd_jumps(args) -> tuple:
     kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
     soup = _sample_soup(kernel, args)
     net = jump_matrix(soup)
-    occ = occupation(soup, kernel)
+    occ = occupation(soup)
     return {
         "network": net.to_json_dict(),
         "total_jumps": net.total,
@@ -389,16 +393,15 @@ _COMMANDS = {
 
 # ---------------------------------------------------------------- emission
 
-def _csv_text(payload: dict) -> str:
+def _csv_text(payload: dict, reports: list | None) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if payload.get("reports"):
+    if reports:  # the lines' own values, not to_dict's: CSV keeps inf and nan
         writer.writerow(["report", "statistic", "lhs", "rhs", "stderr", "z", "pass", "note"])
-        for rep in payload["reports"]:
-            for line in rep["lines"]:
-                writer.writerow([rep["name"], line["statistic"], line["lhs"],
-                                 line["rhs"], line["stderr"], line["z"],
-                                 line["pass"], line["note"]])
+        for rep in reports:
+            for line in rep.lines:
+                writer.writerow([rep.name, line.statistic, line.lhs, line.rhs, line.stderr,
+                                 line.z, line.passed, line.note])
     else:
         writer.writerow(["key", "value"])
         for key, value in sorted(payload.get("result", {}).items()):
@@ -406,9 +409,9 @@ def _csv_text(payload: dict) -> str:
     return buf.getvalue()
 
 
-def _emit(payload: dict, fmt: str, out: str | None) -> None:
+def _emit(payload: dict, reports: list | None, fmt: str, out: str | None) -> None:
     if fmt == "csv":
-        text = _csv_text(payload)
+        text = _csv_text(payload, reports)
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
@@ -445,7 +448,7 @@ def main(argv=None) -> int:
         payload["pass"] = passed
     if result is not None:
         payload["result"] = result
-    _emit(payload, args.format, args.out)
+    _emit(payload, reports, args.format, args.out)
     return 0 if passed else 2
 
 

@@ -7,9 +7,14 @@ serializes these to JSON; the test suite asserts on `passed`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 Z_GATE = 3.0  # |z| at or below which a z-line passes
+
+
+def _finite(value: float | None) -> float | None:
+    return value if value is None or math.isfinite(value) else None
 
 
 @dataclass
@@ -23,12 +28,14 @@ class StatLine:
     note: str = ""
 
     def to_dict(self) -> dict:
+        """The line for JSON; a non-finite value becomes None (null), since
+        RFC 8259 JSON has no Infinity or NaN."""
         return {
             "statistic": self.statistic,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "stderr": self.stderr,
-            "z": self.z,
+            "lhs": _finite(self.lhs),
+            "rhs": _finite(self.rhs),
+            "stderr": _finite(self.stderr),
+            "z": _finite(self.z),
             "pass": self.passed,
             "note": self.note,
         }

@@ -17,12 +17,15 @@ network_histogram and occupation_samples reduce the blocks of a run (see
 rng for the (seed, block) streams).  The single-ensemble samplers are
 one-replica views: direct_sample of direct_block, and wilson_sample of the
 cycle-popping walk that wilson_counts reduces to jump networks; only the
-view builds the spanning tree, the loops and their holding times.
+view builds the spanning tree and the holding times of the erased cycles.
+Either way a LoopSoup holds a one-replica LoopBlock, so its jump network and
+occupation are that block's reductions.
 
-Loops of a LoopSoup are stored as shift-equivalence representatives, rotated
-so the minimal vertex index comes first (ties broken by the lexicographically
-smallest vertex sequence).  Only class functions of the ensemble (crossing
-counts, occupation) are compared across samplers.
+LoopSoup.loops presents the loops as shift-equivalence representatives,
+rotated so the minimal vertex index comes first (ties broken by the
+lexicographically smallest vertex sequence); the block stores them as drawn.
+Only class functions of the ensemble (crossing counts, occupation) are
+compared across samplers.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -42,18 +45,11 @@ from .network import Network
 from .rng import replica_map
 
 
-@dataclass(frozen=True)
-class BasedLoop:
+class BasedLoop(NamedTuple):
     """Cyclic vertex sequence with one positive holding time per visit."""
 
     vertices: tuple
     times: tuple
-
-    def __post_init__(self):
-        if len(self.vertices) != len(self.times):
-            raise ValueError("one holding time per visit required")
-        if not self.vertices:
-            raise ValueError("a loop visits at least one vertex")
 
     @property
     def length(self) -> int:
@@ -62,13 +58,28 @@ class BasedLoop:
 
 @dataclass(frozen=True)
 class LoopSoup:
-    """A sampled loop ensemble: loops, aggregated one-point time, intensity."""
+    """One sampled loop ensemble: the one-replica view of a LoopBlock drawn
+    with holding times, at intensity alpha."""
 
-    graph: WeightedGraph
+    block: LoopBlock
     alpha: float
-    loops: tuple
-    trivial_time: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    @property
+    def graph(self) -> WeightedGraph:
+        return self.block.kernel.graph
+
+    @property
+    def trivial_time(self) -> np.ndarray:
+        """One-point loop time per vertex."""
+        return self.block.trivial_time[0]
+
+    @cached_property
+    def loops(self) -> tuple:
+        """Every loop as a BasedLoop, group by group, rotated to its
+        canonical representative."""
+        return tuple(BasedLoop(*_canonical(verts, times)) for group in self.block.groups
+                     for verts, times in zip(group.vertices.tolist(), group.times.tolist()))
 
 
 def _canonical(verts, times) -> tuple:
@@ -99,6 +110,8 @@ def wilson_sample(kernel: ChainKernel, seed) -> tuple:
     meaning the cemetery.  The erased cycles at each vertex are regrouped
     into loops by a Poisson-Dirichlet(0,1) split of the vertex's base local
     time; stick mass not claimed by any cycle becomes one-point loop time.
+    Each stick's loop is a one-row group of the soup's block, in vertex and
+    stick order.
     """
     rng = np.random.default_rng(seed)
     n = kernel.n
@@ -123,8 +136,8 @@ def wilson_sample(kernel: ChainKernel, seed) -> tuple:
         del path[j + 1:], holds[j + 1:]
         holds[j] = hold
 
-    loops = []
-    trivial = np.zeros(n)
+    groups = []
+    trivial = np.zeros((1, n))
     for z in range(n):
         cycles = cycles_at[z]
         base_total = holds[pos[z]] + sum(c[0] for c in cycles)
@@ -156,17 +169,13 @@ def wilson_sample(kernel: ChainKernel, seed) -> tuple:
                 times.append(float(share))
                 verts.extend(inner_v)
                 times.extend(inner_t)
-            cv, ct = _canonical(verts, times)
-            loops.append(BasedLoop(cv, ct))
-        trivial[z] = base_total * (1.0 - used)
+            groups.append(LoopGroup(np.zeros(1, dtype=np.intp), np.array([verts]),
+                                    np.array([times])))
+        trivial[0, z] = base_total * (1.0 - used)
 
-    soup = LoopSoup(
-        graph=kernel.graph,
-        alpha=1.0,
-        loops=tuple(loops),
-        trivial_time=trivial,
-        meta={"sampler": "wilson", "walk_steps": steps},
-    )
+    block = LoopBlock(kernel=kernel, size=1, groups=tuple(groups), trivial_time=trivial,
+                      cut_length=0, discarded_mu_mass=0.0)
+    soup = LoopSoup(block, 1.0, {"sampler": "wilson", "walk_steps": steps})
     return tuple((exit_to[1:] - 1).tolist()), soup
 
 
@@ -180,7 +189,7 @@ def _concat(parts: list, dtype) -> np.ndarray:
 
 
 class LoopGroup(NamedTuple):
-    """Every loop of one length in a block: the replica owning each loop, its
+    """Loops of one length in a block: the replica owning each loop, its
     vertices in visit order (one row per loop) and, when drawn, the holding
     time of each visit."""
 
@@ -190,8 +199,10 @@ class LoopGroup(NamedTuple):
 
 
 class LoopBlock(NamedTuple):
-    """Loop ensembles of `size` independent replicas, grouped by length in
-    increasing order; trivial_time is (size, n) one-point time when drawn."""
+    """Loop ensembles of `size` independent replicas in groups, each group
+    holding loops of one length; trivial_time is (size, n) one-point time
+    when drawn.  cut_length and discarded_mu_mass are the length law's tail
+    cut, 0 and 0.0 when the sampler cuts none."""
 
     kernel: ChainKernel
     size: int
@@ -310,7 +321,8 @@ def _bridges(q: np.ndarray, lengths: np.ndarray, sizes: np.ndarray, counts: np.n
 def direct_block(kernel: ChainKernel, alpha: float, size: int, rng,
                  eps: float = 1e-9, times: bool = False, law: tuple | None = None
                  ) -> LoopBlock:
-    """`size` independent ensembles at intensity alpha, all from one generator.
+    """`size` independent ensembles at intensity alpha, all from one generator,
+    with one group per length drawn, in increasing order of length.
 
     Draw order: a Poisson(alpha * truncated mass) loop total per replica;
     one uniform per loop for its length; then for each length in increasing
@@ -363,25 +375,11 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng,
 
 
 def direct_sample(kernel: ChainKernel, alpha: float, eps: float = 1e-9, seed=None) -> LoopSoup:
-    """One ensemble: the single-replica view of direct_block, with every loop
-    rotated to its canonical representative."""
+    """One ensemble: the single-replica view of direct_block."""
     block = direct_block(kernel, alpha, 1, np.random.default_rng(seed), eps=eps, times=True)
-    loops = []
-    for group in block.groups:
-        for verts, times in zip(group.vertices.tolist(), group.times.tolist()):
-            loops.append(BasedLoop(*_canonical(verts, times)))
-    return LoopSoup(
-        graph=kernel.graph,
-        alpha=float(alpha),
-        loops=tuple(loops),
-        trivial_time=block.trivial_time[0],
-        meta={
-            "sampler": "direct",
-            "eps": eps,
-            "max_length": block.cut_length,
-            "discarded_mu_mass": block.discarded_mu_mass,
-        },
-    )
+    meta = {"sampler": "direct", "eps": eps, "max_length": block.cut_length,
+            "discarded_mu_mass": block.discarded_mu_mass}
+    return LoopSoup(block, float(alpha), meta)
 
 
 def _cycle_popping_walk(kernel: ChainKernel, size: int, rng) -> tuple:
@@ -592,24 +590,12 @@ def occupation_samples(kernel: ChainKernel, alpha: float, replicas: int, seed,
     return np.concatenate([p[0] for p in parts]) if parts else np.empty((0, kernel.n))
 
 
-def occupation(soup: LoopSoup, kernel: ChainKernel) -> np.ndarray:
-    """Total loop time per vertex (one-point time included) divided by lam."""
-    occ = np.array(soup.trivial_time, dtype=float)
-    for loop in soup.loops:
-        for v, t in zip(loop.vertices, loop.times):
-            occ[v] += t
-    return occ / kernel.lam
+def occupation(soup: LoopSoup) -> np.ndarray:
+    """Total loop time per vertex (one-point time included) divided by lam:
+    the soup's row of LoopBlock.occupation."""
+    return soup.block.occupation()[0]
 
 
 def jump_matrix(soup: LoopSoup) -> Network:
-    """Directed crossing counts of all loops; one-point loops contribute none."""
-    n = soup.graph.n
-    counts = np.zeros((n, n), dtype=np.int64)
-    for loop in soup.loops:
-        p = loop.length
-        if p < 2:
-            continue
-        verts = loop.vertices
-        for i in range(p):
-            counts[verts[i], verts[(i + 1) % p]] += 1
-    return Network(soup.graph, counts)
+    """Directed crossing counts of all loops: the soup's row of LoopBlock.counts."""
+    return Network(soup.graph, soup.block.counts()[0])

@@ -2,7 +2,7 @@
 the matrix-tree count, the one-loop measure and the loop-length law, a
 search for the connectivity of a network's support, and the earlier forms of
 the Monte Carlo block kernels, of the scalar chain step and of the reductions
-over a run.
+over a run and over one ensemble's loops.
 
 Each exact reference enumerates everything it sums over, so they are slow
 and only fit small inputs; the tests compare the fast kernels against them.
@@ -315,6 +315,31 @@ def block_counts(block: LoopBlock) -> np.ndarray:
             + np.roll(g.vertices, -1, axis=1)).ravel() for g in block.groups]
     flat = np.bincount(_concat(idx, np.intp), minlength=block.size * n * n)
     return flat.reshape(block.size, n, n)
+
+
+def jump_matrix(soup) -> Network:
+    """Directed crossing counts of a soup's loops, one jump of one loop at a
+    time; one-point loops contribute none."""
+    n = soup.graph.n
+    counts = np.zeros((n, n), dtype=np.int64)
+    for loop in soup.loops:
+        p = loop.length
+        if p < 2:
+            continue
+        verts = loop.vertices
+        for i in range(p):
+            counts[verts[i], verts[(i + 1) % p]] += 1
+    return Network(soup.graph, counts)
+
+
+def occupation(soup, kernel) -> np.ndarray:
+    """Total loop time per vertex (one-point time included) divided by lam,
+    one visit of one loop at a time."""
+    occ = np.array(soup.trivial_time, dtype=float)
+    for loop in soup.loops:
+        for v, t in zip(loop.vertices, loop.times):
+            occ[v] += t
+    return occ / kernel.lam
 
 
 def key_counts(counts: np.ndarray) -> tuple:

@@ -252,6 +252,49 @@ def test_csv_format(tmp_path):
     assert len(rows) >= 3  # header plus one line per vertex
 
 
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ("isomorphism", "--graph", TRIANGLE, "--replicas", "1"),
+    ("ray-knight", "--graph", PATH3, "--x0", "a", "--replicas", "1"),
+    ("moments", "--graph", TWO_POINT, "--edges", "a:b", "--points", "b", "--replicas", "1"),
+    ("det-identity", "--graph", TWO_POINT, "--replicas", "1"),
+    ("verify-all", "--replicas", "2"),
+])
+def test_reports_are_strict_json(argv):
+    # too few replicas give a zero standard error and an infinite z: the JSON
+    # report writes it as null, the line fails, and CSV still writes inf
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 2
+    payload = json.loads(out.getvalue(), parse_constant=_strict_constant)
+    z_lines = [line for rep in payload["reports"] for line in rep["lines"]
+               if line["stderr"] is not None]
+    nulled = [line for line in z_lines if line["z"] is None]
+    assert nulled and not any(line["pass"] for line in nulled)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--format", "csv"]) == 2
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    assert sum(row["z"] == "inf" for row in rows) == len(nulled)
+
+
+def test_occupation_needs_two_replicas(monkeypatch):
+    # one replica has no sample standard deviation: rejected before drawing,
+    # with no numpy warning
+    def no_draw(*args, **kwargs):
+        raise AssertionError("occupation_samples called on an input error path")
+
+    monkeypatch.setattr(cli, "occupation_samples", no_draw)
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        assert main(["occupation", "--graph", TWO_POINT, "--replicas", "1"]) == 1
+    assert err.getvalue() == "error: a standard error needs at least 2 replicas, got 1\n"
+
+
 def test_usage_errors(tmp_path):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):

@@ -6,6 +6,8 @@ parse the sources with ast.  The import scan fails on an imported name that
 its module never reads; the package __init__ is exempt, because its imports
 are the public re-exports.  The private-name scan fails on a module-level
 `_name` function or class that no module of the package and no test reads.
+The parameter scan fails on a parameter of a package function or method
+that its body never reads; self, cls and `_`-prefixed names are exempt.
 """
 
 import ast
@@ -85,3 +87,39 @@ def test_no_unreferenced_private_definitions():
     package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     readers = [p.read_text() for p in TESTS.glob("*.py")]
     assert unreferenced_private(package, readers) == []
+
+
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) of each parameter of a function or method
+    that its body, nested definitions included, never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *(a for a in (args.vararg, args.kwarg) if a is not None)]
+        read = set()
+        for sub in (s for stmt in node.body for s in ast.walk(stmt)):
+            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                read.add(sub.id)
+            elif isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Name):
+                read.add(sub.target.id)  # x += 1 reads x
+        found += [(node.lineno, node.name, p.arg) for p in params
+                  if p.arg not in read and p.arg not in ("self", "cls")
+                  and not p.arg.startswith("_")]
+    return sorted(found)
+
+
+def test_parameter_scan_sees_unread_and_read_names():
+    source = ("def occupation(soup, kernel):\n    return soup.block.occupation()[0]\n"
+              "def f(a, b, _c, *args, d=1, **kw):\n    return a + kw['x']\n"
+              "class K:\n    def m(self, x, y):\n        y += 1\n"
+              "        def g():\n            return x\n        return g\n")
+    assert unread_parameters(source) == [(1, "occupation", "kernel"), (3, "f", "args"),
+                                         (3, "f", "b"), (3, "f", "d")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []

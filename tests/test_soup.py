@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from loopsoup import (
     BLOCK,
     BadIntensity,
@@ -141,7 +142,7 @@ def test_occupation_mean_two_point(two_point_kernel):
     acc = np.zeros(2)
     for r in range(n):
         _, soup = wilson_sample(two_point_kernel, r)
-        acc += occupation(soup, two_point_kernel)
+        acc += occupation(soup)
     assert acc / n == pytest.approx([2 / 3, 2 / 3], abs=0.04)
 
 
@@ -177,12 +178,16 @@ def test_loop_time_totals(triangle_kernel):
 
 def test_single_sample_is_the_block_view(triangle_kernel):
     # direct_sample reads one replica of direct_block; the loop-by-loop
-    # reductions of the view must equal the block's array reductions
+    # reductions of its loops must equal the block's array reductions
     for seed in range(20):
         soup = direct_sample(triangle_kernel, 1.3, seed=seed)
         block = direct_block(triangle_kernel, 1.3, 1, np.random.default_rng(seed), times=True)
-        assert np.array_equal(jump_matrix(soup).counts, block.counts()[0])
-        assert occupation(soup, triangle_kernel) == pytest.approx(block.occupation()[0])
+        assert np.array_equal(oracles.jump_matrix(soup).counts, block.counts()[0])
+        assert jump_matrix(soup) == oracles.jump_matrix(soup)
+        assert oracles.occupation(soup, triangle_kernel) == pytest.approx(
+            block.occupation()[0], rel=1e-12)
+        assert occupation(soup) == pytest.approx(
+            oracles.occupation(soup, triangle_kernel), rel=1e-12)
 
 
 @pytest.mark.parametrize("graph", [two_point_graph, triangle_graph, path3_graph,
@@ -195,14 +200,16 @@ def test_wilson_sample_is_the_walk_view(graph):
     for seed in range(50):
         parents, soup = wilson_sample(kernel, seed)
         counts, _ = wilson_counts(kernel, 1, np.random.default_rng(seed))
-        assert np.array_equal(jump_matrix(soup).counts, counts[0])
+        assert np.array_equal(oracles.jump_matrix(soup).counts, counts[0])
+        assert jump_matrix(soup) == oracles.jump_matrix(soup)
         rng = np.random.default_rng(seed)
         jumps, _, steps = soup_module._cycle_popping_walk(kernel, 1, rng)
         src, dst = np.divmod(jumps, n + 1)
         last_exit = dict(zip((src - 1).tolist(), (dst - 1).tolist()))
         assert parents == tuple(last_exit[x] for x in range(n))
         held = np.bincount(src - 1, weights=rng.standard_exponential(steps), minlength=n)
-        assert occupation(soup, kernel) * kernel.lam == pytest.approx(held, rel=1e-12)
+        assert oracles.occupation(soup, kernel) * kernel.lam == pytest.approx(held, rel=1e-12)
+        assert occupation(soup) == pytest.approx(oracles.occupation(soup, kernel), rel=1e-12)
         assert soup.meta["walk_steps"] == steps
 
 
