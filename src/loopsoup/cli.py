@@ -180,10 +180,14 @@ def _cmd_sample(args) -> tuple:
     return _soup_payload(_sample_soup(kernel, args)), None
 
 
+def _check_z_replicas(replicas) -> None:
+    """At least 2 replicas, as a z-line's standard error needs; call before drawing."""
+    if _check_count(replicas) < 2:
+        raise BadReplicaCount(f"a standard error needs at least 2 replicas, got {replicas}")
+
+
 def _cmd_occupation(args) -> tuple:
-    if _check_count(args.replicas) < 2:
-        raise BadReplicaCount(
-            f"a standard error needs at least 2 replicas, got {args.replicas}")
+    _check_z_replicas(args.replicas)
     kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
     samples = occupation_samples(kernel, args.alpha, args.replicas, args.seed,
                                  eps=args.epsilon)
@@ -274,11 +278,13 @@ def _cmd_jacobian(args) -> tuple:
 
 def _cmd_isomorphism(args) -> tuple:
     kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    _check_z_replicas(args.replicas)
     return None, verify_isomorphism(kernel, args.replicas, args.seed)
 
 
 def _cmd_ray_knight(args) -> tuple:
     kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    _check_z_replicas(args.replicas)
     return None, ray_knight_check(kernel, args.x0, args.rho, args.replicas, args.seed)
 
 
@@ -289,6 +295,7 @@ def _cmd_moments(args) -> tuple:
     if not edges and not points:
         raise ValueError("need at least one of --edges or --points")
     _moment_indices(kernel, edges, points)  # bad input fails before the draw
+    _check_z_replicas(args.replicas)
     histogram = network_histogram(kernel, args.replicas, args.seed)
     return None, verify_moment_formula(kernel, edges, points, histogram)
 
@@ -296,6 +303,7 @@ def _cmd_moments(args) -> tuple:
 def _cmd_det_identity(args) -> tuple:
     kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
     chi = _checked_chi(kernel, args.chi_scale * kernel.lam)  # before the draw
+    _check_z_replicas(args.replicas)
     histogram = network_histogram(kernel, args.replicas, args.seed)
     return None, verify_det_identity(kernel, chi, histogram)
 
@@ -327,8 +335,8 @@ def _cmd_maxflow(args) -> tuple:
 def _cmd_verify_all(args) -> tuple:
     if not (np.isfinite(args.gate_scale) and args.gate_scale > 0):
         raise ValueError(f"--gate-scale must be a finite number > 0, got {args.gate_scale}")
-    reports = run_all(replicas=args.replicas, seed=args.seed, workers=args.workers,
-                      delta=args.delta, grid=args.grid)
+    _check_z_replicas(args.replicas)
+    reports = run_all(replicas=args.replicas, seed=args.seed, delta=args.delta, grid=args.grid)
     for report in reports:
         _rescale_gates(report, args.gate_scale)
     return None, reports
@@ -384,7 +392,7 @@ _COMMANDS = {
         _NETWORK, ("--sources", dict(required=True, help="comma list of vertices")),
         ("--sinks", dict(required=True, help="comma list of vertices")))),
     "verify-all": (_cmd_verify_all, "full verification battery", False, (
-        _REPLICAS, ("--seed", dict(type=int, default=1)), ("--workers", dict(type=int, default=1)),
+        _REPLICAS, ("--seed", dict(type=int, default=1)),
         ("--delta", dict(type=float, default=1e-3)), ("--grid", dict(type=int, default=64)),
         ("--gate-scale", dict(type=float, default=1.0,
                               help="multiply every gate; > 1 loosens, < 1 tightens")))),

@@ -229,11 +229,15 @@ class NetworkLawEntry:
     mu_mass: float
 
 
+def _check_delta(delta: float) -> None:
+    if not 0 < delta <= 0.01:
+        raise BadMassBudget(f"mass budget must be in (0, 0.01], got {delta}")
+
+
 def _enumerate_layers(kernel: ChainKernel, delta: float) -> list:
     """(rows, probability, mu) of each layer 0, 1, ..., M of
     enumerate_eulerian; layer 0 holds the zero network."""
-    if not 0 < delta <= 0.01:
-        raise BadMassBudget(f"mass budget must be in (0, 0.01], got {delta}")
+    _check_delta(delta)
     edges = _directed_edges(kernel.graph)
     layers = [(np.zeros((1, len(edges)), dtype=np.int64),
                np.array([kernel.det_i_minus_p]), np.zeros(1))]

@@ -17,7 +17,7 @@ dense; target graphs are desk scale, tens of vertices at most.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields as _dc_fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -191,7 +191,7 @@ class ChainKernel:
     Immutable after construction: every array, cached ones included, is
     read-only (writing into one raises ValueError), and cached properties are
     pure functions of the fields, computed at most once, so sharing across
-    threads or pickling to workers is safe.
+    threads is safe.
     """
 
     graph: WeightedGraph
@@ -202,13 +202,6 @@ class ChainKernel:
     det_i_minus_p: float
     log_det_i_minus_p: float
     log_prod_lam: float
-
-    def __getstate__(self):
-        names = {f.name for f in _dc_fields(self)}
-        return {k: v for k, v in self.__dict__.items() if k in names}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
     @property
     def n(self) -> int:

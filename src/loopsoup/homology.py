@@ -231,12 +231,16 @@ def _generating_grid(kernel: ChainKernel, basis: CycleBasis, alpha: float,
     return phi
 
 
+def _check_grid(grid_m: int) -> None:
+    if grid_m < 8 or grid_m & (grid_m - 1) != 0:
+        raise BadGrid(f"grid size must be a power of two >= 8, got {grid_m}")
+
+
 def homology_distribution(kernel: ChainKernel, basis: CycleBasis, alpha: float,
                           grid_m: int) -> HomologyLaw:
     """Law of the homology class by Fourier inversion of the twisted
     determinant ratio on a uniform grid of the dual torus."""
-    if grid_m < 8 or grid_m & (grid_m - 1) != 0:
-        raise BadGrid(f"grid size must be a power of two >= 8, got {grid_m}")
+    _check_grid(grid_m)
     n = basis.n
     if n == 0:
         return HomologyLaw({(): 1.0}, grid_m, 1.0, 0.0, 0.0, alpha)

@@ -1,12 +1,11 @@
-"""Seed handling and block-parallel execution.
+"""Seed handling and block-wise execution.
 
 Monte Carlo replicas are drawn in blocks of BLOCK consecutive replicas.
 Block b of a run with master seed s draws every number it uses from one
 counter-based Philox4x64 stream keyed by (s, b) (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11), in a draw order fixed by the
 block sampler.  A block's result is therefore a function of (s, b) and the
-block's size alone, and does not depend on how blocks are spread over
-worker processes.  BLOCK is part of the stream definition: changing it
+block's size alone.  BLOCK is part of the stream definition: changing it
 changes every Monte Carlo number, so it is a constant, not a parameter.
 """
 
@@ -48,29 +47,12 @@ def _check_count(count) -> int:
     return int(count)
 
 
-def _run_block(fn: Callable, seed: int, block: int, size: int):
-    return fn(replica_rng(seed, block), size)
-
-
-def replica_map(fn: Callable, n_replicas: int, seed: int, workers: int = 1) -> list:
+def replica_map(fn: Callable, n_replicas: int, seed: int) -> list:
     """Apply fn(rng, size) once per block of replicas, in block order.
 
     Block b covers replicas b*BLOCK onwards and gets the (seed, b) stream.
-    fn must be picklable when workers > 1; worker processes are spawned,
-    so they import the package afresh.  The result list does not depend on
-    the worker count.  Raises BadReplicaCount unless n_replicas is an
-    integer >= 1.
+    Raises BadReplicaCount unless n_replicas is an integer >= 1.
     """
-    seed = stream_seed(seed)
-    full, rest = divmod(_check_count(n_replicas), BLOCK)
-    sizes = [BLOCK] * full + ([rest] if rest else [])
-    if workers is None or workers <= 1 or len(sizes) < 2:
-        return [_run_block(fn, seed, b, size) for b, size in enumerate(sizes)]
-    # imported here: they make up about half of the package's import time
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    n = len(sizes)
-    with ProcessPoolExecutor(max_workers=min(workers, n),
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(_run_block, [fn] * n, [seed] * n, range(n), sizes))
+    seed, n = stream_seed(seed), _check_count(n_replicas)
+    return [fn(replica_rng(seed, b), min(BLOCK, n - start))
+            for b, start in enumerate(range(0, n, BLOCK))]

@@ -56,10 +56,11 @@ class BasedLoop(NamedTuple):
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopSoup:
     """One sampled loop ensemble: the one-replica view of a LoopBlock drawn
-    with holding times, at intensity alpha."""
+    with holding times, at intensity alpha.  Soups compare and hash by
+    identity, since the block's arrays define no equality."""
 
     block: LoopBlock
     alpha: float
@@ -538,7 +539,7 @@ def _direct_occupation_block(kernel, alpha, law, rng, size) -> tuple:
 
 def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
                       sampler: str = "direct", alpha: float = 1.0,
-                      eps: float = 1e-9, workers: int = 1) -> Histogram:
+                      eps: float = 1e-9) -> Histogram:
     """Histogram of jump networks over independent replica ensembles, drawn
     block by block in (seed, block) streams.
 
@@ -556,7 +557,7 @@ def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
         task = partial(_direct_histogram_block, kernel, alpha, kernel.length_distribution(eps))
     else:
         raise UnknownSampler(f"unknown sampler {sampler!r}; use 'direct' or 'wilson'")
-    parts = replica_map(task, replicas, seed, workers=workers)
+    parts = replica_map(task, replicas, seed)
     diagnostics = {"sampler": sampler, "alpha": alpha, **merge_diagnostics([p[2] for p in parts])}
     if sampler == "direct":
         diagnostics["eps"] = eps
@@ -575,15 +576,14 @@ def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
 
 
 def occupation_samples(kernel: ChainKernel, alpha: float, replicas: int, seed,
-                       eps: float = 1e-9, workers: int = 1, meta: dict | None = None
-                       ) -> np.ndarray:
+                       eps: float = 1e-9, meta: dict | None = None) -> np.ndarray:
     """replicas x n matrix of occupation fields from independent ensembles,
     drawn block by block in (seed, block) streams.  meta, when given,
     receives the sampler diagnostics."""
     _check_alpha(alpha)
     parts = replica_map(partial(_direct_occupation_block, kernel, alpha,
                                 kernel.length_distribution(eps)),
-                        replicas, seed, workers=workers)
+                        replicas, seed)
     if meta is not None:
         meta.update({"sampler": "direct", "alpha": alpha, "eps": eps,
                      **merge_diagnostics([p[1] for p in parts])})

@@ -19,9 +19,10 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BadSamplerInput, BudgetExceeded
 from .eulerian import (
     ModifierMatrix,
+    _check_delta,
     _circulation_layers,
     _count_matrices,
     _directed_edges,
@@ -40,7 +41,8 @@ from .fields import (
     verify_moment_formula,
 )
 from .graphs import WeightedGraph, build_kernel
-from .homology import _class_coords, cycle_basis, homology_distribution, jacobian_volume
+from .homology import (_check_grid, _class_coords, cycle_basis, homology_distribution,
+                       jacobian_volume)
 from .network import Network
 from .reports import TestReport
 from .rng import SCHEME
@@ -553,29 +555,33 @@ def check_cross_sampler(wilson_histogram: Counter, direct_histogram: Counter) ->
 
 def run_all(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
             workers: int = 1, delta: float = 1e-3, grid: int = 64) -> list:
-    """Run the thirteen checks with shared sample batches; reports in order."""
+    """Run the thirteen checks with shared sample batches; reports in order.
+    The settings are checked before anything is drawn.  workers must be 1, as
+    blocks are drawn in one process; the keyword goes once the benchmark stops
+    passing it."""
+    if workers != 1:
+        raise BadSamplerInput(
+            f"blocks are drawn in one process; workers must be 1, got {workers!r}")
+    _check_delta(delta)
+    _check_grid(grid)
     kernel2 = build_kernel(two_point_graph())
     kernel3 = build_kernel(triangle_graph())
 
     t0 = time.perf_counter()
-    hist2_wilson = network_histogram(kernel2, replicas, seed, "wilson", workers=workers)
+    hist2_wilson = network_histogram(kernel2, replicas, seed, "wilson")
     t_hist2_wilson = time.perf_counter() - t0
     hist2_direct = {
-        alpha: network_histogram(kernel2, replicas, seed + off, "direct",
-                                 alpha=alpha, workers=workers)
+        alpha: network_histogram(kernel2, replicas, seed + off, "direct", alpha=alpha)
         for off, alpha in ((1, 0.5), (2, 2.0))
     }
     t0 = time.perf_counter()
-    hist3_direct = {1.0: network_histogram(kernel3, replicas, seed + 3, "direct",
-                                           alpha=1.0, workers=workers)}
+    hist3_direct = {1.0: network_histogram(kernel3, replicas, seed + 3, "direct", alpha=1.0)}
     t_hist3_direct1 = time.perf_counter() - t0  # check 12 reads only this histogram
     hist3_direct.update({
-        alpha: network_histogram(kernel3, replicas, seed + off, "direct",
-                                 alpha=alpha, workers=workers)
+        alpha: network_histogram(kernel3, replicas, seed + off, "direct", alpha=alpha)
         for off, alpha in ((4, 0.5), (5, 2.0))
     })
-    hist3_wilson = network_histogram(kernel3, replicas, seed + 6, "wilson",
-                                     workers=workers)
+    hist3_wilson = network_histogram(kernel3, replicas, seed + 6, "wilson")
 
     return [
         check_geometric_law(hist2_wilson, t_hist2_wilson),

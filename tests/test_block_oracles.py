@@ -250,14 +250,13 @@ def _wilson_keys(kernel, rng, size):
 MERGE_REPLICAS = 2 * BLOCK + 700  # two full blocks and a partial one
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_histogram_merge_matches_row_merge(workers):
+def test_histogram_merge_matches_row_merge():
     for name in ("two_point", "triangle"):
         kernel = KERNELS[name]
         for sampler, keys in (("direct", _direct_keys), ("wilson", _wilson_keys)):
             parts = replica_map(partial(keys, kernel), MERGE_REPLICAS, 5)
             ref = oracles.merge_block_keys(kernel.n, parts)
-            hist = network_histogram(kernel, MERGE_REPLICAS, 5, sampler, workers=workers)
+            hist = network_histogram(kernel, MERGE_REPLICAS, 5, sampler)
             assert list(hist.items()) == list(ref.items())  # insertion order too
             if name == "triangle":  # later blocks bring keys below earlier ones
                 assert list(hist) != sorted(hist)

@@ -13,7 +13,7 @@ import warnings
 import pytest
 
 import loopsoup
-from loopsoup import cli
+from loopsoup import cli, verify
 from loopsoup.cli import _COMMANDS, _build_parser, _parse_args, main
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_graphs"
@@ -191,12 +191,23 @@ def test_moments_command(tmp_path):
      "dominate"),
     (("det-identity", "--graph", TWO_POINT, "--chi-scale", "nan"), "finite"),
     (("det-identity", "--graph", TWO_POINT, "--chi-scale", "inf"), "finite"),
+    # one replica has no standard error, so no z-line command draws it
+    *(pytest.param(argv, "needs at least 2 replicas", id=f"{argv[0]}-one-replica") for argv in (
+        ("isomorphism", "--graph", TRIANGLE, "--replicas", "1"),
+        ("ray-knight", "--graph", PATH3, "--x0", "a", "--replicas", "1"),
+        ("moments", "--graph", TWO_POINT, "--edges", "a:b", "--points", "b", "--replicas", "1"),
+        ("det-identity", "--graph", TWO_POINT, "--replicas", "1"),
+        ("verify-all", "--replicas", "1"))),
+    (("verify-all", "--grid", "7"), "grid"),
+    (("verify-all", "--delta", "0.5"), "budget"),
 ])
 def test_verifier_input_fails_before_drawing(tmp_path, monkeypatch, argv, message):
     def no_draw(*args, **kwargs):
-        raise AssertionError("network_histogram called on an input error path")
+        raise AssertionError("a sampler was called on an input error path")
 
-    monkeypatch.setattr(cli, "network_histogram", no_draw)
+    for name in ("network_histogram", "verify_isomorphism", "ray_knight_check"):
+        monkeypatch.setattr(cli, name, no_draw)
+    monkeypatch.setattr(verify, "network_histogram", no_draw)  # run_all's draws
     assert message in run(tmp_path, *argv, expect=1)
 
 
@@ -229,6 +240,7 @@ def test_verify_all_gate_scaling(tmp_path):
     )
     assert loose["pass"] is True
     assert len(loose["reports"]) == 13
+    assert "workers" not in loose["config"]
     out = tmp_path / "tight.json"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -256,16 +268,10 @@ def _strict_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize("argv", [
-    ("isomorphism", "--graph", TRIANGLE, "--replicas", "1"),
-    ("ray-knight", "--graph", PATH3, "--x0", "a", "--replicas", "1"),
-    ("moments", "--graph", TWO_POINT, "--edges", "a:b", "--points", "b", "--replicas", "1"),
-    ("det-identity", "--graph", TWO_POINT, "--replicas", "1"),
-    ("verify-all", "--replicas", "2"),
-])
-def test_reports_are_strict_json(argv):
+def test_reports_are_strict_json():
     # too few replicas give a zero standard error and an infinite z: the JSON
     # report writes it as null, the line fails, and CSV still writes inf
+    argv = ["verify-all", "--replicas", "2"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(list(argv)) == 2
@@ -320,6 +326,10 @@ def test_usage_errors(tmp_path):
             code = main(["verify-all", "--replicas", "1", "--gate-scale", scale])
         assert code == 1
         assert err.getvalue().startswith("error:") and "--gate-scale" in err.getvalue()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):  # blocks are drawn in one process
+        assert main(["verify-all", "--workers", "1"]) == 1
+    assert "unrecognized arguments: --workers" in err.getvalue()
     for alpha in ("inf", "1e300"):  # a typed intensity error, not numpy's message
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -387,8 +397,9 @@ def test_stdout_default():
 
 
 def test_cli_import_leaves_process_pools_out():
-    # a shell call of the CLI imports the package afresh; the process-pool
-    # modules cost about half of that import and only workers > 1 uses them
+    # a shell call of the CLI imports the package afresh, and the process-pool
+    # modules would cost about half of that import; nothing in the package
+    # needs them
     src = str(pathlib.Path(loopsoup.__file__).resolve().parent.parent)
     code = ("import sys, loopsoup.cli; "
             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")

@@ -8,9 +8,12 @@ are the public re-exports.  The private-name scan fails on a module-level
 `_name` function or class that no module of the package and no test reads.
 The parameter scan fails on a parameter of a package function or method
 that its body never reads; self, cls and `_`-prefixed names are exempt.
+The dependency scan fails on any import, nested ones included, of a module
+outside the standard library, numpy and the package: loopsoup is numpy-only.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,32 @@ def test_parameter_scan_sees_unread_and_read_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unread_parameters(path):
     assert unread_parameters(path.read_text()) == []
+
+
+ALLOWED_ROOTS = set(sys.stdlib_module_names) | {"numpy", "loopsoup"}
+
+
+def foreign_imports(source: str) -> list:
+    """(line, module) of each import, at any depth, whose top-level package
+    is not allowed; relative imports are the package's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] not in ALLOWED_ROOTS]
+    return sorted(found)
+
+
+def test_dependency_scan_sees_foreign_imports():
+    source = ("import os, numpy as np\nfrom .rng import BLOCK\nfrom loopsoup import cli\n"
+              "def f():\n    import scipy.linalg\n    from numba import njit\n")
+    assert foreign_imports(source) == [(5, "scipy.linalg"), (6, "numba")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_numpy_and_stdlib_only(path):
+    assert foreign_imports(path.read_text()) == []

@@ -10,7 +10,9 @@ import pytest
 import oracles
 from loopsoup import (
     BLOCK,
+    BadGrid,
     BadIntensity,
+    BadMassBudget,
     BadReplicaCount,
     BadSamplerInput,
     BadSeed,
@@ -34,6 +36,7 @@ from loopsoup import (
     wilson_sample,
 )
 from loopsoup import soup as soup_module
+from loopsoup import verify as verify_module
 from loopsoup.cli import main
 from loopsoup.soup import BasedLoop, _canonical
 from loopsoup.verify import (
@@ -85,6 +88,14 @@ def test_direct_determinism(triangle_kernel):
     for la, lb in zip(a.loops, b.loops):
         assert la.vertices == lb.vertices
         assert la.times == pytest.approx(lb.times)
+
+
+def test_soups_compare_by_identity(triangle_kernel):
+    # the block's arrays define no equality, so soups compare and hash by identity
+    a = direct_sample(triangle_kernel, 1.3, seed=2)
+    b = direct_sample(triangle_kernel, 1.3, seed=2)
+    assert a == a and a != b
+    assert len({a, a, b}) == 2
 
 
 def test_direct_structure(triangle_kernel):
@@ -255,19 +266,6 @@ def test_wilson_histogram_edge_mean(two_point_kernel):
     assert hist.diagnostics["blocks"] == 3
 
 
-def test_worker_count_never_changes_results(triangle_kernel):
-    replicas = 2 * BLOCK + 100  # three blocks, the last one short
-    for sampler in ("direct", "wilson"):
-        one = network_histogram(triangle_kernel, replicas, 11, sampler, workers=1)
-        two = network_histogram(triangle_kernel, replicas, 11, sampler, workers=2)
-        assert one == two
-        assert one.diagnostics == two.diagnostics
-        assert one.diagnostics["blocks"] == 3
-    one = occupation_samples(triangle_kernel, 0.5, replicas, 12, workers=1)
-    two = occupation_samples(triangle_kernel, 0.5, replicas, 12, workers=2)
-    assert np.array_equal(one, two)
-
-
 def _typed(exc_info, kind):
     assert isinstance(exc_info.value, kind)
     assert isinstance(exc_info.value, LoopSoupError)
@@ -359,3 +357,18 @@ def test_replica_count_below_one_is_typed(triangle_kernel, path3_kernel, tmp_pat
             code = main([*argv, "--out", str(tmp_path / "out.json")])
         assert code == 1 and "at least one replica" in err.getvalue()
         assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("settings, kind", [
+    (dict(workers=2), BadSamplerInput),
+    (dict(grid=7), BadGrid),
+    (dict(delta=0.5), BadMassBudget),
+])
+def test_run_all_settings_fail_before_drawing(monkeypatch, settings, kind):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("network_histogram called on an input error path")
+
+    monkeypatch.setattr(verify_module, "network_histogram", no_draw)
+    with pytest.raises(kind) as info:
+        run_all(replicas=10, **settings)
+    assert isinstance(info.value, LoopSoupError)
