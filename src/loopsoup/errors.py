@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the intensity check that
+the samplers and the exact laws share."""
+
+import math
 
 
 class LoopSoupError(Exception):
@@ -138,3 +141,13 @@ class BadGrid(BadExactInput):
 
 class NotSquare(BadExactInput):
     """A permanent was asked of a matrix that is not square."""
+
+
+def _check_alpha(alpha) -> None:
+    """Raise BadIntensity unless alpha is a finite number above 0."""
+    try:
+        ok = alpha > 0 and math.isfinite(alpha)
+    except TypeError:  # not a real number
+        ok = False
+    if not ok:
+        raise BadIntensity(f"intensity must be positive and finite, got {alpha}")

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
+from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .errors import (
     SingularTwist,
     TooLarge,
     ZeroNetwork,
+    _check_alpha,
 )
 from .exact import _arborescence_counts
 from .graphs import ChainKernel
@@ -106,8 +109,10 @@ def generating_function(kernel: ChainKernel, z, alpha: float) -> complex:
 
     For a Hermitian modifier with |Z| <= 1 the determinant ratio is a real
     number >= 1, so the value is real in (0, 1].  Raises BadForm for an
-    invalid modifier, SingularTwist when det(I - P^Z) vanishes.
+    invalid modifier, SingularTwist when det(I - P^Z) vanishes, BadIntensity
+    unless alpha is finite and above 0.
     """
+    _check_alpha(alpha)
     return complex(_generating_values(kernel, _as_modifier_array(kernel, z)[None], alpha)[0])
 
 
@@ -222,16 +227,15 @@ def _layer_law(kernel: ChainKernel, edges, rows: np.ndarray):
     return prob, mu
 
 
-@dataclass(frozen=True)
-class NetworkLawEntry:
+class NetworkLawEntry(NamedTuple):
     network: Network
     probability: float
     mu_mass: float
 
 
 def _check_delta(delta: float) -> None:
-    if not 0 < delta <= 0.01:
-        raise BadMassBudget(f"mass budget must be in (0, 0.01], got {delta}")
+    if not (isinstance(delta, Real) and 0 < delta <= 0.01):
+        raise BadMassBudget(f"mass budget must be in (0, 0.01], got {delta!r}")
 
 
 def _enumerate_layers(kernel: ChainKernel, delta: float) -> list:
@@ -261,16 +265,18 @@ def enumerate_eulerian(kernel: ChainKernel, delta: float) -> list:
 
     Complete layers matter: they make truncated convolutions exact on the
     retained support.  Each layer grows from smaller ones by simple directed
-    cycles, and its probabilities and loop measures come from array kernels.
+    cycles, its probabilities and loop measures come from array kernels, and
+    its count matrices are checked as one stack.
     Raises BudgetExceeded if |k| would pass 20, TooLarge if one layer would
     build more than LAYER_CAP candidate counts.
     """
     graph = kernel.graph
     edges = _directed_edges(graph)
     return [
-        NetworkLawEntry(Network(graph, c), p, m)
+        NetworkLawEntry(net, p, m)
         for rows, prob, mu in _enumerate_layers(kernel, delta)
-        for c, p, m in zip(_count_matrices(graph.n, edges, rows), prob.tolist(), mu.tolist())
+        for net, p, m in zip(Network.stack(graph, _count_matrices(graph.n, edges, rows)),
+                             prob.tolist(), mu.tolist())
     ]
 
 
@@ -378,8 +384,10 @@ def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> f
     one-loop networks of intensity alpha mu, so only the sub-circulations of
     k enter the series.  They are grown from the simple cycles of k's
     support edges, keyed over those edges alone, and their loop measures
-    come from one layer-law call.
+    come from one layer-law call.  Raises BadIntensity unless alpha is finite
+    and above 0.
     """
+    _check_alpha(alpha)
     if not k.is_eulerian():
         raise NotEulerian("network is not balanced")
     if k.total > ALPHA_NETWORK_CAP:

@@ -15,16 +15,20 @@ from .network import Network
 
 PERMANENT_CAP = 20
 ALPHA_PERMANENT_CAP = 12
-PERMANENT_CHUNK = 1 << 14  # column subsets per matrix product
+PERMANENT_CHUNK = 1 << 14  # column subsets per signed sum and per table of row sums
 
 
 def permanent(a) -> float | complex:
-    """Permanent by Ryser's formula, O(2^n n^2) in matrix products:
+    """Permanent by Ryser's formula in O(2^n n) operations:
 
-      per(A) = sum over column subsets S of (-1)^(n - |S|) prod_i sum_{j in S} a_ij,
+      per(A) = sum over column subsets S of (-1)^(n - |S|) prod_i sum_{j in S} a_ij.
 
-    with the subsets taken PERMANENT_CHUNK at a time as rows of 0/1 bits, so
-    one chunk's row sums are one product bits @ A^T.
+    The row sums of every subset of the low columns, as many as a table of
+    PERMANENT_CHUNK rows holds, are built once by doubling: column j is added
+    to the sums of the 2^j subsets of the columns below it.  Each block of
+    subsets that share their high columns adds those columns to the table one
+    at a time, so every row sum adds its columns in index order.  The signed
+    sum runs PERMANENT_CHUNK subsets at a time.
     """
     a = np.asarray(a)
     n = a.shape[0] if a.ndim else 0
@@ -34,13 +38,26 @@ def permanent(a) -> float | complex:
         raise TooLarge(f"permanent limited to {PERMANENT_CAP}x{PERMANENT_CAP}, got n={n}")
     if n == 0:
         return 1.0
-    a_t = a.T.astype(np.result_type(a, float))
+    a = a.astype(np.result_type(a, float))
+    low_n = min(n, PERMANENT_CHUNK.bit_length() - 1)
+    low = np.zeros((n, 1 << low_n), dtype=a.dtype)  # low[i, S]: row i's sum over S
+    signs = np.empty(1 << n)  # (-1)^(n - |S|), by the same doubling
+    signs[0] = (-1.0) ** n
+    for j in range(n):
+        if j < low_n:
+            low[:, 1 << j:2 << j] = low[:, :1 << j] + a[:, j, None]
+        signs[1 << j:2 << j] = -signs[:1 << j]
+    terms = np.empty(1 << n, dtype=a.dtype)
+    for lo in range(0, 1 << n, 1 << low_n):
+        sums = low
+        for j in range(low_n, n):
+            if lo >> j & 1:
+                sums = sums + a[:, j, None]
+        terms[lo:lo + (1 << low_n)] = np.prod(sums, axis=0)
     total = 0.0
     for lo in range(1, 1 << n, PERMANENT_CHUNK):  # the empty subset adds 0
-        masks = np.arange(lo, min(lo + PERMANENT_CHUNK, 1 << n))
-        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-        signs = 1.0 - 2.0 * ((n - bits.sum(axis=1)) % 2)
-        total += signs @ np.prod(bits @ a_t, axis=1)
+        hi = lo + PERMANENT_CHUNK
+        total += signs[lo:hi] @ terms[lo:hi]
     return complex(total) if np.iscomplexobj(a) else float(total)
 
 

@@ -11,6 +11,7 @@ the dual torus and inverting with a discrete Fourier transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import (
     NonIntegral,
     NotEulerian,
     TooLarge,
+    _check_alpha,
 )
 from .eulerian import _generating_values
 from .exact import spanning_tree_weight_sum
@@ -232,14 +234,17 @@ def _generating_grid(kernel: ChainKernel, basis: CycleBasis, alpha: float,
 
 
 def _check_grid(grid_m: int) -> None:
-    if grid_m < 8 or grid_m & (grid_m - 1) != 0:
-        raise BadGrid(f"grid size must be a power of two >= 8, got {grid_m}")
+    if not isinstance(grid_m, Integral) or grid_m < 8 or grid_m & (grid_m - 1) != 0:
+        raise BadGrid(f"grid size must be a power of two >= 8, got {grid_m!r}")
 
 
 def homology_distribution(kernel: ChainKernel, basis: CycleBasis, alpha: float,
                           grid_m: int) -> HomologyLaw:
     """Law of the homology class by Fourier inversion of the twisted
-    determinant ratio on a uniform grid of the dual torus."""
+    determinant ratio on a uniform grid of the dual torus.  Raises BadIntensity
+    unless alpha is finite and above 0, BadGrid unless grid_m is a power of
+    two >= 8."""
+    _check_alpha(alpha)
     _check_grid(grid_m)
     n = basis.n
     if n == 0:

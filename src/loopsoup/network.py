@@ -16,35 +16,61 @@ from .errors import BadGraph
 from .graphs import WeightedGraph
 
 
+def _checked_counts(graph: WeightedGraph, counts) -> np.ndarray:
+    """A read-only int64 copy of a stack (R, n, n) of count matrices, each
+    finite, integer-valued, nonnegative and zero off the edge set and on the
+    diagonal; raises BadGraph at the first check a row fails."""
+    try:
+        counts = np.asarray(counts)
+    except ValueError:  # ragged rows
+        raise BadGraph("network counts must be a matrix of numbers") from None
+    n = graph.n
+    if counts.shape[1:] != (n, n):
+        raise BadGraph(f"network counts must be {n}x{n}, got shape {counts.shape[1:]}")
+    if counts.dtype.kind not in "biuf":  # strings, nulls, objects
+        raise BadGraph("network counts must be a matrix of numbers")
+    if counts.dtype.kind == "f":
+        if not np.isfinite(counts).all():
+            raise BadGraph("network counts must be finite")
+        rounded = np.rint(counts)
+        if np.count_nonzero(np.abs(counts - rounded) > 1e-9):
+            raise BadGraph("network counts must be integers")
+        counts = rounded
+    counts = counts.astype(np.int64)
+    if np.count_nonzero(counts < 0):
+        raise BadGraph("network counts must be nonnegative")
+    if np.count_nonzero(counts[:, graph.conductance == 0]):
+        raise BadGraph("network counts must vanish off the edge set")
+    if np.count_nonzero(counts.diagonal(axis1=1, axis2=2)):
+        raise BadGraph("network counts must vanish on the diagonal")
+    counts.setflags(write=False)
+    return counts
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
-    """Nonnegative integer crossing counts on the directed edges of a graph."""
+    """Nonnegative integer crossing counts on the directed edges of a graph.
+
+    The counts are checked as the one-row stack of _checked_counts, so a
+    single network and Network.stack share one validator."""
 
     graph: WeightedGraph
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        n = self.graph.n
-        if counts.shape != (n, n):
-            raise BadGraph(f"network counts must be {n}x{n}, got shape {counts.shape}")
-        if not np.issubdtype(counts.dtype, np.integer):
-            if not np.isfinite(counts).all():
-                raise BadGraph("network counts must be finite")
-            rounded = np.rint(counts)
-            if not np.allclose(counts, rounded, atol=1e-9, rtol=0.0):
-                raise BadGraph("network counts must be integers")
-            counts = rounded.astype(np.int64)
-        else:
-            counts = counts.astype(np.int64)
-        if (counts < 0).any():
-            raise BadGraph("network counts must be nonnegative")
-        if (counts[self.graph.conductance == 0] != 0).any():
-            raise BadGraph("network counts must vanish off the edge set")
-        if (np.diag(counts) != 0).any():
-            raise BadGraph("network counts must vanish on the diagonal")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _checked_counts(self.graph, [self.counts])[0])
+
+    @classmethod
+    def stack(cls, graph: WeightedGraph, counts) -> list:
+        """One network per row of a stack (R, n, n) of count matrices, the
+        stack checked once as a whole."""
+        nets = []
+        for row in _checked_counts(graph, counts):
+            net = object.__new__(cls)
+            object.__setattr__(net, "graph", graph)
+            object.__setattr__(net, "counts", row)
+            nets.append(net)
+        return nets
 
     @classmethod
     def zeros(cls, graph: WeightedGraph) -> "Network":
@@ -54,13 +80,7 @@ class Network:
     def from_json_dict(cls, graph: WeightedGraph, data) -> "Network":
         if not isinstance(data, dict) or "counts" not in data:
             raise BadGraph("network data must be an object with a 'counts' matrix")
-        try:
-            counts = np.asarray(data["counts"])
-            if counts.dtype.kind not in "biuf":
-                raise ValueError
-        except ValueError:  # ragged rows, strings or nulls
-            raise BadGraph("network counts must be a matrix of numbers") from None
-        return cls(graph, counts)
+        return cls(graph, data["counts"])
 
     def to_json_dict(self) -> dict:
         return {"counts": self.counts.tolist()}

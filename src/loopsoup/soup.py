@@ -30,7 +30,6 @@ compared across samplers.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadIntensity, UnknownSampler
+from .errors import BadIntensity, UnknownSampler, _check_alpha
 from .graphs import ChainKernel, WeightedGraph
 from .network import Network
 from .rng import replica_map
@@ -178,11 +177,6 @@ def wilson_sample(kernel: ChainKernel, seed) -> tuple:
                       cut_length=0, discarded_mu_mass=0.0)
     soup = LoopSoup(block, 1.0, {"sampler": "wilson", "walk_steps": steps})
     return tuple((exit_to[1:] - 1).tolist()), soup
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise BadIntensity(f"intensity must be positive and finite, got {alpha}")
 
 
 def _concat(parts: list, dtype) -> np.ndarray:

@@ -147,7 +147,7 @@ def _all_balanced_up_to(graph: WeightedGraph, max_total: int) -> list:
     edges = _directed_edges(graph)
     nets = [Network.zeros(graph)]
     for _, rows in zip(range(max_total), _circulation_layers(graph, edges)):
-        nets.extend(Network(graph, c) for c in _count_matrices(graph.n, edges, rows))
+        nets.extend(Network.stack(graph, _count_matrices(graph.n, edges, rows)))
     return nets
 
 

@@ -22,7 +22,8 @@ from itertools import permutations
 import numpy as np
 
 from loopsoup import Network, TailTooHeavy
-from loopsoup.soup import LoopBlock, LoopGroup, _check_alpha, _concat, _matrix_powers
+from loopsoup.errors import _check_alpha
+from loopsoup.soup import LoopBlock, LoopGroup, _concat, _matrix_powers
 
 
 def balanced_layer(graph, directed_edges, m: int) -> list:
@@ -77,6 +78,24 @@ def alpha_permanent(a, alpha: float):
                 break
         if prod != 0:
             total += (alpha ** _cycle_count(perm)) * prod
+    return complex(total) if np.iscomplexobj(a) else float(total)
+
+
+def permanent(a, chunk: int = 1 << 14):
+    """Ryser's formula with each chunk's row sums as one matrix product of
+    0/1 subset bits with A^T, the signed sum in chunks of `chunk` subsets
+    from subset 1 on."""
+    a = np.asarray(a)
+    n = a.shape[0]
+    if n == 0:
+        return 1.0
+    a_t = a.T.astype(np.result_type(a, float))
+    total = 0.0
+    for lo in range(1, 1 << n, chunk):
+        masks = np.arange(lo, min(lo + chunk, 1 << n))
+        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+        signs = 1.0 - 2.0 * ((n - bits.sum(axis=1)) % 2)
+        total += signs @ np.prod(bits @ a_t, axis=1)
     return complex(total) if np.iscomplexobj(a) else float(total)
 
 

@@ -114,6 +114,16 @@ def test_malformed_network_file(tmp_path, counts):
         assert err.startswith("error: network counts") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("alpha", ["-1", "0", "nan", "inf"])
+def test_exact_commands_refuse_a_bad_intensity(tmp_path, round_trip_net, alpha):
+    for argv in (("exact-network", "--graph", TWO_POINT, "--network", round_trip_net),
+                 ("homology-dist", "--graph", TRIANGLE, "--grid", "16"),
+                 ("homology-dist", "--graph", TRIANGLE, "--grid", "0"),
+                 ("genfun", "--graph", TRIANGLE, "--edge", "a:b", "--z", "0.5,0")):
+        err = run(tmp_path, *argv, "--alpha", alpha, expect=1)
+        assert err.startswith("error: intensity must be positive and finite")
+
+
 @pytest.mark.parametrize("count", ["1e400", "-1e400", "NaN"])
 def test_non_finite_network_file(tmp_path, count):
     path = tmp_path / "bad_net.json"

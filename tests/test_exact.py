@@ -60,6 +60,30 @@ def test_permanent_chunks_match_brute_force(monkeypatch):
             assert abs(got - oracles.alpha_permanent(a, 1.0)) <= 1e-12 * scale
 
 
+def test_permanent_subset_sums_match_matrix_products():
+    # the doubling table adds each subset's columns in index order, as the
+    # bit-matrix product does, and the signed sum keeps its chunk bounds, so
+    # real matrices give the same bits up to the cap
+    rng = np.random.default_rng(5)
+    for n in list(range(1, 15)) + [15, 20]:
+        for a in (rng.random((n, n)), rng.normal(size=(n, n))):
+            assert permanent(a) == oracles.permanent(a)
+    # complex products round differently elementwise than in a row reduction
+    for n in (3, 9, 15):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        want = oracles.permanent(a)
+        assert abs(permanent(a) - want) <= 1e-9 * abs(want)
+
+
+def test_permanent_high_columns(monkeypatch):
+    # a table of 8 rows: columns 3 and up are added block by block
+    monkeypatch.setattr(exact, "PERMANENT_CHUNK", 8)
+    rng = np.random.default_rng(6)
+    for n in (3, 4, 7):
+        a = rng.random((n, n))
+        assert permanent(a) == oracles.permanent(a, chunk=8)
+
+
 def test_permanent_cap():
     with pytest.raises(TooLarge):
         permanent(np.ones((21, 21)))

@@ -8,6 +8,7 @@ import pytest
 from loopsoup import (
     BadExactInput,
     BadGrid,
+    BadIntensity,
     Disconnected,
     EmptyBasis,
     GridTooCoarse,
@@ -210,13 +211,26 @@ def test_homology_distribution_triangle(triangle_kernel, triangle):
 
 def test_homology_distribution_bad_grid(triangle_kernel, triangle):
     basis = cycle_basis(triangle)
-    for m in (4, 12, 17):
+    for m in (4, 12, 17, 8.0, "8", None):
         with pytest.raises(ValueError):
             homology_distribution(triangle_kernel, basis, 1.0, m)
         with pytest.raises(BadGrid) as info:
             homology_distribution(triangle_kernel, basis, 1.0, m)
         assert isinstance(info.value, BadExactInput)
         assert isinstance(info.value, LoopSoupError)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), "1"])
+def test_homology_intensity_is_typed(triangle_kernel, triangle, monkeypatch, alpha):
+    def no_work(*args):
+        raise AssertionError("work began before the intensity check")
+
+    monkeypatch.setattr(homology, "_generating_grid", no_work)
+    basis = cycle_basis(triangle)
+    for call in (lambda: homology_distribution(triangle_kernel, basis, alpha, 16),
+                 lambda: homology_distribution_auto(triangle_kernel, basis, alpha)):
+        with pytest.raises(BadIntensity, match="intensity must be positive and finite"):
+            call()
 
 
 def test_homology_distribution_foreign_basis(triangle_kernel, triangle):

@@ -1,5 +1,6 @@
 """Crossing-count networks: validation, exact laws, tours, measures, flows."""
 
+import hashlib
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from loopsoup import (
     BadExactInput,
     BadForm,
     BadGraph,
+    BadIntensity,
     BadMassBudget,
     BadPartition,
     BudgetExceeded,
@@ -46,6 +48,9 @@ from loopsoup.verify import (
     random_connected_graph,
     random_eulerian_network,
 )
+
+
+K4_ENUMERATION = "e6aee36536d79fdd9d273e7c7ecadd4742f461e5b38556b0b8b0bc25d4343db0"
 
 
 def _two_point_net(graph, n):
@@ -93,6 +98,64 @@ def test_non_finite_counts_rejected(two_point, value):
             Network(two_point, np.array([[0.0, value], [value, 0.0]]))
         with pytest.raises(BadGraph, match="finite"):
             Network.from_json_dict(two_point, {"counts": [[0, value], [value, 0]]})
+
+
+@pytest.mark.parametrize("counts", [
+    [[0, "1"], ["1", 0]],
+    [[0, None], [1, 0]],
+    np.array([[0, 1], [1, 0]], dtype=object),
+    [[0, 1], [1]],
+])
+def test_non_numeric_counts_rejected(two_point, counts):
+    for make in (lambda: Network(two_point, counts),
+                 lambda: Network.stack(two_point, [counts]),
+                 lambda: Network.from_json_dict(two_point, {"counts": counts})):
+        with pytest.raises(BadGraph, match="matrix of numbers"):
+            make()
+
+
+def _malformed_stacks():
+    """(stack, message) pairs: one bad row among good ones, each check once."""
+    good = np.array([[0, 2], [2, 0]])
+    bad_rows = [
+        (np.array([[0.0, 0.5], [0.5, 0.0]]), "integers"),
+        (np.array([[0.0, np.inf], [1.0, 0.0]]), "finite"),
+        (np.array([[0, -1], [1, 0]]), "nonnegative"),
+        (np.array([[1, 0], [0, 0]]), "off the edge set"),
+    ]
+    stacks = [(np.array([good, row, good]), match) for row, match in bad_rows]
+    stacks.append((np.zeros((2, 3, 3), dtype=np.int64), "2x2, got shape"))
+    return stacks
+
+
+def test_stack_raises_as_each_network(two_point, triangle):
+    for stack, match in _malformed_stacks():
+        with pytest.raises(BadGraph, match=match) as per_row:
+            for row in stack:
+                Network(two_point, row)
+        with pytest.raises(BadGraph) as stacked:
+            Network.stack(two_point, stack)
+        assert str(stacked.value) == str(per_row.value)
+    # a graph with a self-conductance reaches the diagonal check
+    looped = WeightedGraph(triangle.vertices, np.ones((3, 3)), triangle.killing)
+    diagonal = np.diag([0, 1, 0])[None]
+    with pytest.raises(BadGraph, match="on the diagonal"):
+        Network(looped, diagonal[0])
+    with pytest.raises(BadGraph, match="on the diagonal"):
+        Network.stack(looped, diagonal)
+
+
+def test_stack_equals_each_network():
+    graph = _complete_graph(4, 3.0)
+    counts = np.array([entry.network.counts
+                       for entry in enumerate_eulerian(build_kernel(graph), 1e-3)])
+    stacked = Network.stack(graph, counts.astype(float))
+    assert len(stacked) == len(counts) == 1396
+    for net, row in zip(stacked, counts):
+        single = Network(graph, row)
+        assert net == single and net.graph is graph
+        assert net.counts.dtype == np.int64 and not net.counts.flags.writeable
+        assert net.is_eulerian() and net.total == single.total and net.key() == single.key()
 
 
 def test_network_accessors(two_point):
@@ -168,6 +231,21 @@ def test_generating_function_unimodular_bounded(triangle_kernel):
         z = ModifierMatrix(np.exp(2j * np.pi * omega))
         for alpha in (0.5, 1.0, 2.0):
             assert abs(generating_function(triangle_kernel, z, alpha)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), "1"])
+def test_exact_intensity_is_typed(triangle, triangle_kernel, monkeypatch, alpha):
+    def no_work(*args):
+        raise AssertionError("work began before the intensity check")
+
+    monkeypatch.setattr(eulerian, "_circulation_layers", no_work)
+    monkeypatch.setattr(eulerian, "_generating_values", no_work)
+    for call in (
+        lambda: exact_network_prob_alpha(triangle_kernel, _directed_triangle(triangle), alpha),
+        lambda: generating_function(triangle_kernel, np.ones((3, 3)), alpha),
+    ):
+        with pytest.raises(BadIntensity, match="intensity must be positive and finite"):
+            call()
 
 
 # ------------------------------------------------------------- exact network
@@ -265,6 +343,18 @@ def test_enumerate_two_point(two_point_kernel):
     assert sizes == sorted(sizes)
 
 
+def test_enumerate_k4_digest():
+    # the K4 enumeration of the exact benchmark: counts, probabilities and
+    # loop measures, to the bit
+    entries = enumerate_eulerian(build_kernel(_complete_graph(4, 3.0)), 1e-3)
+    digest = hashlib.sha256()
+    digest.update(np.array([e.network.counts for e in entries]).tobytes())
+    digest.update(np.array([e.probability for e in entries]).tobytes())
+    digest.update(np.array([e.mu_mass for e in entries]).tobytes())
+    assert len(entries) == 1396
+    assert digest.hexdigest() == K4_ENUMERATION
+
+
 def test_enumerate_single_vertex(single_vertex_kernel):
     entries = enumerate_eulerian(single_vertex_kernel, 1e-3)
     assert len(entries) == 1
@@ -272,7 +362,7 @@ def test_enumerate_single_vertex(single_vertex_kernel):
 
 
 def test_enumerate_bad_delta(two_point_kernel):
-    for delta in (0.0, -1e-3, 0.02):
+    for delta in (0.0, -1e-3, 0.02, float("nan"), "1e-3", None):
         with pytest.raises(ValueError):
             enumerate_eulerian(two_point_kernel, delta)
         with pytest.raises(BadMassBudget) as info:
