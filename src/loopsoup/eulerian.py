@@ -43,7 +43,7 @@ from .exact import _arborescence_counts
 from .graphs import ChainKernel
 from .network import Network
 
-ALPHA_NETWORK_CAP = 8
+ALPHA_NETWORK_CAP = 27
 ENUMERATION_CAP = 20
 LAYER_CAP = 1 << 23  # edge counts in the candidate rows of one layer (64 MB)
 CONVOLUTION_CHUNK = 1 << 16  # key sums held at once
@@ -90,13 +90,8 @@ def _as_modifier_array(kernel: ChainKernel, z) -> np.ndarray:
     return arr
 
 
-def _generating_values(kernel: ChainKernel, z: np.ndarray, alpha: float) -> np.ndarray:
-    """[det(I-P^Z)/det(I-P)]^(-alpha) for every modifier of a stack (..., n, n)
-    of checked modifiers, by one stacked determinant call."""
-    det_z = kernel.det_i_minus_pz(z)
-    if (np.abs(det_z) < 1e-300).any():
-        raise SingularTwist("det(I - P^Z) vanished; modifier outside the valid domain")
-    ratio = det_z / kernel.det_i_minus_p
+def _ratio_power(ratio: np.ndarray, alpha: float) -> np.ndarray:
+    """ratio^(-alpha) for an array of twisted determinant ratios."""
     # Hermitian |Z| <= 1 keeps the twisted energy matrix positive definite, so
     # the ratio is real positive up to rounding and takes the real power
     real = (ratio.real > 0) & (np.abs(ratio.imag) < 1e-9 * np.maximum(1.0, ratio.real))
@@ -104,8 +99,8 @@ def _generating_values(kernel: ChainKernel, z: np.ndarray, alpha: float) -> np.n
 
 
 def generating_function(kernel: ChainKernel, z, alpha: float) -> complex:
-    """E[prod_{x,y} Z_{x,y}^{N_{x,y}}] = [det(I-P^Z)/det(I-P)]^(-alpha): the
-    one-modifier view of the stacked form the homology grid evaluates.
+    """E[prod_{x,y} Z_{x,y}^{N_{x,y}}] = [det(I-P^Z)/det(I-P)]^(-alpha), by
+    the power the homology grid applies to its ratios too.
 
     For a Hermitian modifier with |Z| <= 1 the determinant ratio is a real
     number >= 1, so the value is real in (0, 1].  Raises BadForm for an
@@ -113,7 +108,10 @@ def generating_function(kernel: ChainKernel, z, alpha: float) -> complex:
     unless alpha is finite and above 0.
     """
     _check_alpha(alpha)
-    return complex(_generating_values(kernel, _as_modifier_array(kernel, z)[None], alpha)[0])
+    det_z = kernel.det_i_minus_pz(_as_modifier_array(kernel, z)[None])
+    if (np.abs(det_z) < 1e-300).any():
+        raise SingularTwist("det(I - P^Z) vanished; modifier outside the valid domain")
+    return complex(_ratio_power(det_z / kernel.det_i_minus_p, alpha)[0])
 
 
 def exact_network_prob_alpha1(kernel: ChainKernel, k: Network) -> float:
@@ -208,14 +206,14 @@ def _count_matrices(n: int, edges, rows: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _layer_law(kernel: ChainKernel, edges, rows: np.ndarray):
+def _layer_law(kernel: ChainKernel, edges, rows: np.ndarray, counts: np.ndarray):
     """alpha = 1 probability det(I-P) prod_x k_x! prod P^k / k! and one-loop
     measure tau(k) prod_x (k_x - 1)! prod P^k / k! of every balanced network
-    of a stack of edge-count rows over the directed edges; tau counts the
-    arborescences toward k's first support vertex.  mu_network_measure is
-    its one-row view; exact_network_prob_alpha1 keeps a scalar probability."""
+    of a stack of edge-count rows over the directed edges, with their count
+    matrices; tau counts the arborescences toward k's first support vertex.
+    mu_network_measure is its one-row view; exact_network_prob_alpha1 keeps
+    a scalar probability."""
     src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    counts = _count_matrices(kernel.n, edges, rows)
     out_deg = counts.sum(axis=2)
     top = int(rows.sum(axis=1).max(initial=0))
     log_fact = np.array([math.lgamma(c + 1) for c in range(top + 1)])
@@ -239,11 +237,12 @@ def _check_delta(delta: float) -> None:
 
 
 def _enumerate_layers(kernel: ChainKernel, delta: float) -> list:
-    """(rows, probability, mu) of each layer 0, 1, ..., M of
+    """(rows, count matrices, probability, mu) of each layer 0, 1, ..., M of
     enumerate_eulerian; layer 0 holds the zero network."""
     _check_delta(delta)
     edges = _directed_edges(kernel.graph)
     layers = [(np.zeros((1, len(edges)), dtype=np.int64),
+               np.zeros((1, kernel.n, kernel.n), dtype=np.int64),
                np.array([kernel.det_i_minus_p]), np.zeros(1))]
     accum = kernel.det_i_minus_p
     grow = _circulation_layers(kernel.graph, edges)
@@ -253,8 +252,9 @@ def _enumerate_layers(kernel: ChainKernel, delta: float) -> list:
                 f"accumulated probability {accum:.6g} < 1 - {delta:g} at |k| = {ENUMERATION_CAP}"
             )
         rows = next(grow)
-        prob, mu = _layer_law(kernel, edges, rows)
-        layers.append((rows, prob, mu))
+        counts = _count_matrices(kernel.n, edges, rows)
+        prob, mu = _layer_law(kernel, edges, rows, counts)
+        layers.append((rows, counts, prob, mu))
         accum += float(prob.sum())
     return layers
 
@@ -270,13 +270,10 @@ def enumerate_eulerian(kernel: ChainKernel, delta: float) -> list:
     Raises BudgetExceeded if |k| would pass 20, TooLarge if one layer would
     build more than LAYER_CAP candidate counts.
     """
-    graph = kernel.graph
-    edges = _directed_edges(graph)
     return [
         NetworkLawEntry(net, p, m)
-        for rows, prob, mu in _enumerate_layers(kernel, delta)
-        for net, p, m in zip(Network.stack(graph, _count_matrices(graph.n, edges, rows)),
-                             prob.tolist(), mu.tolist())
+        for _, counts, prob, mu in _enumerate_layers(kernel, delta)
+        for net, p, m in zip(Network.stack(kernel.graph, counts), prob.tolist(), mu.tolist())
     ]
 
 
@@ -312,7 +309,7 @@ def mu_network_measure(kernel: ChainKernel, k: Network) -> float:
         raise ZeroNetwork("the zero network carries no loop measure")
     if not k.is_eulerian():
         raise NotEulerian("network is not balanced")
-    _, mu = _layer_law(kernel, np.argwhere(k.counts), k.counts[k.counts > 0][None])
+    _, mu = _layer_law(kernel, np.argwhere(k.counts), k.counts[k.counts > 0][None], k.counts[None])
     return float(mu[0])
 
 
@@ -338,42 +335,37 @@ def _row_keys(layers, max_total: int) -> list:
 
 
 def _poisson_series(keys, mu, alpha: float) -> list:
-    """sum_j alpha^j / j! mu^(*j), the loop-measure Poisson series, on a
+    """F = sum_j alpha^j / j! mu^(*j), the loop-measure Poisson series, on a
     support held layer by layer: keys[m] are the sorted additive keys of the
     networks of total m (layer 0 holds the zero network) and mu[m] their
     one-loop measures (mu[0] is not read).
 
-    Each convolution power adds the keys of one layer pair at a time and
-    finds the sums by binary search in the layer of their total; sums off the
-    support are dropped.  So every value is exact when the support holds,
-    with each network, all the networks below it.
+    F = exp(alpha mu) obeys |m| F(m) = alpha sum over nonzero j <= m of
+    |j| mu(j) F(m - j), J.C.P. Miller's power recurrence (Henrici, Applied
+    and Computational Complex Analysis I, 1.6), so the layers fill in
+    increasing total, one pass over the layer pairs; nonzero networks have
+    |k| >= 2.  Each pair adds the keys of its two layers and finds the sums
+    by binary search in the layer of their total; sums off the support are
+    dropped.  So every value is exact when the support holds, with each
+    network, all the networks below it.
     """
-    max_total = len(keys) - 1
     series = [np.zeros(len(k)) for k in keys]
     series[0][0] = 1.0
-    current = [s.copy() for s in series]
-    factorial = 1.0
-    # every nonzero network has |k| >= 2, so mu^(*j) lives on |k| >= 2j
-    for j in range(1, max_total // 2 + 1):
-        factorial *= j
-        nxt = [np.zeros(len(k)) for k in keys]
-        for total_a in range(2 * j - 2, max_total - 1):
-            keys_a, val_a = keys[total_a], current[total_a]
-            for total_b in range(2, max_total - total_a + 1):
-                keys_b, target = keys[total_b], keys[total_a + total_b]
-                if not len(keys_b) or not len(target):
-                    continue
-                step = max(1, CONVOLUTION_CHUNK // len(keys_b))
-                for lo in range(0, len(keys_a), step):
-                    sums = (keys_a[lo:lo + step, None] + keys_b[None, :]).ravel()
-                    pos = np.minimum(np.searchsorted(target, sums), len(target) - 1)
-                    found = target[pos] == sums
-                    terms = (val_a[lo:lo + step, None] * mu[total_b][None, :]).ravel()
-                    nxt[total_a + total_b] += np.bincount(
-                        pos[found], weights=terms[found], minlength=len(target))
-        for value, term in zip(series, nxt):
-            value += term * alpha**j / factorial
-        current = nxt
+    for total in range(2, len(keys)):
+        target, value = keys[total], series[total]
+        for total_b in range(2, total + 1):
+            keys_a, val_a = keys[total - total_b], series[total - total_b]
+            keys_b, weight_b = keys[total_b], total_b * mu[total_b]
+            if not len(keys_b) or not len(target):
+                continue
+            step = max(1, CONVOLUTION_CHUNK // len(keys_b))
+            for lo in range(0, len(keys_a), step):
+                sums = (keys_a[lo:lo + step, None] + keys_b[None, :]).ravel()
+                pos = np.minimum(np.searchsorted(target, sums), len(target) - 1)
+                found = target[pos] == sums
+                terms = (val_a[lo:lo + step, None] * weight_b[None, :]).ravel()
+                value += np.bincount(pos[found], weights=terms[found], minlength=len(target))
+        value *= alpha / total
     return series
 
 
@@ -385,7 +377,7 @@ def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> f
     k enter the series.  They are grown from the simple cycles of k's
     support edges, keyed over those edges alone, and their loop measures
     come from one layer-law call.  Raises BadIntensity unless alpha is finite
-    and above 0.
+    and above 0, TooLarge past ALPHA_NETWORK_CAP = 27 (K4 networks: <= 1 s).
     """
     _check_alpha(alpha)
     if not k.is_eulerian():
@@ -400,8 +392,9 @@ def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> f
     layers += islice(_circulation_layers(k.graph, edges, cap), k.total)
     if len(layers[-1]) != 1:  # the rows up to k of total |k| can only be k
         raise ArithmeticError("the network is not a sum of simple cycles of its support")
-    _, mu = _layer_law(kernel, edges, np.concatenate(layers))
-    sizes = np.cumsum([len(rows) for rows in layers])[:-1]
+    rows = np.concatenate(layers)
+    _, mu = _layer_law(kernel, edges, rows, _count_matrices(kernel.n, edges, rows))
+    sizes = np.cumsum([len(layer) for layer in layers])[:-1]
     series = _poisson_series(_row_keys(layers, k.total), np.split(mu, sizes), alpha)
     return float(kernel.det_i_minus_p**alpha * series[-1][0])
 
@@ -417,16 +410,16 @@ def verify_poisson_convolution(kernel: ChainKernel, delta: float):
 
     layers = _enumerate_layers(kernel, delta)
     report = TestReport(name="poisson-convolution")
-    report.meta["support_size"] = sum(len(rows) for rows, _, _ in layers)
+    report.meta["support_size"] = sum(len(rows) for rows, _, _, _ in layers)
     report.meta["delta"] = delta
-    keys = _row_keys([rows for rows, _, _ in layers], len(layers) - 1)
-    reconstructed = _poisson_series(keys, [mu for _, _, mu in layers], 1.0)
+    keys = _row_keys([rows for rows, _, _, _ in layers], len(layers) - 1)
+    reconstructed = _poisson_series(keys, [mu for _, _, _, mu in layers], 1.0)
     max_err = max(
         float(np.max(np.abs(kernel.det_i_minus_p * rec - prob)))
-        for rec, (_, prob, _) in zip(reconstructed, layers) if len(prob)
+        for rec, (_, _, prob, _) in zip(reconstructed, layers) if len(prob)
     )
     report.add_bound("max_abs_reconstruction_error", max_err, 1e-6)
-    report.add_info("truncated_mu_mass", float(sum(mu.sum() for _, _, mu in layers[1:])),
+    report.add_info("truncated_mu_mass", float(sum(mu.sum() for _, _, _, mu in layers[1:])),
                     note="sum over retained nonzero networks")
     report.add_info("total_mu_mass", kernel.mu_mass)
     return report

@@ -57,7 +57,7 @@ def permanent(a) -> float | complex:
     total = 0.0
     for lo in range(1, 1 << n, PERMANENT_CHUNK):  # the empty subset adds 0
         hi = lo + PERMANENT_CHUNK
-        total += signs[lo:hi] @ terms[lo:hi]
+        total += np.einsum("i,i->", signs[lo:hi], terms[lo:hi])  # a BLAS dot may thread
     return complex(total) if np.iscomplexobj(a) else float(total)
 
 

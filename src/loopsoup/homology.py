@@ -3,14 +3,16 @@ homology class of a loop ensemble.
 
 The cycle basis comes from a deterministic spanning tree: one oriented cycle
 per non-tree edge.  A balanced network's class is read off its antisymmetric
-part.  The class law is recovered by evaluating the crossing-count generating
-functional at unit-modulus twists of the non-tree edges on a uniform grid of
-the dual torus and inverting with a discrete Fourier transform.
+part.  The class law comes from the twisted determinant ratio, a Laurent
+polynomial in unit-modulus twists of the non-tree edges: 3^n determinants
+give its coefficients, FFTs its values on a uniform grid of the dual torus
+and, after the power -alpha, the law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -27,7 +29,7 @@ from .errors import (
     TooLarge,
     _check_alpha,
 )
-from .eulerian import _generating_values
+from .eulerian import _ratio_power
 from .exact import spanning_tree_weight_sum
 from .graphs import ChainKernel, WeightedGraph
 from .network import Network
@@ -35,7 +37,6 @@ from .network import Network
 VOLUME_TOL = 1e-10
 GRID_CAP = 512
 DIM_CAP = 3
-SLAB_POINTS = 1024  # grid points per stacked determinant call
 
 
 @dataclass(frozen=True)
@@ -192,50 +193,83 @@ def jacobian_volume(graph: WeightedGraph) -> JacobianVolume:
                           False, float(tree_weight))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomologyLaw:
-    probs: dict
+    """The class law on the window |coordinates| < grid_m / 2: table[i] holds class
+    i - (grid_m / 2 - 1), entries below 1e-15 as 0, counted in captured_mass."""
+
+    table: np.ndarray
     grid_m: int
     captured_mass: float
     imag_residue: float
     negative_residue: float
     alpha: float
 
+    @cached_property
+    def probs(self) -> dict:
+        """{class coordinates: probability} over the nonzero entries."""
+        kept = self.table > 0
+        coords = np.argwhere(kept) - (self.grid_m // 2 - 1)
+        return dict(zip(map(tuple, coords.tolist()), self.table[kept].tolist()))
+
     def prob(self, coords) -> float:
         return self.probs.get(tuple(coords), 0.0)
 
     def symmetry_defect(self) -> float:
-        worst = 0.0
-        for coords, p in self.probs.items():
-            mirror = tuple(-c for c in coords)
-            worst = max(worst, abs(p - self.probs.get(mirror, 0.0)))
-        return worst
+        """max |P(j) - P(-j)|: the table against its flip on every axis."""
+        return float(np.max(np.abs(self.table - np.flip(self.table))))
 
 
-def _generating_grid(kernel: ChainKernel, basis: CycleBasis, alpha: float,
-                     grid_m: int) -> np.ndarray:
-    """generating_function at the modifier exp(2 pi i t_i) on each non-tree
-    edge (u_i, v_i) and exp(-2 pi i t_i) on (v_i, u_i), ones elsewhere, for
-    every t on the grid {0, 1/grid_m, ...}^n, in slabs of whole rows along the
-    first axis, one stacked determinant per slab of at most SLAB_POINTS points."""
-    n = basis.n
-    phi = np.empty((grid_m,) * n, dtype=complex)
-    ticks = np.arange(grid_m) / grid_m
-    rows = max(1, SLAB_POINTS // grid_m ** (n - 1))
-    for lo in range(0, grid_m, rows):
-        slab = phi[lo:lo + rows]
-        z = np.ones(slab.shape + (kernel.n, kernel.n), dtype=complex)
-        axes = np.ix_(ticks[lo:lo + rows], *[ticks] * (n - 1))
-        for (u, v), t in zip(basis.nontree_edges, axes):
-            z[..., u, v] = np.exp(2j * np.pi * t)
-            z[..., v, u] = np.exp(2j * np.pi * -t)
-        slab[...] = _generating_values(kernel, z, alpha)
-    return phi
+def _twist_coefficients(kernel: ChainKernel, basis: CycleBasis) -> np.ndarray:
+    """Coefficients of det(I-P^Z)/det(I-P), Z = u_c on non-tree edge
+    (u_c, v_c), 1/u_c on (v_c, u_c) and ones elsewhere, as a Laurent
+    polynomial: prod_c u_c^e_c at index e mod 3 of a (3,)*n array.  A term
+    of the determinant takes one entry per row of P, so every e_c is -1, 0
+    or 1, and the 3^n twists u_c = exp(2 pi i t_c), t_c in {0, 1/3, 2/3},
+    give every coefficient by one size-3 fftn."""
+    if basis.graph.n != kernel.n:
+        raise BadExactInput(f"cycle basis has {basis.graph.n} vertices, kernel {kernel.n}")
+    z = np.ones((3,) * basis.n + (kernel.n, kernel.n), dtype=complex)
+    for (u, v), t in zip(basis.nontree_edges, np.ix_(*[np.arange(3) / 3] * basis.n)):
+        z[..., u, v] = np.exp(2j * np.pi * t)
+        z[..., v, u] = np.exp(2j * np.pi * -t)
+    return np.fft.fftn(kernel.det_i_minus_pz(z) / kernel.det_i_minus_p, norm="forward")
+
+
+def _generating_grid(coef: np.ndarray, alpha: float, grid_m: int) -> np.ndarray:
+    """generating_function at every twist t of the grid {0, 1/grid_m, ...}^n:
+    the coefficients at indices 0, 1 and grid_m - 1 (exponents 0, 1 and -1)
+    of a zero grid, one inverse fftn sums the polynomial at every point."""
+    spread = np.zeros((grid_m,) * coef.ndim, dtype=complex)
+    spread[np.ix_(*[[0, 1, grid_m - 1]] * coef.ndim)] = coef
+    return _ratio_power(np.fft.ifftn(spread, norm="forward"), alpha)
 
 
 def _check_grid(grid_m: int) -> None:
     if not isinstance(grid_m, Integral) or grid_m < 8 or grid_m & (grid_m - 1) != 0:
         raise BadGrid(f"grid size must be a power of two >= 8, got {grid_m!r}")
+
+
+def _law(coef: np.ndarray, alpha: float, grid_m: int) -> HomologyLaw:
+    """Class law by Fourier inversion of the generating grid on grid_m."""
+    n = coef.ndim
+    if n == 0:
+        return HomologyLaw(np.ones(()), grid_m, 1.0, 0.0, 0.0, alpha)
+    raw = np.fft.fftn(_generating_grid(coef, alpha, grid_m)) / grid_m**n
+    imag_residue = float(np.max(np.abs(raw.imag)))
+    negative_residue = float(max(0.0, -raw.real.min()))
+    if imag_residue > 1e-10 or negative_residue > 1e-10:
+        raise ArithmeticError(
+            f"inversion residues too large: imag {imag_residue}, negative {negative_residue}"
+        )
+    # class 0 to the centre, and the slice of coordinate -grid_m / 2 dropped
+    table = np.fft.fftshift(np.clip(raw.real, 0.0, None))[(slice(1, None),) * n]
+    captured = float(table.sum())
+    if captured < 0.999:
+        raise GridTooCoarse(f"window holds {captured:.6f} < 0.999 of the mass at grid {grid_m}")
+    table[table < 1e-15] = 0.0
+    table.setflags(write=False)
+    return HomologyLaw(table, grid_m, captured, imag_residue, negative_residue, alpha)
 
 
 def homology_distribution(kernel: ChainKernel, basis: CycleBasis, alpha: float,
@@ -246,58 +280,30 @@ def homology_distribution(kernel: ChainKernel, basis: CycleBasis, alpha: float,
     two >= 8."""
     _check_alpha(alpha)
     _check_grid(grid_m)
-    n = basis.n
-    if n == 0:
-        return HomologyLaw({(): 1.0}, grid_m, 1.0, 0.0, 0.0, alpha)
-    if basis.graph.n != kernel.n:
-        raise BadExactInput(f"cycle basis has {basis.graph.n} vertices, kernel {kernel.n}")
-    phi = _generating_grid(kernel, basis, alpha, grid_m)
-    raw = np.fft.fftn(phi) / grid_m**n
-    imag_residue = float(np.max(np.abs(raw.imag)))
-    real = raw.real
-    negative_residue = float(max(0.0, -real.min()))
-    if imag_residue > 1e-10 or negative_residue > 1e-10:
-        raise ArithmeticError(
-            f"inversion residues too large: imag {imag_residue}, negative {negative_residue}"
-        )
-    real = np.clip(real, 0.0, None)
-    half = grid_m // 2
-    # the window |coordinate| < half drops index half (coordinate -half) on every axis
-    window = np.ones(phi.shape, dtype=bool)
-    for axis in range(n):
-        window[(slice(None),) * axis + (half,)] = False
-    captured = float(real[window].sum())
-    if captured < 0.999:
-        raise GridTooCoarse(
-            f"window holds {captured:.6f} < 0.999 of the mass at grid {grid_m}"
-        )
-    kept = window & (real >= 1e-15)
-    coords = [np.where(i >= half, i - grid_m, i).tolist() for i in np.nonzero(kept)]
-    probs = dict(zip(zip(*coords), real[kept].tolist()))
-    return HomologyLaw(probs, grid_m, captured, imag_residue, negative_residue, alpha)
+    return _law(_twist_coefficients(kernel, basis), alpha, grid_m)
 
 
 def homology_distribution_auto(kernel: ChainKernel, basis: CycleBasis,
                                alpha: float) -> HomologyLaw:
     """Double the grid from 8 until the captured mass and a Cauchy criterion
-    (max change 1e-8 between grids) both hold; cap at 512 per dimension."""
+    (max change 1e-8 between grids, the coarse window centred in the fine
+    one) both hold; cap at 512 per dimension.  The ratio's coefficients are
+    computed once, so a doubling costs FFTs and no determinants."""
     if basis.n > DIM_CAP:
         raise TooLarge(f"auto grid limited to {DIM_CAP} cycles, got {basis.n}")
-    m = 8
+    _check_alpha(alpha)
+    coef = _twist_coefficients(kernel, basis)
+    m = 4
     prev: HomologyLaw | None = None
-    while m <= GRID_CAP:
+    while m < GRID_CAP:
+        m *= 2
         try:
-            law = homology_distribution(kernel, basis, alpha, m)
+            law = _law(coef, alpha, m)
         except GridTooCoarse:
             prev = None
-            m *= 2
             continue
-        if prev is not None:
-            keys = set(prev.probs) | set(law.probs)
-            delta = max(abs(law.prob(k) - prev.prob(k)) for k in keys)
-            if delta <= 1e-8:
-                return law
+        # the coarse window, of side m / 2 - 1, centred in the fine one
+        if prev is not None and np.max(np.abs(law.table - np.pad(prev.table, m // 4))) <= 1e-8:
+            return law
         prev = law
-        m *= 2
     raise GridTooCoarse(f"grid cap {GRID_CAP} reached without convergence")
-

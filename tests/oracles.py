@@ -1,8 +1,10 @@
 """Brute-force references for the exact array kernels, the scalar forms of
 the matrix-tree count, the one-loop measure and the loop-length law, a
 search for the connectivity of a network's support, and the earlier forms of
-the Monte Carlo block kernels, of the scalar chain step and of the reductions
-over a run and over one ensemble's loops.
+the Monte Carlo block kernels, of the scalar chain step, of the reductions
+over a run and over one ensemble's loops, of the Poisson series (one
+convolution power at a time) and of the homology law (one determinant per
+grid point, held as a dict).
 
 Each exact reference enumerates everything it sums over, so they are slow
 and only fit small inputs; the tests compare the fast kernels against them.
@@ -23,6 +25,7 @@ import numpy as np
 
 from loopsoup import Network, TailTooHeavy
 from loopsoup.errors import _check_alpha
+from loopsoup.eulerian import CONVOLUTION_CHUNK, _ratio_power
 from loopsoup.soup import LoopBlock, LoopGroup, _concat, _matrix_powers
 
 
@@ -84,7 +87,7 @@ def alpha_permanent(a, alpha: float):
 def permanent(a, chunk: int = 1 << 14):
     """Ryser's formula with each chunk's row sums as one matrix product of
     0/1 subset bits with A^T, the signed sum in chunks of `chunk` subsets
-    from subset 1 on."""
+    from subset 1 on, each reduced as exact.permanent reduces it."""
     a = np.asarray(a)
     n = a.shape[0]
     if n == 0:
@@ -95,8 +98,81 @@ def permanent(a, chunk: int = 1 << 14):
         masks = np.arange(lo, min(lo + chunk, 1 << n))
         bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
         signs = 1.0 - 2.0 * ((n - bits.sum(axis=1)) % 2)
-        total += signs @ np.prod(bits @ a_t, axis=1)
+        total += np.einsum("i,i->", signs, np.prod(bits @ a_t, axis=1))
     return complex(total) if np.iscomplexobj(a) else float(total)
+
+
+def poisson_series(keys, mu, alpha: float) -> list:
+    """sum_j alpha^j / j! mu^(*j) on a layered support, one convolution power
+    at a time: each power adds the keys of one layer pair at a time and finds
+    the sums by binary search in the layer of their total."""
+    max_total = len(keys) - 1
+    series = [np.zeros(len(k)) for k in keys]
+    series[0][0] = 1.0
+    current = [s.copy() for s in series]
+    factorial = 1.0
+    # every nonzero network has |k| >= 2, so mu^(*j) lives on |k| >= 2j
+    for j in range(1, max_total // 2 + 1):
+        factorial *= j
+        nxt = [np.zeros(len(k)) for k in keys]
+        for total_a in range(2 * j - 2, max_total - 1):
+            keys_a, val_a = keys[total_a], current[total_a]
+            for total_b in range(2, max_total - total_a + 1):
+                keys_b, target = keys[total_b], keys[total_a + total_b]
+                if not len(keys_b) or not len(target):
+                    continue
+                step = max(1, CONVOLUTION_CHUNK // len(keys_b))
+                for lo in range(0, len(keys_a), step):
+                    sums = (keys_a[lo:lo + step, None] + keys_b[None, :]).ravel()
+                    pos = np.minimum(np.searchsorted(target, sums), len(target) - 1)
+                    found = target[pos] == sums
+                    terms = (val_a[lo:lo + step, None] * mu[total_b][None, :]).ravel()
+                    nxt[total_a + total_b] += np.bincount(
+                        pos[found], weights=terms[found], minlength=len(target))
+        for value, term in zip(series, nxt):
+            value += term * alpha**j / factorial
+        current = nxt
+    return series
+
+
+def generating_grid(kernel, basis, alpha: float, grid_m: int):
+    """generating_function at every twist t of the grid {0, 1/grid_m, ...}^n,
+    one stacked determinant per slab of whole rows along the first axis, at
+    most 1024 points a slab."""
+    n = basis.n
+    phi = np.empty((grid_m,) * n, dtype=complex)
+    ticks = np.arange(grid_m) / grid_m
+    rows = max(1, 1024 // grid_m ** (n - 1))
+    for lo in range(0, grid_m, rows):
+        slab = phi[lo:lo + rows]
+        z = np.ones(slab.shape + (kernel.n, kernel.n), dtype=complex)
+        axes = np.ix_(ticks[lo:lo + rows], *[ticks] * (n - 1))
+        for (u, v), t in zip(basis.nontree_edges, axes):
+            z[..., u, v] = np.exp(2j * np.pi * t)
+            z[..., v, u] = np.exp(2j * np.pi * -t)
+        slab[...] = _ratio_power(kernel.det_i_minus_pz(z) / kernel.det_i_minus_p, alpha)
+    return phi
+
+
+def class_law_dict(phi: np.ndarray) -> tuple:
+    """({class coordinates: probability}, window mass) by Fourier inversion
+    of a generating grid: the clipped law on the window |coordinate| <
+    grid_m / 2, every entry >= 1e-15 keyed by its coordinates."""
+    grid_m, n = len(phi), phi.ndim
+    real = np.clip((np.fft.fftn(phi) / grid_m**n).real, 0.0, None)
+    half = grid_m // 2
+    window = np.ones(phi.shape, dtype=bool)
+    for axis in range(n):
+        window[(slice(None),) * axis + (half,)] = False
+    kept = window & (real >= 1e-15)
+    coords = [np.where(i >= half, i - grid_m, i).tolist() for i in np.nonzero(kept)]
+    return dict(zip(zip(*coords), real[kept].tolist())), float(real[window].sum())
+
+
+def symmetry_defect(probs: dict) -> float:
+    """max over the classes j of |P(j) - P(-j)|."""
+    return max(abs(p - probs.get(tuple(-c for c in coords), 0.0))
+               for coords, p in probs.items())
 
 
 @lru_cache(maxsize=None)

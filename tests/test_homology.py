@@ -3,6 +3,7 @@
 from collections import Counter
 
 import numpy as np
+import oracles
 import pytest
 
 from loopsoup import (
@@ -29,7 +30,7 @@ from loopsoup import (
     network_homology_class,
 )
 from loopsoup import homology, network, verify
-from loopsoup.homology import _class_coords, _generating_grid
+from loopsoup.homology import _class_coords, _generating_grid, _twist_coefficients
 from loopsoup.verify import _all_balanced_up_to, complete4_graph, random_connected_graph
 
 
@@ -225,7 +226,7 @@ def test_homology_intensity_is_typed(triangle_kernel, triangle, monkeypatch, alp
     def no_work(*args):
         raise AssertionError("work began before the intensity check")
 
-    monkeypatch.setattr(homology, "_generating_grid", no_work)
+    monkeypatch.setattr(homology, "_twist_coefficients", no_work)
     basis = cycle_basis(triangle)
     for call in (lambda: homology_distribution(triangle_kernel, basis, alpha, 16),
                  lambda: homology_distribution_auto(triangle_kernel, basis, alpha)):
@@ -247,8 +248,9 @@ def test_stacked_grid_matches_pointwise(triangle_kernel, triangle):
              (build_kernel(k4), cycle_basis(k4), 8)]
     for kernel, basis, grid_m in cases:
         ticks = np.arange(grid_m) / grid_m
+        coef = _twist_coefficients(kernel, basis)
         for alpha in (0.5, 1.0, 2.0):
-            grid = _generating_grid(kernel, basis, alpha, grid_m)
+            grid = _generating_grid(coef, alpha, grid_m)
             for idx in np.ndindex(grid.shape):
                 # the indicator twist: t_i on non-tree edge (u_i, v_i), -t_i back
                 omega = np.zeros((kernel.n, kernel.n))
@@ -256,6 +258,34 @@ def test_stacked_grid_matches_pointwise(triangle_kernel, triangle):
                     omega[u, v], omega[v, u] = ticks[i], -ticks[i]
                 point = generating_function(kernel, np.exp(2j * np.pi * omega), alpha)
                 assert abs(grid[idx] - point) <= 1e-14
+
+
+def _grid_graphs():
+    rng = np.random.default_rng(16)
+    graphs = [random_connected_graph(rng) for _ in range(12)]
+    return [g for g in graphs if 1 <= cycle_basis(g).n <= 3]
+
+
+@pytest.mark.parametrize("graph", _grid_graphs())
+def test_grid_matches_one_determinant_per_point(graph):
+    kernel, basis = build_kernel(graph), cycle_basis(graph)
+    coef = _twist_coefficients(kernel, basis)
+    for alpha in (0.5, 1.0, 2.0):
+        want = oracles.generating_grid(kernel, basis, alpha, 32)
+        assert np.max(np.abs(_generating_grid(coef, alpha, 32) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("graph", [verify.triangle_graph(), complete4_graph(), *_grid_graphs()])
+def test_law_table_matches_dict_law(graph):
+    kernel, basis = build_kernel(graph), cycle_basis(graph)
+    coef = _twist_coefficients(kernel, basis)
+    for alpha in (0.5, 1.0, 2.0):
+        law = homology_distribution(kernel, basis, alpha, 32)
+        want, captured = oracles.class_law_dict(_generating_grid(coef, alpha, 32))
+        assert law.probs == want
+        assert law.symmetry_defect() == oracles.symmetry_defect(want)
+        assert law.captured_mass == pytest.approx(captured, abs=1e-14)
+        assert all(law.prob(key) == p for key, p in want.items())
 
 
 def test_grid_too_coarse():

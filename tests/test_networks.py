@@ -3,6 +3,7 @@
 import hashlib
 import math
 import warnings
+from itertools import islice
 
 import numpy as np
 import oracles
@@ -36,10 +37,12 @@ from loopsoup import (
     verify_poisson_convolution,
 )
 from loopsoup.eulerian import (
+    ALPHA_NETWORK_CAP,
     _circulation_layers,
     _count_matrices,
     _directed_edges,
     _layer_law,
+    _poisson_series,
     _row_keys,
 )
 from loopsoup.verify import (
@@ -47,6 +50,7 @@ from loopsoup.verify import (
     nb_pmf,
     random_connected_graph,
     random_eulerian_network,
+    triangle_graph,
 )
 
 
@@ -239,7 +243,7 @@ def test_exact_intensity_is_typed(triangle, triangle_kernel, monkeypatch, alpha)
         raise AssertionError("work began before the intensity check")
 
     monkeypatch.setattr(eulerian, "_circulation_layers", no_work)
-    monkeypatch.setattr(eulerian, "_generating_values", no_work)
+    monkeypatch.setattr(eulerian, "_as_modifier_array", no_work)
     for call in (
         lambda: exact_network_prob_alpha(triangle_kernel, _directed_triangle(triangle), alpha),
         lambda: generating_function(triangle_kernel, np.ones((3, 3)), alpha),
@@ -279,8 +283,17 @@ def test_exact_prob_routes_agree_triangle(triangle, triangle_kernel):
 
 
 def test_exact_prob_alpha_cap(two_point, two_point_kernel):
+    over = _two_point_net(two_point, ALPHA_NETWORK_CAP // 2 + 1)
     with pytest.raises(TooLarge):
-        exact_network_prob_alpha(two_point_kernel, _two_point_net(two_point, 5), 1.0)
+        exact_network_prob_alpha(two_point_kernel, over, 1.0)
+
+
+def test_alpha_route_at_the_cap(triangle, triangle_kernel):
+    # five turns one way, two the other and one back-and-forth on each edge
+    net = Network(triangle, np.array([[0, 6, 3], [3, 0, 6], [6, 3, 0]]))
+    assert net.total == ALPHA_NETWORK_CAP
+    assert exact_network_prob_alpha(triangle_kernel, net, 1.0) == pytest.approx(
+        exact_network_prob_alpha1(triangle_kernel, net), rel=1e-12, abs=0.0)
 
 
 def _assert_alpha_route_matches_oracle(graph, max_total):
@@ -315,7 +328,7 @@ def test_alpha_route_on_a_wide_graph():
     for x, y in [(0, 2), (2, 4), (4, 0)]:
         counts[x, y] += 1
     with pytest.raises(TooLarge):
-        exact_network_prob_alpha(kernel, Network(k6, counts), 0.5)
+        exact_network_prob_alpha(kernel, Network(k6, counts * ALPHA_NETWORK_CAP), 0.5)
 
 
 def test_alpha_route_needs_the_cycles_of_its_support(triangle, triangle_kernel, monkeypatch):
@@ -400,7 +413,7 @@ def test_circulation_layers_match_composition_filter(two_point, triangle, path3,
             assert len(counts) == len(expected)
             for c, net in zip(counts, expected):
                 assert np.array_equal(c, net.counts)  # same networks, same order
-            prob, mu = _layer_law(kernel, edges, rows)
+            prob, mu = _layer_law(kernel, edges, rows, counts)
             for p, w, net in zip(prob, mu, expected):
                 assert p == pytest.approx(exact_network_prob_alpha1(kernel, net), rel=1e-12)
                 assert w == pytest.approx(oracles.mu_network(kernel, net), rel=1e-12, abs=0.0)
@@ -501,6 +514,23 @@ def test_mu_partial_sums(two_point, two_point_kernel):
 
 
 # -------------------------------------------------------------- convolution
+
+
+@pytest.mark.parametrize("graph, top", [
+    (_complete_graph(4, 3.0), 9), (triangle_graph(), 12),
+    *((random_connected_graph(np.random.default_rng(seed)), 6) for seed in (3, 4, 5))])
+def test_poisson_series_matches_power_sums(graph, top):
+    kernel = build_kernel(graph)
+    edges = _directed_edges(graph)
+    layers = [np.zeros((1, len(edges)), dtype=np.int64)]
+    layers += islice(_circulation_layers(graph, edges), top)
+    keys = _row_keys(layers, top)
+    mu = [_layer_law(kernel, edges, rows, _count_matrices(graph.n, edges, rows))[1]
+          for rows in layers]
+    for alpha in (0.5, 1.0, 2.0):
+        got = np.concatenate(_poisson_series(keys, mu, alpha))
+        want = np.concatenate(oracles.poisson_series(keys, mu, alpha))
+        assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 def test_poisson_convolution(two_point_kernel, triangle_kernel):

@@ -57,7 +57,7 @@ EXCURSIONS = {  # (graph, start vertex x0, stopping local time rho)
         "e24a196e60dd48f87f6f82d6f5942ddf9170ca98ea03fc7aa1573ebfd22d7419",
 }
 BATTERY_REPLICAS = 20_000
-BATTERY = "9bb2d04323a4420275b8ad4a5874dcb759678b14c18c1a032ee0ba29bb8cf5f9"
+BATTERY = "0cb1a0f425285e123eec023b1d78538f45654c58352702258a131e316a460fdf"
 
 
 def three_neighbours_graph() -> WeightedGraph:
