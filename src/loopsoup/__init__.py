@@ -4,104 +4,74 @@ Exact transition kernels, two loop-ensemble samplers, Gaussian field
 couplings, balanced-network laws, and the homology class distribution,
 with a verification battery tying the Monte Carlo side to the closed
 forms.
+
+The package is lazy (PEP 562): `import loopsoup` loads only `errors`, and
+each submodule is imported on first access to it or to a name it exports.
+A re-exported name is looked up in its submodule on every access, never
+cached here, so `loopsoup.build_kernel` is always `loopsoup.graphs.build_kernel`
+as it is bound now.
 """
 
-from .errors import (
-    BadChi,
-    BadExactInput,
-    BadForm,
-    BadGraph,
-    BadGrid,
-    BadIntensity,
-    BadMassBudget,
-    BadPartition,
-    BadReplicaCount,
-    BadSamplerInput,
-    BadSeed,
-    BadStoppingLevel,
-    BadSupport,
-    BadTailCut,
-    BudgetExceeded,
-    Disconnected,
-    DisconnectedSupport,
-    DuplicateIndex,
-    EmptyBasis,
-    EmptyNetwork,
-    GridTooCoarse,
-    LoopSoupError,
-    MismatchBeyondTolerance,
-    NonIntegral,
-    NonTransient,
-    NotEulerian,
-    NotSquare,
-    SingularTwist,
-    TailTooHeavy,
-    TooLarge,
-    UnknownSampler,
-    ZeroNetwork,
-)
-from .eulerian import (
-    ModifierMatrix,
-    NetworkLawEntry,
-    best_tour_count,
-    enumerate_eulerian,
-    exact_network_prob_alpha,
-    exact_network_prob_alpha1,
-    generating_function,
-    max_flow,
-    mu_network_measure,
-    verify_poisson_convolution,
-)
-from .exact import (
-    alpha_permanent,
-    arborescence_count,
-    permanent,
-    spanning_tree_weight_sum,
-)
-from .fields import (
-    CONVENTIONS,
-    complex_wick_moment,
-    ks_two_sample,
-    ray_knight_check,
-    sample_complex_fields,
-    sample_excursion_field,
-    sample_real_fields,
-    verify_det_identity,
-    verify_isomorphism,
-    verify_moment_formula,
-)
-from .graphs import ChainKernel, WeightedGraph, build_kernel
-from .homology import (
-    CycleBasis,
-    HomologyClass,
-    HomologyLaw,
-    JacobianVolume,
-    cycle_basis,
-    homology_distribution,
-    homology_distribution_auto,
-    intersection_matrix,
-    jacobian_volume,
-    network_homology_class,
-)
-from .network import Network
-from .reports import StatLine, TestReport
-from .rng import BLOCK, replica_map, replica_rng
-from .soup import (
-    BasedLoop,
-    Histogram,
-    LoopBlock,
-    LoopSoup,
-    direct_block,
-    direct_sample,
-    jump_matrix,
-    network_histogram,
-    occupation,
-    occupation_samples,
-    wilson_counts,
-    wilson_sample,
-)
-from .verify import run_all
+import importlib
+
+from . import errors
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodule -> the names the package re-exports from it
+_EXPORTS = {
+    "errors": (
+        "BadChi", "BadExactInput", "BadForm", "BadGraph", "BadGrid", "BadIntensity",
+        "BadMassBudget", "BadPartition", "BadReplicaCount", "BadSamplerInput", "BadSeed",
+        "BadStoppingLevel", "BadSupport", "BadTailCut", "BudgetExceeded", "Disconnected",
+        "DisconnectedSupport", "DuplicateIndex", "EmptyBasis", "EmptyNetwork",
+        "GridTooCoarse", "LoopSoupError", "MismatchBeyondTolerance", "NonIntegral",
+        "NonTransient", "NotEulerian", "NotSquare", "SingularTwist", "TailTooHeavy",
+        "TooLarge", "UnknownSampler", "ZeroNetwork",
+    ),
+    "eulerian": (
+        "ModifierMatrix", "NetworkLawEntry", "best_tour_count", "enumerate_eulerian",
+        "exact_network_prob_alpha", "exact_network_prob_alpha1", "generating_function",
+        "max_flow", "mu_network_measure", "verify_poisson_convolution",
+    ),
+    "exact": ("alpha_permanent", "arborescence_count", "permanent",
+              "spanning_tree_weight_sum"),
+    "fields": (
+        "complex_wick_moment", "ks_two_sample", "ray_knight_check", "sample_complex_fields",
+        "sample_excursion_field", "sample_real_fields", "verify_det_identity",
+        "verify_isomorphism", "verify_moment_formula",
+    ),
+    "graphs": ("ChainKernel", "WeightedGraph", "build_kernel"),
+    "homology": (
+        "CycleBasis", "HomologyClass", "HomologyLaw", "JacobianVolume", "cycle_basis",
+        "homology_distribution", "homology_distribution_auto", "intersection_matrix",
+        "jacobian_volume", "network_homology_class",
+    ),
+    "network": ("Network",),
+    "reports": ("CONVENTIONS", "StatLine", "TestReport"),
+    "rng": ("BLOCK", "replica_map", "replica_rng"),
+    "soup": (
+        "BasedLoop", "Histogram", "LoopBlock", "LoopSoup", "direct_block", "direct_sample",
+        "jump_matrix", "network_histogram", "occupation", "occupation_samples",
+        "wilson_counts", "wilson_sample",
+    ),
+    "verify": ("run_all",),
+}
+
+# public name -> the submodule holding it; a submodule maps to itself
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULE_OF.update((module, module) for module in _EXPORTS)
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    sub = importlib.import_module(f"{__name__}.{module}")
+    return sub if name == module else getattr(sub, name)
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

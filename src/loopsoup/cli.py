@@ -4,6 +4,9 @@ Every subcommand reads a graph file, runs one computation or verification,
 and emits a JSON (or CSV) report that embeds the resolved configuration and
 the convention flags.  Exit status: 0 on success, 2 when a statistical gate
 fails, 1 on usage or input errors.
+
+Only `errors`, `reports` and `rng` load with this module; each handler
+imports the library modules it calls, so a shell call loads only those.
 """
 
 from __future__ import annotations
@@ -19,45 +22,8 @@ import numpy as np
 
 from . import __version__
 from .errors import BadIntensity, BadReplicaCount, LoopSoupError
-from .eulerian import (
-    ALPHA_NETWORK_CAP,
-    ModifierMatrix,
-    best_tour_count,
-    exact_network_prob_alpha,
-    exact_network_prob_alpha1,
-    generating_function,
-    max_flow,
-    mu_network_measure,
-    verify_poisson_convolution,
-)
-from .fields import (
-    CONVENTIONS,
-    _checked_chi,
-    _moment_indices,
-    ray_knight_check,
-    verify_det_identity,
-    verify_isomorphism,
-    verify_moment_formula,
-)
-from .graphs import WeightedGraph, build_kernel
-from .homology import (
-    cycle_basis,
-    homology_distribution,
-    homology_distribution_auto,
-    jacobian_volume,
-)
-from .network import Network
-from .reports import Z_GATE, TestReport
+from .reports import CONVENTIONS, Z_GATE, TestReport
 from .rng import _check_count
-from .soup import (
-    direct_sample,
-    jump_matrix,
-    network_histogram,
-    occupation,
-    occupation_samples,
-    wilson_sample,
-)
-from .verify import run_all
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,7 +89,16 @@ def _parse_edge_list(raw: str) -> list:
     return out
 
 
-def _load_network(graph: WeightedGraph, path: str) -> Network:
+def _read_kernel(path: str):
+    """The chain kernel of the graph file at `path`."""
+    from .graphs import WeightedGraph, build_kernel
+
+    return build_kernel(WeightedGraph.from_json_file(path))
+
+
+def _load_network(graph, path: str):
+    from .network import Network
+
     with open(path) as fh:
         return Network.from_json_dict(graph, json.load(fh))
 
@@ -154,7 +129,7 @@ def _soup_payload(soup) -> dict:
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_kernel(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    kernel = _read_kernel(args.graph)
     result = {
         "vertices": list(kernel.graph.vertices),
         "lambda": kernel.lam.tolist(),
@@ -168,6 +143,8 @@ def _cmd_kernel(args) -> tuple:
 
 def _sample_soup(kernel, args):
     """One ensemble from the sampler, intensity, tail cut and seed given."""
+    from .soup import direct_sample, wilson_sample
+
     if args.sampler == "wilson":
         if args.alpha != 1.0:
             raise BadIntensity("the wilson sampler is defined at alpha = 1 only")
@@ -176,7 +153,7 @@ def _sample_soup(kernel, args):
 
 
 def _cmd_sample(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    kernel = _read_kernel(args.graph)
     return _soup_payload(_sample_soup(kernel, args)), None
 
 
@@ -187,8 +164,10 @@ def _check_z_replicas(replicas) -> None:
 
 
 def _cmd_occupation(args) -> tuple:
+    from .soup import occupation_samples
+
     _check_z_replicas(args.replicas)
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    kernel = _read_kernel(args.graph)
     samples = occupation_samples(kernel, args.alpha, args.replicas, args.seed,
                                  eps=args.epsilon)
     report = TestReport(name="occupation-mean", conventions=dict(CONVENTIONS))
@@ -202,7 +181,9 @@ def _cmd_occupation(args) -> tuple:
 
 
 def _cmd_jumps(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    from .soup import jump_matrix, occupation
+
+    kernel = _read_kernel(args.graph)
     soup = _sample_soup(kernel, args)
     net = jump_matrix(soup)
     occ = occupation(soup)
@@ -214,7 +195,10 @@ def _cmd_jumps(args) -> tuple:
 
 
 def _cmd_exact_network(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    from .eulerian import (ALPHA_NETWORK_CAP, exact_network_prob_alpha,
+                           exact_network_prob_alpha1)
+
+    kernel = _read_kernel(args.graph)
     net = _load_network(kernel.graph, args.network)
     result = {"counts": net.counts.tolist(), "alpha": args.alpha}
     if args.alpha == 1.0:
@@ -230,25 +214,33 @@ def _cmd_exact_network(args) -> tuple:
 
 
 def _cmd_best_count(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    from .eulerian import best_tour_count
+
+    kernel = _read_kernel(args.graph)
     net = _load_network(kernel.graph, args.network)
     return {"counts": net.counts.tolist(), "tour_count": best_tour_count(net)}, None
 
 
 def _cmd_mu_network(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    from .eulerian import mu_network_measure
+
+    kernel = _read_kernel(args.graph)
     net = _load_network(kernel.graph, args.network)
     return {"counts": net.counts.tolist(),
             "mu": mu_network_measure(kernel, net)}, None
 
 
 def _cmd_convolution_check(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    from .eulerian import verify_poisson_convolution
+
+    kernel = _read_kernel(args.graph)
     return None, verify_poisson_convolution(kernel, args.delta)
 
 
 def _cmd_homology_dist(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    from .homology import cycle_basis, homology_distribution, homology_distribution_auto
+
+    kernel = _read_kernel(args.graph)
     basis = cycle_basis(kernel.graph)
     if args.grid == 0:
         law = homology_distribution_auto(kernel, basis, args.alpha)
@@ -265,6 +257,9 @@ def _cmd_homology_dist(args) -> tuple:
 
 
 def _cmd_jacobian(args) -> tuple:
+    from .graphs import WeightedGraph
+    from .homology import jacobian_volume
+
     graph = WeightedGraph.from_json_file(args.graph)
     vol = jacobian_volume(graph)
     return {
@@ -277,19 +272,26 @@ def _cmd_jacobian(args) -> tuple:
 
 
 def _cmd_isomorphism(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    from .fields import verify_isomorphism
+
+    kernel = _read_kernel(args.graph)
     _check_z_replicas(args.replicas)
     return None, verify_isomorphism(kernel, args.replicas, args.seed)
 
 
 def _cmd_ray_knight(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    from .fields import ray_knight_check
+
+    kernel = _read_kernel(args.graph)
     _check_z_replicas(args.replicas)
     return None, ray_knight_check(kernel, args.x0, args.rho, args.replicas, args.seed)
 
 
 def _cmd_moments(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    from .fields import _moment_indices, verify_moment_formula
+    from .soup import network_histogram
+
+    kernel = _read_kernel(args.graph)
     edges = _parse_edge_list(args.edges)
     points = _parse_vertex_list(args.points)
     if not edges and not points:
@@ -301,7 +303,10 @@ def _cmd_moments(args) -> tuple:
 
 
 def _cmd_det_identity(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    from .fields import _checked_chi, verify_det_identity
+    from .soup import network_histogram
+
+    kernel = _read_kernel(args.graph)
     chi = _checked_chi(kernel, args.chi_scale * kernel.lam)  # before the draw
     _check_z_replicas(args.replicas)
     histogram = network_histogram(kernel, args.replicas, args.seed)
@@ -309,7 +314,9 @@ def _cmd_det_identity(args) -> tuple:
 
 
 def _cmd_genfun(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    from .eulerian import ModifierMatrix, generating_function
+
+    kernel = _read_kernel(args.graph)
     edges = _parse_edge_list(args.edge)
     if len(edges) != 1:
         raise ValueError(f"--edge needs exactly one edge u:v, got {args.edge!r}")
@@ -324,7 +331,9 @@ def _cmd_genfun(args) -> tuple:
 
 
 def _cmd_maxflow(args) -> tuple:
-    kernel = build_kernel(WeightedGraph.from_json_file(args.graph))
+    from .eulerian import max_flow
+
+    kernel = _read_kernel(args.graph)
     net = _load_network(kernel.graph, args.network)
     sources = _parse_vertex_list(args.sources)
     sinks = _parse_vertex_list(args.sinks)
@@ -333,6 +342,8 @@ def _cmd_maxflow(args) -> tuple:
 
 
 def _cmd_verify_all(args) -> tuple:
+    from .verify import run_all
+
     if not (np.isfinite(args.gate_scale) and args.gate_scale > 0):
         raise ValueError(f"--gate-scale must be a finite number > 0, got {args.gate_scale}")
     _check_z_replicas(args.replicas)

@@ -1,7 +1,7 @@
 """Gaussian fields with the chain's Green covariance and the distributional
 identities tying them to loop ensembles.
 
-Conventions, recorded in every report:
+Conventions, recorded in every report (`reports.CONVENTIONS`):
 
   * real field: centered, covariance exactly G (symmetric square root).
   * complex field: phi = (phi1 + i phi2)/sqrt(2) with independent real parts,
@@ -22,16 +22,9 @@ import numpy as np
 from .errors import BadChi, BadStoppingLevel, BadSupport, DuplicateIndex
 from .exact import permanent
 from .graphs import ChainKernel
-from .reports import TestReport
+from .reports import CONVENTIONS, TestReport
 from .rng import SCHEME, _check_count, replica_map, stream_seed
 from .soup import merge_diagnostics, occupation_samples
-
-CONVENTIONS = {
-    "complex_field": "E[phi conj(phi)] = G, phi = (phi1 + i phi2)/sqrt(2)",
-    "isomorphism": "occupation(1/2) ~ phi_real^2/2; occupation(1) ~ |phi|^2",
-    "det_identity_diagonal": "chi_x (1 + N_x) / lam_x",
-    "local_time": "chain time divided by lam",
-}
 
 
 def sample_real_fields(kernel: ChainKernel, count: int, seed) -> np.ndarray:

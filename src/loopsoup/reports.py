@@ -12,6 +12,14 @@ from dataclasses import dataclass, field
 
 Z_GATE = 3.0  # |z| at or below which a z-line passes
 
+# the field and local-time conventions (see `fields`), embedded in every report
+CONVENTIONS = {
+    "complex_field": "E[phi conj(phi)] = G, phi = (phi1 + i phi2)/sqrt(2)",
+    "isomorphism": "occupation(1/2) ~ phi_real^2/2; occupation(1) ~ |phi|^2",
+    "det_identity_diagonal": "chi_x (1 + N_x) / lam_x",
+    "local_time": "chain time divided by lam",
+}
+
 
 def _finite(value: float | None) -> float | None:
     return value if value is None or math.isfinite(value) else None

@@ -34,7 +34,6 @@ from .eulerian import (
     verify_poisson_convolution,
 )
 from .fields import (
-    CONVENTIONS,
     ray_knight_check,
     verify_det_identity,
     verify_isomorphism,
@@ -44,7 +43,7 @@ from .graphs import WeightedGraph, build_kernel
 from .homology import (_check_grid, _class_coords, cycle_basis, homology_distribution,
                        jacobian_volume)
 from .network import Network
-from .reports import TestReport
+from .reports import CONVENTIONS, TestReport
 from .rng import SCHEME
 from .soup import network_histogram
 

@@ -13,7 +13,7 @@ import warnings
 import pytest
 
 import loopsoup
-from loopsoup import cli, verify
+from loopsoup import fields, soup, verify
 from loopsoup.cli import _COMMANDS, _build_parser, _parse_args, main
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_graphs"
@@ -215,8 +215,10 @@ def test_verifier_input_fails_before_drawing(tmp_path, monkeypatch, argv, messag
     def no_draw(*args, **kwargs):
         raise AssertionError("a sampler was called on an input error path")
 
-    for name in ("network_histogram", "verify_isomorphism", "ray_knight_check"):
-        monkeypatch.setattr(cli, name, no_draw)
+    # each handler imports its library names on dispatch, so patch where they live
+    monkeypatch.setattr(soup, "network_histogram", no_draw)
+    for name in ("verify_isomorphism", "ray_knight_check"):
+        monkeypatch.setattr(fields, name, no_draw)
     monkeypatch.setattr(verify, "network_histogram", no_draw)  # run_all's draws
     assert message in run(tmp_path, *argv, expect=1)
 
@@ -303,7 +305,7 @@ def test_occupation_needs_two_replicas(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("occupation_samples called on an input error path")
 
-    monkeypatch.setattr(cli, "occupation_samples", no_draw)
+    monkeypatch.setattr(soup, "occupation_samples", no_draw)
     err = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
@@ -406,14 +408,58 @@ def test_stdout_default():
     assert json.loads(buf.getvalue())["result"]["det_i_minus_p"] == pytest.approx(0.75)
 
 
-def test_cli_import_leaves_process_pools_out():
-    # a shell call of the CLI imports the package afresh, and the process-pool
-    # modules would cost about half of that import; nothing in the package
-    # needs them
+# A shell call runs in a fresh process, which pays for every module it imports.
+# Each row: the `loopsoup.cli.main` arguments (None: a bare `import loopsoup`,
+# (): `import loopsoup.cli` alone), the submodules loaded exactly (None: not
+# pinned) and submodules never loaded.
+_CLI_BASE = {"cli", "errors", "reports", "rng"}
+_EXACT_ONLY = {"soup", "fields", "homology", "verify"}
+_SAMPLING_ONLY = {"eulerian", "homology", "fields", "verify"}
+_NET = "NETWORK_FILE"  # stands for a network file written by the test
+FRESH_IMPORTS = [
+    (None, {"errors"}, set()),
+    ((), _CLI_BASE, set()),
+    (("--help",), _CLI_BASE, set()),
+    (("--version",), _CLI_BASE, set()),
+    (("kernel", "--graph", TRIANGLE), _CLI_BASE | {"graphs"}, set()),
+    (("genfun", "--graph", TWO_POINT, "--edge", "a:b"), None, _EXACT_ONLY),
+    (("best-count", "--graph", TWO_POINT, "--network", _NET), None, _EXACT_ONLY),
+    (("mu-network", "--graph", TWO_POINT, "--network", _NET), None, _EXACT_ONLY),
+    (("exact-network", "--graph", TWO_POINT, "--network", _NET), None, _EXACT_ONLY),
+    (("sample", "--graph", TRIANGLE, "--seed", "3"), None, _SAMPLING_ONLY),
+    (("jumps", "--graph", TRIANGLE, "--sampler", "wilson"), None, _SAMPLING_ONLY),
+]
+
+_FRESH_PROCESS = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import loopsoup
+else:
+    from loopsoup.cli import main
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_cli_import_leaves_process_pools_out(tmp_path):
+    # the process-pool modules would cost about half of a fresh import, and
+    # nothing in the package needs them; each command loads only the library
+    # modules it calls
+    net = tmp_path / "two_point_net.json"
+    net.write_text(json.dumps({"counts": [[0, 1], [1, 0]]}))
     src = str(pathlib.Path(loopsoup.__file__).resolve().parent.parent)
-    code = ("import sys, loopsoup.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    for argv, exact, never in FRESH_IMPORTS:
+        argv = None if argv is None else [str(net) if a == _NET else a for a in argv]
+        out = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, json.dumps(argv)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, (argv, out.stderr)
+        modules = set(json.loads(out.stdout))
+        loaded = {m.split(".", 1)[1] for m in modules if m.startswith("loopsoup.")}
+        assert not {"multiprocessing", "concurrent.futures"} & modules, argv
+        if exact is not None:
+            assert loaded == exact, argv
+        assert not loaded & never, argv

@@ -3,16 +3,20 @@ every module-level private function or class is used somewhere.
 
 No linter ships with the project, so these scans stand in for one: they
 parse the sources with ast.  The import scan fails on an imported name that
-its module never reads; the package __init__ is exempt, because its imports
-are the public re-exports.  The private-name scan fails on a module-level
+its module never reads; the package __init__ is exempt, because it imports
+`errors` only to load it eagerly.  The private-name scan fails on a module-level
 `_name` function or class that no module of the package and no test reads.
 The parameter scan fails on a parameter of a package function or method
 that its body never reads; self, cls and `_`-prefixed names are exempt.
 The dependency scan fails on any import, nested ones included, of a module
 outside the standard library, numpy and the package: loopsoup is numpy-only.
+
+The last tests pin the lazy package's public surface: its names, the object
+each one resolves to, and that a re-export follows its submodule's binding.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -155,3 +159,69 @@ def test_dependency_scan_sees_foreign_imports():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_imports_numpy_and_stdlib_only(path):
     assert foreign_imports(path.read_text()) == []
+
+
+# The public surface of the lazy package: the 99 names it exported when it
+# imported every submodule eagerly, each served from its submodule.
+PUBLIC = [
+    'BLOCK', 'BadChi', 'BadExactInput', 'BadForm', 'BadGraph', 'BadGrid', 'BadIntensity',
+    'BadMassBudget', 'BadPartition', 'BadReplicaCount', 'BadSamplerInput', 'BadSeed',
+    'BadStoppingLevel', 'BadSupport', 'BadTailCut', 'BasedLoop', 'BudgetExceeded',
+    'CONVENTIONS', 'ChainKernel', 'CycleBasis', 'Disconnected', 'DisconnectedSupport',
+    'DuplicateIndex', 'EmptyBasis', 'EmptyNetwork', 'GridTooCoarse', 'Histogram',
+    'HomologyClass', 'HomologyLaw', 'JacobianVolume', 'LoopBlock', 'LoopSoup',
+    'LoopSoupError', 'MismatchBeyondTolerance', 'ModifierMatrix', 'Network',
+    'NetworkLawEntry', 'NonIntegral', 'NonTransient', 'NotEulerian', 'NotSquare',
+    'SingularTwist', 'StatLine', 'TailTooHeavy', 'TestReport', 'TooLarge', 'UnknownSampler',
+    'WeightedGraph', 'ZeroNetwork', 'alpha_permanent', 'arborescence_count',
+    'best_tour_count', 'build_kernel', 'complex_wick_moment', 'cycle_basis', 'direct_block',
+    'direct_sample', 'enumerate_eulerian', 'errors', 'eulerian', 'exact',
+    'exact_network_prob_alpha', 'exact_network_prob_alpha1', 'fields',
+    'generating_function', 'graphs', 'homology', 'homology_distribution',
+    'homology_distribution_auto', 'intersection_matrix', 'jacobian_volume', 'jump_matrix',
+    'ks_two_sample', 'max_flow', 'mu_network_measure', 'network', 'network_histogram',
+    'network_homology_class', 'occupation', 'occupation_samples', 'permanent',
+    'ray_knight_check', 'replica_map', 'replica_rng', 'reports', 'rng', 'run_all',
+    'sample_complex_fields', 'sample_excursion_field', 'sample_real_fields', 'soup',
+    'spanning_tree_weight_sum', 'verify', 'verify_det_identity', 'verify_isomorphism',
+    'verify_moment_formula', 'verify_poisson_convolution', 'wilson_counts', 'wilson_sample',
+]
+
+
+def test_public_names_are_pinned():
+    import loopsoup
+
+    assert loopsoup.__all__ == PUBLIC
+
+
+def test_every_public_name_is_its_submodules_object():
+    import loopsoup
+
+    for name in PUBLIC:
+        module = loopsoup._MODULE_OF[name]
+        sub = importlib.import_module(f"loopsoup.{module}")
+        assert getattr(loopsoup, name) is (sub if name == module else getattr(sub, name))
+    assert loopsoup.CONVENTIONS is loopsoup.fields.CONVENTIONS is loopsoup.verify.CONVENTIONS
+
+
+def test_dir_and_unknown_names():
+    import loopsoup
+
+    assert "__all__" in dir(loopsoup) and set(PUBLIC) <= set(dir(loopsoup))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        loopsoup.no_such_name
+
+
+def test_re_exports_follow_their_submodule(monkeypatch):
+    import loopsoup
+
+    original = loopsoup.graphs.build_kernel
+
+    def f(graph):
+        return original(graph)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(loopsoup.graphs, "build_kernel", f)
+        assert loopsoup.build_kernel is f
+        assert "build_kernel" not in vars(loopsoup)  # served, never cached
+    assert loopsoup.build_kernel is original
