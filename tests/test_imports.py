@@ -22,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+import loopsoup
+
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "loopsoup"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -189,14 +191,10 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
-    import loopsoup
-
     assert loopsoup.__all__ == PUBLIC
 
 
 def test_every_public_name_is_its_submodules_object():
-    import loopsoup
-
     for name in PUBLIC:
         module = loopsoup._MODULE_OF[name]
         sub = importlib.import_module(f"loopsoup.{module}")
@@ -205,16 +203,12 @@ def test_every_public_name_is_its_submodules_object():
 
 
 def test_dir_and_unknown_names():
-    import loopsoup
-
     assert "__all__" in dir(loopsoup) and set(PUBLIC) <= set(dir(loopsoup))
     with pytest.raises(AttributeError, match="no_such_name"):
         loopsoup.no_such_name
 
 
 def test_re_exports_follow_their_submodule(monkeypatch):
-    import loopsoup
-
     original = loopsoup.graphs.build_kernel
 
     def f(graph):
