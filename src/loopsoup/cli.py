@@ -5,8 +5,9 @@ and emits a JSON (or CSV) report that embeds the resolved configuration and
 the convention flags.  Exit status: 0 on success, 2 when a statistical gate
 fails, 1 on usage or input errors.
 
-Only `errors`, `reports` and `rng` load with this module; each handler
-imports the library modules it calls, so a shell call loads only those.
+Only `errors`, `reports` and `rng` load with this module.  Handlers reach
+the rest as `ls.<module>.<name>`, and the lazy package imports a module on
+its first such access, so a shell call loads only what its command uses.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import time
 
 import numpy as np
 
-from . import __version__
+import loopsoup as ls
+
 from .errors import BadIntensity, BadReplicaCount, LoopSoupError
 from .reports import CONVENTIONS, Z_GATE, TestReport
 from .rng import _check_count
@@ -51,7 +53,7 @@ def _add_arguments(parser: _Parser, name: str) -> _Parser:
 def _build_parser() -> _Parser:
     """The whole argument tree: every command as a branch of `loopsoup`."""
     parser = _Parser(prog="loopsoup", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"loopsoup {__version__}")
+    parser.add_argument("--version", action="version", version=f"loopsoup {ls.__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (_, help_text, _, _) in _COMMANDS.items():
         _add_arguments(sub.add_parser(name, help=help_text), name)
@@ -91,16 +93,12 @@ def _parse_edge_list(raw: str) -> list:
 
 def _read_kernel(path: str):
     """The chain kernel of the graph file at `path`."""
-    from .graphs import WeightedGraph, build_kernel
-
-    return build_kernel(WeightedGraph.from_json_file(path))
+    return ls.graphs.build_kernel(ls.graphs.WeightedGraph.from_json_file(path))
 
 
 def _load_network(graph, path: str):
-    from .network import Network
-
     with open(path) as fh:
-        return Network.from_json_dict(graph, json.load(fh))
+        return ls.network.Network.from_json_dict(graph, json.load(fh))
 
 
 def _rescale_gates(report: TestReport, scale: float) -> None:
@@ -143,13 +141,11 @@ def _cmd_kernel(args) -> tuple:
 
 def _sample_soup(kernel, args):
     """One ensemble from the sampler, intensity, tail cut and seed given."""
-    from .soup import direct_sample, wilson_sample
-
     if args.sampler == "wilson":
         if args.alpha != 1.0:
             raise BadIntensity("the wilson sampler is defined at alpha = 1 only")
-        return wilson_sample(kernel, args.seed)[1]
-    return direct_sample(kernel, args.alpha, eps=args.epsilon, seed=args.seed)
+        return ls.soup.wilson_sample(kernel, args.seed)[1]
+    return ls.soup.direct_sample(kernel, args.alpha, eps=args.epsilon, seed=args.seed)
 
 
 def _cmd_sample(args) -> tuple:
@@ -164,12 +160,10 @@ def _check_z_replicas(replicas) -> None:
 
 
 def _cmd_occupation(args) -> tuple:
-    from .soup import occupation_samples
-
     _check_z_replicas(args.replicas)
     kernel = _read_kernel(args.graph)
-    samples = occupation_samples(kernel, args.alpha, args.replicas, args.seed,
-                                 eps=args.epsilon)
+    samples = ls.soup.occupation_samples(kernel, args.alpha, args.replicas, args.seed,
+                                         eps=args.epsilon)
     report = TestReport(name="occupation-mean", conventions=dict(CONVENTIONS))
     report.meta.update({"alpha": args.alpha, "replicas": args.replicas})
     exact = args.alpha * np.diag(kernel.G)
@@ -181,12 +175,10 @@ def _cmd_occupation(args) -> tuple:
 
 
 def _cmd_jumps(args) -> tuple:
-    from .soup import jump_matrix, occupation
-
     kernel = _read_kernel(args.graph)
     soup = _sample_soup(kernel, args)
-    net = jump_matrix(soup)
-    occ = occupation(soup)
+    net = ls.soup.jump_matrix(soup)
+    occ = ls.soup.occupation(soup)
     return {
         "network": net.to_json_dict(),
         "total_jumps": net.total,
@@ -195,57 +187,49 @@ def _cmd_jumps(args) -> tuple:
 
 
 def _cmd_exact_network(args) -> tuple:
-    from .eulerian import (ALPHA_NETWORK_CAP, exact_network_prob_alpha,
-                           exact_network_prob_alpha1)
-
+    eulerian = ls.eulerian
     kernel = _read_kernel(args.graph)
     net = _load_network(kernel.graph, args.network)
     result = {"counts": net.counts.tolist(), "alpha": args.alpha}
     if args.alpha == 1.0:
-        result["probability"] = exact_network_prob_alpha1(kernel, net)
+        result["probability"] = eulerian.exact_network_prob_alpha1(kernel, net)
         # the alpha = 1 cross-check by the loop-measure Poisson series; the key
         # keeps the name of the permutation sum it replaced
-        if net.total <= ALPHA_NETWORK_CAP:
-            result["probability_permutation_route"] = exact_network_prob_alpha(
+        if net.total <= eulerian.ALPHA_NETWORK_CAP:
+            result["probability_permutation_route"] = eulerian.exact_network_prob_alpha(
                 kernel, net, 1.0)
     else:
-        result["probability"] = exact_network_prob_alpha(kernel, net, args.alpha)
+        result["probability"] = eulerian.exact_network_prob_alpha(kernel, net, args.alpha)
     return result, None
 
 
 def _cmd_best_count(args) -> tuple:
-    from .eulerian import best_tour_count
-
-    kernel = _read_kernel(args.graph)
-    net = _load_network(kernel.graph, args.network)
-    return {"counts": net.counts.tolist(), "tour_count": best_tour_count(net)}, None
-
-
-def _cmd_mu_network(args) -> tuple:
-    from .eulerian import mu_network_measure
-
     kernel = _read_kernel(args.graph)
     net = _load_network(kernel.graph, args.network)
     return {"counts": net.counts.tolist(),
-            "mu": mu_network_measure(kernel, net)}, None
+            "tour_count": ls.eulerian.best_tour_count(net)}, None
+
+
+def _cmd_mu_network(args) -> tuple:
+    kernel = _read_kernel(args.graph)
+    net = _load_network(kernel.graph, args.network)
+    return {"counts": net.counts.tolist(),
+            "mu": ls.eulerian.mu_network_measure(kernel, net)}, None
 
 
 def _cmd_convolution_check(args) -> tuple:
-    from .eulerian import verify_poisson_convolution
-
     kernel = _read_kernel(args.graph)
-    return None, verify_poisson_convolution(kernel, args.delta)
+    return None, ls.eulerian.verify_poisson_convolution(kernel, args.delta)
 
 
 def _cmd_homology_dist(args) -> tuple:
-    from .homology import cycle_basis, homology_distribution, homology_distribution_auto
-
+    homology = ls.homology
     kernel = _read_kernel(args.graph)
-    basis = cycle_basis(kernel.graph)
+    basis = homology.cycle_basis(kernel.graph)
     if args.grid == 0:
-        law = homology_distribution_auto(kernel, basis, args.alpha)
+        law = homology.homology_distribution_auto(kernel, basis, args.alpha)
     else:
-        law = homology_distribution(kernel, basis, args.alpha, args.grid)
+        law = homology.homology_distribution(kernel, basis, args.alpha, args.grid)
     table = sorted(law.probs.items())
     return {
         "cycles": [list(e) for e in basis.nontree_edges],
@@ -257,11 +241,8 @@ def _cmd_homology_dist(args) -> tuple:
 
 
 def _cmd_jacobian(args) -> tuple:
-    from .graphs import WeightedGraph
-    from .homology import jacobian_volume
-
-    graph = WeightedGraph.from_json_file(args.graph)
-    vol = jacobian_volume(graph)
+    graph = ls.graphs.WeightedGraph.from_json_file(args.graph)
+    vol = ls.homology.jacobian_volume(graph)
     return {
         "volume": vol.value,
         "via_intersection": vol.via_intersection,
@@ -272,82 +253,67 @@ def _cmd_jacobian(args) -> tuple:
 
 
 def _cmd_isomorphism(args) -> tuple:
-    from .fields import verify_isomorphism
-
     kernel = _read_kernel(args.graph)
     _check_z_replicas(args.replicas)
-    return None, verify_isomorphism(kernel, args.replicas, args.seed)
+    return None, ls.fields.verify_isomorphism(kernel, args.replicas, args.seed)
 
 
 def _cmd_ray_knight(args) -> tuple:
-    from .fields import ray_knight_check
-
     kernel = _read_kernel(args.graph)
     _check_z_replicas(args.replicas)
-    return None, ray_knight_check(kernel, args.x0, args.rho, args.replicas, args.seed)
+    return None, ls.fields.ray_knight_check(kernel, args.x0, args.rho, args.replicas,
+                                            args.seed)
 
 
 def _cmd_moments(args) -> tuple:
-    from .fields import _moment_indices, verify_moment_formula
-    from .soup import network_histogram
-
     kernel = _read_kernel(args.graph)
     edges = _parse_edge_list(args.edges)
     points = _parse_vertex_list(args.points)
     if not edges and not points:
         raise ValueError("need at least one of --edges or --points")
-    _moment_indices(kernel, edges, points)  # bad input fails before the draw
+    ls.fields._moment_indices(kernel, edges, points)  # bad input fails before the draw
     _check_z_replicas(args.replicas)
-    histogram = network_histogram(kernel, args.replicas, args.seed)
-    return None, verify_moment_formula(kernel, edges, points, histogram)
+    histogram = ls.soup.network_histogram(kernel, args.replicas, args.seed)
+    return None, ls.fields.verify_moment_formula(kernel, edges, points, histogram)
 
 
 def _cmd_det_identity(args) -> tuple:
-    from .fields import _checked_chi, verify_det_identity
-    from .soup import network_histogram
-
     kernel = _read_kernel(args.graph)
-    chi = _checked_chi(kernel, args.chi_scale * kernel.lam)  # before the draw
+    chi = ls.fields._checked_chi(kernel, args.chi_scale * kernel.lam)  # before the draw
     _check_z_replicas(args.replicas)
-    histogram = network_histogram(kernel, args.replicas, args.seed)
-    return None, verify_det_identity(kernel, chi, histogram)
+    histogram = ls.soup.network_histogram(kernel, args.replicas, args.seed)
+    return None, ls.fields.verify_det_identity(kernel, chi, histogram)
 
 
 def _cmd_genfun(args) -> tuple:
-    from .eulerian import ModifierMatrix, generating_function
-
     kernel = _read_kernel(args.graph)
     edges = _parse_edge_list(args.edge)
     if len(edges) != 1:
         raise ValueError(f"--edge needs exactly one edge u:v, got {args.edge!r}")
     (u, v), = edges
     re, im = (float(p) for p in args.z.split(","))
-    mod = ModifierMatrix.from_edge_value(
+    mod = ls.eulerian.ModifierMatrix.from_edge_value(
         kernel.n, kernel.graph.index(u), kernel.graph.index(v), complex(re, im)
     )
-    value = generating_function(kernel, mod, args.alpha)
+    value = ls.eulerian.generating_function(kernel, mod, args.alpha)
     return {"edge": [u, v], "z": [re, im], "alpha": args.alpha,
             "value": [value.real, value.imag]}, None
 
 
 def _cmd_maxflow(args) -> tuple:
-    from .eulerian import max_flow
-
     kernel = _read_kernel(args.graph)
     net = _load_network(kernel.graph, args.network)
     sources = _parse_vertex_list(args.sources)
     sinks = _parse_vertex_list(args.sinks)
     return {"sources": sources, "sinks": sinks,
-            "flow": max_flow(net, sources, sinks)}, None
+            "flow": ls.eulerian.max_flow(net, sources, sinks)}, None
 
 
 def _cmd_verify_all(args) -> tuple:
-    from .verify import run_all
-
     if not (np.isfinite(args.gate_scale) and args.gate_scale > 0):
         raise ValueError(f"--gate-scale must be a finite number > 0, got {args.gate_scale}")
     _check_z_replicas(args.replicas)
-    reports = run_all(replicas=args.replicas, seed=args.seed, delta=args.delta, grid=args.grid)
+    reports = ls.verify.run_all(replicas=args.replicas, seed=args.seed, delta=args.delta, grid=args.grid)
     for report in reports:
         _rescale_gates(report, args.gate_scale)
     return None, reports

@@ -213,19 +213,7 @@ class HomologyLaw:
         return dict(zip(map(tuple, coords.tolist()), self.table[kept].tolist()))
 
     def prob(self, coords) -> float:
-        """P(class = coords), read from the table: 0.0 for coordinates outside
-        the window, off the integers or of the wrong length, as in `probs`."""
-        coords = tuple(coords)
-        shift = self.grid_m // 2 - 1
-        if len(coords) != self.table.ndim:
-            return 0.0
-        try:
-            index = tuple(int(c) + shift for c in coords)
-        except (TypeError, ValueError, OverflowError):  # not a number, nan or inf
-            return 0.0
-        if any(i - shift != c or not 0 <= i <= 2 * shift for i, c in zip(index, coords)):
-            return 0.0
-        return float(self.table[index])
+        return self.probs.get(tuple(coords), 0.0)
 
     def symmetry_defect(self) -> float:
         """max |P(j) - P(-j)|: the table against its flip on every axis."""

@@ -288,23 +288,6 @@ def test_law_table_matches_dict_law(graph):
         assert all(law.prob(key) == p for key, p in want.items())
 
 
-@pytest.mark.parametrize("graph", [verify.two_point_graph(), verify.triangle_graph(),
-                                   complete4_graph()], ids=["no-cycle", "triangle", "K4"])
-def test_prob_reads_the_table_as_the_dict_does(graph):
-    law = homology_distribution(build_kernel(graph), cycle_basis(graph), 1.0, 16)
-    d, edge = law.table.ndim, law.grid_m // 2 - 1
-    keys = list(law.probs)
-    keys += [tuple(float(c) for c in k) for k in keys[:5]]  # float-integral
-    keys += [tuple(np.int64(c) for c in k) for k in keys[:5]]
-    keys += [(edge,) * d, (-edge,) * d, (edge + 1,) * d, (-edge - 1,) * d,  # window edges
-             (10**400,) * d, (0.5,) * d, (float("nan"),) * d, (float("inf"),) * d,
-             ("0",) * d, (0,) * (d + 1), (0,) * max(d - 1, 0)]
-    for key in keys:
-        assert law.prob(key) == law.probs.get(tuple(key), 0.0), key
-    if d:  # the window holds mass at its centre and none past its edge
-        assert law.prob((0,) * d) > 0 and law.prob((edge + 1,) * d) == 0.0
-
-
 def test_grid_too_coarse():
     # nearly recurrent triangle: windings spread far beyond a tiny window
     g = _scaled_triangle(50.0, 50.0, 50.0)
