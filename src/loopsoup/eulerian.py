@@ -406,9 +406,13 @@ def verify_poisson_convolution(kernel: ChainKernel, delta: float):
     retained value exact, so the comparison is a pure identity check.
     Returns a TestReport.
     """
+    return _convolution_report(kernel, _enumerate_layers(kernel, delta), delta)
+
+
+def _convolution_report(kernel: ChainKernel, layers: list, delta: float):
+    """verify_poisson_convolution's report from the layers of _enumerate_layers."""
     from .reports import TestReport
 
-    layers = _enumerate_layers(kernel, delta)
     report = TestReport(name="poisson-convolution")
     report.meta["support_size"] = sum(len(rows) for rows, _, _, _ in layers)
     report.meta["delta"] = delta

@@ -83,34 +83,27 @@ def cycle_basis(graph: WeightedGraph) -> CycleBasis:
     for i, j in tree:
         adj[i].append(j)
         adj[j].append(i)
-
-    def tree_path(a: int, b: int) -> list:
-        # BFS from a toward b along tree edges
-        prev = {a: None}
-        queue = [a]
-        while queue:
-            x = queue.pop(0)
-            if x == b:
-                break
-            for y in adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        path = [b]
-        while path[-1] != a:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
+    parent = {0: None}  # one walk of the tree from vertex 0
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
 
     cycles = []
     for u, v in nontree:
         c = np.zeros((graph.n, graph.n), dtype=np.int64)
         c[u, v] += 1
         c[v, u] -= 1
-        walk = tree_path(v, u)
-        for a, b in zip(walk[:-1], walk[1:]):
-            c[a, b] += 1
-            c[b, a] -= 1
+        # the tree path v -> u: v's path to the root, less u's; the shared
+        # stretch cancels
+        for a, sign in ((v, 1), (u, -1)):
+            while parent[a] is not None:
+                c[a, parent[a]] += sign
+                c[parent[a], a] -= sign
+                a = parent[a]
         if c.sum(axis=1).any():
             raise ArithmeticError("fundamental cycle has nonzero divergence")
         c.setflags(write=False)

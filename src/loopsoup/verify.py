@@ -24,14 +24,15 @@ from .eulerian import (
     ModifierMatrix,
     _check_delta,
     _circulation_layers,
+    _convolution_report,
     _count_matrices,
     _directed_edges,
+    _enumerate_layers,
+    _simple_cycles,
     best_tour_count,
-    enumerate_eulerian,
     exact_network_prob_alpha,
     exact_network_prob_alpha1,
     generating_function,
-    verify_poisson_convolution,
 )
 from .fields import (
     ray_knight_check,
@@ -358,34 +359,19 @@ def brute_force_tour_count(k: Network) -> int:
 
 def random_eulerian_network(graph: WeightedGraph, rng) -> Network:
     """Random balanced network with connected support and 2 to 8 crossings:
-    a chain of short cycles, each overlapping the support built so far."""
-    n = graph.n
-    cycles = []
-    for i, j in graph.edge_pairs:
-        m = np.zeros((n, n), dtype=np.int64)
-        m[i, j] = m[j, i] = 1
-        cycles.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                c = graph.conductance
-                if c[i, j] > 0 and c[j, k] > 0 and c[k, i] > 0:
-                    m = np.zeros((n, n), dtype=np.int64)
-                    m[i, j] = m[j, k] = m[k, i] = 1
-                    cycles.append(m)
-                    cycles.append(m.T.copy())
-    counts = np.zeros((n, n), dtype=np.int64)
+    a chain of simple directed cycles, each overlapping the support built so
+    far."""
+    edges = _directed_edges(graph)
+    cycles = _count_matrices(graph.n, edges, _simple_cycles(graph, edges))
+    sizes = cycles.sum(axis=(1, 2))
+    visits = cycles.sum(axis=2) > 0  # the vertices of each cycle
+    counts = np.zeros((graph.n, graph.n), dtype=np.int64)
     target = int(rng.integers(2, 9))
     while True:
-        total = int(counts.sum())
-        sizes = [int(m.sum()) for m in cycles]
-        support = set(np.nonzero(counts.sum(axis=1) + counts.sum(axis=0))[0])
-        ok = [
-            idx for idx, m in enumerate(cycles)
-            if total + sizes[idx] <= target
-            and (not support or support & set(np.nonzero(m.sum(axis=1))[0]))
-        ]
-        if not ok:
+        support = counts.sum(axis=1) > 0
+        ok = np.flatnonzero((counts.sum() + sizes <= target)
+                            & ((visits & support).any(axis=1) | (not support.any())))
+        if not len(ok):
             break
         counts += cycles[ok[int(rng.integers(0, len(ok)))]]
     return Network(graph, counts)
@@ -432,40 +418,37 @@ def check_mu_measure(delta_triangle: float = 1e-3) -> TestReport:
 
 
 def _mu_measure_lines(report: TestReport, delta_triangle: float) -> None:
+    """Every line of check 10 from one enumeration per graph."""
     kernel2 = build_kernel(two_point_graph())
-    entries2 = enumerate_eulerian(kernel2, DELTA_TWO_POINT)
-    mu_sum2 = sum(e.mu_mass for e in entries2 if e.network.total > 0)
-    report.add_bound("two-point |sum mu - mass|",
-                     abs(mu_sum2 - kernel2.mu_mass), 1e-6,
-                     note=f"{len(entries2)} networks enumerated")
+    layers2 = _enumerate_layers(kernel2, DELTA_TWO_POINT)
+    mu2 = [x for _, _, _, mu in layers2[1:] for x in mu.tolist()]
+    report.add_bound("two-point |sum mu - mass|", abs(sum(mu2) - kernel2.mu_mass), 1e-6,
+                     note=f"{len(mu2) + 1} networks enumerated")
 
     kernel3 = build_kernel(triangle_graph())
-    entries3 = enumerate_eulerian(kernel3, delta_triangle)
-    max_total = max(e.network.total for e in entries3)
-    layer_mu: dict = {}
-    for e in entries3:
-        if e.network.total > 0:
-            layer_mu[e.network.total] = layer_mu.get(e.network.total, 0.0) + e.mu_mass
+    layers3 = _enumerate_layers(kernel3, delta_triangle)
+    # each nonempty layer's mu summed in row order, the order of its networks
+    layer_mu = {m: sum(mu.tolist()) for m, (_, _, _, mu) in enumerate(layers3)
+                if m and len(mu)}
     eigs = kernel3.sym_eigs
-    worst_layer = 0.0
-    for m, s in sorted(layer_mu.items()):
-        worst_layer = max(worst_layer, abs(s - float(np.sum(eigs**m)) / m))
+    trace_terms = {m: float(np.sum(eigs**m)) / m for m in layer_mu}
+    worst_layer = max((abs(s - trace_terms[m]) for m, s in layer_mu.items()), default=0.0)
     report.add_bound("triangle max |layer mu sum - trace term|", worst_layer, 1e-12,
-                     note=f"layers 1..{max_total}")
+                     note=f"layers 1..{len(layers3) - 1}")
     tail = float(np.sum(-np.log1p(-eigs)))
-    for m, s in sorted(layer_mu.items()):
-        tail -= float(np.sum(eigs**m)) / m
+    for term in trace_terms.values():
+        tail -= term
     # every enumerated layer is verified against its trace term above, so the
     # analytic continuation of the same series is the honest tail estimate
     mu_sum3 = sum(layer_mu.values()) + tail
     report.add_bound("triangle |sum mu + tail - mass|",
                      abs(mu_sum3 - kernel3.mu_mass), 1e-6,
-                     note=f"{len(entries3)} networks, analytic tail {tail:.3e}")
+                     note=f"{sum(len(mu) for *_, mu in layers3)} networks, "
+                          f"analytic tail {tail:.3e}")
 
-    for label, kernel, delta in (("two-point", kernel2, DELTA_TWO_POINT),
-                                 ("triangle", kernel3, delta_triangle)):
-        conv = verify_poisson_convolution(kernel, delta)
-        for line in conv.lines:
+    for label, kernel, delta, layers in (("two-point", kernel2, DELTA_TWO_POINT, layers2),
+                                         ("triangle", kernel3, delta_triangle, layers3)):
+        for line in _convolution_report(kernel, layers, delta).lines:
             line.statistic = f"{label} {line.statistic}"
             report.lines.append(line)
 

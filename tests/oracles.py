@@ -1,6 +1,8 @@
 """Brute-force references for the exact array kernels, the scalar forms of
 the matrix-tree count, the one-loop measure and the loop-length law, a
-search for the connectivity of a network's support, and the earlier forms of
+search for the connectivity of a network's support, the earlier forms of
+the cycle basis (one tree search per cycle) and of check 10 (sums over the
+enumerated networks, each graph enumerated twice), and the earlier forms of
 the Monte Carlo block kernels, of the scalar chain step, of the reductions
 over a run and over one ensemble's loops, of the Poisson series (one
 convolution power at a time) and of the homology law (one determinant per
@@ -23,10 +25,21 @@ from itertools import permutations
 
 import numpy as np
 
-from loopsoup import Network, TailTooHeavy
+from loopsoup import (
+    BudgetExceeded,
+    Network,
+    TailTooHeavy,
+    TestReport,
+    build_kernel,
+    enumerate_eulerian,
+    verify_poisson_convolution,
+)
 from loopsoup.errors import _check_alpha
 from loopsoup.eulerian import CONVOLUTION_CHUNK, _ratio_power
+from loopsoup.homology import CycleBasis
+from loopsoup.reports import CONVENTIONS
 from loopsoup.soup import LoopBlock, LoopGroup, _concat, _matrix_powers
+from loopsoup.verify import DELTA_TWO_POINT, triangle_graph, two_point_graph
 
 
 def balanced_layer(graph, directed_edges, m: int) -> list:
@@ -470,3 +483,102 @@ def merge_block_keys(n: int, parts) -> Counter:
         for row, count in zip(keys.tolist(), freq.tolist()):
             hist[tuple(tuple(row[i:i + n]) for i in range(0, n * n, n))] += count
     return hist
+
+
+def cycle_basis(graph):
+    """cycle_basis with one breadth-first tree search per non-tree edge: the
+    same spanning tree, each cycle the non-tree edge u -> v closed by the
+    tree path from v to u."""
+    edges = sorted(graph.edge_pairs, key=lambda e: (-graph.conductance[e[0], e[1]], e))
+    parent_uf = list(range(graph.n))
+
+    def find(a: int) -> int:
+        while parent_uf[a] != a:
+            parent_uf[a] = parent_uf[parent_uf[a]]
+            a = parent_uf[a]
+        return a
+
+    tree, nontree = [], []
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            nontree.append((i, j))
+        else:
+            parent_uf[ri] = rj
+            tree.append((i, j))
+    tree.sort()
+    nontree.sort()
+    adj = [[] for _ in range(graph.n)]
+    for i, j in tree:
+        adj[i].append(j)
+        adj[j].append(i)
+
+    def tree_path(a: int, b: int) -> list:
+        prev = {a: None}
+        queue = [a]
+        while queue:
+            x = queue.pop(0)
+            if x == b:
+                break
+            for y in adj[x]:
+                if y not in prev:
+                    prev[y] = x
+                    queue.append(y)
+        path = [b]
+        while path[-1] != a:
+            path.append(prev[path[-1]])
+        return path[::-1]
+
+    cycles = []
+    for u, v in nontree:
+        c = np.zeros((graph.n, graph.n), dtype=np.int64)
+        c[u, v] += 1
+        c[v, u] -= 1
+        walk = tree_path(v, u)
+        for a, b in zip(walk[:-1], walk[1:]):
+            c[a, b] += 1
+            c[b, a] -= 1
+        cycles.append(c)
+    return CycleBasis(graph, tuple(tree), tuple(nontree), tuple(cycles))
+
+
+def mu_measure_report(delta_triangle: float):
+    """check_mu_measure over the enumerated networks: per-network sums over
+    enumerate_eulerian on each graph, then verify_poisson_convolution, which
+    enumerates each graph again."""
+    report = TestReport(name="mu-measure", conventions=dict(CONVENTIONS))
+    report.meta.update({"check": 10, "delta_two_point": DELTA_TWO_POINT,
+                        "delta_triangle": delta_triangle})
+    try:
+        kernel2 = build_kernel(two_point_graph())
+        entries2 = enumerate_eulerian(kernel2, DELTA_TWO_POINT)
+        mu_sum2 = sum(e.mu_mass for e in entries2 if e.network.total > 0)
+        report.add_bound("two-point |sum mu - mass|", abs(mu_sum2 - kernel2.mu_mass), 1e-6,
+                         note=f"{len(entries2)} networks enumerated")
+        kernel3 = build_kernel(triangle_graph())
+        entries3 = enumerate_eulerian(kernel3, delta_triangle)
+        max_total = max(e.network.total for e in entries3)
+        layer_mu = {}
+        for e in entries3:
+            if e.network.total > 0:
+                layer_mu[e.network.total] = layer_mu.get(e.network.total, 0.0) + e.mu_mass
+        eigs = kernel3.sym_eigs
+        worst_layer = 0.0
+        for m, s in sorted(layer_mu.items()):
+            worst_layer = max(worst_layer, abs(s - float(np.sum(eigs**m)) / m))
+        report.add_bound("triangle max |layer mu sum - trace term|", worst_layer, 1e-12,
+                         note=f"layers 1..{max_total}")
+        tail = float(np.sum(-np.log1p(-eigs)))
+        for m, s in sorted(layer_mu.items()):
+            tail -= float(np.sum(eigs**m)) / m
+        mu_sum3 = sum(layer_mu.values()) + tail
+        report.add_bound("triangle |sum mu + tail - mass|", abs(mu_sum3 - kernel3.mu_mass),
+                         1e-6, note=f"{len(entries3)} networks, analytic tail {tail:.3e}")
+        for label, kernel, delta in (("two-point", kernel2, DELTA_TWO_POINT),
+                                     ("triangle", kernel3, delta_triangle)):
+            for line in verify_poisson_convolution(kernel, delta).lines:
+                line.statistic = f"{label} {line.statistic}"
+                report.lines.append(line)
+    except BudgetExceeded as exc:
+        report.add_bound("enumerations past the |k| cap", 1.0, 0.0, note=str(exc))
+    return report

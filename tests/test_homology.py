@@ -80,6 +80,18 @@ def test_cycles_are_circulations(complete4):
     assert len(basis.tree_edges) + len(basis.nontree_edges) == len(complete4.edge_pairs)
 
 
+def test_cycle_basis_matches_one_search_per_cycle(triangle, complete4):
+    # parent pointers from one tree walk close the same cycles, with the same
+    # orientation, as a tree search from v to u for each non-tree edge u -> v
+    rng = np.random.default_rng(17)
+    for graph in (triangle, complete4, *(random_connected_graph(rng) for _ in range(120))):
+        got, want = cycle_basis(graph), oracles.cycle_basis(graph)
+        assert (got.tree_edges, got.nontree_edges) == (want.tree_edges, want.nontree_edges)
+        assert len(got.cycles) == len(want.cycles)
+        for a, b in zip(got.cycles, want.cycles):
+            assert np.array_equal(a, b)
+
+
 def test_homology_class(triangle):
     basis = cycle_basis(triangle)
     fwd = network_homology_class(_directed_triangle(triangle), basis)

@@ -45,8 +45,10 @@ from loopsoup.eulerian import (
     _poisson_series,
     _row_keys,
 )
+from loopsoup import verify as verify_module
 from loopsoup.verify import (
     _all_balanced_up_to,
+    check_mu_measure,
     nb_pmf,
     random_connected_graph,
     random_eulerian_network,
@@ -483,6 +485,18 @@ def test_best_matches_brute_force(triangle):
         assert best_tour_count(net) == brute_force_tour_count(net)
 
 
+def test_random_eulerian_network_draws(two_point, triangle, complete4):
+    # check 9's networks: chains of simple directed cycles, K4's 4-cycles too
+    rng = np.random.default_rng(33)
+    graphs = [two_point, triangle, complete4, *(random_connected_graph(rng) for _ in range(12))]
+    for graph in graphs:
+        for _ in range(10):
+            net = random_eulerian_network(graph, rng)
+            assert net.is_eulerian()
+            assert oracles.support_connected(net)
+            assert 2 <= net.total <= 8
+
+
 # ------------------------------------------------------------- loop measure
 
 
@@ -539,6 +553,35 @@ def test_poisson_convolution(two_point_kernel, triangle_kernel):
     assert rep.lines[0].lhs < 1e-12
     rep3 = verify_poisson_convolution(triangle_kernel, 1e-3)
     assert rep3.passed
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-2, 1e-4])
+def test_mu_measure_lines_match_per_network_sums(delta):
+    # at 1e-4 the triangle passes the |k| cap: the BudgetExceeded line
+    got = check_mu_measure(delta)
+    want = oracles.mu_measure_report(delta)
+    assert got.lines == want.lines
+    assert got.meta == want.meta
+    assert ("enumerations past the |k| cap" in [line.statistic for line in got.lines]) \
+        == (delta == 1e-4)
+
+
+def test_mu_measure_enumerates_each_graph_once(monkeypatch):
+    calls = []
+    real = eulerian._enumerate_layers
+
+    def spy(kernel, delta):
+        calls.append(kernel.n)
+        return real(kernel, delta)
+
+    def never(*args, **kwargs):
+        raise AssertionError("check 10 built the network entries")
+
+    monkeypatch.setattr(verify_module, "_enumerate_layers", spy)
+    monkeypatch.setattr(eulerian, "_enumerate_layers", spy)
+    monkeypatch.setattr(eulerian, "enumerate_eulerian", never)
+    assert check_mu_measure(1e-3).passed
+    assert calls == [2, 3]
 
 
 # ----------------------------------------------------------------- max flow
