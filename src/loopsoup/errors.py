@@ -99,8 +99,9 @@ class BadSamplerInput(LoopSoupError, ValueError):
 
 
 class BadIntensity(BadSamplerInput):
-    """The loop intensity alpha is not positive, or not 1 where the sampler
-    requires it (cycle popping)."""
+    """The loop intensity alpha is not positive, not 1 where the sampler
+    requires it (cycle popping), or so large that a block's expected loop
+    count passes the draw cap."""
 
 
 class BadTailCut(BadSamplerInput):
@@ -112,7 +113,7 @@ class UnknownSampler(BadSamplerInput):
 
 
 class BadSeed(BadSamplerInput):
-    """A seed that cannot key a (seed, block) stream: it must be an integer."""
+    """A seed that is not an integer (None, where a fresh stream is allowed)."""
 
 
 class BadReplicaCount(BadSamplerInput):
@@ -120,7 +121,8 @@ class BadReplicaCount(BadSamplerInput):
 
 
 class BadStoppingLevel(BadSamplerInput):
-    """The Ray-Knight stopping level rho is not positive."""
+    """The Ray-Knight stopping level rho is not finite and positive, or so
+    large that a block's expected excursion count passes the draw cap."""
 
 
 class BadExactInput(LoopSoupError, ValueError):
@@ -136,7 +138,7 @@ class BadMassBudget(BadExactInput):
 
 
 class BadGrid(BadExactInput):
-    """A Fourier grid size that is not a power of two >= 8."""
+    """A Fourier grid size that is not a power of two from 8 to 512."""
 
 
 class NotSquare(BadExactInput):

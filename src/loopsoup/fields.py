@@ -15,7 +15,9 @@ Conventions, recorded in every report (`reports.CONVENTIONS`):
 
 from __future__ import annotations
 
+import math
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .errors import BadChi, BadStoppingLevel, BadSupport, DuplicateIndex
 from .exact import permanent
 from .graphs import ChainKernel
 from .reports import CONVENTIONS, TestReport
-from .rng import SCHEME, _check_count, replica_map, stream_seed
+from .rng import BLOCK, DRAW_CAP, SCHEME, _check_count, replica_map, seeded_rng, stream_seed
 from .soup import merge_diagnostics, occupation_samples
 
 
@@ -31,7 +33,7 @@ def sample_real_fields(kernel: ChainKernel, count: int, seed) -> np.ndarray:
     """count x n matrix of independent real field samples.  Raises
     BadReplicaCount unless count is an integer >= 1."""
     count = _check_count(count)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     return rng.standard_normal((count, kernel.n)) @ kernel.field_factor
 
 
@@ -39,7 +41,7 @@ def sample_complex_fields(kernel: ChainKernel, count: int, seed) -> np.ndarray:
     """count x n matrix of independent complex field samples.  Raises
     BadReplicaCount unless count is an integer >= 1."""
     count = _check_count(count)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     f1 = rng.standard_normal((count, kernel.n)) @ kernel.field_factor
     f2 = rng.standard_normal((count, kernel.n)) @ kernel.field_factor
     return (f1 + 1j * f2) / np.sqrt(2.0)
@@ -197,15 +199,21 @@ def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -
     Right side: half the square of an independent D-restricted field shifted
     by sqrt(2 rho).  The x0 coordinate is the constant rho on both sides and
     is reported without a gate.  Replicas are drawn block by block in
-    (seed, block) streams.
+    (seed, block) streams.  Raises BadStoppingLevel, before drawing, unless
+    rho is finite and above 0 and a block's expected excursion count stays
+    within DRAW_CAP.
     """
-    if rho <= 0:
-        raise BadStoppingLevel(f"stopping level must be positive, got {rho}")
+    if not (isinstance(rho, Real) and math.isfinite(rho) and rho > 0):
+        raise BadStoppingLevel(f"stopping level must be finite and positive, got {rho}")
     graph = kernel.graph
     x0 = graph.index(x0)
     off = [x for x in range(kernel.n) if x != x0]
     if any(graph.killing[x] > 0 for x in off):
         raise BadSupport("killing must be supported exactly on x0")
+    expected = (kernel.lam[x0] - graph.killing[x0]) * rho * min(BLOCK, _check_count(replicas))
+    if expected > DRAW_CAP:
+        raise BadStoppingLevel(f"stopping level too large: {expected:.4g} expected "
+                               f"excursions in a block, past the cap of {DRAW_CAP}")
 
     m_d = kernel.energy_matrix[np.ix_(off, off)]
     w, u = np.linalg.eigh(m_d)

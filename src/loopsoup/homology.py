@@ -239,8 +239,8 @@ def _generating_grid(coef: np.ndarray, alpha: float, grid_m: int) -> np.ndarray:
 
 
 def _check_grid(grid_m: int) -> None:
-    if not isinstance(grid_m, Integral) or grid_m < 8 or grid_m & (grid_m - 1) != 0:
-        raise BadGrid(f"grid size must be a power of two >= 8, got {grid_m!r}")
+    if not isinstance(grid_m, Integral) or not 8 <= grid_m <= GRID_CAP or grid_m & (grid_m - 1):
+        raise BadGrid(f"grid size must be a power of two from 8 to {GRID_CAP}, got {grid_m!r}")
 
 
 def _law(coef: np.ndarray, alpha: float, grid_m: int) -> HomologyLaw:
@@ -270,7 +270,7 @@ def homology_distribution(kernel: ChainKernel, basis: CycleBasis, alpha: float,
     """Law of the homology class by Fourier inversion of the twisted
     determinant ratio on a uniform grid of the dual torus.  Raises BadIntensity
     unless alpha is finite and above 0, BadGrid unless grid_m is a power of
-    two >= 8."""
+    two from 8 to GRID_CAP = 512."""
     _check_alpha(alpha)
     _check_grid(grid_m)
     return _law(_twist_coefficients(kernel, basis), alpha, grid_m)

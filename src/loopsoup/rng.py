@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BadReplicaCount, BadSeed
 
 BLOCK = 8192
+DRAW_CAP = 1 << 24  # expected loops or excursions in one block (about 1 GB of arrays)
 SCHEME = {"generator": "Philox4x64-10", "key": "(seed, block)", "block": BLOCK}
 
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -27,10 +28,18 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 def stream_seed(seed) -> int:
     """The master seed of a (seed, block) stream family; integers only."""
     if not isinstance(seed, Integral):
-        raise BadSeed(
-            f"block streams are keyed by an integer seed, got {type(seed).__name__}"
-        )
+        raise BadSeed(f"a seed must be an integer, got {type(seed).__name__}")
     return int(seed)
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """np.random.default_rng(seed) for None or an integer seed; a negative
+    seed is taken modulo 2^64, as the Philox key takes it.  Raises BadSeed
+    for anything else."""
+    if seed is None:
+        return np.random.default_rng()
+    seed = stream_seed(seed)
+    return np.random.default_rng(seed % (_U64 + 1) if seed < 0 else seed)
 
 
 def replica_rng(seed: int, index: int) -> np.random.Generator:

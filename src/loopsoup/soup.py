@@ -41,7 +41,7 @@ import numpy as np
 from .errors import BadIntensity, UnknownSampler, _check_alpha
 from .graphs import ChainKernel, WeightedGraph
 from .network import Network
-from .rng import replica_map
+from .rng import DRAW_CAP, replica_map, seeded_rng
 
 
 class BasedLoop(NamedTuple):
@@ -105,7 +105,7 @@ def wilson_sample(kernel: ChainKernel, seed) -> tuple:
     """Run loop-erased walks to the cemetery; return (parents, LoopSoup at 1).
 
     The one-replica view of wilson_counts: its walk at size 1 on
-    np.random.default_rng(seed), then one Exp(1) holding time per visit.
+    rng.seeded_rng(seed), then one Exp(1) holding time per visit.
     parents[x] is the tree parent of x, the walk's last exit from x, -1
     meaning the cemetery.  The erased cycles at each vertex are regrouped
     into loops by a Poisson-Dirichlet(0,1) split of the vertex's base local
@@ -113,7 +113,7 @@ def wilson_sample(kernel: ChainKernel, seed) -> tuple:
     Each stick's loop is a one-row group of the soup's block, in vertex and
     stick order.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     n = kernel.n
     jumps, exit_to, steps = _cycle_popping_walk(kernel, 1, rng)
     visits = (jumps // (n + 1) - 1).tolist()  # index // (n + 1): the cell 1 + x a jump leaves
@@ -330,18 +330,17 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng,
     kept by drawing all bridge uniforms as one array.
 
     law, when given, is kernel.length_distribution(eps), so that a run of
-    many blocks computes it once.
+    many blocks computes it once.  Raises BadIntensity, before drawing, when
+    the block's expected loop count passes DRAW_CAP.
     """
     _check_alpha(alpha)
     if law is None:
         law = kernel.length_distribution(eps)
     cum, total_mass, cut_length, discarded = law
-    try:
-        loops = rng.poisson(alpha * total_mass, size=size)
-    except ValueError:  # a mean beyond the int64 range
-        raise BadIntensity(f"intensity too large: a loop count mean of {alpha * total_mass} "
-                           "is beyond the Poisson sampler's range") from None
-    owners = np.repeat(np.arange(size), loops)
+    if alpha * total_mass * size > DRAW_CAP:
+        raise BadIntensity(f"intensity too large: {alpha * total_mass * size:.4g} expected "
+                           f"loops in a block of {size} replicas, past the cap of {DRAW_CAP}")
+    owners = np.repeat(np.arange(size), rng.poisson(alpha * total_mass, size=size))
     lengths = 2 + np.searchsorted(cum, rng.random(len(owners)), side="right")
     lengths = lengths.clip(2, len(cum) + 1)
     order = np.argsort(lengths.astype(np.uint16), kind="stable")  # radix: lengths < 10^4 + 2
@@ -371,7 +370,7 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng,
 
 def direct_sample(kernel: ChainKernel, alpha: float, eps: float = 1e-9, seed=None) -> LoopSoup:
     """One ensemble: the single-replica view of direct_block."""
-    block = direct_block(kernel, alpha, 1, np.random.default_rng(seed), eps=eps, times=True)
+    block = direct_block(kernel, alpha, 1, seeded_rng(seed), eps=eps, times=True)
     meta = {"sampler": "direct", "eps": eps, "max_length": block.cut_length,
             "discarded_mu_mass": block.discarded_mu_mass}
     return LoopSoup(block, float(alpha), meta)

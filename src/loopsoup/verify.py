@@ -45,7 +45,7 @@ from .homology import (_check_grid, _class_coords, cycle_basis, homology_distrib
                        jacobian_volume)
 from .network import Network
 from .reports import CONVENTIONS, TestReport
-from .rng import SCHEME
+from .rng import SCHEME, seeded_rng, stream_seed
 from .soup import network_histogram
 
 DEFAULT_SEED = 20260816
@@ -224,7 +224,7 @@ def check_generating_function(seed: int, histograms: dict) -> TestReport:
     ratio, on the triangle, for random Hermitian modifiers; histograms maps
     the intensities 0.5, 1 and 2 to their direct-sampler histograms."""
     kernel = build_kernel(triangle_graph())
-    rng = np.random.default_rng(seed + 30)
+    rng = seeded_rng(seed + 30)
     modifiers = [_random_hermitian_modifier(kernel.n, rng) for _ in range(N_MODIFIERS)]
     report = TestReport(name="generating-function", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 4, "graph": "triangle",
@@ -380,7 +380,7 @@ def random_eulerian_network(graph: WeightedGraph, rng) -> Network:
 def check_tour_count(seed: int = DEFAULT_SEED) -> TestReport:
     """Arborescence tour formula against exhaustive enumeration on random
     balanced networks over three reference graphs."""
-    rng = np.random.default_rng(seed + 31)
+    rng = seeded_rng(seed + 31)
     graphs = [two_point_graph(), triangle_graph(), complete4_graph()]
     report = TestReport(name="tour-count", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 9, "cases": TOUR_CASES})
@@ -476,7 +476,7 @@ def random_connected_graph(rng) -> WeightedGraph:
 def check_jacobian_volume(seed: int = DEFAULT_SEED) -> TestReport:
     """Harmonic-Gram route and tree-weight route to the torus volume on
     random conductance graphs."""
-    rng = np.random.default_rng(seed + 32)
+    rng = seeded_rng(seed + 32)
     report = TestReport(name="jacobian-volume", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 11, "cases": JACOBIAN_CASES})
     worst = 0.0
@@ -538,12 +538,13 @@ def check_cross_sampler(wilson_histogram: Counter, direct_histogram: Counter) ->
 def run_all(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
             workers: int = 1, delta: float = 1e-3, grid: int = 64) -> list:
     """Run the thirteen checks with shared sample batches; reports in order.
-    The settings are checked before anything is drawn.  workers must be 1, as
-    blocks are drawn in one process; the keyword goes once the benchmark stops
-    passing it."""
+    The settings are checked before anything is drawn: the seed may be any
+    integer.  workers must be 1, as blocks are drawn in one process; the
+    keyword goes once the benchmark stops passing it."""
     if workers != 1:
         raise BadSamplerInput(
             f"blocks are drawn in one process; workers must be 1, got {workers!r}")
+    seed = stream_seed(seed)
     _check_delta(delta)
     _check_grid(grid)
     kernel2 = build_kernel(two_point_graph())

@@ -8,12 +8,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import traceback
 import warnings
 
 import pytest
 
 import loopsoup
-from loopsoup import fields, soup, verify
+from loopsoup import LoopSoupError, cli, fields, soup, verify
 from loopsoup.cli import _COMMANDS, _build_parser, _parse_args, main
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_graphs"
@@ -210,6 +211,7 @@ def test_moments_command(tmp_path):
         ("verify-all", "--replicas", "1"))),
     (("verify-all", "--grid", "7"), "grid"),
     (("verify-all", "--delta", "0.5"), "budget"),
+    (("verify-all", "--grid", str(2**40)), "grid"),
 ])
 def test_verifier_input_fails_before_drawing(tmp_path, monkeypatch, argv, message):
     def no_draw(*args, **kwargs):
@@ -221,6 +223,26 @@ def test_verifier_input_fails_before_drawing(tmp_path, monkeypatch, argv, messag
         monkeypatch.setattr(fields, name, no_draw)
     monkeypatch.setattr(verify, "network_histogram", no_draw)  # run_all's draws
     assert message in run(tmp_path, *argv, expect=1)
+
+
+def test_homology_grid_cap(tmp_path):
+    # explicit grids stop at 512, the largest the automatic search tries
+    assert run(tmp_path, "homology-dist", "--graph", TRIANGLE, "--grid", "512")["result"]
+    for grid in ("1024", str(2**40)):
+        msg = run(tmp_path, "homology-dist", "--graph", TRIANGLE, "--grid", grid, expect=1)
+        assert "power of two from 8 to 512" in msg
+
+
+def test_negative_seeds(tmp_path):
+    # any integer seeds a run; a negative one is taken modulo 2^64
+    reports = verify.run_all(replicas=10, seed=-100)
+    assert [r.name for r in reports] == [r.name for r in verify.run_all(replicas=10, seed=1)]
+    for argv in (("isomorphism", "--graph", TRIANGLE), ("verify-all",)):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--replicas", "10", "--seed", "-100",
+                         "--out", str(tmp_path / "out.json")])
+        assert code in (0, 2), err.getvalue()
 
 
 def test_ray_knight_command(tmp_path):
@@ -463,3 +485,91 @@ def test_cli_import_leaves_process_pools_out(tmp_path):
         if exact is not None:
             assert loaded == exact, argv
         assert not loaded & never, argv
+
+
+# the arguments each command needs besides the option under test; NET is the
+# network file
+_NEEDS = {
+    "kernel": ("--graph", TRIANGLE),
+    "sample": ("--graph", TRIANGLE),
+    "occupation": ("--graph", TRIANGLE),
+    "jumps": ("--graph", TRIANGLE),
+    "exact-network": ("--graph", TRIANGLE, "--network", "NET"),
+    "best-count": ("--graph", TRIANGLE, "--network", "NET"),
+    "mu-network": ("--graph", TRIANGLE, "--network", "NET"),
+    "convolution-check": ("--graph", TRIANGLE),
+    "homology-dist": ("--graph", TRIANGLE),
+    "jacobian": ("--graph", TRIANGLE),
+    "isomorphism": ("--graph", TRIANGLE),
+    "ray-knight": ("--graph", PATH3, "--x0", "a"),
+    "moments": ("--graph", TRIANGLE, "--edges", "a:b"),
+    "det-identity": ("--graph", TRIANGLE),
+    "genfun": ("--graph", TRIANGLE, "--edge", "a:b"),
+    "maxflow": ("--graph", TRIANGLE, "--network", "NET", "--sources", "a", "--sinks", "c"),
+    "verify-all": (),
+}
+_EXTREMES = ("nan", "inf", "-1", "-100", "0", "1e300", str(2**40))
+
+
+def _extreme_cases():
+    """Every command once with its defaults, then every int or float option
+    but --replicas (which sets the amount of work) at every extreme value."""
+    for name, (_, _, _, options) in _COMMANDS.items():
+        yield name, None
+        for flag, kwargs in options:
+            if kwargs.get("type") in (int, float) and flag != "--replicas":
+                for value in _EXTREMES:
+                    yield name, f"{flag}={value}"
+
+
+def _exit_one_cause(exc, stderr: str) -> str | None:
+    """None when an exit status of 1 has one of its three allowed sources: a
+    usage error, a LoopSoupError, or a ValueError from cli's option checks."""
+    if exc is None:
+        return None if "usage:" in stderr else f"exit 1 without a cause: {stderr}"
+    if isinstance(exc, LoopSoupError):
+        return None
+    if isinstance(exc, ValueError) and \
+            traceback.extract_tb(exc.__traceback__)[-1].filename == cli.__file__:
+        return None
+    return f"{type(exc).__name__}: {exc}"
+
+
+def test_extreme_numeric_options(tmp_path, monkeypatch):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"counts": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]}))
+    raised = []
+
+    def recording(handler):
+        def handle(args):
+            try:
+                return handler(args)
+            except BaseException as exc:
+                raised.append(exc)
+                raise
+        return handle
+
+    for name, entry in _COMMANDS.items():
+        monkeypatch.setitem(_COMMANDS, name, (recording(entry[0]), *entry[1:]))
+    failures = []
+    for name, option in _extreme_cases():
+        replicas = ["--replicas", "10"] if any(f == "--replicas" for f, _ in _COMMANDS[name][3]) \
+            else []
+        argv = [name, *(str(net) if a == "NET" else a for a in _NEEDS[name]), *replicas,
+                *([option] if option else []), "--out", str(tmp_path / "out.json")]
+        raised.clear()
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(argv)
+        except BaseException as exc:  # every escape from main is a failure here
+            failures.append((name, option, f"raised {type(exc).__name__}: {exc}"))
+            continue
+        if code == 1:
+            cause = _exit_one_cause(raised[-1] if raised else None, err.getvalue())
+            if cause is not None:
+                failures.append((name, option, cause))
+        elif code not in (0, 2):
+            failures.append((name, option, f"exit {code}"))
+    assert failures == []

@@ -1,5 +1,9 @@
 """Gaussian fields, the occupation isomorphism, and the moment verifiers."""
 
+import contextlib
+import io
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from loopsoup import (
     BadChi,
     BadReplicaCount,
     BadSamplerInput,
+    BadSeed,
     BadStoppingLevel,
     BadSupport,
     DuplicateIndex,
@@ -23,7 +28,11 @@ from loopsoup import (
     verify_isomorphism,
     verify_moment_formula,
 )
+from loopsoup import fields
+from loopsoup.cli import main
 from loopsoup.fields import _excursion_block
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_graphs"
 
 
 def test_real_field_covariance(two_point_kernel):
@@ -147,6 +156,33 @@ def test_ray_knight_nonpositive_level_is_typed(path3_kernel):
         assert isinstance(info.value, BadSamplerInput)
         assert isinstance(info.value, LoopSoupError)
         assert isinstance(info.value, ValueError)
+
+
+def test_ray_knight_non_finite_or_huge_level_is_typed(path3_kernel, monkeypatch):
+    # a level that is not a finite number, or one whose block would walk more
+    # than DRAW_CAP excursions on average, is refused before drawing
+    def no_draw(*args, **kwargs):
+        raise AssertionError("replicas drawn for a refused stopping level")
+
+    monkeypatch.setattr(fields, "replica_map", no_draw)
+    for rho in (float("nan"), float("inf"), -float("inf"), 1e300, 2.0**40, "1"):
+        with pytest.raises(BadStoppingLevel) as info:
+            ray_knight_check(path3_kernel, "a", rho, 10, 0)
+        assert isinstance(info.value, BadSamplerInput)
+    path3 = str(SAMPLES / "path3.json")
+    for rho in ("nan", "inf", "1e300", str(2**40)):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["ray-knight", "--graph", path3, "--x0", "a", "--rho", rho,
+                         "--replicas", "10"])
+        assert code == 1 and "stopping level" in err.getvalue()
+
+
+def test_field_samples_take_any_integer_seed(two_point_kernel):
+    for sample in (sample_real_fields, sample_complex_fields):
+        assert np.array_equal(sample(two_point_kernel, 5, -3),
+                              sample(two_point_kernel, 5, 2**64 - 3))
+        with pytest.raises(BadSeed):
+            sample(two_point_kernel, 5, "3")
 
 
 def test_moment_formula(two_point_kernel):
