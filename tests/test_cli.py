@@ -233,18 +233,6 @@ def test_homology_grid_cap(tmp_path):
         assert "power of two from 8 to 512" in msg
 
 
-def test_negative_seeds(tmp_path):
-    # any integer seeds a run; a negative one is taken modulo 2^64
-    reports = verify.run_all(replicas=10, seed=-100)
-    assert [r.name for r in reports] == [r.name for r in verify.run_all(replicas=10, seed=1)]
-    for argv in (("isomorphism", "--graph", TRIANGLE), ("verify-all",)):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([*argv, "--replicas", "10", "--seed", "-100",
-                         "--out", str(tmp_path / "out.json")])
-        assert code in (0, 2), err.getvalue()
-
-
 def test_ray_knight_command(tmp_path):
     payload = run(
         tmp_path, "ray-knight", "--graph", PATH3, "--x0", "a",

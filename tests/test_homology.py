@@ -224,7 +224,7 @@ def test_homology_distribution_triangle(triangle_kernel, triangle):
 
 def test_homology_distribution_bad_grid(triangle_kernel, triangle):
     basis = cycle_basis(triangle)
-    for m in (4, 12, 17, 8.0, "8", None):
+    for m in (4, 12, 17, 8.0, "8", None, 1024, 2**40):
         with pytest.raises(ValueError):
             homology_distribution(triangle_kernel, basis, 1.0, m)
         with pytest.raises(BadGrid) as info:
