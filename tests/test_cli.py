@@ -532,7 +532,7 @@ def test_extreme_numeric_options(tmp_path, monkeypatch):
         def handle(args):
             try:
                 return handler(args)
-            except BaseException as exc:
+            except Exception as exc:
                 raised.append(exc)
                 raise
         return handle
@@ -541,9 +541,9 @@ def test_extreme_numeric_options(tmp_path, monkeypatch):
         monkeypatch.setitem(_COMMANDS, name, (recording(entry[0]), *entry[1:]))
     failures = []
     for name, option in _extreme_cases():
-        replicas = ["--replicas", "10"] if any(f == "--replicas" for f, _ in _COMMANDS[name][3]) \
-            else []
-        argv = [name, *(str(net) if a == "NET" else a for a in _NEEDS[name]), *replicas,
+        takes_replicas = any(flag == "--replicas" for flag, _ in _COMMANDS[name][3])
+        argv = [name, *(str(net) if a == "NET" else a for a in _NEEDS[name]),
+                *(["--replicas", "10"] if takes_replicas else []),
                 *([option] if option else []), "--out", str(tmp_path / "out.json")]
         raised.clear()
         err = io.StringIO()
@@ -551,7 +551,7 @@ def test_extreme_numeric_options(tmp_path, monkeypatch):
             with contextlib.redirect_stderr(err), warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 code = main(argv)
-        except BaseException as exc:  # every escape from main is a failure here
+        except Exception as exc:  # every escape from main is a failure here
             failures.append((name, option, f"raised {type(exc).__name__}: {exc}"))
             continue
         if code == 1:
