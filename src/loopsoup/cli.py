@@ -8,6 +8,8 @@ fails, 1 on usage or input errors.
 Only `errors`, `reports` and `rng` load with this module.  Handlers reach
 the rest as `ls.<module>.<name>`, and the lazy package imports a module on
 its first such access, so a shell call loads only what its command uses.
+A plain argument list is read straight from the command table; the argparse
+tree is built only for help, --version and usage errors.
 """
 
 from __future__ import annotations
@@ -38,14 +40,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_arguments(parser: _Parser, name: str) -> _Parser:
-    """Command `name`'s options, for its flat parser and its branch of the tree."""
+def _options(name: str) -> list:
+    """Command `name`'s options, each `(flag, add_argument keywords)`."""
     _, _, graph, options = _COMMANDS[name]
-    if graph:
-        parser.add_argument("--graph", required=True, help="graph JSON file")
-    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    for flag, kwargs in options:
+    return ([_GRAPH] if graph else []) + [_OUT, _FORMAT, *options]
+
+
+def _add_arguments(parser: _Parser, name: str) -> _Parser:
+    """Command `name`'s branch of the tree, built from `_options(name)`."""
+    for flag, kwargs in _options(name):
         parser.add_argument(flag, **kwargs)
     return parser
 
@@ -60,18 +63,42 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_plain(argv: list) -> argparse.Namespace | None:
+    """argv read straight from its command's `_options`, or None when the tree
+    must decide: an unknown or abbreviated flag, help, a value that starts with
+    "-" or is "--", a failed conversion or choice, a missing required option."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = dict(_options(argv[0]))
+    given = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if not eq:
+            value = next(rest, "-")  # a flag with no value left reads as "-"
+        if flag not in options or value == "--" or not eq and value.startswith("-"):
+            return None
+        kwargs = options[flag]
+        try:  # every occurrence is converted, as argparse converts them
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=argv[0])
+    for flag, kwargs in options.items():
+        if flag not in given and kwargs.get("required"):
+            return None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, kwargs.get("default")))
+    return args
+
+
 def _parse_args(argv: list) -> argparse.Namespace:
-    """argv parsed as the whole tree parses it.  When argv[0] names a command,
-    its flat parser reads the rest, and the tree is built only for leftovers,
-    so that usage errors are the tree's; an argument "--=..." goes to the tree
-    as well, whose top level finds it ambiguous."""
-    if argv and argv[0] in _COMMANDS and not any(a.startswith("--=") for a in argv):
-        parser = _add_arguments(_Parser(prog=f"loopsoup {argv[0]}"), argv[0])
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
-    return _build_parser().parse_args(argv)
+    """argv parsed as the whole tree parses it; the tree is built only when
+    `_read_plain` leaves the decision to it, so every usage error, help text
+    and --version output is the tree's."""
+    return _read_plain(argv) or _build_parser().parse_args(argv)
 
 
 def _parse_vertex_list(raw: str) -> list:
@@ -291,7 +318,10 @@ def _cmd_genfun(args) -> tuple:
     if len(edges) != 1:
         raise ValueError(f"--edge needs exactly one edge u:v, got {args.edge!r}")
     (u, v), = edges
-    re, im = (float(p) for p in args.z.split(","))
+    try:
+        re, im = (float(p) for p in args.z.split(","))
+    except ValueError:
+        raise ValueError(f"--z needs re,im, got {args.z!r}") from None
     mod = ls.eulerian.ModifierMatrix.from_edge_value(
         kernel.n, kernel.graph.index(u), kernel.graph.index(v), complex(re, im)
     )
@@ -319,6 +349,9 @@ def _cmd_verify_all(args) -> tuple:
     return None, reports
 
 
+_GRAPH = "--graph", dict(required=True, help="graph JSON file")
+_OUT = "--out", dict(default=None, help="write the report here instead of stdout")
+_FORMAT = "--format", dict(choices=("json", "csv"), default="json")
 _ALPHA = "--alpha", dict(type=float, default=1.0)
 _SEED = "--seed", dict(type=int, default=0)
 _REPLICAS = "--replicas", dict(type=int, default=20_000)
@@ -433,7 +466,11 @@ def main(argv=None) -> int:
         payload["pass"] = passed
     if result is not None:
         payload["result"] = result
-    _emit(payload, reports, args.format, args.out)
+    try:
+        _emit(payload, reports, args.format, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0 if passed else 2
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import traceback
@@ -342,6 +343,18 @@ def test_usage_errors(tmp_path):
             code = main(["genfun", "--graph", TRIANGLE, "--edge", edge])
         assert code == 1
         assert err.getvalue().startswith("error:") and "exactly one edge" in err.getvalue()
+    for z in ("1,2,3", "abc", "1", ""):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["genfun", "--graph", TRIANGLE, "--edge", "a:b", "--z", z])
+        assert code == 1
+        assert err.getvalue() == f"error: --z needs re,im, got {z!r}\n"
+    for out in (tmp_path / "missing" / "x.json", tmp_path):  # the report cannot be written
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["kernel", "--graph", TRIANGLE, "--out", str(out)])
+        assert code == 1
+        assert err.getvalue().startswith("error:") and str(out) in err.getvalue()
     for scale in ("-1", "nan", "inf"):  # rejected before the battery starts
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -361,28 +374,41 @@ def test_usage_errors(tmp_path):
 
 
 def _parse_outcome(parse, argv):
+    """Namespace, exit code, stdout and stderr of one parse; values compare by
+    repr, since nan != nan."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            parsed, code = vars(parse(list(argv))), None
+            parsed, code = repr(sorted(vars(parse(list(argv))).items())), None
         except SystemExit as exc:
             parsed, code = None, exc.code
     return parsed, code, out.getvalue(), err.getvalue()
 
 
-def test_dispatch_parses_like_the_whole_tree():
-    # main parses through _parse_args, which builds one flat parser for the
-    # command named; every outcome must be the whole tree's, usage errors,
-    # help and --version included
-    required = ["--graph", "g", "--network", "n", "--x0", "a", "--sources", "a",
-                "--sinks", "b", "--edge", "a:b"]
+_REQUIRED = ["--graph", "g", "--network", "n", "--x0", "a", "--sources", "a",
+             "--sinks", "b", "--edge", "a:b"]
+
+
+def test_dispatch_parses_like_the_whole_tree(monkeypatch):
+    # main reads a plain argv from its command's options and builds the tree
+    # for everything else; every outcome must be the whole tree's, usage
+    # errors, help and --version included
     whole = _build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: whole)  # one tree, parsed again
     for name in _COMMANDS:
-        for rest in ([], ["-h"], ["--graph", "g"], required, ["--bad"], ["--version"],
-                     required + ["--alpha", "2", "--seed", "7", "--format", "csv"],
-                     ["--graph", "g", "--seed", "x"], required + ["stray"],
-                     ["--gr", "g"], required + ["--out", "f", "--format", "csv"],
-                     ["--graph", "g", "--version"], required + ["--=x"]):
+        for rest in ([], ["-h"], ["--graph", "g"], _REQUIRED, ["--bad"], ["--version"],
+                     _REQUIRED + ["--alpha", "2", "--seed", "7", "--format", "csv"],
+                     ["--graph", "g", "--seed", "x"], _REQUIRED + ["stray"],
+                     ["--gr", "g"], _REQUIRED + ["--out", "f", "--format", "csv"],
+                     ["--graph", "g", "--version"], _REQUIRED + ["--=x"],
+                     _REQUIRED + ["--seed", "-5"], _REQUIRED + ["--z=-0.3,0.2"],
+                     _REQUIRED + ["--graph=--"], _REQUIRED + ["--"], _REQUIRED + ["--", "x"],
+                     ["--graph", ""], ["--graph="], _REQUIRED + ["--seed", ""],
+                     _REQUIRED + ["--seed", "x", "--seed", "1"],
+                     _REQUIRED + ["--seed", "1", "--seed", "2"],
+                     _REQUIRED + ["--format", "xml"], _REQUIRED + ["--sampler=wilson"],
+                     _REQUIRED + ["--sampler", "Wilson"], _REQUIRED + ["--alpha", "nan"],
+                     _REQUIRED + ["--seed"], _REQUIRED + ["--graph", "-"]):
             argv = [name, *rest]
             assert _parse_outcome(_parse_args, argv) == _parse_outcome(whole.parse_args, argv)
     for argv in ([], ["nope"], ["--version"], ["--graph", "g", "kernel"]):
@@ -391,6 +417,72 @@ def test_dispatch_parses_like_the_whole_tree():
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(argv) == 0
         assert out.getvalue() == whole.format_help()
+
+
+# argv pieces for the random sweep: values that convert, fail to convert, miss
+# a choice or start with "-", and misspelt, abbreviated and foreign flags
+_VALUES = ["g", "a:b", "1", "0", "-5", "2.5", "nan", "x", "", "--", "-", "-0.3,0.2",
+           "json", "csv", "xml", "direct", "wilson", "kernel"]
+_ODD_FLAGS = ["--bad", "--gr", "--se", "-h", "--help", "--version", "--", "--=x", "-",
+              "--network", "--grid", "--z"]
+
+
+def _random_argv(rng):
+    if rng.random() < 0.03:
+        return [rng.choice(_VALUES), *rng.choice(([], _REQUIRED))]
+    name = rng.choice(list(_COMMANDS))
+    options = cli._options(name)
+    argv = [name]
+    for flag, kwargs in options:  # usually every required option, well formed
+        if kwargs.get("required") and rng.random() < 0.9:
+            argv += [flag, "a:b"]
+    for _ in range(rng.randrange(4)):
+        flag, kwargs = rng.choice(options)
+        if rng.random() < 0.1:
+            flag = rng.choice(_ODD_FLAGS)
+        value = rng.choice(_VALUES)
+        if rng.random() < 0.5:  # a value of the option's own kind
+            value = rng.choice(kwargs.get("choices", [str(rng.randrange(-3, 100))]))
+        roll = rng.random()
+        if roll < 0.3:
+            argv.append(f"{flag}={value}")
+        elif roll < 0.97:
+            argv += [flag, value]
+        else:
+            argv.append(flag)
+    return argv
+
+
+def test_random_argvs_parse_like_the_whole_tree(monkeypatch):
+    rng = random.Random(19)
+    whole = _build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: whole)  # one tree, parsed again
+    plain = 0
+    for _ in range(3000):
+        argv = _random_argv(rng)
+        assert _parse_outcome(_parse_args, argv) == _parse_outcome(whole.parse_args, argv), argv
+        plain += cli._read_plain(argv) is not None
+    assert plain > 1000  # the table reads about half the argvs, the tree the rest
+
+
+def test_plain_argvs_build_no_parser(tmp_path, monkeypatch):
+    # the benchmark's argv shapes are read from the command table alone
+    def no_tree():
+        raise AssertionError("argparse tree built for a plain argv")
+
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"counts": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]}))
+    monkeypatch.setattr(cli, "_build_parser", no_tree)
+    for argv in (["sample", "--graph", TRIANGLE, "--sampler", "wilson", "--seed", "3"],
+                 ["genfun", "--graph", TRIANGLE, "--edge", "a:b", "--z=-0.3,0.2",
+                  "--alpha", "0.5"],
+                 ["exact-network", "--graph", TRIANGLE, "--network", str(net),
+                  "--alpha", "0.5"],
+                 ["homology-dist", "--graph", TRIANGLE, "--grid", "64", "--alpha", "2"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    with pytest.raises(AssertionError, match="tree built"):  # usage errors are the tree's
+        main(["sample", "--graph", TRIANGLE, "--sampler", "metropolis"])
 
 
 def test_repeated_calls_in_one_process(tmp_path):
