@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from numbers import Real
 from typing import NamedTuple
 
@@ -169,15 +168,13 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return rows[fresh]
 
 
-def _circulation_layers(graph, edges, cap=None):
+def _circulation_layers(graph, edges):
     """Yield every balanced nonnegative count vector over the directed edges,
-    layer m = 1, 2, ... of total m at a time, rows in lexicographic order;
-    with a cap row, only the vectors at most cap edge by edge.
+    layer m = 1, 2, ... of total m at a time, rows in lexicographic order.
 
     A nonzero nonnegative circulation contains a simple directed cycle in its
     support, and removing that cycle leaves a smaller one.  So layer m is
-    exactly the set of sums (layer m - L) + (simple cycle of length L), and
-    the capped layers can drop every row past the cap as they grow.
+    exactly the set of sums (layer m - L) + (simple cycle of length L).
     """
     cycles = _simple_cycles(graph, edges)
     lengths = cycles.sum(axis=1)
@@ -193,10 +190,33 @@ def _circulation_layers(graph, edges, cap=None):
         parts = [(base[:, None, :] + group[None, :, :]).reshape(-1, len(edges))
                  for base, group in sources]
         rows = _unique_rows(np.concatenate(parts)) if parts else layers[0][:0]
-        if cap is not None:
-            rows = rows[(rows <= cap).all(axis=1)]
         layers.append(rows)
         yield rows
+
+
+def _sub_circulations(counts: np.ndarray) -> tuple:
+    """The rows of _circulation_layers up to k over k's support edges
+    (np.nonzero order), layer 0 included, and each layer's size, from the box
+    0 <= r <= k alone.  The box grows one edge, one digit, at a time, the
+    first edge most significant, and drops a prefix once the later edges can
+    no longer cancel its excess of out over in crossings at some vertex; a
+    stable sort by total splits the balanced rows left into layers."""
+    n, (src, dst) = len(counts), np.nonzero(counts)
+    out_left, in_left = counts.sum(axis=1).tolist(), counts.sum(axis=0).tolist()
+    state = np.zeros((1, n + len(src)), dtype=np.int64)  # excess by vertex, then digits
+    for e, (x, y, c) in enumerate(zip(src.tolist(), dst.tolist(), counts[src, dst].tolist())):
+        if len(state) * (c + 1) * state.shape[1] > LAYER_CAP:
+            raise TooLarge(f"edge {e} of the box would hold more than {LAYER_CAP} counts")
+        state = np.repeat(state, c + 1, axis=0).reshape(len(state), c + 1, -1)
+        state[:, :, [x, y, n + e]] += np.arange(c + 1)[:, None] * [1, -1, 1]  # out, in, digit
+        state = state.reshape(-1, state.shape[2])
+        out_left[x] -= c
+        in_left[y] -= c
+        state = state[(-out_left[x] <= state[:, x]) & (state[:, x] <= in_left[x])
+                      & (-out_left[y] <= state[:, y]) & (state[:, y] <= in_left[y])]
+    totals = state[:, n:].sum(axis=1)
+    sizes = np.bincount(totals, minlength=counts.sum() + 1)
+    return state[np.argsort(totals, kind="stable"), n:], sizes
 
 
 def _count_matrices(n: int, edges, rows: np.ndarray) -> np.ndarray:
@@ -313,8 +333,9 @@ def mu_network_measure(kernel: ChainKernel, k: Network) -> float:
     return float(mu[0])
 
 
-def _row_keys(layers, max_total: int) -> list:
-    """Exact int64 keys of the count rows, additive: key(a) + key(b) = key(a + b).
+def _key_weights(n_edges: int, max_total: int) -> np.ndarray:
+    """Weights w of exact int64 keys rows @ w of count rows over n_edges
+    directed edges, additive: key(a) + key(b) = key(a + b).
 
     The keys are base-B numbers with one digit per directed edge, the first
     edge most significant, so rows in lexicographic order have ascending keys.
@@ -323,15 +344,13 @@ def _row_keys(layers, max_total: int) -> list:
     B = max_total // 2 + 1 keeps every digit of every sum within the support's
     totals below B.  Raises TooLarge when B^E would not fit in an int64.
     """
-    n_edges = layers[0].shape[1]
     base = max_total // 2 + 1
     if base**n_edges > 2**63:
         raise TooLarge(
             f"convolution keys need {base}^{n_edges} > 2^63 values; "
             f"{n_edges} directed edges at |k| <= {max_total} do not fit in int64"
         )
-    weights = base ** np.arange(n_edges - 1, -1, -1, dtype=np.int64)
-    return [rows @ weights for rows in layers]
+    return base ** np.arange(n_edges - 1, -1, -1, dtype=np.int64)
 
 
 def _poisson_series(keys, mu, alpha: float) -> list:
@@ -351,12 +370,15 @@ def _poisson_series(keys, mu, alpha: float) -> list:
     """
     series = [np.zeros(len(k)) for k in keys]
     series[0][0] = 1.0
+    weights = {total: total * mu[total] for total in range(2, len(keys))}
     for total in range(2, len(keys)):
         target, value = keys[total], series[total]
+        if not len(target):
+            continue
         for total_b in range(2, total + 1):
             keys_a, val_a = keys[total - total_b], series[total - total_b]
-            keys_b, weight_b = keys[total_b], total_b * mu[total_b]
-            if not len(keys_b) or not len(target):
+            keys_b, weight_b = keys[total_b], weights[total_b]
+            if not len(keys_b):
                 continue
             step = max(1, CONVOLUTION_CHUNK // len(keys_b))
             for lo in range(0, len(keys_a), step):
@@ -374,10 +396,11 @@ def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> f
 
     At intensity alpha the crossing network is a Poisson superposition of
     one-loop networks of intensity alpha mu, so only the sub-circulations of
-    k enter the series.  They are grown from the simple cycles of k's
-    support edges, keyed over those edges alone, and their loop measures
-    come from one layer-law call.  Raises BadIntensity unless alpha is finite
-    and above 0, TooLarge past ALPHA_NETWORK_CAP = 27 (K4 networks: <= 1 s).
+    k enter the series: the box of count vectors up to k over k's support
+    edges, keyed over those edges alone, their loop measures from one
+    layer-law call.  Raises BadIntensity unless alpha is finite and above 0,
+    TooLarge past ALPHA_NETWORK_CAP = 27 (K4 networks: <= 1 s), for keys
+    past int64 or a box step past LAYER_CAP counts.
     """
     _check_alpha(alpha)
     if not k.is_eulerian():
@@ -387,15 +410,13 @@ def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> f
             f"general-alpha probability limited to |k| <= {ALPHA_NETWORK_CAP}, got {k.total}"
         )
     edges = [(int(x), int(y)) for x, y in zip(*np.nonzero(k.counts))]
-    cap = k.counts[k.counts > 0]
-    layers = [np.zeros((1, len(edges)), dtype=np.int64)]
-    layers += islice(_circulation_layers(k.graph, edges, cap), k.total)
-    if len(layers[-1]) != 1:  # the rows up to k of total |k| can only be k
-        raise ArithmeticError("the network is not a sum of simple cycles of its support")
-    rows = np.concatenate(layers)
+    weights = _key_weights(len(edges), k.total)
+    rows, sizes = _sub_circulations(k.counts)
+    if sizes[-1] != 1 or not np.array_equal(rows[-1], k.counts[k.counts > 0]):
+        raise ArithmeticError("the sub-circulations of total |k| are not exactly k")
     _, mu = _layer_law(kernel, edges, rows, _count_matrices(kernel.n, edges, rows))
-    sizes = np.cumsum([len(layer) for layer in layers])[:-1]
-    series = _poisson_series(_row_keys(layers, k.total), np.split(mu, sizes), alpha)
+    bounds = np.cumsum(sizes)[:-1]
+    series = _poisson_series(np.split(rows @ weights, bounds), np.split(mu, bounds), alpha)
     return float(kernel.det_i_minus_p**alpha * series[-1][0])
 
 
@@ -416,7 +437,8 @@ def _convolution_report(kernel: ChainKernel, layers: list, delta: float):
     report = TestReport(name="poisson-convolution")
     report.meta["support_size"] = sum(len(rows) for rows, _, _, _ in layers)
     report.meta["delta"] = delta
-    keys = _row_keys([rows for rows, _, _, _ in layers], len(layers) - 1)
+    weights = _key_weights(layers[0][0].shape[1], len(layers) - 1)
+    keys = [rows @ weights for rows, _, _, _ in layers]
     reconstructed = _poisson_series(keys, [mu for _, _, _, mu in layers], 1.0)
     max_err = max(
         float(np.max(np.abs(kernel.det_i_minus_p * rec - prob)))

@@ -72,7 +72,9 @@ def alpha_permanent(a, alpha: float) -> float | complex:
       * h[S], the cyclic products over S, from a Hamiltonian-path table g[S, v]
         of paths that start at min(S), visit all of S and end at v,
         O(2^n n^2);
-      * f[S] = alpha * sum over T with min(S) in T of h[T] f[S - T], O(3^n).
+      * f[S] = alpha * sum over T with min(S) in T of h[T] f[S - T], O(3^n),
+        over a table of the (3^n - 1) / 2 pairs (S, T) held by |S|, so that
+        n passes of one gather and one bincount fill f by popcount.
     """
     a = np.asarray(a)
     n = a.shape[0] if a.ndim else 0
@@ -100,15 +102,24 @@ def alpha_permanent(a, alpha: float) -> float | complex:
         which, w = np.nonzero((bits[sets] == 0) & above_low[sets])
         g[sets[which] | (1 << w), w] = ext[which, w]
     h = np.einsum("sv,vs->s", g, a[:, low_index])  # close each path at min(S)
+    # the pairs (S, T) by |S|: element j joins each pair outside S, in S - T
+    # or in T, or starts S = T = {j}
+    pair_s = [np.zeros(0, dtype=np.intp)] * (n + 1)
+    pair_t = list(pair_s)
+    for j in range(n):
+        bit = 1 << j
+        for p in range(j + 1, 1, -1):
+            pair_s[p] = np.concatenate((pair_s[p], pair_s[p - 1] | bit, pair_s[p - 1] | bit))
+            pair_t[p] = np.concatenate((pair_t[p], pair_t[p - 1], pair_t[p - 1] | bit))
+        pair_s[1], pair_t[1] = np.append(pair_s[1], bit), np.append(pair_t[1], bit)
     f = np.zeros(full, dtype=a.dtype)
     f[0] = 1.0
-    submasks = [np.zeros(1, dtype=np.intp)]  # submasks[s]: every subset of s
-    for s, lowest in enumerate(low.tolist()[1:], start=1):
-        rest = s ^ lowest
-        sub = submasks[rest]
-        with_low = sub | lowest
-        submasks.append(np.concatenate((sub, with_low)))
-        f[s] = alpha * np.dot(h[with_low], f[rest ^ sub])
+    for s, t in zip(pair_s[1:], pair_t[1:]):
+        terms = h[t] * f[s ^ t]
+        sums = np.bincount(s, terms.real, minlength=full)
+        if np.iscomplexobj(terms):
+            sums = sums + 1j * np.bincount(s, terms.imag, minlength=full)
+        f += alpha * sums
     total = f[-1]
     return complex(total) if np.iscomplexobj(a) else float(total)
 

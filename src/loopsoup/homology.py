@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -206,7 +206,13 @@ class HomologyLaw:
         return dict(zip(map(tuple, coords.tolist()), self.table[kept].tolist()))
 
     def prob(self, coords) -> float:
-        return self.probs.get(tuple(coords), 0.0)
+        """P(class = coords), read from the table: 0.0 outside the window and
+        for coordinates that are not integral or not one per cycle."""
+        coords, shift = tuple(coords), self.grid_m // 2 - 1
+        if len(coords) != self.table.ndim or not all(
+                isinstance(c, Real) and c % 1 == 0 and abs(c) <= shift for c in coords):
+            return 0.0
+        return float(self.table[tuple(int(c) + shift for c in coords)])
 
     def symmetry_defect(self) -> float:
         """max |P(j) - P(-j)|: the table against its flip on every axis."""

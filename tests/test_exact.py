@@ -124,6 +124,16 @@ def test_alpha_permanent_matches_brute_force():
                 assert abs(fast - oracles.alpha_permanent(a, alpha)) <= 1e-12 * max(scale, 1e-300)
 
 
+def test_alpha_permanent_past_brute_force_sizes():
+    rng = np.random.default_rng(23)
+    for n in (10, 11, 12):
+        real = rng.normal(size=(n, n))
+        for a in (real, real + 1j * rng.normal(size=(n, n))):
+            scale = permanent(np.abs(a))  # the sum of |terms| at alpha = +-1
+            assert abs(alpha_permanent(a, 1.0) - permanent(a)) <= 1e-12 * scale
+            assert abs(alpha_permanent(a, -1.0) - (-1) ** n * np.linalg.det(a)) <= 1e-12 * scale
+
+
 def test_alpha_permanent_collapses():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(4, 4))

@@ -1,5 +1,6 @@
 """Cycle space, homology classes, torus volumes, and the winding-class law."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -298,6 +299,21 @@ def test_law_table_matches_dict_law(graph):
         assert law.symmetry_defect() == oracles.symmetry_defect(want)
         assert law.captured_mass == pytest.approx(captured, abs=1e-14)
         assert all(law.prob(key) == p for key, p in want.items())
+
+
+@pytest.mark.parametrize("graph", [verify.two_point_graph(), verify.triangle_graph(),
+                                   complete4_graph()])
+def test_prob_reads_the_table(graph):
+    law = homology_distribution(build_kernel(graph), cycle_basis(graph), 1.0, 32)
+    d = law.table.ndim
+    window = list(itertools.product(range(-15, 16), repeat=d))
+    edges = [(16,) * d, (-16,) + (0,) * (d - 1), (0,) * (d + 1), (0,) * (d - 1),
+             (0.5,) + (0,) * (d - 1), (float("nan"),) * d, (float("inf"),) * d,
+             (1.0,) + (-1.0,) * (d - 1), tuple(np.arange(d, dtype=np.int64) - 1)]
+    got = [law.prob(coords) for coords in window + edges]
+    assert "probs" not in vars(law)  # the lookups left the dict view unbuilt
+    assert got == [law.probs.get(tuple(coords), 0.0) for coords in window + edges]
+    assert sum(got[:len(window)]) == pytest.approx(law.captured_mass, abs=1e-9)
 
 
 def test_grid_too_coarse():

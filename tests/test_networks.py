@@ -43,7 +43,8 @@ from loopsoup.eulerian import (
     _directed_edges,
     _layer_law,
     _poisson_series,
-    _row_keys,
+    _key_weights,
+    _sub_circulations,
 )
 from loopsoup import verify as verify_module
 from loopsoup.verify import (
@@ -245,6 +246,7 @@ def test_exact_intensity_is_typed(triangle, triangle_kernel, monkeypatch, alpha)
         raise AssertionError("work began before the intensity check")
 
     monkeypatch.setattr(eulerian, "_circulation_layers", no_work)
+    monkeypatch.setattr(eulerian, "_sub_circulations", no_work)
     monkeypatch.setattr(eulerian, "_as_modifier_array", no_work)
     for call in (
         lambda: exact_network_prob_alpha(triangle_kernel, _directed_triangle(triangle), alpha),
@@ -333,16 +335,74 @@ def test_alpha_route_on_a_wide_graph():
         exact_network_prob_alpha(kernel, Network(k6, counts * ALPHA_NETWORK_CAP), 0.5)
 
 
-def test_alpha_route_needs_the_cycles_of_its_support(triangle, triangle_kernel, monkeypatch):
-    original = eulerian._simple_cycles
+def test_sub_circulations_match_composition_filter(two_point, triangle, complete4):
+    rng = np.random.default_rng(11)
+    cases = [(two_point, 8), (triangle, 8), (complete4, 8),
+             *((random_connected_graph(rng), 6) for _ in range(4))]
+    for graph, top in cases:
+        # the oracle's layers over every directed edge in row-major order: a
+        # support's edges come in the same order, so rows up to k keep theirs
+        edges = sorted(_directed_edges(graph))
+        oracle = [np.array([net.counts for net in oracles.balanced_layer(graph, edges, m)],
+                           dtype=np.int64).reshape(-1, graph.n, graph.n)
+                  for m in range(top + 1)]
+        for net in _all_balanced_up_to(graph, top):
+            rows, sizes = _sub_circulations(net.counts)
+            assert len(sizes) == net.total + 1
+            support = np.nonzero(net.counts)
+            for layer, full in zip(np.split(rows, np.cumsum(sizes)[:-1]), oracle):
+                below = full[(full <= net.counts).all(axis=(1, 2))]
+                assert np.array_equal(layer, below[(slice(None), *support)])  # rows, order
 
-    def drop_three_cycles(*args):
-        cycles = original(*args)
-        return cycles[cycles.sum(axis=1) != 3]
 
-    monkeypatch.setattr(eulerian, "_simple_cycles", drop_three_cycles)
-    with pytest.raises(ArithmeticError):
-        exact_network_prob_alpha(triangle_kernel, _directed_triangle(triangle), 1.0)
+def test_alpha_route_needs_k_on_top(triangle, triangle_kernel, monkeypatch):
+    original = eulerian._sub_circulations
+
+    def drop_top(*args):
+        rows, sizes = original(*args)
+        return rows[:-1], np.append(sizes[:-1], sizes[-1] - 1)
+
+    def repeat_below(*args):
+        rows, sizes = original(*args)
+        return np.concatenate((rows[:-1], rows[-2:-1])), sizes
+
+    for enumeration in (drop_top, repeat_below):
+        monkeypatch.setattr(eulerian, "_sub_circulations", enumeration)
+        with pytest.raises(ArithmeticError, match="not exactly k"):
+            exact_network_prob_alpha(triangle_kernel, _directed_triangle(triangle), 1.0)
+
+
+def test_alpha_route_refuses_wide_keys_and_boxes(two_point, monkeypatch):
+    # K5 crossed once each way on every edge: 20 edges at |k| = 20 need
+    # 11^20 > 2^63 keys, refused before the box is grown
+    k5 = _complete_graph(5, 1.0)
+    wide = Network(k5, 1 - np.eye(5, dtype=np.int64))
+    original = eulerian._sub_circulations
+
+    def no_work(*args):
+        raise AssertionError("the box was grown before the key check")
+
+    monkeypatch.setattr(eulerian, "_sub_circulations", no_work)
+    with pytest.raises(TooLarge, match="int64"):
+        exact_network_prob_alpha(build_kernel(k5), wide, 0.5)
+    monkeypatch.setattr(eulerian, "_sub_circulations", original)
+    # three round trips: the second edge's step holds 4 x 4 rows of width 2 + 2
+    kernel, net = build_kernel(two_point), _two_point_net(two_point, 3)
+    monkeypatch.setattr(eulerian, "LAYER_CAP", 64)
+    exact_network_prob_alpha(kernel, net, 0.5)
+    monkeypatch.setattr(eulerian, "LAYER_CAP", 63)
+    with pytest.raises(TooLarge, match="would hold"):
+        exact_network_prob_alpha(kernel, net, 0.5)
+
+
+def test_alpha_route_matches_factorial_route_on_random_networks():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        graph = random_connected_graph(rng)
+        kernel = build_kernel(graph)
+        net = random_eulerian_network(graph, rng)
+        assert exact_network_prob_alpha(kernel, net, 1.0) == pytest.approx(
+            exact_network_prob_alpha1(kernel, net), rel=1e-12, abs=0.0)
 
 
 # -------------------------------------------------------------- enumeration
@@ -448,10 +508,10 @@ def test_convolution_keys_stay_exact():
     rows = rng.integers(0, 8, size=(64, 20))
     rows[0] = 7
     exact = [int("".join(str(d) for d in row), 8) for row in rows.tolist()]
-    assert _row_keys([rows], 15)[0].tolist() == exact
+    assert (rows @ _key_weights(20, 15)).tolist() == exact
     assert exact[0] == 8**20 - 1
     with pytest.raises(TooLarge):
-        _row_keys([rows], 16)
+        _key_weights(20, 16)
     # K6 has 30 directed edges; its enumeration to 1e-3 does not fit
     with pytest.raises(TooLarge):
         verify_poisson_convolution(build_kernel(_complete_graph(6, 6.0)), 1e-3)
@@ -538,7 +598,7 @@ def test_poisson_series_matches_power_sums(graph, top):
     edges = _directed_edges(graph)
     layers = [np.zeros((1, len(edges)), dtype=np.int64)]
     layers += islice(_circulation_layers(graph, edges), top)
-    keys = _row_keys(layers, top)
+    keys = [rows @ _key_weights(len(edges), top) for rows in layers]
     mu = [_layer_law(kernel, edges, rows, _count_matrices(graph.n, edges, rows))[1]
           for rows in layers]
     for alpha in (0.5, 1.0, 2.0):
