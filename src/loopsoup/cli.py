@@ -220,8 +220,8 @@ def _cmd_exact_network(args) -> tuple:
     result = {"counts": net.counts.tolist(), "alpha": args.alpha}
     if args.alpha == 1.0:
         result["probability"] = eulerian.exact_network_prob_alpha1(kernel, net)
-        # the alpha = 1 cross-check by the loop-measure Poisson series; the key
-        # keeps the name of the permutation sum it replaced
+        # the alpha = 1 cross-check by the cycle-cover power recurrence; the
+        # key keeps the name of the permutation sum it replaced
         if net.total <= eulerian.ALPHA_NETWORK_CAP:
             result["probability_permutation_route"] = eulerian.exact_network_prob_alpha(
                 kernel, net, 1.0)

@@ -4,10 +4,10 @@ The crossing-count matrix N of a loop ensemble at intensity alpha has a fully
 computable law on a transient chain:
 
   * moment generating functional  E[prod Z^N] = [det(I-P^Z)/det(I-P)]^(-alpha)
-  * pointwise probabilities, two independent routes: the loop-measure
-    Poisson series det(I-P)^alpha sum_j alpha^j/j! mu^(*j)(k) over the
-    sub-circulations of k for general alpha, and a factorial formula at
-    alpha = 1
+  * pointwise probabilities, two independent routes: the coefficient
+    det(I-P)^alpha [z^k] det(I-P^Z)^(-alpha) for general alpha, by a power
+    recurrence over the cycle covers of the determinant and the
+    sub-circulations of k, and a factorial formula at alpha = 1
   * the one-loop measure mu(k) via arborescence counts, whose Poisson
     exponential also reconstructs the alpha = 1 law layer by layer
   * rooted tour counts of a network (arborescences times factorials)
@@ -357,7 +357,8 @@ def _poisson_series(keys, mu, alpha: float) -> list:
     """F = sum_j alpha^j / j! mu^(*j), the loop-measure Poisson series, on a
     support held layer by layer: keys[m] are the sorted additive keys of the
     networks of total m (layer 0 holds the zero network) and mu[m] their
-    one-loop measures (mu[0] is not read).
+    one-loop measures (mu[0] is not read).  It serves check 10 and
+    verify_poisson_convolution, which rebuild the alpha = 1 law from mu.
 
     F = exp(alpha mu) obeys |m| F(m) = alpha sum over nonzero j <= m of
     |j| mu(j) F(m - j), J.C.P. Miller's power recurrence (Henrici, Applied
@@ -391,16 +392,48 @@ def _poisson_series(keys, mu, alpha: float) -> list:
     return series
 
 
-def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> float:
-    """P(N = k) at general alpha: det(I-P)^alpha sum_j alpha^j / j! mu^(*j)(k).
+def _cycle_covers(kernel: ChainKernel, edges) -> tuple:
+    """Edge rows over the given directed edges and coefficients of the
+    nonconstant monomials of det(I - P^Z) restricted to those edges.
 
-    At intensity alpha the crossing network is a Poisson superposition of
-    one-loop networks of intensity alpha mu, so only the sub-circulations of
-    k enter the series: the box of count vectors up to k over k's support
-    edges, keyed over those edges alone, their loop measures from one
-    layer-law call.  Raises BadIntensity unless alpha is finite and above 0,
-    TooLarge past ALPHA_NETWORK_CAP = 27 (K4 networks: <= 1 s), for keys
-    past int64 or a box step past LAYER_CAP counts.
+    A term of the determinant takes one entry per row, so each monomial is a
+    collection C of vertex-disjoint simple directed cycles, with coefficient
+    (-1)^|C| prod_{e in C} P_e (Zeilberger, "A combinatorial approach to
+    matrix algebra", Discrete Math. 56, 1985); disjoint cycles share no edge,
+    so every row is 0/1.
+    """
+    cycles = _simple_cycles(kernel.graph, edges).tolist()
+    weight = [kernel.P[x, y] for x, y in edges]
+    vertex_sets = [sum(1 << x for (x, _), c in zip(edges, row) if c) for row in cycles]
+    cycle_coef = [-math.prod(p for p, c in zip(weight, row) if c) for row in cycles]
+    rows, coefs = [], []
+
+    def grow(first: int, used: int, row: list, coef: float) -> None:
+        for i in range(first, len(cycles)):
+            if not vertex_sets[i] & used:
+                rows.append([a + b for a, b in zip(row, cycles[i])])
+                coefs.append(coef * cycle_coef[i])
+                grow(i + 1, used | vertex_sets[i], rows[-1], coefs[-1])
+
+    grow(0, 0, [0] * len(edges), 1.0)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(edges)), np.array(coefs)
+
+
+def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> float:
+    """P(N = k) at general alpha: det(I-P)^alpha [z^k] det(I - P^Z)^(-alpha),
+    the coefficient of the paper's generating function.
+
+    F = D^(-alpha) for D(z) = det(I - P^Z) obeys J.C.P. Miller's power
+    recurrence |r| F(r) = -sum over nonzero monomials m <= r of D_m (|r| -
+    |m| + alpha |m|) F(r - m) (Henrici, Applied and Computational Complex
+    Analysis I, 1.6), so only the sub-circulations r of k enter: the box of
+    count vectors up to k over k's support edges, filled layer by layer in
+    increasing total, and D's monomials over those edges, its cycle covers.
+    Each r - m with r >= m digit by digit is found by its additive key.
+    Raises BadIntensity unless alpha is finite and above 0, TooLarge past
+    ALPHA_NETWORK_CAP = 27 (K4 networks at the cap: about 0.03 s), for keys
+    past int64 or a box step past LAYER_CAP counts, all before the cover
+    search.
     """
     _check_alpha(alpha)
     if not k.is_eulerian():
@@ -414,10 +447,26 @@ def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> f
     rows, sizes = _sub_circulations(k.counts)
     if sizes[-1] != 1 or not np.array_equal(rows[-1], k.counts[k.counts > 0]):
         raise ArithmeticError("the sub-circulations of total |k| are not exactly k")
-    _, mu = _layer_law(kernel, edges, rows, _count_matrices(kernel.n, edges, rows))
-    bounds = np.cumsum(sizes)[:-1]
-    series = _poisson_series(np.split(rows @ weights, bounds), np.split(mu, bounds), alpha)
-    return float(kernel.det_i_minus_p**alpha * series[-1][0])
+    covers, coef = _cycle_covers(kernel, edges)
+    # covers are 0/1, so r >= m digit by digit when r's support bits hold m's
+    bits = 1 << np.arange(len(edges), dtype=np.int64)
+    cover_bits = covers @ bits
+    r, m = np.nonzero(((rows > 0) @ bits)[:, None] & cover_bits == cover_bits)
+    keys, size, total = rows @ weights, covers.sum(axis=1)[m], rows.sum(axis=1)[r]
+    order = np.argsort(keys)
+    below = order[keys[order].searchsorted(keys[r] - (covers @ weights)[m])]
+    factor = coef[m] * (total - size + alpha * size) / -total
+    bounds = np.cumsum(sizes).tolist()
+    pair_bounds = r.searchsorted(bounds).tolist()
+    series = np.zeros(len(rows))
+    series[0] = 1.0
+    # np.nonzero lists the pairs by row, so each layer's pairs form one run
+    for layer in range(2, len(sizes)):
+        lo, hi = pair_bounds[layer - 1], pair_bounds[layer]
+        series[bounds[layer - 1]:bounds[layer]] = np.bincount(
+            r[lo:hi] - bounds[layer - 1], weights=factor[lo:hi] * series[below[lo:hi]],
+            minlength=sizes[layer])
+    return float(kernel.det_i_minus_p**alpha * series[-1])
 
 
 def verify_poisson_convolution(kernel: ChainKernel, delta: float):

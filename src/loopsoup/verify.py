@@ -188,9 +188,10 @@ def check_negative_binomial(histograms: dict) -> TestReport:
 
 
 def check_alpha_routes_agree() -> TestReport:
-    """The general-alpha network law at intensity one, the loop-measure
-    Poisson series over the sub-circulations of each network, equals the
-    factorial closed form on every balanced network up to the size cap."""
+    """The general-alpha network law at intensity one, the power recurrence
+    over the cycle covers of det(I - P^Z) and the sub-circulations of each
+    network, equals the factorial closed form on every balanced network up
+    to the size cap."""
     report = TestReport(name="network-law-routes", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 3, "max_total": ROUTES_MAX_TOTAL})
     for label, graph in (("two-point", two_point_graph()), ("triangle", triangle_graph())):

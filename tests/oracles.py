@@ -5,8 +5,9 @@ the cycle basis (one tree search per cycle) and of check 10 (sums over the
 enumerated networks, each graph enumerated twice), and the earlier forms of
 the Monte Carlo block kernels, of the scalar chain step, of the reductions
 over a run and over one ensemble's loops, of the Poisson series (one
-convolution power at a time) and of the homology law (one determinant per
-grid point, held as a dict).
+convolution power at a time), of the general-alpha network law (the
+loop-measure Poisson series over the sub-circulations of the network) and of
+the homology law (one determinant per grid point, held as a dict).
 
 Each exact reference enumerates everything it sums over, so they are slow
 and only fit small inputs; the tests compare the fast kernels against them.
@@ -35,7 +36,15 @@ from loopsoup import (
     verify_poisson_convolution,
 )
 from loopsoup.errors import _check_alpha
-from loopsoup.eulerian import CONVOLUTION_CHUNK, _ratio_power
+from loopsoup.eulerian import (
+    CONVOLUTION_CHUNK,
+    _count_matrices,
+    _key_weights,
+    _layer_law,
+    _poisson_series,
+    _ratio_power,
+    _sub_circulations,
+)
 from loopsoup.homology import CycleBasis
 from loopsoup.reports import CONVENTIONS
 from loopsoup.soup import LoopBlock, LoopGroup, _concat, _matrix_powers
@@ -221,6 +230,21 @@ def network_prob_alpha(kernel, k, alpha: float) -> float:
     for x, y in zip(*np.nonzero(counts)):
         weight *= kernel.P[x, y] ** int(counts[x, y])
     return float(kernel.det_i_minus_p**alpha * weight)
+
+
+def network_prob_alpha_mu_series(kernel, k, alpha: float) -> float:
+    """P(N = k) at intensity alpha as det(I-P)^alpha sum_j alpha^j / j!
+    mu^(*j)(k): at intensity alpha the crossing network is a Poisson
+    superposition of one-loop networks, so only the sub-circulations of k
+    enter, each with its loop measure from the layer law, and the series
+    runs on the keyed recurrence over k's support edges."""
+    edges = [(int(x), int(y)) for x, y in zip(*np.nonzero(k.counts))]
+    weights = _key_weights(len(edges), k.total)
+    rows, sizes = _sub_circulations(k.counts)
+    _, mu = _layer_law(kernel, edges, rows, _count_matrices(kernel.n, edges, rows))
+    bounds = np.cumsum(sizes)[:-1]
+    series = _poisson_series(np.split(rows @ weights, bounds), np.split(mu, bounds), alpha)
+    return float(kernel.det_i_minus_p**alpha * series[-1][0])
 
 
 def arborescences(k, root: int) -> int:

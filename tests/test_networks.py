@@ -247,6 +247,7 @@ def test_exact_intensity_is_typed(triangle, triangle_kernel, monkeypatch, alpha)
 
     monkeypatch.setattr(eulerian, "_circulation_layers", no_work)
     monkeypatch.setattr(eulerian, "_sub_circulations", no_work)
+    monkeypatch.setattr(eulerian, "_cycle_covers", no_work)
     monkeypatch.setattr(eulerian, "_as_modifier_array", no_work)
     for call in (
         lambda: exact_network_prob_alpha(triangle_kernel, _directed_triangle(triangle), alpha),
@@ -301,12 +302,13 @@ def test_alpha_route_at_the_cap(triangle, triangle_kernel):
 
 
 def _assert_alpha_route_matches_oracle(graph, max_total):
+    # the cycle-cover route against the permutation sum and the mu series
     kernel = build_kernel(graph)
     for net in _all_balanced_up_to(graph, max_total):
         for alpha in (0.5, 1.0, 2.0):
-            want = oracles.network_prob_alpha(kernel, net, alpha)
             got = exact_network_prob_alpha(kernel, net, alpha)
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            for oracle in (oracles.network_prob_alpha, oracles.network_prob_alpha_mu_series):
+                assert got == pytest.approx(oracle(kernel, net, alpha), rel=1e-12, abs=0.0)
 
 
 def test_alpha_route_matches_permutation_sum(two_point, triangle, path3, complete4):
@@ -315,6 +317,44 @@ def test_alpha_route_matches_permutation_sum(two_point, triangle, path3, complet
     rng = np.random.default_rng(11)
     for graph in (path3, complete4, *(random_connected_graph(rng) for _ in range(4))):
         _assert_alpha_route_matches_oracle(graph, 6)
+
+
+def _killed_at_first_vertex(graph, killing):
+    edges = [(graph.vertices[i], graph.vertices[j], float(graph.conductance[i, j]))
+             for i, j in graph.edge_pairs]
+    return WeightedGraph.build(graph.vertices, edges, {graph.vertices[0]: killing})
+
+
+@pytest.mark.parametrize("killing", [1.0, 1e-2, 1e-4])
+def test_alpha_route_under_weak_killing(two_point, triangle, path3, complete4, killing):
+    # weak killing takes det(I - P) toward 0, so the signed cover
+    # coefficients, which sum to it, would cancel there first
+    rng = np.random.default_rng(11)
+    for graph in (two_point, triangle, path3, complete4,
+                  *(random_connected_graph(rng) for _ in range(4))):
+        graph = _killed_at_first_vertex(graph, killing)
+        _assert_alpha_route_matches_oracle(graph, 6)
+        kernel = build_kernel(graph)
+        for alpha in (0.5, 1.0, 2.0):
+            assert exact_network_prob_alpha(kernel, Network.zeros(graph), alpha) == (
+                kernel.det_i_minus_p**alpha)
+
+
+def test_oracles_catch_dropped_multi_cycle_covers(complete4, monkeypatch):
+    # two-point and the triangle carry no two vertex-disjoint cycles, so
+    # check 3 never meets a cover of two or more cycles; K4 does
+    original = eulerian._cycle_covers
+
+    def single_cycles_only(kernel, edges):
+        covers, coef = original(kernel, edges)
+        cycles = eulerian._simple_cycles(kernel.graph, edges)
+        single = (covers[:, None, :] == cycles[None]).all(axis=2).any(axis=1)
+        return covers[single], coef[single]
+
+    monkeypatch.setattr(eulerian, "_cycle_covers", single_cycles_only)
+    assert verify_module.check_alpha_routes_agree().passed
+    with pytest.raises(AssertionError):
+        _assert_alpha_route_matches_oracle(complete4, 6)
 
 
 def test_alpha_route_on_a_wide_graph():
@@ -366,6 +406,10 @@ def test_alpha_route_needs_k_on_top(triangle, triangle_kernel, monkeypatch):
         rows, sizes = original(*args)
         return np.concatenate((rows[:-1], rows[-2:-1])), sizes
 
+    def no_work(*args):
+        raise AssertionError("the cover search began before the top check")
+
+    monkeypatch.setattr(eulerian, "_cycle_covers", no_work)
     for enumeration in (drop_top, repeat_below):
         monkeypatch.setattr(eulerian, "_sub_circulations", enumeration)
         with pytest.raises(ArithmeticError, match="not exactly k"):
@@ -379,17 +423,22 @@ def test_alpha_route_refuses_wide_keys_and_boxes(two_point, monkeypatch):
     wide = Network(k5, 1 - np.eye(5, dtype=np.int64))
     original = eulerian._sub_circulations
 
+    covers = eulerian._cycle_covers
+
     def no_work(*args):
-        raise AssertionError("the box was grown before the key check")
+        raise AssertionError("the box was grown or the covers searched before the key check")
 
     monkeypatch.setattr(eulerian, "_sub_circulations", no_work)
+    monkeypatch.setattr(eulerian, "_cycle_covers", no_work)
     with pytest.raises(TooLarge, match="int64"):
         exact_network_prob_alpha(build_kernel(k5), wide, 0.5)
     monkeypatch.setattr(eulerian, "_sub_circulations", original)
     # three round trips: the second edge's step holds 4 x 4 rows of width 2 + 2
     kernel, net = build_kernel(two_point), _two_point_net(two_point, 3)
+    monkeypatch.setattr(eulerian, "_cycle_covers", covers)
     monkeypatch.setattr(eulerian, "LAYER_CAP", 64)
     exact_network_prob_alpha(kernel, net, 0.5)
+    monkeypatch.setattr(eulerian, "_cycle_covers", no_work)
     monkeypatch.setattr(eulerian, "LAYER_CAP", 63)
     with pytest.raises(TooLarge, match="would hold"):
         exact_network_prob_alpha(kernel, net, 0.5)

@@ -1,7 +1,7 @@
 """The battery must fail when a known defect is planted.
 
-Each test patches one sampler (direct, cycle popping or excursions) or the
-exact network enumeration, reruns the full battery at the acceptance size
+Each test patches one sampler (direct, cycle popping or excursions), the
+exact network enumeration or the cycle covers of the network law, reruns the full battery at the acceptance size
 and seed, and asserts that the checks reading the patched code catch the
 defect while the checks that never touch it still pass.
 """
@@ -56,7 +56,20 @@ def test_dropped_three_cycles_fail_the_exact_check(monkeypatch):
         return cycles[cycles.sum(axis=1) != 3]
 
     failing = _failing_checks(monkeypatch, drop_three_cycles, eulerian, "_simple_cycles")
-    assert 10 in failing
+    assert {3, 10} <= failing  # the cover search and the enumeration both read the cycles
+    assert not failing & MONTE_CARLO
+
+
+def test_dropped_two_cycle_covers_fail_the_route_check(monkeypatch):
+    original = eulerian._cycle_covers
+
+    def drop_two_cycles(*args, **kwargs):
+        covers, coef = original(*args, **kwargs)
+        kept = covers.sum(axis=1) != 2
+        return covers[kept], coef[kept]
+
+    failing = _failing_checks(monkeypatch, drop_two_cycles, eulerian, "_cycle_covers")
+    assert 3 in failing
     assert not failing & MONTE_CARLO
 
 

@@ -57,7 +57,7 @@ EXCURSIONS = {  # (graph, start vertex x0, stopping local time rho)
         "e24a196e60dd48f87f6f82d6f5942ddf9170ca98ea03fc7aa1573ebfd22d7419",
 }
 BATTERY_REPLICAS = 20_000
-BATTERY = "0cb1a0f425285e123eec023b1d78538f45654c58352702258a131e316a460fdf"
+BATTERY = "4e5ec76636507d9271530413a1854eb21ee614539344b8b08a46c0fbf00bb9e3"
 
 
 def three_neighbours_graph() -> WeightedGraph:
