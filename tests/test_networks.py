@@ -421,9 +421,7 @@ def test_alpha_route_refuses_wide_keys_and_boxes(two_point, monkeypatch):
     # 11^20 > 2^63 keys, refused before the box is grown
     k5 = _complete_graph(5, 1.0)
     wide = Network(k5, 1 - np.eye(5, dtype=np.int64))
-    original = eulerian._sub_circulations
-
-    covers = eulerian._cycle_covers
+    original, original_covers = eulerian._sub_circulations, eulerian._cycle_covers
 
     def no_work(*args):
         raise AssertionError("the box was grown or the covers searched before the key check")
@@ -435,7 +433,7 @@ def test_alpha_route_refuses_wide_keys_and_boxes(two_point, monkeypatch):
     monkeypatch.setattr(eulerian, "_sub_circulations", original)
     # three round trips: the second edge's step holds 4 x 4 rows of width 2 + 2
     kernel, net = build_kernel(two_point), _two_point_net(two_point, 3)
-    monkeypatch.setattr(eulerian, "_cycle_covers", covers)
+    monkeypatch.setattr(eulerian, "_cycle_covers", original_covers)
     monkeypatch.setattr(eulerian, "LAYER_CAP", 64)
     exact_network_prob_alpha(kernel, net, 0.5)
     monkeypatch.setattr(eulerian, "_cycle_covers", no_work)

@@ -1,9 +1,10 @@
 """The battery must fail when a known defect is planted.
 
 Each test patches one sampler (direct, cycle popping or excursions), the
-exact network enumeration or the cycle covers of the network law, reruns the full battery at the acceptance size
-and seed, and asserts that the checks reading the patched code catch the
-defect while the checks that never touch it still pass.
+exact network enumeration or the cycle covers of the network law, reruns
+the full battery at the acceptance size and seed, and asserts that the
+checks reading the patched code catch the defect while the checks that never
+touch it still pass.
 """
 
 import numpy as np
