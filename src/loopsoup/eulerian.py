@@ -40,7 +40,7 @@ from .errors import (
 )
 from .exact import _arborescence_counts
 from .graphs import ChainKernel
-from .network import Network
+from .network import Network, _row_codes
 
 ALPHA_NETWORK_CAP = 27
 ENUMERATION_CAP = 20
@@ -160,21 +160,16 @@ def _simple_cycles(graph, edges) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(edges))
 
 
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Distinct rows in lexicographic order (first column most significant)."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[fresh]
-
-
 def _circulation_layers(graph, edges):
     """Yield every balanced nonnegative count vector over the directed edges,
     layer m = 1, 2, ... of total m at a time, rows in lexicographic order.
 
     A nonzero nonnegative circulation contains a simple directed cycle in its
     support, and removing that cycle leaves a smaller one.  So layer m is
-    exactly the set of sums (layer m - L) + (simple cycle of length L).
+    exactly the set of sums (layer m - L) + (simple cycle of length L).  The
+    sums are deduplicated by their row codes, which sort like the rows and
+    are ranked rather than overflow on wide layers; the LAYER_CAP check comes
+    before any sum is built.  It serves _enumerate_layers and check 3.
     """
     cycles = _simple_cycles(graph, edges)
     lengths = cycles.sum(axis=1)
@@ -189,7 +184,11 @@ def _circulation_layers(graph, edges):
             raise TooLarge(f"layer {m} would build {entries} > {LAYER_CAP} candidate counts")
         parts = [(base[:, None, :] + group[None, :, :]).reshape(-1, len(edges))
                  for base, group in sources]
-        rows = _unique_rows(np.concatenate(parts)) if parts else layers[0][:0]
+        if parts:
+            candidates = np.concatenate(parts)
+            rows = candidates[np.unique(_row_codes(candidates), return_index=True)[1]]
+        else:
+            rows = layers[0][:0]
         layers.append(rows)
         yield rows
 
@@ -226,23 +225,31 @@ def _count_matrices(n: int, edges, rows: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _layer_law(kernel: ChainKernel, edges, rows: np.ndarray, counts: np.ndarray):
-    """alpha = 1 probability det(I-P) prod_x k_x! prod P^k / k! and one-loop
-    measure tau(k) prod_x (k_x - 1)! prod P^k / k! of every balanced network
-    of a stack of edge-count rows over the directed edges, with their count
-    matrices; tau counts the arborescences toward k's first support vertex.
-    mu_network_measure is its one-row view; exact_network_prob_alpha1 keeps
-    a scalar probability."""
+def _row_terms(kernel: ChainKernel, edges, rows: np.ndarray) -> tuple:
+    """The terms both network laws read, for a stack of edge-count rows over
+    the directed edges: log prod_{xy} P^k / k! of each row, its out-degrees,
+    and the table of log c! up to the largest out-degree (no count exceeds
+    its source's out-degree)."""
     src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    out_deg = counts.sum(axis=2)
-    top = int(rows.sum(axis=1).max(initial=0))
-    log_fact = np.array([math.lgamma(c + 1) for c in range(top + 1)])
-    # log of prod_{xy} P^k / k!, shared by both laws
-    log_weight = rows @ np.log(kernel.P[src, dst]) - log_fact[rows].sum(axis=1)
-    prob = kernel.det_i_minus_p * np.exp(log_weight + log_fact[out_deg].sum(axis=1))
+    out_deg = rows @ (src[:, None] == np.arange(kernel.n))
+    log_fact = np.array([math.lgamma(c + 1) for c in range(int(out_deg.max(initial=0)) + 1)])
+    return rows @ np.log(kernel.P[src, dst]) - log_fact[rows].sum(axis=1), out_deg, log_fact
+
+
+def _alpha1_law(kernel: ChainKernel, log_weight, out_deg, log_fact) -> np.ndarray:
+    """alpha = 1 probability det(I-P) prod_x k_x! prod P^k / k! of every
+    balanced network of a stack, from its _row_terms.
+    exact_network_prob_alpha1 keeps a scalar form of it."""
+    return kernel.det_i_minus_p * np.exp(log_weight + log_fact[out_deg].sum(axis=1))
+
+
+def _loop_measure(counts: np.ndarray, log_weight, out_deg, log_fact) -> np.ndarray:
+    """One-loop measure tau(k) prod_x (k_x - 1)! prod P^k / k! of every
+    nonzero balanced network of a stack, from its count matrices and its
+    _row_terms; tau counts the arborescences toward k's first support
+    vertex, by one stacked determinant call."""
     tau = _arborescence_counts(counts, np.argmax(out_deg > 0, axis=1))
-    mu = tau * np.exp(log_weight + log_fact[np.maximum(out_deg - 1, 0)].sum(axis=1))
-    return prob, mu
+    return tau * np.exp(log_weight + log_fact[np.maximum(out_deg - 1, 0)].sum(axis=1))
 
 
 class NetworkLawEntry(NamedTuple):
@@ -258,25 +265,38 @@ def _check_delta(delta: float) -> None:
 
 def _enumerate_layers(kernel: ChainKernel, delta: float) -> list:
     """(rows, count matrices, probability, mu) of each layer 0, 1, ..., M of
-    enumerate_eulerian; layer 0 holds the zero network."""
+    enumerate_eulerian; layer 0 holds the zero network, whose mu is 0.
+
+    Each layer's row terms and alpha = 1 probabilities come as the layer is
+    added, since the running sum of the probabilities decides when to stop.
+    Then the count matrices come once for the rows of all layers, and the
+    loop measure from those and the layers' row terms, in one stacked
+    determinant call; both are split back by layer.  The stacked minors are
+    a float temporary the size of the count matrices returned."""
     _check_delta(delta)
     edges = _directed_edges(kernel.graph)
-    layers = [(np.zeros((1, len(edges)), dtype=np.int64),
-               np.zeros((1, kernel.n, kernel.n), dtype=np.int64),
-               np.array([kernel.det_i_minus_p]), np.zeros(1))]
+    rows = [np.zeros((1, len(edges)), dtype=np.int64)]
+    terms = [_row_terms(kernel, edges, rows[0])]
+    probs = [np.array([kernel.det_i_minus_p])]
     accum = kernel.det_i_minus_p
     grow = _circulation_layers(kernel.graph, edges)
     while accum < 1.0 - delta:
-        if len(layers) > ENUMERATION_CAP:
+        if len(rows) > ENUMERATION_CAP:
             raise BudgetExceeded(
                 f"accumulated probability {accum:.6g} < 1 - {delta:g} at |k| = {ENUMERATION_CAP}"
             )
-        rows = next(grow)
-        counts = _count_matrices(kernel.n, edges, rows)
-        prob, mu = _layer_law(kernel, edges, rows, counts)
-        layers.append((rows, counts, prob, mu))
-        accum += float(prob.sum())
-    return layers
+        rows.append(next(grow))
+        terms.append(_row_terms(kernel, edges, rows[-1]))
+        probs.append(_alpha1_law(kernel, *terms[-1]))
+        accum += float(probs[-1].sum())
+    counts = _count_matrices(kernel.n, edges, np.concatenate(rows))
+    log_weight, out_deg, log_facts = zip(*terms)
+    log_weight, out_deg = np.concatenate(log_weight), np.concatenate(out_deg)
+    mu = np.zeros(len(counts))
+    # every log-factorial table is a prefix of the longest
+    mu[1:] = _loop_measure(counts[1:], log_weight[1:], out_deg[1:], max(log_facts, key=len))
+    bounds = np.cumsum([len(r) for r in rows[:-1]])
+    return list(zip(rows, np.split(counts, bounds), probs, np.split(mu, bounds)))
 
 
 def enumerate_eulerian(kernel: ChainKernel, delta: float) -> list:
@@ -285,16 +305,18 @@ def enumerate_eulerian(kernel: ChainKernel, delta: float) -> list:
 
     Complete layers matter: they make truncated convolutions exact on the
     retained support.  Each layer grows from smaller ones by simple directed
-    cycles, its probabilities and loop measures come from array kernels, and
-    its count matrices are checked as one stack.
+    cycles, deduplicated by row code; its probabilities come from array
+    kernels as it is added, and after the stop rule the loop measures of all
+    layers come from one stacked determinant call and all the count matrices
+    are checked as one Network.stack.
     Raises BudgetExceeded if |k| would pass 20, TooLarge if one layer would
     build more than LAYER_CAP candidate counts.
     """
-    return [
-        NetworkLawEntry(net, p, m)
-        for _, counts, prob, mu in _enumerate_layers(kernel, delta)
-        for net, p, m in zip(Network.stack(kernel.graph, counts), prob.tolist(), mu.tolist())
-    ]
+    layers = _enumerate_layers(kernel, delta)
+    nets = Network.stack(kernel.graph, np.concatenate([counts for _, counts, _, _ in layers]))
+    probs = np.concatenate([prob for _, _, prob, _ in layers]).tolist()
+    mus = np.concatenate([mu for _, _, _, mu in layers]).tolist()
+    return [NetworkLawEntry(*entry) for entry in zip(nets, probs, mus)]
 
 
 def best_tour_count(k: Network) -> int:
@@ -321,7 +343,7 @@ def best_tour_count(k: Network) -> int:
 
 def mu_network_measure(kernel: ChainKernel, k: Network) -> float:
     """One-loop measure of a network: tau(k) prod_x (k_x-1)! prod_{xy} P^k / k!,
-    the row of _layer_law over the network's own nonzero edges.
+    the row of _loop_measure over the network's own nonzero edges.
 
     Zero when the support is disconnected (a single loop cannot split).
     """
@@ -329,8 +351,8 @@ def mu_network_measure(kernel: ChainKernel, k: Network) -> float:
         raise ZeroNetwork("the zero network carries no loop measure")
     if not k.is_eulerian():
         raise NotEulerian("network is not balanced")
-    _, mu = _layer_law(kernel, np.argwhere(k.counts), k.counts[k.counts > 0][None], k.counts[None])
-    return float(mu[0])
+    terms = _row_terms(kernel, np.argwhere(k.counts), k.counts[k.counts > 0][None])
+    return float(_loop_measure(k.counts[None], *terms)[0])
 
 
 def _key_weights(n_edges: int, max_total: int) -> np.ndarray:

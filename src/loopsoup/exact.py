@@ -149,12 +149,13 @@ def _arborescence_counts(counts: np.ndarray, roots: np.ndarray) -> np.ndarray:
     keeps every vertex a crossing touches, in or out, except the root; each
     struck vertex gets a unit row.  A root off the support leaves the whole
     support Laplacian, whose rows sum to zero: count 0."""
-    n = counts.shape[1]
-    out_deg = counts.sum(axis=2)
-    keep = (out_deg + counts.sum(axis=1) > 0) & (np.arange(n) != roots[:, None])
-    eye = np.eye(n)
+    diag = np.arange(counts.shape[1])
+    # einsum sums the short axes of a tall stack several times faster than sum
+    out_deg = np.einsum("rxy->rx", counts)
+    keep = (out_deg + np.einsum("ryx->rx", counts) > 0) & (diag != roots[:, None])
     # Laplacian for arborescences toward the root: out-degree on the diagonal
-    lap = np.where(keep[:, :, None], out_deg[:, :, None] * eye - counts, eye)
+    lap = np.where(keep[:, :, None], 0.0 - counts, 0.0)
+    lap[:, diag, diag] += np.where(keep, out_deg, 1.0)
     val = np.linalg.det(lap)
     tau = np.rint(val)
     if (np.abs(val - tau) > 1e-6 * np.maximum(1.0, np.abs(val))).any():

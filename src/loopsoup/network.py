@@ -47,6 +47,31 @@ def _checked_counts(graph: WeightedGraph, counts) -> np.ndarray:
     return counts
 
 
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """One int64 code per row of a 2-d integer array, ordered like the rows
+    lexicographically: the columns are folded into a mixed-radix code, and
+    the codes are replaced by their ranks only when the next column would
+    take them past 2^63.  Equal codes mean equal rows, so one sort of the
+    codes keys the sample histograms (soup._key_counts and
+    soup.network_histogram) and dedups the enumerated circulation layers
+    (eulerian._circulation_layers)."""
+    code = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # every code lies in [0, bound)
+    for col in rows.T:
+        # one max per column: on the tall, narrow blocks of the histograms a
+        # single max over axis 0, or over a transposed copy, is slower
+        top = int(col.max(initial=0))
+        if not top:
+            continue
+        if bound * (top + 1) > 1 << 63:
+            ranked, code = np.unique(code, return_inverse=True)
+            bound = len(ranked)
+        code *= top + 1
+        code += col
+        bound *= top + 1
+    return code
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
     """Nonnegative integer crossing counts on the directed edges of a graph.

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import BadIntensity, UnknownSampler, _check_alpha
 from .graphs import ChainKernel, WeightedGraph
-from .network import Network
+from .network import Network, _row_codes
 from .rng import DRAW_CAP, replica_map, seeded_rng
 
 
@@ -482,25 +482,6 @@ class Histogram(Counter):
     def __init__(self, counts=(), diagnostics=None):
         super().__init__(counts)
         self.diagnostics = dict(diagnostics or {})
-
-
-def _row_codes(rows: np.ndarray) -> np.ndarray:
-    """One int64 code per row of a 2-d integer array, ordered like the rows
-    lexicographically: the columns are folded into a mixed-radix code, and
-    the codes are replaced by their ranks only when the next column would
-    take them past 2^63."""
-    code = np.zeros(len(rows), dtype=np.int64)
-    bound = 1  # every code lies in [0, bound)
-    for col in rows.T:
-        top = int(col.max(initial=0))
-        if not top:
-            continue
-        if bound * (top + 1) > 1 << 63:
-            ranked, code = np.unique(code, return_inverse=True)
-            bound = len(ranked)
-        code = code * (top + 1) + col
-        bound *= top + 1
-    return code
 
 
 def _key_counts(counts: np.ndarray) -> tuple:

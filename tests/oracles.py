@@ -1,8 +1,10 @@
 """Brute-force references for the exact array kernels, the scalar forms of
 the matrix-tree count, the one-loop measure and the loop-length law, a
 search for the connectivity of a network's support, the earlier forms of
-the cycle basis (one tree search per cycle) and of check 10 (sums over the
-enumerated networks, each graph enumerated twice), and the earlier forms of
+the cycle basis (one tree search per cycle), of the layer enumeration (a
+lexsort dedup, and each layer's probability and loop measure from one call
+of its own) and of check 10 (sums over the enumerated networks, each graph
+enumerated twice), and the earlier forms of
 the Monte Carlo block kernels, of the scalar chain step, of the reductions
 over a run and over one ensemble's loops, of the Poisson series (one
 convolution power at a time), of the general-alpha network law (the
@@ -31,18 +33,25 @@ from loopsoup import (
     Network,
     TailTooHeavy,
     TestReport,
+    TooLarge,
     build_kernel,
     enumerate_eulerian,
     verify_poisson_convolution,
 )
+from loopsoup import eulerian
 from loopsoup.errors import _check_alpha
 from loopsoup.eulerian import (
     CONVOLUTION_CHUNK,
+    ENUMERATION_CAP,
+    _check_delta,
     _count_matrices,
+    _directed_edges,
     _key_weights,
-    _layer_law,
+    _loop_measure,
     _poisson_series,
     _ratio_power,
+    _row_terms,
+    _simple_cycles,
     _sub_circulations,
 )
 from loopsoup.homology import CycleBasis
@@ -74,6 +83,88 @@ def balanced_layer(graph, directed_edges, m: int) -> list:
 
     rec(0, m)
     return results
+
+
+def unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Distinct rows in lexicographic order (first column most significant),
+    by one lexsort over all the columns and a comparison of neighbours."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[fresh]
+
+
+def circulation_layers(graph, edges):
+    """eulerian._circulation_layers with the rows of each layer deduplicated
+    by unique_rows instead of by row codes; it reads eulerian.LAYER_CAP when
+    it runs, so a test that lowers the cap lowers it for both."""
+    cycles = _simple_cycles(graph, edges)
+    lengths = cycles.sum(axis=1)
+    by_length = [(int(length), cycles[lengths == length]) for length in np.unique(lengths)]
+    layers = [np.zeros((1, len(edges)), dtype=np.int64)]
+    while True:
+        m = len(layers)
+        sources = [(layers[m - length], group) for length, group in by_length
+                   if length <= m and len(layers[m - length])]
+        entries = sum(len(base) * len(group) for base, group in sources) * len(edges)
+        if entries > eulerian.LAYER_CAP:
+            raise TooLarge(
+                f"layer {m} would build {entries} > {eulerian.LAYER_CAP} candidate counts")
+        parts = [(base[:, None, :] + group[None, :, :]).reshape(-1, len(edges))
+                 for base, group in sources]
+        rows = unique_rows(np.concatenate(parts)) if parts else layers[0][:0]
+        layers.append(rows)
+        yield rows
+
+
+def arborescence_counts(counts: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """exact._arborescence_counts with the Laplacian built densely, as the
+    out-degree times the identity less the counts, each struck vertex's row
+    taken from the identity, and the degrees summed by ndarray.sum."""
+    n = counts.shape[1]
+    out_deg = counts.sum(axis=2)
+    keep = (out_deg + counts.sum(axis=1) > 0) & (np.arange(n) != roots[:, None])
+    eye = np.eye(n)
+    lap = np.where(keep[:, :, None], out_deg[:, :, None] * eye - counts, eye)
+    return np.maximum(np.rint(np.linalg.det(lap)), 0.0)
+
+
+def layer_law(kernel, edges, rows: np.ndarray, counts: np.ndarray) -> tuple:
+    """alpha = 1 probability and one-loop measure of one layer's rows in one
+    call, each layer paying its own log-factorial table and determinants."""
+    src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    out_deg = counts.sum(axis=2)
+    top = int(rows.sum(axis=1).max(initial=0))
+    log_fact = np.array([math.lgamma(c + 1) for c in range(top + 1)])
+    log_weight = rows @ np.log(kernel.P[src, dst]) - log_fact[rows].sum(axis=1)
+    prob = kernel.det_i_minus_p * np.exp(log_weight + log_fact[out_deg].sum(axis=1))
+    tau = arborescence_counts(counts, np.argmax(out_deg > 0, axis=1))
+    mu = tau * np.exp(log_weight + log_fact[np.maximum(out_deg - 1, 0)].sum(axis=1))
+    return prob, mu
+
+
+def enumerate_layers(kernel, delta: float) -> list:
+    """eulerian._enumerate_layers one layer at a time: each layer's rows from
+    circulation_layers, then its count matrices, probability and mu from
+    layer_law, before the stop rule reads the layer's probability."""
+    _check_delta(delta)
+    edges = _directed_edges(kernel.graph)
+    layers = [(np.zeros((1, len(edges)), dtype=np.int64),
+               np.zeros((1, kernel.n, kernel.n), dtype=np.int64),
+               np.array([kernel.det_i_minus_p]), np.zeros(1))]
+    accum = kernel.det_i_minus_p
+    grow = circulation_layers(kernel.graph, edges)
+    while accum < 1.0 - delta:
+        if len(layers) > ENUMERATION_CAP:
+            raise BudgetExceeded(
+                f"accumulated probability {accum:.6g} < 1 - {delta:g} at |k| = {ENUMERATION_CAP}"
+            )
+        rows = next(grow)
+        counts = _count_matrices(kernel.n, edges, rows)
+        prob, mu = layer_law(kernel, edges, rows, counts)
+        layers.append((rows, counts, prob, mu))
+        accum += float(prob.sum())
+    return layers
 
 
 def _cycle_count(perm: tuple) -> int:
@@ -241,7 +332,7 @@ def network_prob_alpha_mu_series(kernel, k, alpha: float) -> float:
     edges = [(int(x), int(y)) for x, y in zip(*np.nonzero(k.counts))]
     weights = _key_weights(len(edges), k.total)
     rows, sizes = _sub_circulations(k.counts)
-    _, mu = _layer_law(kernel, edges, rows, _count_matrices(kernel.n, edges, rows))
+    mu = _loop_measure(_count_matrices(kernel.n, edges, rows), *_row_terms(kernel, edges, rows))
     bounds = np.cumsum(sizes)[:-1]
     series = _poisson_series(np.split(rows @ weights, bounds), np.split(mu, bounds), alpha)
     return float(kernel.det_i_minus_p**alpha * series[-1][0])

@@ -244,6 +244,20 @@ def test_arborescence_unbalanced_in_only_vertex(triangle, complete4):
     assert [arborescence_count(off, root) for root in range(4)] == [0, 0, 5, 0]
 
 
+def test_arborescence_counts_match_dense_laplacian(triangle, complete4):
+    # the same Laplacian bits as the dense form, so the same determinants,
+    # on balanced and unbalanced stacks, every root, the zero matrix included
+    rng = np.random.default_rng(12)
+    for graph in (triangle, complete4):
+        n = graph.n
+        counts = rng.integers(0, 4, size=(300, n, n)) * (graph.conductance > 0)
+        counts[0] = 0
+        for root in range(n):
+            roots = np.full(len(counts), root)
+            got = exact._arborescence_counts(counts, roots)
+            assert got.tobytes() == oracles.arborescence_counts(counts, roots).tobytes()
+
+
 def _reaches(parent_of, start, root, limit=16):
     x = start
     for _ in range(limit):

@@ -38,12 +38,14 @@ from loopsoup import (
 )
 from loopsoup.eulerian import (
     ALPHA_NETWORK_CAP,
+    _alpha1_law,
     _circulation_layers,
     _count_matrices,
     _directed_edges,
-    _layer_law,
+    _loop_measure,
     _poisson_series,
     _key_weights,
+    _row_terms,
     _sub_circulations,
 )
 from loopsoup import verify as verify_module
@@ -522,10 +524,93 @@ def test_circulation_layers_match_composition_filter(two_point, triangle, path3,
             assert len(counts) == len(expected)
             for c, net in zip(counts, expected):
                 assert np.array_equal(c, net.counts)  # same networks, same order
-            prob, mu = _layer_law(kernel, edges, rows, counts)
+            terms = _row_terms(kernel, edges, rows)
+            prob, mu = _alpha1_law(kernel, *terms), _loop_measure(counts, *terms)
             for p, w, net in zip(prob, mu, expected):
                 assert p == pytest.approx(exact_network_prob_alpha1(kernel, net), rel=1e-12)
                 assert w == pytest.approx(oracles.mu_network(kernel, net), rel=1e-12, abs=0.0)
+
+
+def _cycle_graph(n: int) -> WeightedGraph:
+    names = tuple(f"v{i}" for i in range(n))
+    edges = [(names[i], names[(i + 1) % n], 1.0) for i in range(n)]
+    return WeightedGraph.build(names, edges, {v: 1.0 for v in names})
+
+
+def test_circulation_layers_match_lexsort_dedup(two_point, triangle, path3, complete4,
+                                                monkeypatch):
+    cases = [(graph, 8) for graph in (two_point, triangle, path3, complete4)]
+    cases += [(_complete_graph(5, 1.0), 6)]
+    cases += _oracle_cases(two_point, triangle, path3, complete4)[5:]
+    for graph, top in cases:
+        edges = _directed_edges(graph)
+        got = _circulation_layers(graph, edges)
+        for _, want in zip(range(top), oracles.circulation_layers(graph, edges)):
+            assert np.array_equal(next(got), want)  # same rows, same order
+    # 80 directed edges: from layer 2 on the codes pass 2^63, so they rank
+    cycle = _cycle_graph(40)
+    edges = _directed_edges(cycle)
+    ranks = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        ranks.append(bool(kwargs.get("return_inverse")))
+        return unique(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "unique", counted)
+        layers = list(islice(_circulation_layers(cycle, edges), 6))
+    assert sum(ranks) >= 5
+    for got, want in zip(layers, oracles.circulation_layers(cycle, edges)):
+        assert np.array_equal(got, want)
+    assert len(layers[5]) == math.comb(42, 3)  # three of the 40 two-cycles
+
+
+def _assert_same_layers(kernel, delta):
+    # the stacked loop measure against the per-layer reference, bit for bit,
+    # or the same refusal with the same message
+    try:
+        want = oracles.enumerate_layers(kernel, delta)
+    except (BudgetExceeded, TooLarge) as exc:
+        with pytest.raises(type(exc)) as info:
+            eulerian._enumerate_layers(kernel, delta)
+        assert str(info.value) == str(exc)
+        return type(exc)
+    got = eulerian._enumerate_layers(kernel, delta)
+    assert len(got) == len(want)
+    for got_layer, want_layer in zip(got, want):
+        for a, b in zip(got_layer, want_layer):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    return None
+
+
+def test_enumerate_layers_match_per_layer_reference(two_point, triangle, monkeypatch):
+    assert _assert_same_layers(build_kernel(_complete_graph(4, 3.0)), 1e-3) is None
+    for graph in (two_point, triangle):
+        for delta in (1e-3, 1e-6):
+            _assert_same_layers(build_kernel(graph), delta)
+    assert _assert_same_layers(build_kernel(triangle), 1e-4) is BudgetExceeded
+    # killing strong enough that the zero network alone holds 1 - delta
+    assert _assert_same_layers(build_kernel(WeightedGraph.build(
+        two_point.vertices, [(*two_point.vertices, 1.0)], {v: 1e3 for v in two_point.vertices})),
+        1e-2) is None
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        graph = random_connected_graph(rng)
+        # killing half the degree at every vertex: the enumeration completes
+        edges = [(graph.vertices[i], graph.vertices[j], float(graph.conductance[i, j]))
+                 for i, j in graph.edge_pairs]
+        strong = WeightedGraph.build(graph.vertices, edges, dict(
+            zip(graph.vertices, (0.5 * graph.conductance.sum(axis=1)).tolist())))
+        assert _assert_same_layers(build_kernel(strong), 1e-2) is None
+        # killing 1e-2 at one vertex: both stop at the |k| cap
+        assert _assert_same_layers(
+            build_kernel(_killed_at_first_vertex(graph, 1e-2)), 1e-2) is BudgetExceeded
+    # a lowered cap: the same layer refuses with the same message
+    monkeypatch.setattr(eulerian, "LAYER_CAP", 20_000)
+    assert _assert_same_layers(build_kernel(_complete_graph(4, 3.0)), 1e-3) is TooLarge
+    with pytest.raises(TooLarge, match="layer 9 would build"):
+        eulerian._enumerate_layers(build_kernel(_complete_graph(4, 3.0)), 1e-3)
 
 
 def test_enumerate_matches_per_network_laws(triangle, triangle_kernel):
@@ -616,7 +701,7 @@ def test_mu_measure_oracles(two_point, triangle, two_point_kernel, triangle_kern
 
 
 def test_mu_view_matches_scalar_formula(complete4):
-    # the one-row view of _layer_law against the formula summed in logs
+    # the one-row view of _loop_measure against the formula summed in logs
     rng = np.random.default_rng(21)
     for graph in (complete4, *(random_connected_graph(rng) for _ in range(4))):
         kernel = build_kernel(graph)
@@ -646,7 +731,7 @@ def test_poisson_series_matches_power_sums(graph, top):
     layers = [np.zeros((1, len(edges)), dtype=np.int64)]
     layers += islice(_circulation_layers(graph, edges), top)
     keys = [rows @ _key_weights(len(edges), top) for rows in layers]
-    mu = [_layer_law(kernel, edges, rows, _count_matrices(graph.n, edges, rows))[1]
+    mu = [_loop_measure(_count_matrices(graph.n, edges, rows), *_row_terms(kernel, edges, rows))
           for rows in layers]
     for alpha in (0.5, 1.0, 2.0):
         got = np.concatenate(_poisson_series(keys, mu, alpha))

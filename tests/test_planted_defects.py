@@ -1,10 +1,10 @@
 """The battery must fail when a known defect is planted.
 
 Each test patches one sampler (direct, cycle popping or excursions), the
-exact network enumeration or the cycle covers of the network law, reruns
-the full battery at the acceptance size and seed, and asserts that the
-checks reading the patched code catch the defect while the checks that never
-touch it still pass.
+exact network enumeration (its cycles or its dedup) or the cycle covers of
+the network law, reruns the full battery at the acceptance size and seed,
+and asserts that the checks reading the patched code catch the defect while
+the checks that never touch it still pass.
 """
 
 import numpy as np
@@ -71,6 +71,29 @@ def test_dropped_two_cycle_covers_fail_the_route_check(monkeypatch):
 
     failing = _failing_checks(monkeypatch, drop_two_cycles, eulerian, "_cycle_covers")
     assert 3 in failing
+    assert not failing & MONTE_CARLO
+
+
+def test_colliding_row_codes_fail_the_mu_check(monkeypatch):
+    def radix_top(rows):
+        # network._row_codes with radix top in place of top + 1, so a column
+        # at its maximum carries into the next and distinct rows collide
+        code = np.zeros(len(rows), dtype=np.int64)
+        bound = 1
+        for col in rows.T:
+            top = int(col.max(initial=0))
+            if not top:
+                continue
+            if bound * top > 1 << 63:
+                ranked, code = np.unique(code, return_inverse=True)
+                bound = len(ranked)
+            code *= top
+            code += col
+            bound *= top
+        return code
+
+    failing = _failing_checks(monkeypatch, radix_top, eulerian, "_row_codes")
+    assert 10 in failing  # the layers lose networks, so the mu sums fall short
     assert not failing & MONTE_CARLO
 
 
