@@ -46,20 +46,15 @@ def _options(name: str) -> list:
     return ([_GRAPH] if graph else []) + [_OUT, _FORMAT, *options]
 
 
-def _add_arguments(parser: _Parser, name: str) -> _Parser:
-    """Command `name`'s branch of the tree, built from `_options(name)`."""
-    for flag, kwargs in _options(name):
-        parser.add_argument(flag, **kwargs)
-    return parser
-
-
 def _build_parser() -> _Parser:
     """The whole argument tree: every command as a branch of `loopsoup`."""
     parser = _Parser(prog="loopsoup", description=__doc__)
     parser.add_argument("--version", action="version", version=f"loopsoup {ls.__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (_, help_text, _, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
+        branch = sub.add_parser(name, help=help_text)
+        for flag, kwargs in _options(name):
+            branch.add_argument(flag, **kwargs)
     return parser
 
 

@@ -125,18 +125,6 @@ class WeightedGraph:
         except BadGraph as exc:
             raise BadGraph(f"{where}: {exc}") from None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": [
-                {"u": self.vertices[i], "v": self.vertices[j], "c": float(self.conductance[i, j])}
-                for i, j in self.edge_pairs
-            ],
-            "killing": {
-                self.vertices[i]: float(k) for i, k in enumerate(self.killing) if k > 0
-            },
-        }
-
     @property
     def n(self) -> int:
         return len(self.vertices)

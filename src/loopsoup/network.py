@@ -136,11 +136,6 @@ class Network:
         """Hashable identity of the count matrix."""
         return tuple(map(tuple, self.counts.tolist()))
 
-    def __add__(self, other: "Network") -> "Network":
-        if other.graph is not self.graph and other.graph.vertices != self.graph.vertices:
-            raise BadGraph("cannot add networks over different graphs")
-        return Network(self.graph, self.counts + other.counts)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Network):
             return NotImplemented

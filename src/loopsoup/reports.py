@@ -86,9 +86,6 @@ class TestReport:
     def passed(self) -> bool:
         return all(line.passed for line in self.lines)
 
-    def failures(self) -> list:
-        return [line for line in self.lines if not line.passed]
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

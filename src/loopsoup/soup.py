@@ -50,10 +50,6 @@ class BasedLoop(NamedTuple):
     vertices: tuple
     times: tuple
 
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
 
 @dataclass(frozen=True, eq=False)
 class LoopSoup:
@@ -84,21 +80,11 @@ class LoopSoup:
 
 def _canonical(verts, times) -> tuple:
     """Rotate a cyclic sequence so the minimal vertex index leads; ties go to
-    the lexicographically smallest vertex sequence."""
-    p = len(verts)
-    if p == 1:
-        return tuple(verts), tuple(times)
+    the lexicographically smallest vertex sequence, then to the first such
+    rotation."""
     m = min(verts)
-    best = None
-    best_r = 0
-    for r in range(p):
-        if verts[r] != m:
-            continue
-        rot = verts[r:] + verts[:r]
-        if best is None or rot < best:
-            best = rot
-            best_r = r
-    return tuple(best), tuple(times[best_r:] + times[:best_r])
+    rot, r = min((verts[r:] + verts[:r], r) for r, v in enumerate(verts) if v == m)
+    return tuple(rot), tuple(times[r:] + times[:r])
 
 
 def wilson_sample(kernel: ChainKernel, seed) -> tuple:

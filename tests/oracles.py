@@ -6,7 +6,8 @@ lexsort dedup, and each layer's probability and loop measure from one call
 of its own) and of check 10 (sums over the enumerated networks, each graph
 enumerated twice), and the earlier forms of
 the Monte Carlo block kernels, of the scalar chain step, of the reductions
-over a run and over one ensemble's loops, of the Poisson series (one
+over a run and over one ensemble's loops, of the canonical loop rotation
+(a scan over every position of the minimal vertex), of the Poisson series (one
 convolution power at a time), of the general-alpha network law (the
 loop-measure Poisson series over the sub-circulations of the network) and of
 the homology law (one determinant per grid point, held as a dict).
@@ -546,13 +547,33 @@ def jump_matrix(soup) -> Network:
     n = soup.graph.n
     counts = np.zeros((n, n), dtype=np.int64)
     for loop in soup.loops:
-        p = loop.length
+        p = len(loop.vertices)
         if p < 2:
             continue
         verts = loop.vertices
         for i in range(p):
             counts[verts[i], verts[(i + 1) % p]] += 1
     return Network(soup.graph, counts)
+
+
+def canonical(verts, times) -> tuple:
+    """Rotate a cyclic sequence so the minimal vertex index leads; ties go to
+    the lexicographically smallest vertex sequence, then to the first such
+    rotation.  Times rotate with the vertices."""
+    p = len(verts)
+    if p == 1:
+        return tuple(verts), tuple(times)
+    m = min(verts)
+    best = None
+    best_r = 0
+    for r in range(p):
+        if verts[r] != m:
+            continue
+        rot = verts[r:] + verts[:r]
+        if best is None or rot < best:
+            best = rot
+            best_r = r
+    return tuple(best), tuple(times[best_r:] + times[:best_r])
 
 
 def occupation(soup, kernel) -> np.ndarray:

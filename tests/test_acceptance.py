@@ -36,7 +36,7 @@ def _check(battery, number, name):
     verdict = "PASS" if report.passed else "FAIL"
     print(f"\nACCEPTANCE {number:02d} {name}: {verdict}  {_summary(report)}")
     if not report.passed:
-        for line in report.failures():
+        for line in [line for line in report.lines if not line.passed]:
             print(f"  failed: {line.statistic}: {line.lhs} vs {line.rhs} (z={line.z})")
     assert report.passed
     return report

@@ -124,7 +124,12 @@ def test_kernel_arrays_are_read_only(triangle):
 
 
 def test_json_round_trip(tmp_path, triangle):
-    data = triangle.to_json_dict()
+    data = {
+        "vertices": list(triangle.vertices),
+        "edges": [{"u": triangle.vertices[i], "v": triangle.vertices[j],
+                   "c": float(triangle.conductance[i, j])} for i, j in triangle.edge_pairs],
+        "killing": {v: float(k) for v, k in zip(triangle.vertices, triangle.killing) if k > 0},
+    }
     path = tmp_path / "g.json"
     path.write_text(json.dumps(data))
     back = WeightedGraph.from_json_file(path)

@@ -175,7 +175,7 @@ def test_network_accessors(two_point):
     assert oracles.support_connected(net)
     unbal = Network(two_point, np.array([[0, 2], [1, 0]]))
     assert not unbal.is_eulerian()
-    both = net + _two_point_net(two_point, 1)
+    both = Network(two_point, net.counts + _two_point_net(two_point, 1).counts)
     assert both.total == 8
     rt = Network.from_json_dict(two_point, net.to_json_dict())
     assert rt == net

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from loopsoup import (
@@ -48,6 +50,10 @@ from loopsoup.verify import (
 )
 
 
+STRUCTURE_SEEDS = 400  # seeds tried for the per-loop structure assertions
+STRUCTURE_LOOPS = 20  # loops they must see
+
+
 def _assert_canonical(loop: BasedLoop):
     verts = loop.vertices
     assert verts[0] == min(verts)
@@ -58,17 +64,25 @@ def _assert_canonical(loop: BasedLoop):
 
 
 def test_wilson_structure(two_point_kernel):
-    parents, soup = wilson_sample(two_point_kernel, 42)
-    assert soup.alpha == 1.0
-    assert len(parents) == 2
-    assert all(p == -1 or 0 <= p < 2 for p in parents)
-    assert soup.trivial_time.shape == (2,)
-    assert (soup.trivial_time >= 0).all()
-    for loop in soup.loops:
-        assert loop.length >= 2
-        assert len(loop.times) == loop.length
-        assert all(t > 0 for t in loop.times)
-        _assert_canonical(loop)
+    # a two-point soup holds a loop at about one seed in five, so run seeds
+    # until the per-loop assertions have seen STRUCTURE_LOOPS loops
+    checked = 0
+    for seed in range(42, 42 + STRUCTURE_SEEDS):
+        parents, soup = wilson_sample(two_point_kernel, seed)
+        assert soup.alpha == 1.0
+        assert len(parents) == 2
+        assert all(p == -1 or 0 <= p < 2 for p in parents)
+        assert soup.trivial_time.shape == (2,)
+        assert (soup.trivial_time >= 0).all()
+        for loop in soup.loops:
+            assert len(loop.vertices) >= 2
+            assert len(loop.times) == len(loop.vertices)
+            assert all(t > 0 for t in loop.times)
+            _assert_canonical(loop)
+            checked += 1
+        if checked >= STRUCTURE_LOOPS:
+            break
+    assert checked >= STRUCTURE_LOOPS
 
 
 def test_wilson_determinism(triangle_kernel):
@@ -99,15 +113,21 @@ def test_soups_compare_by_identity(triangle_kernel):
 
 
 def test_direct_structure(triangle_kernel):
-    soup = direct_sample(triangle_kernel, 2.0, seed=3)
-    assert soup.alpha == 2.0
-    for loop in soup.loops:
-        assert loop.length >= 2
-        _assert_canonical(loop)
-        # consecutive vertices are joined by edges
-        verts = loop.vertices + (loop.vertices[0],)
-        for u, v in zip(verts[:-1], verts[1:]):
-            assert triangle_kernel.graph.conductance[u, v] > 0
+    checked = 0
+    for seed in range(3, 3 + STRUCTURE_SEEDS):
+        soup = direct_sample(triangle_kernel, 2.0, seed=seed)
+        assert soup.alpha == 2.0
+        for loop in soup.loops:
+            assert len(loop.vertices) >= 2
+            _assert_canonical(loop)
+            # consecutive vertices are joined by edges
+            verts = loop.vertices + (loop.vertices[0],)
+            for u, v in zip(verts[:-1], verts[1:]):
+                assert triangle_kernel.graph.conductance[u, v] > 0
+            checked += 1
+        if checked >= STRUCTURE_LOOPS:
+            break
+    assert checked >= STRUCTURE_LOOPS
     with pytest.raises(ValueError):
         direct_sample(triangle_kernel, 0.0, seed=1)
 
@@ -134,6 +154,22 @@ def test_canonical_rotation_helper():
     assert verts == (0, 1, 0, 2)
     # times rotate together with the vertices
     assert times == (0.3, 0.4, 0.5, 0.2)
+
+
+# cyclic vertex sequences over few vertices, so the minimal vertex repeats
+# often, and powers of a word, whose equal rotations leave the tie to the
+# first position
+_CYCLES = st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=12),
+    st.builds(lambda word, k: word * k,
+              st.lists(st.integers(0, 3), min_size=1, max_size=4), st.integers(2, 3)))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(_CYCLES)
+def test_canonical_rotation_matches_the_position_scan(verts):
+    times = [0.5 + i for i in range(len(verts))]  # distinct, so the position shows
+    assert _canonical(verts, times) == oracles.canonical(verts, times)
 
 
 def test_trivial_time_mean(single_vertex_kernel):
