@@ -26,7 +26,7 @@ import numpy as np
 import loopsoup as ls
 
 from .errors import BadIntensity, BadReplicaCount, LoopSoupError
-from .reports import CONVENTIONS, Z_GATE, TestReport
+from .reports import CONVENTIONS, DEFAULT_REPLICAS, DEFAULT_SEED, Z_GATE, TestReport
 from .rng import _check_count
 
 
@@ -338,7 +338,7 @@ def _cmd_verify_all(args) -> tuple:
     if not (np.isfinite(args.gate_scale) and args.gate_scale > 0):
         raise ValueError(f"--gate-scale must be a finite number > 0, got {args.gate_scale}")
     _check_z_replicas(args.replicas)
-    reports = ls.verify.run_all(replicas=args.replicas, seed=args.seed, delta=args.delta, grid=args.grid)
+    reports = ls.verify.run_all(replicas=args.replicas, seed=args.seed)
     for report in reports:
         _rescale_gates(report, args.gate_scale)
     return None, reports
@@ -397,8 +397,8 @@ _COMMANDS = {
         _NETWORK, ("--sources", dict(required=True, help="comma list of vertices")),
         ("--sinks", dict(required=True, help="comma list of vertices")))),
     "verify-all": (_cmd_verify_all, "full verification battery", False, (
-        _REPLICAS, ("--seed", dict(type=int, default=1)),
-        ("--delta", dict(type=float, default=1e-3)), ("--grid", dict(type=int, default=64)),
+        ("--replicas", dict(type=int, default=DEFAULT_REPLICAS)),
+        ("--seed", dict(type=int, default=DEFAULT_SEED)),
         ("--gate-scale", dict(type=float, default=1.0,
                               help="multiply every gate; > 1 loosens, < 1 tightens")))),
 }

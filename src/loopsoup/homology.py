@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -35,7 +35,8 @@ from .graphs import ChainKernel, WeightedGraph
 from .network import Network
 
 VOLUME_TOL = 1e-10
-GRID_CAP = 512
+GRID_CAP = 512  # grid points per cycle
+POINT_CAP = 1 << 24  # grid points over all cycles: 256 on each of three, 256 MiB an array
 DIM_CAP = 3
 
 
@@ -205,15 +206,6 @@ class HomologyLaw:
         coords = np.argwhere(kept) - (self.grid_m // 2 - 1)
         return dict(zip(map(tuple, coords.tolist()), self.table[kept].tolist()))
 
-    def prob(self, coords) -> float:
-        """P(class = coords), read from the table: 0.0 outside the window and
-        for coordinates that are not integral or not one per cycle."""
-        coords, shift = tuple(coords), self.grid_m // 2 - 1
-        if len(coords) != self.table.ndim or not all(
-                isinstance(c, Real) and c % 1 == 0 and abs(c) <= shift for c in coords):
-            return 0.0
-        return float(self.table[tuple(int(c) + shift for c in coords)])
-
     def symmetry_defect(self) -> float:
         """max |P(j) - P(-j)|: the table against its flip on every axis."""
         return float(np.max(np.abs(self.table - np.flip(self.table))))
@@ -244,9 +236,12 @@ def _generating_grid(coef: np.ndarray, alpha: float, grid_m: int) -> np.ndarray:
     return _ratio_power(np.fft.ifftn(spread, norm="forward"), alpha)
 
 
-def _check_grid(grid_m: int) -> None:
+def _check_grid(grid_m: int, cycles: int) -> None:
     if not isinstance(grid_m, Integral) or not 8 <= grid_m <= GRID_CAP or grid_m & (grid_m - 1):
         raise BadGrid(f"grid size must be a power of two from 8 to {GRID_CAP}, got {grid_m!r}")
+    if grid_m**cycles > POINT_CAP:
+        raise BadGrid(f"grid {grid_m} on {cycles} cycles has {grid_m}^{cycles} points, "
+                      f"above the cap of {POINT_CAP}")
 
 
 def _law(coef: np.ndarray, alpha: float, grid_m: int) -> HomologyLaw:
@@ -276,9 +271,9 @@ def homology_distribution(kernel: ChainKernel, basis: CycleBasis, alpha: float,
     """Law of the homology class by Fourier inversion of the twisted
     determinant ratio on a uniform grid of the dual torus.  Raises BadIntensity
     unless alpha is finite and above 0, BadGrid unless grid_m is a power of
-    two from 8 to GRID_CAP = 512."""
+    two from 8 to GRID_CAP = 512 with grid_m ** cycles at most POINT_CAP = 2^24."""
     _check_alpha(alpha)
-    _check_grid(grid_m)
+    _check_grid(grid_m, basis.n)
     return _law(_twist_coefficients(kernel, basis), alpha, grid_m)
 
 
@@ -286,15 +281,16 @@ def homology_distribution_auto(kernel: ChainKernel, basis: CycleBasis,
                                alpha: float) -> HomologyLaw:
     """Double the grid from 8 until the captured mass and a Cauchy criterion
     (max change 1e-8 between grids, the coarse window centred in the fine
-    one) both hold; cap at 512 per dimension.  The ratio's coefficients are
-    computed once, so a doubling costs FFTs and no determinants."""
+    one) both hold; stop before a grid past 512 per cycle or POINT_CAP points.
+    The ratio's coefficients are computed once, so a doubling costs FFTs and
+    no determinants."""
     if basis.n > DIM_CAP:
         raise TooLarge(f"auto grid limited to {DIM_CAP} cycles, got {basis.n}")
     _check_alpha(alpha)
     coef = _twist_coefficients(kernel, basis)
     m = 4
     prev: HomologyLaw | None = None
-    while m < GRID_CAP:
+    while m < GRID_CAP and (2 * m)**basis.n <= POINT_CAP:
         m *= 2
         try:
             law = _law(coef, alpha, m)
@@ -305,4 +301,4 @@ def homology_distribution_auto(kernel: ChainKernel, basis: CycleBasis,
         if prev is not None and np.max(np.abs(law.table - np.pad(prev.table, m // 4))) <= 1e-8:
             return law
         prev = law
-    raise GridTooCoarse(f"grid cap {GRID_CAP} reached without convergence")
+    raise GridTooCoarse(f"grid cap {m} reached without convergence")

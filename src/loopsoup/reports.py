@@ -11,6 +11,10 @@ import math
 from dataclasses import dataclass, field
 
 Z_GATE = 3.0  # |z| at or below which a z-line passes
+# the battery's replica count and seed, at which its fixed TV and KS bounds are
+# calibrated; run_all and `loopsoup verify-all` both default to them
+DEFAULT_REPLICAS = 100_000
+DEFAULT_SEED = 20260816
 
 # the field and local-time conventions (see `fields`), embedded in every report
 CONVENTIONS = {

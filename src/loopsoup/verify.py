@@ -22,7 +22,6 @@ import numpy as np
 from .errors import BadSamplerInput, BudgetExceeded
 from .eulerian import (
     ModifierMatrix,
-    _check_delta,
     _circulation_layers,
     _convolution_report,
     _count_matrices,
@@ -41,21 +40,20 @@ from .fields import (
     verify_moment_formula,
 )
 from .graphs import WeightedGraph, build_kernel
-from .homology import (_check_grid, _class_coords, cycle_basis, homology_distribution,
-                       jacobian_volume)
+from .homology import _class_coords, cycle_basis, homology_distribution, jacobian_volume
 from .network import Network
-from .reports import CONVENTIONS, TestReport
+from .reports import CONVENTIONS, DEFAULT_REPLICAS, DEFAULT_SEED, TestReport
 from .rng import SCHEME, seeded_rng, stream_seed
 from .soup import network_histogram
 
-DEFAULT_SEED = 20260816
-DEFAULT_REPLICAS = 100_000
 ROUTES_MAX_TOTAL = 6  # check 3: largest network size on which the two routes are compared
 N_MODIFIERS = 5  # check 4: random Hermitian modifiers per intensity
 RAY_KNIGHT_RHO = 1.0  # check 6: local time at which the chain is stopped
 TOUR_CASES = 24  # check 9: random balanced networks
 DELTA_TWO_POINT = 1e-6  # check 10: mass budget of the two-point enumeration
+DELTA_TRIANGLE = 1e-3  # check 10: mass budget of the triangle enumeration
 JACOBIAN_CASES = 20  # check 11: random conductance graphs
+HOMOLOGY_GRID = 64  # check 12: grid points per cycle of the Fourier inversion
 
 
 # ---------------------------------------------------------------- reference chains
@@ -401,7 +399,7 @@ def check_tour_count(seed: int = DEFAULT_SEED) -> TestReport:
     return report
 
 
-def check_mu_measure(delta_triangle: float = 1e-3) -> TestReport:
+def check_mu_measure() -> TestReport:
     """Loop-measure mass by network enumeration against the determinant,
     plus exact reconstruction of the intensity-1 law from the measure.
 
@@ -410,9 +408,9 @@ def check_mu_measure(delta_triangle: float = 1e-3) -> TestReport:
     """
     report = TestReport(name="mu-measure", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 10, "delta_two_point": DELTA_TWO_POINT,
-                        "delta_triangle": delta_triangle})
+                        "delta_triangle": DELTA_TRIANGLE})
     try:
-        _mu_measure_lines(report, delta_triangle)
+        _mu_measure_lines(report, DELTA_TRIANGLE)
     except BudgetExceeded as exc:
         report.add_bound("enumerations past the |k| cap", 1.0, 0.0, note=str(exc))
     return report
@@ -494,14 +492,13 @@ def check_jacobian_volume(seed: int = DEFAULT_SEED) -> TestReport:
     return report
 
 
-def check_homology_distribution(grid: int, histogram: Counter,
-                                hist_seconds: float) -> TestReport:
+def check_homology_distribution(histogram: Counter, hist_seconds: float) -> TestReport:
     """Fourier-inverted winding-number law on the triangle against Monte
     Carlo class frequencies."""
     t0 = time.perf_counter()
     kernel = build_kernel(triangle_graph())
     basis = cycle_basis(kernel.graph)
-    law = homology_distribution(kernel, basis, 1.0, grid)
+    law = homology_distribution(kernel, basis, 1.0, HOMOLOGY_GRID)
     # one array pass classifies every key; counting the classes in the
     # histogram's order keeps the order, and so the bits, of the TV sum
     coords = _class_coords(np.array(list(histogram), dtype=np.int64), basis)
@@ -510,7 +507,7 @@ def check_homology_distribution(grid: int, histogram: Counter,
         class_counts[row] += c
     empirical = normalize_counter(class_counts)
     report = TestReport(name="homology-law", conventions=dict(CONVENTIONS))
-    report.meta.update({"check": 12, "graph": "triangle", "grid": grid,
+    report.meta.update({"check": 12, "graph": "triangle", "grid": HOMOLOGY_GRID,
                         "replicas": sum(histogram.values())})
     _record_sampling(report, {"direct": histogram})
     report.add_bound("uncaptured window mass", 1.0 - law.captured_mass, 1e-3)
@@ -537,17 +534,17 @@ def check_cross_sampler(wilson_histogram: Counter, direct_histogram: Counter) ->
 # ---------------------------------------------------------------- battery driver
 
 def run_all(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
-            workers: int = 1, delta: float = 1e-3, grid: int = 64) -> list:
+            workers: int = 1) -> list:
     """Run the thirteen checks with shared sample batches; reports in order.
-    The settings are checked before anything is drawn: the seed may be any
-    integer.  workers must be 1, as blocks are drawn in one process; the
-    keyword goes once the benchmark stops passing it."""
+    replicas and seed default to the point where the fixed bounds are
+    calibrated, as `loopsoup verify-all` does.  The settings are checked
+    before anything is drawn: the seed may be any integer.  workers must be
+    1, as blocks are drawn in one process; the keyword goes once the
+    benchmark stops passing it."""
     if workers != 1:
         raise BadSamplerInput(
             f"blocks are drawn in one process; workers must be 1, got {workers!r}")
     seed = stream_seed(seed)
-    _check_delta(delta)
-    _check_grid(grid)
     kernel2 = build_kernel(two_point_graph())
     kernel3 = build_kernel(triangle_graph())
 
@@ -577,8 +574,8 @@ def run_all(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
         check_moment_formula(hist2_wilson),
         check_det_identity(hist2_wilson),
         check_tour_count(seed),
-        check_mu_measure(delta),
+        check_mu_measure(),
         check_jacobian_volume(seed),
-        check_homology_distribution(grid, hist3_direct[1.0], t_hist3_direct1),
+        check_homology_distribution(hist3_direct[1.0], t_hist3_direct1),
         check_cross_sampler(hist3_wilson, hist3_direct[1.0]),
     ]

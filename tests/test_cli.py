@@ -210,9 +210,9 @@ def test_moments_command(tmp_path):
         ("moments", "--graph", TWO_POINT, "--edges", "a:b", "--points", "b", "--replicas", "1"),
         ("det-identity", "--graph", TWO_POINT, "--replicas", "1"),
         ("verify-all", "--replicas", "1"))),
-    (("verify-all", "--grid", "7"), "grid"),
-    (("verify-all", "--delta", "0.5"), "budget"),
-    (("verify-all", "--grid", str(2**40)), "grid"),
+    # the battery's grid and mass budget are constants, not options
+    (("verify-all", "--grid", "64"), "unrecognized arguments: --grid"),
+    (("verify-all", "--delta", "1e-3"), "unrecognized arguments: --delta"),
 ])
 def test_verifier_input_fails_before_drawing(tmp_path, monkeypatch, argv, message):
     def no_draw(*args, **kwargs):
@@ -232,6 +232,14 @@ def test_homology_grid_cap(tmp_path):
     for grid in ("1024", str(2**40)):
         msg = run(tmp_path, "homology-dist", "--graph", TRIANGLE, "--grid", grid, expect=1)
         assert "power of two from 8 to 512" in msg
+    # and at 2^24 points over all cycles: K5 has 6 cycles, 64^6 = 2^36 points
+    names = "abcde"
+    k5 = tmp_path / "k5.json"
+    k5.write_text(json.dumps({
+        "vertices": list(names), "killing": {"a": 1.0},
+        "edges": [{"u": u, "v": v, "c": 1.0} for i, u in enumerate(names) for v in names[i + 1:]]}))
+    msg = run(tmp_path, "homology-dist", "--graph", str(k5), "--grid", "64", expect=1)
+    assert msg.startswith("error:") and "64^6 points, above the cap" in msg
 
 
 def test_ray_knight_command(tmp_path):

@@ -1,5 +1,6 @@
 """Graph construction, kernel derivation, and the twisted energy matrix."""
 
+import dataclasses
 import json
 import pathlib
 
@@ -117,10 +118,23 @@ def test_kernel_arrays_are_read_only(triangle):
     # what later samples or determinants read
     k = build_kernel(triangle)
     arrays = [k.lam, k.P, k.G, k.energy_matrix, k.q_matrix, k.sym_eigs,
-              *k._step_table, k.field_factor]
+              *k._step_table, k.field_factor, k.graph.conductance, k.graph.killing]
     for arr in arrays:
+        assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
+    # nor can a field or a cached property be rebound, computed or not yet
+    fresh = build_kernel(triangle)
+    for kernel in (k, fresh):
+        for name in ("graph", "lam", "P", "G", "energy_matrix", "det_i_minus_p",
+                     "log_det_i_minus_p", "log_prod_lam", "q_matrix", "sym_eigs",
+                     "_step_table", "field_factor"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(kernel, name, None)
+    for name in ("vertices", "conductance", "killing"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(k.graph, name, None)
+    assert "q_matrix" in vars(k) and "q_matrix" not in vars(fresh)
 
 
 def test_json_round_trip(tmp_path, triangle):

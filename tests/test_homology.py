@@ -1,6 +1,7 @@
 """Cycle space, homology classes, torus volumes, and the winding-class law."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -160,9 +161,9 @@ def test_homology_check_builds_no_networks(monkeypatch, triangle_kernel, triangl
     # verify would call it through its own binding if it imported it by name
     monkeypatch.setattr(verify, "network_homology_class", spy(network_homology_class),
                         raising=False)
-    report = verify.check_homology_distribution(grid=64, histogram=hist, hist_seconds=0.0)
+    report = verify.check_homology_distribution(histogram=hist, hist_seconds=0.0)
     assert calls == []
-    law = homology_distribution(triangle_kernel, basis, 1.0, 64)
+    law = homology_distribution(triangle_kernel, basis, 1.0, verify.HOMOLOGY_GRID)
     tv = [line.lhs for line in report.lines if line.statistic.startswith("TV")]
     assert tv == [verify.tv_distance(verify.normalize_counter(reference), law.probs)]
 
@@ -216,11 +217,11 @@ def test_homology_distribution_triangle(triangle_kernel, triangle):
     assert law.symmetry_defect() <= 1e-10
     assert law.imag_residue <= 1e-10 and law.negative_residue <= 1e-10
     # the trivial class dominates
-    assert law.prob((0,)) > max(p for k, p in law.probs.items() if k != (0,))
+    assert law.probs[(0,)] > max(p for k, p in law.probs.items() if k != (0,))
     # grid refinement barely moves the answer
     law32 = homology_distribution(triangle_kernel, basis, 1.0, 32)
     for key in set(law.probs) | set(law32.probs):
-        assert law.prob(key) == pytest.approx(law32.prob(key), abs=1e-8)
+        assert law.probs.get(key, 0.0) == pytest.approx(law32.probs.get(key, 0.0), abs=1e-8)
 
 
 def test_homology_distribution_bad_grid(triangle_kernel, triangle):
@@ -298,22 +299,19 @@ def test_law_table_matches_dict_law(graph):
         assert law.probs == want
         assert law.symmetry_defect() == oracles.symmetry_defect(want)
         assert law.captured_mass == pytest.approx(captured, abs=1e-14)
-        assert all(law.prob(key) == p for key, p in want.items())
 
 
 @pytest.mark.parametrize("graph", [verify.two_point_graph(), verify.triangle_graph(),
                                    complete4_graph()])
 def test_prob_reads_the_table(graph):
+    # the probability of every class in the window is its table entry
     law = homology_distribution(build_kernel(graph), cycle_basis(graph), 1.0, 32)
     d = law.table.ndim
     window = list(itertools.product(range(-15, 16), repeat=d))
-    edges = [(16,) * d, (-16,) + (0,) * (d - 1), (0,) * (d + 1), (0,) * (d - 1),
-             (0.5,) + (0,) * (d - 1), (float("nan"),) * d, (float("inf"),) * d,
-             (1.0,) + (-1.0,) * (d - 1), tuple(np.arange(d, dtype=np.int64) - 1)]
-    got = [law.prob(coords) for coords in window + edges]
-    assert "probs" not in vars(law)  # the lookups left the dict view unbuilt
-    assert got == [law.probs.get(tuple(coords), 0.0) for coords in window + edges]
-    assert sum(got[:len(window)]) == pytest.approx(law.captured_mass, abs=1e-9)
+    got = [float(law.table[tuple(c + 15 for c in coords)]) for coords in window]
+    assert got == [law.probs.get(coords, 0.0) for coords in window]
+    assert set(law.probs) <= set(window)
+    assert sum(got) == pytest.approx(law.captured_mass, abs=1e-9)
 
 
 def test_grid_too_coarse():
@@ -336,11 +334,53 @@ def test_homology_auto(triangle_kernel, triangle):
     assert law.probs == direct.probs
 
 
+def _complete_graph(n: int, killing: float = 1.0) -> WeightedGraph:
+    """K_n on the vertices a, b, ..., unit conductances, killing at a alone."""
+    names = "abcdefgh"[:n]
+    edges = [(u, v, 1.0) for u, v in itertools.combinations(names, 2)]
+    return WeightedGraph.build(names, edges, {"a": killing})
+
+
 def test_homology_auto_too_large():
-    names = ("a", "b", "c", "d", "e")
-    edges = tuple(
-        (names[i], names[j], 1.0) for i in range(5) for j in range(i + 1, 5)
-    )
-    g = WeightedGraph.build(names, edges, {"a": 1.0})
+    g = _complete_graph(5)
     with pytest.raises(TooLarge):
         homology_distribution_auto(build_kernel(g), cycle_basis(g), 1.0)
+
+
+@pytest.mark.parametrize("n, grid_m", [(5, 64), (4, 512)])
+def test_grid_points_are_capped_before_any_array(monkeypatch, n, grid_m):
+    # K5's 6 cycles at 64 make 2^36 points, 1 TiB an array; K4's 3 at 512, 2^27
+    graph = _complete_graph(n)
+    kernel, basis = build_kernel(graph), cycle_basis(graph)
+
+    def no_grid(*args):
+        raise AssertionError("grid work began past the point cap")
+
+    monkeypatch.setattr(homology, "_twist_coefficients", no_grid)
+    monkeypatch.setattr(homology, "_law", no_grid)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadGrid, match=f"{grid_m}\\^{basis.n} points, above the cap"):
+            homology_distribution(kernel, basis, 1.0, grid_m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_auto_grid_stops_at_the_point_cap(monkeypatch):
+    # weak killing spreads the windings: K4's search needs 256 to converge,
+    # so under a cap of 32^3 points it stops after 32, as it stops at 512
+    g = _complete_graph(4, killing=0.01)
+    sizes = []
+    law = homology._law
+
+    def spy(coef, alpha, grid_m):
+        sizes.append(grid_m)
+        return law(coef, alpha, grid_m)
+
+    monkeypatch.setattr(homology, "POINT_CAP", 32**3)
+    monkeypatch.setattr(homology, "_law", spy)
+    with pytest.raises(GridTooCoarse, match="grid cap 32 reached"):
+        homology_distribution_auto(build_kernel(g), cycle_basis(g), 1.0)
+    assert sizes == [8, 16, 32]

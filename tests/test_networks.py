@@ -748,9 +748,10 @@ def test_poisson_convolution(two_point_kernel, triangle_kernel):
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-2, 1e-4])
-def test_mu_measure_lines_match_per_network_sums(delta):
+def test_mu_measure_lines_match_per_network_sums(monkeypatch, delta):
     # at 1e-4 the triangle passes the |k| cap: the BudgetExceeded line
-    got = check_mu_measure(delta)
+    monkeypatch.setattr(verify_module, "DELTA_TRIANGLE", delta)
+    got = check_mu_measure()
     want = oracles.mu_measure_report(delta)
     assert got.lines == want.lines
     assert got.meta == want.meta
@@ -772,7 +773,7 @@ def test_mu_measure_enumerates_each_graph_once(monkeypatch):
     monkeypatch.setattr(verify_module, "_enumerate_layers", spy)
     monkeypatch.setattr(eulerian, "_enumerate_layers", spy)
     monkeypatch.setattr(eulerian, "enumerate_eulerian", never)
-    assert check_mu_measure(1e-3).passed
+    assert check_mu_measure().passed
     assert calls == [2, 3]
 
 
