@@ -93,8 +93,12 @@ def _ratio_power(ratio: np.ndarray, alpha: float) -> np.ndarray:
     """ratio^(-alpha) for an array of twisted determinant ratios."""
     # Hermitian |Z| <= 1 keeps the twisted energy matrix positive definite, so
     # the ratio is real positive up to rounding and takes the real power
+    # (the complex power is taken only on the points that are not)
     real = (ratio.real > 0) & (np.abs(ratio.imag) < 1e-9 * np.maximum(1.0, ratio.real))
-    return np.where(real, np.abs(ratio.real) ** -alpha, ratio ** -alpha)
+    out = (np.abs(ratio.real) ** -alpha).astype(complex)
+    twisted = ~real
+    out[twisted] = ratio[twisted] ** -alpha
+    return out
 
 
 def generating_function(kernel: ChainKernel, z, alpha: float) -> complex:
@@ -136,9 +140,9 @@ def _directed_edges(graph):
     return edges
 
 
-def _simple_cycles(graph, edges) -> np.ndarray:
+def _simple_cycles(graph, edges, max_length: int = ENUMERATION_CAP) -> np.ndarray:
     """Edge-count rows, over the given directed edges, of every simple
-    directed cycle they carry up to the enumeration cap: 2-cycles
+    directed cycle they carry of at most max_length edges: 2-cycles
     x -> y -> x included, each cycle once, from its smallest vertex."""
     index = {edge: pos for pos, edge in enumerate(edges)}
     adj = [[] for _ in range(graph.n)]
@@ -152,7 +156,7 @@ def _simple_cycles(graph, edges) -> np.ndarray:
                 row = np.zeros(len(edges), dtype=np.int64)
                 row[[index[e] for e in zip(path, path[1:] + path[:1])]] = 1
                 rows.append(row)
-            elif y > path[0] and y not in path and len(path) < ENUMERATION_CAP:
+            elif y > path[0] and y not in path and len(path) < max_length:
                 extend(path + [y])
 
     for start in range(graph.n):
@@ -422,9 +426,10 @@ def _cycle_covers(kernel: ChainKernel, edges) -> tuple:
     collection C of vertex-disjoint simple directed cycles, with coefficient
     (-1)^|C| prod_{e in C} P_e (Zeilberger, "A combinatorial approach to
     matrix algebra", Discrete Math. 56, 1985); disjoint cycles share no edge,
-    so every row is 0/1.
+    so every row is 0/1.  A simple cycle has at most as many edges as the
+    given ones, so no cycle is cut.
     """
-    cycles = _simple_cycles(kernel.graph, edges).tolist()
+    cycles = _simple_cycles(kernel.graph, edges, len(edges)).tolist()
     weight = [kernel.P[x, y] for x, y in edges]
     vertex_sets = [sum(1 << x for (x, _), c in zip(edges, row) if c) for row in cycles]
     cycle_coef = [-math.prod(p for p, c in zip(weight, row) if c) for row in cycles]
@@ -451,11 +456,12 @@ def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> f
     Analysis I, 1.6), so only the sub-circulations r of k enter: the box of
     count vectors up to k over k's support edges, filled layer by layer in
     increasing total, and D's monomials over those edges, its cycle covers.
-    Each r - m with r >= m digit by digit is found by its additive key.
-    Raises BadIntensity unless alpha is finite and above 0, TooLarge past
-    ALPHA_NETWORK_CAP = 27 (K4 networks at the cap: about 0.03 s), for keys
-    past int64 or a box step past LAYER_CAP counts, all before the cover
-    search.
+    Each r - m with r >= m digit by digit is found by its additive key, a
+    mixed-radix number with digit r_e < k_e + 1 per support edge, the first
+    edge most significant; the keys of the box are below prod (k_e + 1) <=
+    2^|k|.  Raises BadIntensity unless alpha is finite and above 0, TooLarge
+    past ALPHA_NETWORK_CAP = 27 (K4 networks at the cap: about 0.03 s) or for
+    a box step past LAYER_CAP counts, both before the cover search.
     """
     _check_alpha(alpha)
     if not k.is_eulerian():
@@ -465,9 +471,10 @@ def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> f
             f"general-alpha probability limited to |k| <= {ALPHA_NETWORK_CAP}, got {k.total}"
         )
     edges = [(int(x), int(y)) for x, y in zip(*np.nonzero(k.counts))]
-    weights = _key_weights(len(edges), k.total)
+    top = k.counts[k.counts > 0]
+    weights = np.cumprod(top[::-1] + 1)[::-1] // (top + 1)  # prod of the later radices
     rows, sizes = _sub_circulations(k.counts)
-    if sizes[-1] != 1 or not np.array_equal(rows[-1], k.counts[k.counts > 0]):
+    if sizes[-1] != 1 or not np.array_equal(rows[-1], top):
         raise ArithmeticError("the sub-circulations of total |k| are not exactly k")
     covers, coef = _cycle_covers(kernel, edges)
     # covers are 0/1, so r >= m digit by digit when r's support bits hold m's

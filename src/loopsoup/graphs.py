@@ -17,6 +17,7 @@ dense; target graphs are desk scale, tens of vertices at most.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,9 +33,22 @@ def _as_float(value, where: str) -> float:
         out = float(value)
     except (TypeError, ValueError):
         raise BadGraph(f"{where}: expected a number, got {value!r}") from None
-    if not np.isfinite(out):
+    except OverflowError:  # an integer past the float range
+        out = math.inf
+    if not math.isfinite(out):
         raise BadGraph(f"{where}: expected a finite number, got {value!r}")
     return out
+
+
+def _load_json(path, what: str):
+    """The JSON value in the file at `path`; BadGraph naming the `what` file
+    and the place when the text is not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise BadGraph(f"{what} file {path}: invalid JSON at line {exc.lineno} "
+                       f"column {exc.colno}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +102,7 @@ class WeightedGraph:
             if kval < 0:
                 raise BadGraph(f"killing[{name!r}]: must be >= 0, got {kval}")
             kap[index[name]] = kval
-        if not np.any(kap > 0):
+        if not any(kap.tolist()):  # every rate is finite and >= 0, so nonzero is positive
             raise BadGraph("killing vanishes everywhere; the chain cannot be transient")
         cond.setflags(write=False)
         kap.setflags(write=False)
@@ -96,12 +110,7 @@ class WeightedGraph:
 
     @classmethod
     def from_json_file(cls, path) -> "WeightedGraph":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BadGraph(f"graph file {path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
-        return cls.from_json_dict(data, where=f"graph file {path}")
+        return cls.from_json_dict(_load_json(path, "graph"), where=f"graph file {path}")
 
     @classmethod
     def from_json_dict(cls, data, where: str = "graph data") -> "WeightedGraph":

@@ -154,6 +154,24 @@ def test_malformed_graph_file(tmp_path, graph):
     assert err.startswith(f"error: graph file {path}:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("number", ["NaN", "-Infinity", '"1e999"', '"abc"', "null", "[1]"])
+def test_graph_file_with_a_bad_number(tmp_path, number):
+    path = tmp_path / "bad_graph.json"
+    path.write_text('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "c": %s}], '
+                    '"killing": {"a": 1}}' % number)
+    err = run(tmp_path, "kernel", "--graph", str(path), expect=1)
+    assert err.startswith(f"error: graph file {path}: edges[0].c: expected a")
+    assert "Traceback" not in err
+
+
+def test_network_file_with_invalid_json(tmp_path):
+    path = tmp_path / "bad_net.json"
+    path.write_text('{"counts": [[0, 1], [1, 0]]\n"extra": 1}')
+    for command in ("best-count", "mu-network", "exact-network"):
+        err = run(tmp_path, command, "--graph", TWO_POINT, "--network", str(path), expect=1)
+        assert err == f"error: network file {path}: invalid JSON at line 2 column 1\n"
+
+
 def test_convolution_command(tmp_path):
     payload = run(tmp_path, "convolution-check", "--graph", TWO_POINT, "--delta", "1e-6")
     assert payload["pass"] is True

@@ -98,8 +98,8 @@ def _stripped(text: str, fmt: str) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def payload_digest(label: str, tmp: pathlib.Path) -> tuple:
-    """(exit status, digest) of one run, its files written under tmp."""
+def _run(label: str, tmp: pathlib.Path) -> tuple:
+    """(exit status, report text, format) of one run, its files written under tmp."""
     for name, counts in NETWORKS.items():
         (tmp / name).write_text(json.dumps({"counts": counts}))
     argv = [str(SAMPLES / a) if a.endswith(".json") else
@@ -107,8 +107,13 @@ def payload_digest(label: str, tmp: pathlib.Path) -> tuple:
     out = tmp / f"{label}.out"
     with contextlib.redirect_stderr(io.StringIO()):
         code = main([*argv, "--out", str(out)])
-    fmt = "csv" if "csv" in argv else "json"
-    return code, hashlib.sha256(_stripped(out.read_text(), fmt).encode()).hexdigest()
+    return code, out.read_text(), "csv" if "csv" in argv else "json"
+
+
+def payload_digest(label: str, tmp: pathlib.Path) -> tuple:
+    """(exit status, digest) of one run, its files written under tmp."""
+    code, text, fmt = _run(label, tmp)
+    return code, hashlib.sha256(_stripped(text, fmt).encode()).hexdigest()
 
 
 def test_every_command_is_pinned():
@@ -119,6 +124,14 @@ def test_every_command_is_pinned():
 @pytest.mark.parametrize("label", list(RUNS))
 def test_cli_payload(label, tmp_path):
     assert payload_digest(label, tmp_path) == PAYLOADS[label]
+
+
+@pytest.mark.parametrize("label", [label for label, argv in RUNS.items() if "csv" not in argv])
+def test_cli_report_text_is_canonical(label, tmp_path):
+    # the digests re-serialize the payload, so they cannot see how it was
+    # written; the report itself must read as json.dumps writes it
+    _, text, _ = _run(label, tmp_path)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 if __name__ == "__main__":

@@ -163,6 +163,34 @@ def test_json_diagnostics(tmp_path):
         WeightedGraph.from_json_file(path2)
 
 
+# JSON text of a number field -> the refusal it earns
+_BAD_NUMBERS = {
+    "NaN": "expected a finite number", "Infinity": "expected a finite number",
+    "-Infinity": "expected a finite number", '"1e999"': "expected a finite number",
+    "1e999": "expected a finite number", "1" + "0" * 400: "expected a finite number",
+    '"abc"': "expected a number", "null": "expected a number", "[1]": "expected a number",
+}
+
+
+def _bad_number_graph(field: str, number: str) -> str:
+    """Graph JSON text on a and b with `number` as the edge's c or a's killing."""
+    c, kill = (number, "1") if field == "c" else ("1", number)
+    return ('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "c": %s}], '
+            '"killing": {"a": %s, "b": 1}}' % (c, kill))
+
+
+@pytest.mark.parametrize("field, where", [("c", "edges[0].c"), ("killing", "killing['a']")])
+@pytest.mark.parametrize("number", list(_BAD_NUMBERS),
+                         ids=["nan", "inf", "-inf", "str-1e999", "1e999", "int-400-digits",
+                              "str-abc", "null", "list"])
+def test_graph_numbers_are_refused(tmp_path, field, where, number):
+    path = tmp_path / "graph.json"
+    path.write_text(_bad_number_graph(field, number))
+    with pytest.raises(BadGraph) as info:
+        WeightedGraph.from_json_file(path)
+    assert str(info.value).startswith(f"graph file {path}: {where}: {_BAD_NUMBERS[number]}, got ")
+
+
 def test_index_lookup(triangle):
     assert triangle.index("b") == 1
     assert triangle.index(2) == 2

@@ -60,6 +60,7 @@ from loopsoup.verify import (
 
 
 K4_ENUMERATION = "e6aee36536d79fdd9d273e7c7ecadd4742f461e5b38556b0b8b0bc25d4343db0"
+ALPHA_ROUTE_K4 = "ce8a8f8cc24bbbd49c8038e13b42cc5da5035d6aad6226d7568d96645f4645c5"
 
 
 def _two_point_net(graph, n):
@@ -242,6 +243,28 @@ def test_generating_function_unimodular_bounded(triangle_kernel):
             assert abs(generating_function(triangle_kernel, z, alpha)) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 0.37])
+def test_ratio_power_takes_the_complex_power_on_non_real_points(alpha):
+    # the real power where the ratio is real positive, the complex power of
+    # the whole array elsewhere, to the bit: NaNs, infinities, signed zeros,
+    # subnormals and tiny imaginary parts included
+    parts = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, -5e-324,
+                      1e-10, 2.5, -3.0])
+    grid = np.empty(parts.size**2, dtype=complex)
+    grid.real, grid.imag = (axis.ravel() for axis in np.meshgrid(parts, parts))
+    rng = np.random.default_rng(3)
+    ratio = np.concatenate([grid,
+                            rng.normal(size=500) + 1e-10j * rng.normal(size=500),
+                            rng.normal(size=500) + 1j * rng.normal(size=500)])
+    with np.errstate(all="ignore"):
+        real = (ratio.real > 0) & (np.abs(ratio.imag) < 1e-9 * np.maximum(1.0, ratio.real))
+        expected = np.where(real, np.abs(ratio.real) ** -alpha, ratio ** -alpha)
+        got = eulerian._ratio_power(ratio, alpha)
+    assert (~real).sum() > 500
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), "1"])
 def test_exact_intensity_is_typed(triangle, triangle_kernel, monkeypatch, alpha):
     def no_work(*args):
@@ -418,30 +441,57 @@ def test_alpha_route_needs_k_on_top(triangle, triangle_kernel, monkeypatch):
             exact_network_prob_alpha(triangle_kernel, _directed_triangle(triangle), 1.0)
 
 
-def test_alpha_route_refuses_wide_keys_and_boxes(two_point, monkeypatch):
-    # K5 crossed once each way on every edge: 20 edges at |k| = 20 need
-    # 11^20 > 2^63 keys, refused before the box is grown
+def test_alpha_route_keys_wide_supports_and_refuses_wide_boxes(two_point, monkeypatch):
+    # K5 crossed once each way on every edge: 20 support edges at |k| = 20,
+    # keyed by the box 2^20 rather than by 11^20 > 2^63, which was refused
     k5 = _complete_graph(5, 1.0)
+    kernel = build_kernel(k5)
     wide = Network(k5, 1 - np.eye(5, dtype=np.int64))
-    original, original_covers = eulerian._sub_circulations, eulerian._cycle_covers
+    assert exact_network_prob_alpha(kernel, wide, 1.0) == pytest.approx(
+        exact_network_prob_alpha1(kernel, wide), rel=1e-12, abs=0.0)
 
     def no_work(*args):
-        raise AssertionError("the box was grown or the covers searched before the key check")
+        raise AssertionError("the covers were searched before the box check")
 
-    monkeypatch.setattr(eulerian, "_sub_circulations", no_work)
-    monkeypatch.setattr(eulerian, "_cycle_covers", no_work)
-    with pytest.raises(TooLarge, match="int64"):
-        exact_network_prob_alpha(build_kernel(k5), wide, 0.5)
-    monkeypatch.setattr(eulerian, "_sub_circulations", original)
     # three round trips: the second edge's step holds 4 x 4 rows of width 2 + 2
     kernel, net = build_kernel(two_point), _two_point_net(two_point, 3)
-    monkeypatch.setattr(eulerian, "_cycle_covers", original_covers)
     monkeypatch.setattr(eulerian, "LAYER_CAP", 64)
     exact_network_prob_alpha(kernel, net, 0.5)
     monkeypatch.setattr(eulerian, "_cycle_covers", no_work)
     monkeypatch.setattr(eulerian, "LAYER_CAP", 63)
     with pytest.raises(TooLarge, match="would hold"):
         exact_network_prob_alpha(kernel, net, 0.5)
+
+
+def _directed_ring(n: int) -> Network:
+    """Once around the n-cycle with unit conductances, killed weakly at one vertex."""
+    names = [f"v{i}" for i in range(n)]
+    graph = WeightedGraph.build(names, [(names[i], names[(i + 1) % n], 1.0) for i in range(n)],
+                                {names[0]: 0.01})
+    counts = np.zeros((n, n), dtype=np.int64)
+    counts[np.arange(n), (np.arange(n) + 1) % n] = 1
+    return Network(graph, counts)
+
+
+@pytest.mark.parametrize("n", [19, 21, 27])
+def test_alpha_route_on_long_rings(n):
+    # keys sized by the box keep the 19-ring's 19 support edges in int64, and
+    # the cover search, bounded by the support rather than ENUMERATION_CAP,
+    # keeps the 21- and 27-cycles (without them the route read 0.0)
+    net = _directed_ring(n)
+    kernel = build_kernel(net.graph)
+    assert exact_network_prob_alpha(kernel, net, 1.0) == pytest.approx(
+        exact_network_prob_alpha1(kernel, net), rel=1e-12, abs=0.0)
+
+
+def test_alpha_route_digest():
+    # the route on the K4 networks of |k| <= 8 at alpha 0.5 and 2, to the bit
+    kernel = build_kernel(_complete_graph(4, 3.0))
+    nets = [e.network for e in enumerate_eulerian(kernel, 1e-3) if 0 < e.network.total <= 8]
+    values = np.array([[exact_network_prob_alpha(kernel, net, alpha) for alpha in (0.5, 2.0)]
+                       for net in nets])
+    assert len(nets) == 771
+    assert hashlib.sha256(values.tobytes()).hexdigest() == ALPHA_ROUTE_K4
 
 
 def test_alpha_route_matches_factorial_route_on_random_networks():
