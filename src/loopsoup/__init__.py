@@ -37,13 +37,13 @@ _EXPORTS = {
     "exact": ("alpha_permanent", "arborescence_count", "permanent",
               "spanning_tree_weight_sum"),
     "fields": (
-        "complex_wick_moment", "ks_two_sample", "ray_knight_check", "sample_complex_fields",
-        "sample_excursion_field", "sample_real_fields", "verify_det_identity",
-        "verify_isomorphism", "verify_moment_formula",
+        "ks_two_sample", "ray_knight_check", "sample_complex_fields", "sample_excursion_field",
+        "sample_real_fields", "verify_det_identity", "verify_isomorphism",
+        "verify_moment_formula",
     ),
     "graphs": ("ChainKernel", "WeightedGraph", "build_kernel"),
     "homology": (
-        "CycleBasis", "HomologyClass", "HomologyLaw", "JacobianVolume", "cycle_basis",
+        "CycleBasis", "HomologyLaw", "JacobianVolume", "cycle_basis",
         "homology_distribution", "homology_distribution_auto", "intersection_matrix",
         "jacobian_volume", "network_homology_class",
     ),

@@ -27,7 +27,7 @@ import numpy as np
 
 import loopsoup as ls
 
-from .errors import BadIntensity, BadReplicaCount, LoopSoupError
+from .errors import BadGraph, BadIntensity, BadReplicaCount, LoopSoupError
 from .reports import CONVENTIONS, DEFAULT_REPLICAS, DEFAULT_SEED, Z_GATE, TestReport
 from .rng import _check_count
 
@@ -121,7 +121,12 @@ def _read_kernel(path: str):
 
 
 def _load_network(graph, path: str):
-    return ls.network.Network.from_json_dict(graph, ls.graphs._load_json(path, "network"))
+    """The network in the file at `path`; BadGraph naming the file."""
+    data = ls.graphs._load_json(path, "network")
+    try:
+        return ls.network.Network.from_json_dict(graph, data)
+    except BadGraph as exc:
+        raise BadGraph(f"network file {path}: {exc}") from None
 
 
 def _rescale_gates(report: TestReport, scale: float) -> None:

@@ -359,24 +359,20 @@ def mu_network_measure(kernel: ChainKernel, k: Network) -> float:
     return float(_loop_measure(k.counts[None], *terms)[0])
 
 
-def _key_weights(n_edges: int, max_total: int) -> np.ndarray:
-    """Weights w of exact int64 keys rows @ w of count rows over n_edges
-    directed edges, additive: key(a) + key(b) = key(a + b).
-
-    The keys are base-B numbers with one digit per directed edge, the first
-    edge most significant, so rows in lexicographic order have ascending keys.
-    A single edge carries at most half of a circulation's total (every
-    crossing x -> y is followed by one out of y along another edge), so
-    B = max_total // 2 + 1 keeps every digit of every sum within the support's
-    totals below B.  Raises TooLarge when B^E would not fit in an int64.
-    """
-    base = max_total // 2 + 1
-    if base**n_edges > 2**63:
-        raise TooLarge(
-            f"convolution keys need {base}^{n_edges} > 2^63 values; "
-            f"{n_edges} directed edges at |k| <= {max_total} do not fit in int64"
-        )
-    return base ** np.arange(n_edges - 1, -1, -1, dtype=np.int64)
+def _key_weights(radices) -> np.ndarray:
+    """Weights w of int64 keys rows @ w of count rows with digit e below
+    radices[e]: mixed-radix numbers, the first edge most significant, so
+    lexicographic order is key order, and additive while every digit of a
+    sum stays below its radix.  Edge e weighs the product of the later
+    radices, in Python ints; TooLarge when the keys need over 2^63 values."""
+    weights, values = [], 1
+    for radix in reversed(radices):
+        weights.append(values)
+        values *= int(radix)
+    if values > 2**63:
+        raise TooLarge(f"count-row keys need {values} > 2^63 values; "
+                       f"{len(weights)} directed edges do not fit in int64")
+    return np.array(weights[::-1], dtype=np.int64)
 
 
 def _poisson_series(keys, mu, alpha: float) -> list:
@@ -462,6 +458,10 @@ def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> f
     2^|k|.  Raises BadIntensity unless alpha is finite and above 0, TooLarge
     past ALPHA_NETWORK_CAP = 27 (K4 networks at the cap: about 0.03 s) or for
     a box step past LAYER_CAP counts, both before the cover search.
+
+    The |k| cap guards what LAYER_CAP does not: the int64 masks 1 << e need
+    at most 63 support edges, and a long cycle has a small box (a directed
+    ring of 70 edges holds 2 rows), so LAYER_CAP alone would let it reach them.
     """
     _check_alpha(alpha)
     if not k.is_eulerian():
@@ -472,7 +472,7 @@ def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> f
         )
     edges = [(int(x), int(y)) for x, y in zip(*np.nonzero(k.counts))]
     top = k.counts[k.counts > 0]
-    weights = np.cumprod(top[::-1] + 1)[::-1] // (top + 1)  # prod of the later radices
+    weights = _key_weights(top + 1)
     rows, sizes = _sub_circulations(k.counts)
     if sizes[-1] != 1 or not np.array_equal(rows[-1], top):
         raise ArithmeticError("the sub-circulations of total |k| are not exactly k")
@@ -515,7 +515,10 @@ def _convolution_report(kernel: ChainKernel, layers: list, delta: float):
     report = TestReport(name="poisson-convolution")
     report.meta["support_size"] = sum(len(rows) for rows, _, _, _ in layers)
     report.meta["delta"] = delta
-    weights = _key_weights(layers[0][0].shape[1], len(layers) - 1)
+    # an edge carries at most half of a circulation's total (every crossing
+    # x -> y is followed by one out of y along another edge), so radix
+    # |k| // 2 + 1 keeps every digit of every sum within the support below it
+    weights = _key_weights([(len(layers) - 1) // 2 + 1] * layers[0][0].shape[1])
     keys = [rows @ weights for rows, _, _, _ in layers]
     reconstructed = _poisson_series(keys, [mu for _, _, _, mu in layers], 1.0)
     max_err = max(

@@ -47,17 +47,6 @@ def sample_complex_fields(kernel: ChainKernel, count: int, seed) -> np.ndarray:
     return (f1 + 1j * f2) / np.sqrt(2.0)
 
 
-def complex_wick_moment(kernel: ChainKernel, sources, targets) -> float:
-    """E[prod_j phi_{sources[j]} prod_j conj(phi_{targets[j]})] = Per(G block)."""
-    src = [kernel.graph.index(v) for v in sources]
-    tgt = [kernel.graph.index(v) for v in targets]
-    if len(src) != len(tgt):
-        return 0.0
-    if not src:
-        return 1.0
-    return float(permanent(kernel.G[np.ix_(src, tgt)]))
-
-
 def _two_sample_z(report: TestReport, name: str, a: np.ndarray, b: np.ndarray) -> None:
     ma, mb = float(np.mean(a)), float(np.mean(b))
     se = float(np.sqrt(np.var(a) / len(a) + np.var(b) / len(b)))
@@ -260,7 +249,8 @@ def verify_moment_formula(kernel: ChainKernel, edges, points, histogram: dict) -
 
     sources = [u for u, _ in edge_idx] + point_idx
     targets = [v for _, v in edge_idx] + point_idx
-    closed = complex_wick_moment(kernel, sources, targets)
+    # E[prod phi_sources prod conj(phi_targets)] = Per(G block), 1 for no pairs
+    closed = float(permanent(kernel.G[np.ix_(sources, targets)]))
     for u, v in edge_idx:
         closed *= graph.conductance[u, v]
     for p in point_idx:

@@ -41,14 +41,17 @@ def _as_float(value, where: str) -> float:
 
 
 def _load_json(path, what: str):
-    """The JSON value in the file at `path`; BadGraph naming the `what` file
-    and the place when the text is not JSON."""
+    """The JSON value in the file at `path`; BadGraph naming the `what` file,
+    with the place when the text is not JSON, else with the message for an
+    integer past the digit limit, bad UTF-8 or nesting past the recursion limit."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise BadGraph(f"{what} file {path}: invalid JSON at line {exc.lineno} "
                        f"column {exc.colno}") from None
+    except (ValueError, RecursionError) as exc:
+        raise BadGraph(f"{what} file {path}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +197,6 @@ class ChainKernel:
     graph: WeightedGraph
     lam: np.ndarray
     P: np.ndarray
-    G: np.ndarray
     energy_matrix: np.ndarray
     det_i_minus_p: float
     log_det_i_minus_p: float
@@ -208,6 +210,12 @@ class ChainKernel:
     def mu_mass(self) -> float:
         """Total measure of nontrivial loops, -log det(I - P)."""
         return -self.log_det_i_minus_p
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        """Green's function (M_lam - C)^(-1), symmetrized against rounding."""
+        green = np.linalg.inv(self.energy_matrix)
+        return _frozen((green + green.T) / 2.0)
 
     @cached_property
     def q_matrix(self) -> np.ndarray:
@@ -308,7 +316,8 @@ class ChainKernel:
 
 
 def build_kernel(graph: WeightedGraph) -> ChainKernel:
-    """Derive lam, P, G and det(I - P) from a graph, checking transience."""
+    """Derive lam, P and det(I - P) from a graph, checking transience; G is
+    computed on first read."""
     lam = graph.conductance.sum(axis=1) + graph.killing
     m = np.diag(lam) - graph.conductance
     w = np.linalg.eigvalsh(m)
@@ -316,8 +325,6 @@ def build_kernel(graph: WeightedGraph) -> ChainKernel:
         raise NonTransient(
             "energy form is not positive definite; killing vanishes on some connected component"
         )
-    green = np.linalg.inv(m)
-    green = (green + green.T) / 2.0
     p = graph.conductance / lam[None, :]
     log_prod_lam = float(np.sum(np.log(lam)))
     log_dimp = float(np.sum(np.log(w)) - log_prod_lam)
@@ -325,7 +332,6 @@ def build_kernel(graph: WeightedGraph) -> ChainKernel:
         graph=graph,
         lam=_frozen(lam),
         P=_frozen(p),
-        G=_frozen(green),
         energy_matrix=_frozen(m),
         det_i_minus_p=float(np.exp(log_dimp)),
         log_det_i_minus_p=log_dimp,

@@ -112,11 +112,6 @@ def cycle_basis(graph: WeightedGraph) -> CycleBasis:
     return CycleBasis(graph, tuple(tree), tuple(nontree), tuple(cycles))
 
 
-@dataclass(frozen=True)
-class HomologyClass:
-    coords: tuple
-
-
 def _class_coords(counts: np.ndarray, basis: CycleBasis) -> np.ndarray:
     """Cycle-basis coordinates of a stack of count matrices, shape (R, n, n)
     in, (R, basis.n) out: the crossing flow at each non-tree edge.
@@ -136,16 +131,18 @@ def _class_coords(counts: np.ndarray, basis: CycleBasis) -> np.ndarray:
     return coords
 
 
-def network_homology_class(k: Network, basis: CycleBasis) -> HomologyClass:
-    """Coordinates of the antisymmetric part of k in the cycle basis: the
-    one-network view of the stacked pass above."""
-    return HomologyClass(tuple(_class_coords(k.counts[None], basis)[0].tolist()))
+def network_homology_class(k: Network, basis: CycleBasis) -> tuple:
+    """Coordinates of the antisymmetric part of k in the cycle basis, a
+    tuple of ints: the one-network view of the stacked pass above."""
+    return tuple(_class_coords(k.counts[None], basis)[0].tolist())
 
 
-def intersection_matrix(basis: CycleBasis, graph: WeightedGraph) -> np.ndarray:
-    """Gram matrix of the cycle basis under the edge inner product 1/C_e."""
+def intersection_matrix(basis: CycleBasis) -> np.ndarray:
+    """Gram matrix of the cycle basis under the edge inner product 1/C_e of
+    the basis's own graph."""
     if basis.n == 0:
         raise EmptyBasis("graph has no independent cycles")
+    graph = basis.graph
     lam = np.zeros((basis.n, basis.n))
     for i in range(basis.n):
         for j in range(basis.n):
@@ -174,7 +171,7 @@ def jacobian_volume(graph: WeightedGraph) -> JacobianVolume:
     via_trees = tree_weight**-0.5
     if basis.n == 0:
         return JacobianVolume(1.0, 1.0, 1.0, True, tree_weight)
-    lam = intersection_matrix(basis, graph)
+    lam = intersection_matrix(basis)
     prod_c = 1.0
     for u, v in graph.edge_pairs:
         prod_c *= graph.conductance[u, v]

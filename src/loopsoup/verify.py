@@ -125,12 +125,21 @@ def normalize_counter(counter: Counter) -> dict:
 
 # ---------------------------------------------------------------- histogram helpers
 
-def edge_marginal(histogram: Counter, i: int, j: int) -> Counter:
-    """Marginal histogram of one directed-edge count."""
-    out: Counter = Counter()
+def _round_trip_tv(histogram: Counter, pmf) -> float:
+    """TV between the law of the a -> b count of a two-point histogram and
+    pmf on 0 to ten past the largest count seen."""
+    counts: Counter = Counter()
     for key, c in histogram.items():
-        out[int(key[i][j])] += c
-    return out
+        counts[int(key[0][1])] += c
+    marginal = normalize_counter(counts)
+    return tv_distance(marginal, {n: pmf(n) for n in range(max(marginal) + 11)})
+
+
+def _append_lines(report: TestReport, prefix: str, lines) -> None:
+    """Append a sub-report's lines to report, each statistic led by prefix."""
+    for line in lines:
+        line.statistic = f"{prefix} {line.statistic}"
+        report.lines.append(line)
 
 
 def _record_sampling(report: TestReport, histograms: dict) -> None:
@@ -155,14 +164,11 @@ def check_geometric_law(histogram: Counter, hist_seconds: float) -> TestReport:
     """Round-trip count on the two-point chain under the cycle-popping
     sampler follows the ratio-1/4 geometric law."""
     t0 = time.perf_counter()
-    marginal = normalize_counter(edge_marginal(histogram, 0, 1))
-    n_max = max(marginal) + 10
-    exact = {n: geometric_pmf(n) for n in range(n_max + 1)}
     report = TestReport(name="geometric-law", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 1, "graph": "two-point", "sampler": "wilson",
                         "replicas": sum(histogram.values())})
     _record_sampling(report, {"wilson": histogram})
-    report.add_bound("TV(empirical, geometric)", tv_distance(marginal, exact), 0.02)
+    report.add_bound("TV(empirical, geometric)", _round_trip_tv(histogram, geometric_pmf), 0.02)
     report.add_bound("runtime_seconds", hist_seconds + (time.perf_counter() - t0), 60.0)
     return report
 
@@ -176,11 +182,8 @@ def check_negative_binomial(histograms: dict) -> TestReport:
     used = {}
     for alpha, hist in histograms.items():
         used[f"alpha={alpha}"] = hist
-        marginal = normalize_counter(edge_marginal(hist, 0, 1))
-        n_max = max(marginal) + 10
-        exact = {n: nb_pmf(n, alpha) for n in range(n_max + 1)}
         report.add_bound(f"TV(empirical, NB) alpha={alpha}",
-                         tv_distance(marginal, exact), 0.02)
+                         _round_trip_tv(hist, lambda n: nb_pmf(n, alpha)), 0.02)
     _record_sampling(report, used)
     return report
 
@@ -264,12 +267,8 @@ def check_isomorphism(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED
                         "sampler_diagnostics": {
                             "triangle": tri.meta["sampler_diagnostics"],
                             "single-vertex": single.meta["sampler_diagnostics"]}})
-    for line in tri.lines:
-        line.statistic = "triangle " + line.statistic
-        report.lines.append(line)
-    for line in single.lines:
-        line.statistic = "single-vertex " + line.statistic
-        report.lines.append(line)
+    _append_lines(report, "triangle", tri.lines)
+    _append_lines(report, "single-vertex", single.lines)
     return report
 
 
@@ -447,9 +446,7 @@ def _mu_measure_lines(report: TestReport, delta_triangle: float) -> None:
 
     for label, kernel, delta, layers in (("two-point", kernel2, DELTA_TWO_POINT, layers2),
                                          ("triangle", kernel3, delta_triangle, layers3)):
-        for line in _convolution_report(kernel, layers, delta).lines:
-            line.statistic = f"{label} {line.statistic}"
-            report.lines.append(line)
+        _append_lines(report, label, _convolution_report(kernel, layers, delta).lines)
 
 
 def random_connected_graph(rng) -> WeightedGraph:

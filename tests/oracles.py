@@ -331,7 +331,7 @@ def network_prob_alpha_mu_series(kernel, k, alpha: float) -> float:
     enter, each with its loop measure from the layer law, and the series
     runs on the keyed recurrence over k's support edges."""
     edges = [(int(x), int(y)) for x, y in zip(*np.nonzero(k.counts))]
-    weights = _key_weights(len(edges), k.total)
+    weights = _key_weights([k.total // 2 + 1] * len(edges))
     rows, sizes = _sub_circulations(k.counts)
     mu = _loop_measure(_count_matrices(kernel.n, edges, rows), *_row_terms(kernel, edges, rows))
     bounds = np.cumsum(sizes)[:-1]

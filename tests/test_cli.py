@@ -113,7 +113,8 @@ def test_malformed_network_file(tmp_path, counts):
     path.write_text(json.dumps({"counts": counts}))
     for command in ("best-count", "mu-network", "exact-network"):
         err = run(tmp_path, command, "--graph", TWO_POINT, "--network", str(path), expect=1)
-        assert err.startswith("error: network counts") and "Traceback" not in err
+        assert err.startswith(f"error: network file {path}: network counts")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("alpha", ["-1", "0", "nan", "inf"])
@@ -134,7 +135,7 @@ def test_non_finite_network_file(tmp_path, count):
         warnings.simplefilter("error")
         err = run(tmp_path, "best-count", "--graph", TWO_POINT, "--network", str(path),
                   expect=1)
-    assert err == "error: network counts must be finite\n"
+    assert err == f"error: network file {path}: network counts must be finite\n"
 
 
 @pytest.mark.parametrize("graph", [
@@ -170,6 +171,20 @@ def test_network_file_with_invalid_json(tmp_path):
     for command in ("best-count", "mu-network", "exact-network"):
         err = run(tmp_path, command, "--graph", TWO_POINT, "--network", str(path), expect=1)
         assert err == f"error: network file {path}: invalid JSON at line 2 column 1\n"
+
+
+@pytest.mark.parametrize("kind", ["graph", "network"])
+def test_file_with_an_overlong_integer(tmp_path, kind):
+    # json refuses integer literals past 4300 digits with a bare ValueError
+    path = tmp_path / f"{kind}.json"
+    slot = ('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "c": %s}], '
+            '"killing": {"a": 1}}') if kind == "graph" else '{"counts": [[0, %s], [1, 0]]}'
+    path.write_text(slot % ("1" * 5001))
+    argv = ("kernel", "--graph", str(path)) if kind == "graph" else \
+        ("best-count", "--graph", TWO_POINT, "--network", str(path))
+    err = run(tmp_path, *argv, expect=1)
+    assert err.startswith(f"error: {kind} file {path}: Exceeds the limit")
+    assert "Traceback" not in err
 
 
 def test_convolution_command(tmp_path):

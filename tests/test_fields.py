@@ -12,7 +12,6 @@ from loopsoup import (
     BadSupport,
     DuplicateIndex,
     LoopSoupError,
-    complex_wick_moment,
     ks_two_sample,
     network_histogram,
     occupation_samples,
@@ -65,18 +64,6 @@ def test_field_count_is_typed(two_point_kernel):
                 sampler(two_point_kernel, count, 7)
             assert isinstance(info.value, LoopSoupError)
             assert isinstance(info.value, ValueError)
-
-
-def test_complex_wick_moment(two_point_kernel):
-    assert complex_wick_moment(two_point_kernel, ["a"], ["a"]) == pytest.approx(2 / 3)
-    assert complex_wick_moment(two_point_kernel, ["a"], ["b"]) == pytest.approx(1 / 3)
-    # permanent of the full 2x2 block
-    assert complex_wick_moment(
-        two_point_kernel, ["a", "b"], ["a", "b"]
-    ) == pytest.approx(5 / 9)
-    # unbalanced products have zero mean, the empty product has mean one
-    assert complex_wick_moment(two_point_kernel, ["a"], []) == 0.0
-    assert complex_wick_moment(two_point_kernel, [], []) == 1.0
 
 
 def test_ks_two_sample():
@@ -188,9 +175,14 @@ def test_moment_formula_closed_forms(two_point_kernel):
                                 network_histogram(two_point_kernel, 20_000, 64))
     edge_line = rep.lines[0]
     assert edge_line.rhs == pytest.approx(1 / 3)
-    rep2 = verify_moment_formula(two_point_kernel, [], ["a"],
-                                 network_histogram(two_point_kernel, 20_000, 65))
+    hist = network_histogram(two_point_kernel, 20_000, 65)
+    rep2 = verify_moment_formula(two_point_kernel, [], ["a"], hist)
     assert rep2.lines[0].rhs == pytest.approx(4 / 3)
+    # E N_ab N_ba = C_ab C_ba Per(G), the permanent of the full 2x2 block
+    rep3 = verify_moment_formula(two_point_kernel, [("a", "b"), ("b", "a")], [], hist)
+    assert rep3.lines[0].rhs == pytest.approx(5 / 9)
+    # the empty product has mean one, the permanent of the empty block
+    assert verify_moment_formula(two_point_kernel, [], [], hist).lines[0].rhs == 1.0
 
 
 def test_det_identity(two_point_kernel):

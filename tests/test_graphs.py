@@ -6,9 +6,12 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsoup import BadGraph, NonTransient, TailTooHeavy, WeightedGraph, build_kernel
-from loopsoup.verify import complete4_graph, single_vertex_graph
+from loopsoup.cli import _load_network
+from loopsoup.verify import complete4_graph, single_vertex_graph, two_point_graph
 
 import oracles
 
@@ -135,6 +138,12 @@ def test_kernel_arrays_are_read_only(triangle):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(k.graph, name, None)
     assert "q_matrix" in vars(k) and "q_matrix" not in vars(fresh)
+    # the Green function too is computed on first read, then frozen
+    assert "G" in vars(k) and "G" not in vars(fresh)
+    assert np.array_equal(fresh.G, k.G) and "G" in vars(fresh)
+    assert not fresh.G.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fresh.G = None
 
 
 def test_json_round_trip(tmp_path, triangle):
@@ -274,3 +283,39 @@ def test_walk_step_distribution(path3_kernel):
         hits[path3_kernel.walk_step(0, rng)] += 1
     # from the killed end: half the jumps die, half go inward
     assert hits[-1] / 4000 == pytest.approx(0.5, abs=0.03)
+
+
+# files whose %s slot takes a malformed value, by kind; the bare slot is the
+# whole file
+_SLOTS = {
+    "graph": ('{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "c": %s}], '
+              '"killing": {"a": 1}}',
+              '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "c": 1}], '
+              '"killing": {"a": %s}}',
+              "%s"),
+    "network": ('{"counts": [[0, %s], [1, 0]]}', '{"counts": [[0, 1], [%s, 0]]}', "%s"),
+}
+_NON_FINITE = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e999"])
+_LONG_INT = st.tuples(st.sampled_from(["", "-"]), st.integers(5000, 6000)).map(
+    lambda sd: sd[0] + "9" * sd[1])
+_NOT_OBJECT = st.sampled_from(["[]", "[[0, 1], [1, 0]]", "3", '"graph"', "null", "true",
+                               "[" * 100_000 + "]" * 100_000])  # past the recursion limit
+
+
+def _load(kind: str, path):
+    if kind == "graph":
+        return WeightedGraph.from_json_file(path)
+    return _load_network(two_point_graph(), path)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(_SLOTS)), st.data())
+def test_malformed_json_names_the_file(tmp_path_factory, kind, data):
+    slot = data.draw(st.sampled_from(_SLOTS[kind]))
+    value = data.draw(st.one_of(_NON_FINITE, _LONG_INT,
+                                _NOT_OBJECT if slot == "%s" else st.nothing()))
+    path = tmp_path_factory.mktemp(kind) / f"{kind}.json"
+    path.write_text(slot % value)
+    with pytest.raises(BadGraph) as info:
+        _load(kind, path)
+    assert str(info.value).startswith(f"{kind} file {path}: ")

@@ -7,6 +7,8 @@ from collections import Counter
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsoup import (
     BadExactInput,
@@ -98,14 +100,14 @@ def test_homology_class(triangle):
     basis = cycle_basis(triangle)
     fwd = network_homology_class(_directed_triangle(triangle), basis)
     rev = network_homology_class(_directed_triangle(triangle, reverse=True), basis)
-    assert fwd.coords in ((1,), (-1,))
-    assert rev.coords == tuple(-c for c in fwd.coords)
+    assert fwd in ((1,), (-1,))
+    assert rev == tuple(-c for c in fwd)
     # symmetric traffic winds nowhere
     sym = Network(triangle, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
-    assert network_homology_class(sym, basis).coords == (0,)
+    assert network_homology_class(sym, basis) == (0,)
     # additivity over network sums
     both = Network(triangle, 2 * _directed_triangle(triangle).counts)
-    assert network_homology_class(both, basis).coords == tuple(2 * c for c in fwd.coords)
+    assert network_homology_class(both, basis) == tuple(2 * c for c in fwd)
     unbal = Network(triangle, np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
     with pytest.raises(NotEulerian):
         network_homology_class(unbal, basis)
@@ -125,7 +127,7 @@ def test_stacked_classes_match_one_network_view(graph):
     coords = _class_coords(np.array([net.counts for net in nets]), basis)
     assert coords.shape == (len(nets), basis.n)
     assert [tuple(row) for row in coords.tolist()] == [
-        network_homology_class(net, basis).coords for net in nets]
+        network_homology_class(net, basis) for net in nets]
 
 
 def test_stacked_classes_reject_bad_rows(triangle, path3):
@@ -147,7 +149,7 @@ def test_homology_check_builds_no_networks(monkeypatch, triangle_kernel, triangl
     basis = cycle_basis(triangle)
     reference = Counter()
     for key, c in hist.items():
-        reference[network_homology_class(Network(triangle, np.array(key)), basis).coords] += c
+        reference[network_homology_class(Network(triangle, np.array(key)), basis)] += c
     calls = []
 
     def spy(original):
@@ -173,16 +175,44 @@ def test_homology_check_builds_no_networks(monkeypatch, triangle_kernel, triangl
 
 def test_intersection_matrix(triangle):
     basis = cycle_basis(triangle)
-    lam = intersection_matrix(basis, triangle)
+    lam = intersection_matrix(basis)
     assert lam == pytest.approx(np.array([[3.0]]))
     scaled = _scaled_triangle(1.0, 2.0, 3.0)
-    lam2 = intersection_matrix(cycle_basis(scaled), scaled)
+    lam2 = intersection_matrix(cycle_basis(scaled))
     assert lam2 == pytest.approx(np.array([[1 + 1 / 2 + 1 / 3]]))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_class_coordinates_rebuild_the_crossing_flow(seed):
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng)
+    net = verify.random_eulerian_network(graph, rng)
+    basis = cycle_basis(graph)
+    coords = network_homology_class(net, basis)
+    assert len(coords) == basis.n and all(type(c) is int for c in coords)
+    flow = np.zeros((graph.n, graph.n), dtype=np.int64)
+    for c, cycle in zip(coords, basis.cycles):
+        flow += c * cycle
+    assert np.array_equal(flow, net.counts - net.counts.T)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_intersection_matrix_is_symmetric_positive_definite(seed):
+    basis = cycle_basis(random_connected_graph(np.random.default_rng(seed)))
+    if basis.n == 0:
+        with pytest.raises(EmptyBasis):
+            intersection_matrix(basis)
+        return
+    lam = intersection_matrix(basis)
+    assert np.array_equal(lam, lam.T)
+    np.linalg.cholesky(lam)  # raises unless positive definite
 
 
 def test_intersection_empty(two_point):
     with pytest.raises(EmptyBasis):
-        intersection_matrix(cycle_basis(two_point), two_point)
+        intersection_matrix(cycle_basis(two_point))
 
 
 def test_jacobian_volume(triangle, two_point):

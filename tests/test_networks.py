@@ -8,6 +8,8 @@ from itertools import islice
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsoup import (
     BadExactInput,
@@ -690,13 +692,32 @@ def test_convolution_keys_stay_exact():
     rows = rng.integers(0, 8, size=(64, 20))
     rows[0] = 7
     exact = [int("".join(str(d) for d in row), 8) for row in rows.tolist()]
-    assert (rows @ _key_weights(20, 15)).tolist() == exact
+    assert (rows @ _key_weights([8] * 20)).tolist() == exact
     assert exact[0] == 8**20 - 1
     with pytest.raises(TooLarge):
-        _key_weights(20, 16)
+        _key_weights([9] * 20)
+    # 8^21 = 2^63 keys still fit, since the weights stop at 8^20
+    assert _key_weights([8] * 21)[0] == 8**20
     # K6 has 30 directed edges; its enumeration to 1e-3 does not fit
     with pytest.raises(TooLarge):
         verify_poisson_convolution(build_kernel(_complete_graph(6, 6.0)), 1e-3)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(1, 300), max_size=12), st.data())
+def test_key_weights_are_mixed_radix_numbers(radices, data):
+    if math.prod(radices) > 2**63:
+        with pytest.raises(TooLarge):
+            _key_weights(radices)
+        return
+    weights = _key_weights(radices)
+    assert weights.dtype == np.int64 and len(weights) == len(radices)
+    digits = st.tuples(*(st.integers(0, r - 1) for r in radices))
+    row = data.draw(digits)
+    want = 0
+    for d, r in zip(row, radices):
+        want = want * r + d
+    assert int(np.array(row, dtype=np.int64) @ weights) == want
 
 
 def test_enumerate_budget_exceeded(triangle_kernel):
@@ -780,7 +801,7 @@ def test_poisson_series_matches_power_sums(graph, top):
     edges = _directed_edges(graph)
     layers = [np.zeros((1, len(edges)), dtype=np.int64)]
     layers += islice(_circulation_layers(graph, edges), top)
-    keys = [rows @ _key_weights(len(edges), top) for rows in layers]
+    keys = [rows @ _key_weights([top // 2 + 1] * len(edges)) for rows in layers]
     mu = [_loop_measure(_count_matrices(graph.n, edges, rows), *_row_terms(kernel, edges, rows))
           for rows in layers]
     for alpha in (0.5, 1.0, 2.0):
