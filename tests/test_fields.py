@@ -66,6 +66,26 @@ def test_field_count_is_typed(two_point_kernel):
             assert isinstance(info.value, ValueError)
 
 
+def test_complex_wick_moment(two_point_kernel):
+    # E[prod phi_sources prod conj(phi_targets)] = Per(G block), the closed
+    # form verify_moment_formula reads; the sampled moments agree with it
+    n = 40_000
+    phi = sample_complex_fields(two_point_kernel, n, 102)
+    a, b = phi[:, 0], phi[:, 1]
+    assert np.mean(a * a.conj()) == pytest.approx(2 / 3, abs=0.02)
+    assert np.mean(a * b.conj()) == pytest.approx(1 / 3, abs=0.02)
+    # permanent of the full 2x2 block; its noise is about 0.006 at this size
+    assert np.mean(a * b * (a * b).conj()) == pytest.approx(5 / 9, abs=0.05)
+    # unbalanced products have zero mean
+    assert abs(np.mean(a)) < 0.02
+    hist = network_histogram(two_point_kernel, 20_000, 65)
+    # E N_ab N_ba = C_ab C_ba Per(G), the permanent of the full 2x2 block
+    rep = verify_moment_formula(two_point_kernel, [("a", "b"), ("b", "a")], [], hist)
+    assert rep.lines[0].rhs == pytest.approx(5 / 9)
+    # the empty product has mean one, the permanent of the empty block
+    assert verify_moment_formula(two_point_kernel, [], [], hist).lines[0].rhs == 1.0
+
+
 def test_ks_two_sample():
     a = np.arange(100, dtype=float)
     assert ks_two_sample(a, a) == 0.0
@@ -178,11 +198,6 @@ def test_moment_formula_closed_forms(two_point_kernel):
     hist = network_histogram(two_point_kernel, 20_000, 65)
     rep2 = verify_moment_formula(two_point_kernel, [], ["a"], hist)
     assert rep2.lines[0].rhs == pytest.approx(4 / 3)
-    # E N_ab N_ba = C_ab C_ba Per(G), the permanent of the full 2x2 block
-    rep3 = verify_moment_formula(two_point_kernel, [("a", "b"), ("b", "a")], [], hist)
-    assert rep3.lines[0].rhs == pytest.approx(5 / 9)
-    # the empty product has mean one, the permanent of the empty block
-    assert verify_moment_formula(two_point_kernel, [], [], hist).lines[0].rhs == 1.0
 
 
 def test_det_identity(two_point_kernel):
