@@ -90,15 +90,17 @@ def _as_modifier_array(kernel: ChainKernel, z) -> np.ndarray:
 
 
 def _ratio_power(ratio: np.ndarray, alpha: float) -> np.ndarray:
-    """ratio^(-alpha) for an array of twisted determinant ratios."""
+    """ratio^(-alpha) for a complex array of twisted determinant ratios,
+    written into ratio."""
     # Hermitian |Z| <= 1 keeps the twisted energy matrix positive definite, so
     # the ratio is real positive up to rounding and takes the real power
     # (the complex power is taken only on the points that are not)
-    real = (ratio.real > 0) & (np.abs(ratio.imag) < 1e-9 * np.maximum(1.0, ratio.real))
-    out = (np.abs(ratio.real) ** -alpha).astype(complex)
-    twisted = ~real
-    out[twisted] = ratio[twisted] ** -alpha
-    return out
+    twisted = ~((ratio.real > 0)
+                & (np.abs(ratio.imag) < 1e-9 * np.maximum(1.0, ratio.real)))
+    complex_power = ratio[twisted] ** -alpha
+    ratio[...] = np.abs(ratio.real) ** -alpha
+    ratio[twisted] = complex_power
+    return ratio
 
 
 def generating_function(kernel: ChainKernel, z, alpha: float) -> complex:

@@ -73,48 +73,77 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     return max(_ks_gap(a, b), _ks_gap(b, a))
 
 
+def _field_chunks(kernel: ChainKernel, count: int, rng):
+    """sample_real_fields' draws in chunks of BLOCK rows, each with its slice
+    of the replica axis: the normals come from the stream in the same order,
+    and the same rows of z @ field_factor have the same bits."""
+    for start in range(0, count, BLOCK):
+        size = min(BLOCK, count - start)
+        yield (slice(start, start + size),
+               rng.standard_normal((size, kernel.n)) @ kernel.field_factor)
+
+
+def _half_sq_rows(kernel: ChainKernel, count: int, seed) -> np.ndarray:
+    """0.5 * sample_real_fields(kernel, count, seed) ** 2, transposed to one
+    contiguous row per vertex and filled chunk by chunk."""
+    rows = np.empty((kernel.n, count))
+    for cols, f in _field_chunks(kernel, count, seeded_rng(seed)):
+        rows[:, cols] = (0.5 * f**2).T
+    return rows
+
+
+def _abs_sq_rows(kernel: ChainKernel, count: int, seed) -> np.ndarray:
+    """np.abs(sample_complex_fields(kernel, count, seed)) ** 2, transposed to
+    one contiguous row per vertex: the real parts are filled in first, then
+    each chunk of imaginary parts turns its columns into |phi|^2."""
+    rng = seeded_rng(seed)
+    rows = np.empty((kernel.n, count))
+    for cols, f1 in _field_chunks(kernel, count, rng):
+        rows[:, cols] = f1.T
+    for cols, f2 in _field_chunks(kernel, count, rng):
+        rows[:, cols] = (np.abs((rows[:, cols].T + 1j * f2) / np.sqrt(2.0)) ** 2).T
+    return rows
+
+
+def _pair_lines(report: TestReport, label: str, names, occ: np.ndarray,
+                ref: np.ndarray) -> None:
+    """Moments 1-4 per vertex and pairwise joints of two (n, R) samples."""
+    n = len(occ)
+    for x in range(n):
+        for r in range(1, 5):
+            _two_sample_z(report, f"{label}[{names[x]}]^moment{r}", occ[x] ** r, ref[x] ** r)
+    for x in range(n):
+        for y in range(x + 1, n):
+            _two_sample_z(report, f"{label}[{names[x]},{names[y]}] joint",
+                          occ[x] * occ[y], ref[x] * ref[y])
+
+
 def verify_isomorphism(kernel: ChainKernel, replicas: int, seed) -> TestReport:
     """Occupation fields against squared Gaussian fields, moments 1-4 and
-    pairwise joints; exact two-sample KS on a one-vertex graph."""
+    pairwise joints; exact two-sample KS on a one-vertex graph.
+
+    Each sample is held once, as one contiguous row per vertex (reductions
+    over strided columns are slower), and the half pair is reduced and
+    dropped before the one pair is drawn."""
     report = TestReport(name="isomorphism", conventions=dict(CONVENTIONS))
     names = kernel.graph.vertices
-    n = kernel.n
     seed = stream_seed(seed)
-
     half_meta: dict = {}
     one_meta: dict = {}
-    occ_half = occupation_samples(kernel, 0.5, replicas, seed, meta=half_meta)
-    half_sq = 0.5 * sample_real_fields(kernel, replicas, seed + 1) ** 2
-    occ_one = occupation_samples(kernel, 1.0, replicas, seed + 2, meta=one_meta)
-    abs_sq = np.abs(sample_complex_fields(kernel, replicas, seed + 3)) ** 2
     report.meta.update({"replicas": replicas, "rng": dict(SCHEME),
                         "sampler_diagnostics": {"alpha=0.5": half_meta,
                                                 "alpha=1": one_meta}})
 
-    # one contiguous row per vertex: reductions over strided columns are slower
-    occ_half, half_sq, occ_one, abs_sq = (
-        m.T.copy() for m in (occ_half, half_sq, occ_one, abs_sq))
-    for label, occ, ref in (
-        ("half_vs_half_sq", occ_half, half_sq),
-        ("one_vs_abs_sq", occ_one, abs_sq),
-    ):
-        for x in range(n):
-            for r in range(1, 5):
-                _two_sample_z(
-                    report, f"{label}[{names[x]}]^moment{r}", occ[x] ** r, ref[x] ** r
-                )
-        for x in range(n):
-            for y in range(x + 1, n):
-                _two_sample_z(
-                    report,
-                    f"{label}[{names[x]},{names[y]}] joint",
-                    occ[x] * occ[y],
-                    ref[x] * ref[y],
-                )
-    if n == 1:
-        d = ks_two_sample(occ_half[0], half_sq[0])
-        report.add_bound("half_vs_half_sq KS", d, 0.01,
-                         note="same law exactly on one vertex")
+    occ = occupation_samples(kernel, 0.5, replicas, seed, meta=half_meta).T
+    ref = _half_sq_rows(kernel, replicas, seed + 1)
+    _pair_lines(report, "half_vs_half_sq", names, occ, ref)
+    ks = ks_two_sample(occ[0], ref[0]) if kernel.n == 1 else None
+    del occ, ref
+    occ = occupation_samples(kernel, 1.0, replicas, seed + 2, meta=one_meta).T
+    ref = _abs_sq_rows(kernel, replicas, seed + 3)
+    _pair_lines(report, "one_vs_abs_sq", names, occ, ref)
+    if ks is not None:
+        report.add_bound("half_vs_half_sq KS", ks, 0.01, note="same law exactly on one vertex")
     return report
 
 
@@ -210,14 +239,16 @@ def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -
 
     parts = replica_map(partial(_ray_knight_block, kernel, x0, rho, off, factor_d),
                         replicas, seed)
-    # one contiguous row per vertex, as in verify_isomorphism
+    # one contiguous row per vertex, as in verify_isomorphism; the blocks go
+    # before the KS and moment lines take their temporaries
     lhs = np.concatenate([p[0].T for p in parts], axis=1)
     rhs = np.concatenate([p[1].T for p in parts], axis=1)
+    diagnostics = merge_diagnostics([p[2] for p in parts])
+    del parts
 
     report = TestReport(name="ray-knight", conventions=dict(CONVENTIONS))
     report.meta.update({"x0": graph.vertices[x0], "rho": rho, "replicas": replicas,
-                        "rng": dict(SCHEME),
-                        "sampler_diagnostics": merge_diagnostics([p[2] for p in parts])})
+                        "rng": dict(SCHEME), "sampler_diagnostics": diagnostics})
     names = graph.vertices
     for x in off:
         report.add_bound(f"KS[{names[x]}]", ks_two_sample(lhs[x], rhs[x]), 0.02)

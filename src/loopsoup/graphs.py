@@ -29,6 +29,8 @@ PIVOT_EPS = 1e-12
 
 
 def _as_float(value, where: str) -> float:
+    if isinstance(value, (bool, np.bool_)):  # float() takes True as 1.0
+        raise BadGraph(f"{where}: expected a number, got {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError):

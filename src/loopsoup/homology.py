@@ -224,13 +224,22 @@ def _twist_coefficients(kernel: ChainKernel, basis: CycleBasis) -> np.ndarray:
     return np.fft.fftn(kernel.det_i_minus_pz(z) / kernel.det_i_minus_p, norm="forward")
 
 
+def _fftn(grid: np.ndarray, transform, norm=None) -> np.ndarray:
+    """np.fft.fftn (transform np.fft.fft) or ifftn (np.fft.ifft) of grid,
+    written into grid: the same one-axis transforms in fftn's order, last
+    axis first, so one grid of temporaries is alive instead of two."""
+    for axis in range(grid.ndim - 1, -1, -1):
+        grid[...] = transform(grid, axis=axis, norm=norm)
+    return grid
+
+
 def _generating_grid(coef: np.ndarray, alpha: float, grid_m: int) -> np.ndarray:
     """generating_function at every twist t of the grid {0, 1/grid_m, ...}^n:
     the coefficients at indices 0, 1 and grid_m - 1 (exponents 0, 1 and -1)
     of a zero grid, one inverse fftn sums the polynomial at every point."""
-    spread = np.zeros((grid_m,) * coef.ndim, dtype=complex)
-    spread[np.ix_(*[[0, 1, grid_m - 1]] * coef.ndim)] = coef
-    return _ratio_power(np.fft.ifftn(spread, norm="forward"), alpha)
+    grid = np.zeros((grid_m,) * coef.ndim, dtype=complex)
+    grid[np.ix_(*[[0, 1, grid_m - 1]] * coef.ndim)] = coef
+    return _ratio_power(_fftn(grid, np.fft.ifft, norm="forward"), alpha)
 
 
 def _check_grid(grid_m: int, cycles: int) -> None:
@@ -246,15 +255,18 @@ def _law(coef: np.ndarray, alpha: float, grid_m: int) -> HomologyLaw:
     n = coef.ndim
     if n == 0:
         return HomologyLaw(np.ones(()), grid_m, 1.0, 0.0, 0.0, alpha)
-    raw = np.fft.fftn(_generating_grid(coef, alpha, grid_m)) / grid_m**n
+    raw = _fftn(_generating_grid(coef, alpha, grid_m), np.fft.fft)
+    raw /= grid_m**n
     imag_residue = float(np.max(np.abs(raw.imag)))
     negative_residue = float(max(0.0, -raw.real.min()))
     if imag_residue > 1e-10 or negative_residue > 1e-10:
         raise ArithmeticError(
             f"inversion residues too large: imag {imag_residue}, negative {negative_residue}"
         )
+    clipped = np.clip(raw.real, 0.0, None)
+    del raw
     # class 0 to the centre, and the slice of coordinate -grid_m / 2 dropped
-    table = np.fft.fftshift(np.clip(raw.real, 0.0, None))[(slice(1, None),) * n]
+    table = np.fft.fftshift(clipped)[(slice(1, None),) * n]
     captured = float(table.sum())
     if captured < 0.999:
         raise GridTooCoarse(f"window holds {captured:.6f} < 0.999 of the mass at grid {grid_m}")

@@ -16,10 +16,18 @@ from .errors import BadGraph
 from .graphs import WeightedGraph
 
 
+def _holds_bool(value) -> bool:
+    """Whether nested lists hold a bool, which numpy reads as 1 beside ints."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_))
+
+
 def _checked_counts(graph: WeightedGraph, counts) -> np.ndarray:
     """A read-only int64 copy of a stack (R, n, n) of count matrices, each
     finite, integer-valued, nonnegative and zero off the edge set and on the
     diagonal; raises BadGraph at the first check a row fails."""
+    raw = counts
     try:
         counts = np.asarray(counts)
     except ValueError:  # ragged rows
@@ -29,6 +37,8 @@ def _checked_counts(graph: WeightedGraph, counts) -> np.ndarray:
         raise BadGraph(f"network counts must be {n}x{n}, got shape {counts.shape[1:]}")
     if counts.dtype.kind not in "biuf":  # strings, nulls, objects
         raise BadGraph("network counts must be a matrix of numbers")
+    if counts.dtype.kind == "b" or (raw is not counts and _holds_bool(raw)):
+        raise BadGraph("network counts must be a matrix of numbers, not booleans")
     if counts.dtype.kind == "f":
         if not np.isfinite(counts).all():
             raise BadGraph("network counts must be finite")

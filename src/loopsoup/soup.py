@@ -41,7 +41,7 @@ import numpy as np
 from .errors import BadIntensity, UnknownSampler, _check_alpha
 from .graphs import ChainKernel, WeightedGraph
 from .network import Network, _row_codes
-from .rng import DRAW_CAP, replica_map, seeded_rng
+from .rng import DRAW_CAP, _check_count, replica_map, seeded_rng, stream_seed
 
 
 class BasedLoop(NamedTuple):
@@ -492,11 +492,6 @@ def _wilson_histogram_block(kernel, rng, size) -> tuple:
     return _key_counts(counts) + (diagnostics,)
 
 
-def _direct_occupation_block(kernel, alpha, law, rng, size) -> tuple:
-    block = direct_block(kernel, alpha, size, rng, times=True, law=law)
-    return block.occupation(), block.diagnostics()
-
-
 def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
                       sampler: str = "direct", alpha: float = 1.0,
                       eps: float = 1e-9) -> Histogram:
@@ -538,16 +533,28 @@ def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
 def occupation_samples(kernel: ChainKernel, alpha: float, replicas: int, seed,
                        eps: float = 1e-9, meta: dict | None = None) -> np.ndarray:
     """replicas x n matrix of occupation fields from independent ensembles,
-    drawn block by block in (seed, block) streams.  meta, when given,
+    drawn block by block in (seed, block) streams.  Each block is written
+    into one (n, replicas) array as it is drawn, and the matrix is that
+    array's transpose: one contiguous row per vertex.  meta, when given,
     receives the sampler diagnostics."""
     _check_alpha(alpha)
-    parts = replica_map(partial(_direct_occupation_block, kernel, alpha,
-                                kernel.length_distribution(eps)),
-                        replicas, seed)
+    law = kernel.length_distribution(eps)
+    seed = stream_seed(seed)
+    rows = np.empty((kernel.n, _check_count(replicas)))
+    end = 0
+
+    def fill(rng, size):
+        nonlocal end
+        block = direct_block(kernel, alpha, size, rng, times=True, law=law)
+        rows[:, end:end + size] = block.occupation().T
+        end += size
+        return block.diagnostics()
+
+    diagnostics = replica_map(fill, replicas, seed)
     if meta is not None:
         meta.update({"sampler": "direct", "alpha": alpha, "eps": eps,
-                     **merge_diagnostics([p[1] for p in parts])})
-    return np.concatenate([p[0] for p in parts]) if parts else np.empty((0, kernel.n))
+                     **merge_diagnostics(diagnostics)})
+    return rows.T
 
 
 def occupation(soup: LoopSoup) -> np.ndarray:

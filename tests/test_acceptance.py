@@ -7,6 +7,7 @@ scoreboard.  The shared battery runs once per session (about a minute).
 
 import numpy as np
 import pytest
+from test_streams import FULL_BATTERY, FULL_BATTERY_REPLICAS, SEED, full_battery_digest
 
 from loopsoup.verify import DEFAULT_REPLICAS, DEFAULT_SEED, run_all
 
@@ -111,3 +112,9 @@ def test_battery_complete(battery):
     assert len(battery) == 13
     assert all(r.passed for r in battery)
     print(f"\nACCEPTANCE: 13/13 pass at {DEFAULT_REPLICAS} replicas, seed {DEFAULT_SEED}")
+
+
+def test_battery_digest_at_benchmark_size(battery):
+    # the fixture's run is the benchmark's, so pinning it costs no second run
+    assert (DEFAULT_REPLICAS, DEFAULT_SEED) == (FULL_BATTERY_REPLICAS, SEED)
+    assert full_battery_digest(battery) == FULL_BATTERY

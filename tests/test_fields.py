@@ -1,9 +1,12 @@
 """Gaussian fields, the occupation isomorphism, and the moment verifiers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from loopsoup import (
+    BLOCK,
     BadChi,
     BadReplicaCount,
     BadSamplerInput,
@@ -23,8 +26,8 @@ from loopsoup import (
     verify_isomorphism,
     verify_moment_formula,
 )
-from loopsoup import fields
-from loopsoup.fields import _excursion_block
+from loopsoup import fields, verify
+from loopsoup.fields import _abs_sq_rows, _excursion_block, _half_sq_rows
 
 
 def test_real_field_covariance(two_point_kernel):
@@ -109,6 +112,36 @@ def test_occupation_samples_mean(two_point_kernel):
     # E occupation = alpha * diag(G)
     target = np.diag(two_point_kernel.G)
     assert np.all(np.abs(mean - target) < 5 * se)
+
+
+def test_chunked_field_rows_match_one_draw(triangle_kernel):
+    # the isomorphism's rows, drawn in chunks of BLOCK, carry the bits of
+    # the one-draw samplers over full and partial chunks
+    count = 2 * BLOCK + 300
+    half_sq = 0.5 * sample_real_fields(triangle_kernel, count, 9) ** 2
+    abs_sq = np.abs(sample_complex_fields(triangle_kernel, count, 10)) ** 2
+    assert _half_sq_rows(triangle_kernel, count, 9).tobytes() == half_sq.T.tobytes()
+    assert _abs_sq_rows(triangle_kernel, count, 10).tobytes() == abs_sq.T.tobytes()
+
+
+MEMORY_REPLICAS = 20_000
+
+
+@pytest.mark.parametrize("check", [verify.check_isomorphism, verify.check_ray_knight],
+                         ids=["isomorphism", "ray_knight"])
+def test_field_checks_hold_each_sample_once(check):
+    # peak traced bytes in (R x 3) float64 arrays, the triangle and path3
+    # having three vertices: two samples, a block and a KS line's temporaries
+    # fit; a transposed copy of every sample, or blocks kept through the KS
+    # lines, do not
+    check(10, 1)  # a first call's imports and caches are not the check's arrays
+    tracemalloc.start()
+    try:
+        check(MEMORY_REPLICAS, verify.DEFAULT_SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (MEMORY_REPLICAS * 3 * 8) <= 4.5
 
 
 def test_isomorphism_report_structure(triangle_kernel):

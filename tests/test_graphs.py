@@ -178,6 +178,7 @@ _BAD_NUMBERS = {
     "-Infinity": "expected a finite number", '"1e999"': "expected a finite number",
     "1e999": "expected a finite number", "1" + "0" * 400: "expected a finite number",
     '"abc"': "expected a number", "null": "expected a number", "[1]": "expected a number",
+    "true": "expected a number", "false": "expected a number",
 }
 
 
@@ -191,7 +192,7 @@ def _bad_number_graph(field: str, number: str) -> str:
 @pytest.mark.parametrize("field, where", [("c", "edges[0].c"), ("killing", "killing['a']")])
 @pytest.mark.parametrize("number", list(_BAD_NUMBERS),
                          ids=["nan", "inf", "-inf", "str-1e999", "1e999", "int-400-digits",
-                              "str-abc", "null", "list"])
+                              "str-abc", "null", "list", "true", "false"])
 def test_graph_numbers_are_refused(tmp_path, field, where, number):
     path = tmp_path / "graph.json"
     path.write_text(_bad_number_graph(field, number))
@@ -298,6 +299,7 @@ _SLOTS = {
 _NON_FINITE = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e999"])
 _LONG_INT = st.tuples(st.sampled_from(["", "-"]), st.integers(5000, 6000)).map(
     lambda sd: sd[0] + "9" * sd[1])
+_BOOLEAN = st.sampled_from(["true", "false"])
 _NOT_OBJECT = st.sampled_from(["[]", "[[0, 1], [1, 0]]", "3", '"graph"', "null", "true",
                                "[" * 100_000 + "]" * 100_000])  # past the recursion limit
 
@@ -312,7 +314,7 @@ def _load(kind: str, path):
 @given(st.sampled_from(sorted(_SLOTS)), st.data())
 def test_malformed_json_names_the_file(tmp_path_factory, kind, data):
     slot = data.draw(st.sampled_from(_SLOTS[kind]))
-    value = data.draw(st.one_of(_NON_FINITE, _LONG_INT,
+    value = data.draw(st.one_of(_NON_FINITE, _LONG_INT, _BOOLEAN,
                                 _NOT_OBJECT if slot == "%s" else st.nothing()))
     path = tmp_path_factory.mktemp(kind) / f"{kind}.json"
     path.write_text(slot % value)

@@ -398,6 +398,32 @@ def test_grid_points_are_capped_before_any_array(monkeypatch, n, grid_m):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("shape", [(8,), (16, 8), (4, 8, 16)])
+def test_fftn_in_place_matches_numpy(shape):
+    rng = np.random.default_rng(11)
+    grid = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for transform, numpy_nd, norm in ((np.fft.fft, np.fft.fftn, None),
+                                      (np.fft.ifft, np.fft.ifftn, "forward")):
+        expected = numpy_nd(grid, norm=norm)
+        got = homology._fftn(grid.copy(), transform, norm=norm)
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_law_holds_two_grids_at_a_time():
+    # K4 at grid 64: peak traced bytes in complex grids; an fftn or ifftn
+    # that keeps its input beside two one-axis outputs does not fit
+    graph = complete4_graph()
+    coef = _twist_coefficients(build_kernel(graph), cycle_basis(graph))
+    homology._law(coef, 1.0, 16)  # a first call's imports are not the law's arrays
+    tracemalloc.start()
+    try:
+        homology._law(coef, 1.0, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (64**3 * 16) <= 3
+
+
 def test_auto_grid_stops_at_the_point_cap(monkeypatch):
     # weak killing spreads the windings: K4's search needs 256 to converge,
     # so under a cap of 32^3 points it stops after 32, as it stops at 512

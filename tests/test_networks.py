@@ -117,6 +117,11 @@ def test_non_finite_counts_rejected(two_point, value):
     [[0, None], [1, 0]],
     np.array([[0, 1], [1, 0]], dtype=object),
     [[0, 1], [1]],
+    # JSON true and false, which numpy reads as 1 and 0
+    [[0, True], [True, 0]],
+    [[0, 1], [np.True_, 0]],
+    [[False, True], [True, False]],
+    np.array([[False, True], [True, False]]),
 ])
 def test_non_numeric_counts_rejected(two_point, counts):
     for make in (lambda: Network(two_point, counts),

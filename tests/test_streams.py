@@ -5,11 +5,13 @@ Each sampler digest is the SHA-256 of a sampler's whole output at a fixed
 seed (for the Ray-Knight excursions, the raw occupations and diagnostics of
 several full blocks), so a change that moves one random number, or the
 order in which numbers are drawn, fails here even when every statistical
-check still passes.  The battery digest covers every StatLine of run_all except the
-runtimes, so a change to a reduction over the samples (a sum taken in
-another order, say) fails here too.  A change that moves the streams or the
-statistics on purpose updates the digests and says why; run this file as a
-script to print the current ones.
+check still passes.  The battery digests cover every StatLine of run_all
+except the runtimes, so a change to a reduction over the samples (a sum
+taken in another order, say) fails here too; the full-size one, at the
+benchmark's replica count, also covers the chunk edges of a run of many
+blocks.  A change that moves the streams or the statistics on purpose
+updates the digests and says why; run this file as a script to print the
+current ones.
 """
 
 import hashlib
@@ -58,6 +60,10 @@ EXCURSIONS = {  # (graph, start vertex x0, stopping local time rho)
 }
 BATTERY_REPLICAS = 20_000
 BATTERY = "4e5ec76636507d9271530413a1854eb21ee614539344b8b08a46c0fbf00bb9e3"
+# the benchmark's battery: 12 full blocks and a partial block of 1696; it is
+# checked on the acceptance battery's own run (tests/test_acceptance.py)
+FULL_BATTERY_REPLICAS = 100_000
+FULL_BATTERY = "f1ab55b76c092e77bfa5612263b462b13765ea802b67696ac9a92a25c5322228"
 
 
 def three_neighbours_graph() -> WeightedGraph:
@@ -118,12 +124,22 @@ def excursion_digest(graph: str, x0: str, rho: float) -> str:
     return digest.hexdigest()
 
 
+def _battery_lines(reports) -> list:
+    return [(report.name, line.statistic, line.lhs, line.rhs, line.stderr, line.z,
+             line.passed, line.note)
+            for report in reports for line in report.lines
+            if line.statistic != "runtime_seconds"]
+
+
 def battery_digest() -> str:
-    lines = [(report.name, line.statistic, line.lhs, line.rhs, line.stderr, line.z,
-              line.passed, line.note)
-             for report in run_all(BATTERY_REPLICAS, SEED) for line in report.lines
-             if line.statistic != "runtime_seconds"]
-    return _sha(repr(lines))
+    return _sha(repr(_battery_lines(run_all(BATTERY_REPLICAS, SEED))))
+
+
+def full_battery_digest(reports) -> str:
+    """Digest of run_all(FULL_BATTERY_REPLICAS, SEED)'s reports: every line
+    but the runtimes, and the sampler diagnostics of checks 5 and 6."""
+    diagnostics = [report.meta["sampler_diagnostics"] for report in reports[4:6]]
+    return _sha(repr((_battery_lines(reports), diagnostics)))
 
 
 @pytest.mark.parametrize("graph, sampler, alpha", list(HISTOGRAMS))
@@ -161,3 +177,4 @@ if __name__ == "__main__":
     for key in EXCURSIONS:
         print(key, excursion_digest(*key))
     print("battery", battery_digest())
+    print("full battery", full_battery_digest(run_all(FULL_BATTERY_REPLICAS, SEED)))
