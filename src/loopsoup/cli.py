@@ -29,7 +29,7 @@ import loopsoup as ls
 
 from .errors import BadGraph, BadIntensity, BadReplicaCount, LoopSoupError
 from .reports import CONVENTIONS, DEFAULT_REPLICAS, DEFAULT_SEED, Z_GATE, TestReport
-from .rng import _check_count
+from .rng import TAIL_CUT, _check_count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -356,7 +356,7 @@ _FORMAT = "--format", dict(choices=("json", "csv"), default="json")
 _ALPHA = "--alpha", dict(type=float, default=1.0)
 _SEED = "--seed", dict(type=int, default=0)
 _REPLICAS = "--replicas", dict(type=int, default=20_000)
-_EPSILON = "--epsilon", dict(type=float, default=1e-9)
+_EPSILON = "--epsilon", dict(type=float, default=TAIL_CUT)
 _SAMPLER = "--sampler", dict(choices=("direct", "wilson"), default="direct")
 _NETWORK = "--network", dict(required=True)
 
@@ -365,7 +365,7 @@ _COMMANDS = {
     "kernel": (_cmd_kernel,
                "duality weights, transition matrix, Green function, determinant", True, ()),
     "sample": (_cmd_sample, "draw one loop ensemble", True, (
-        _ALPHA, _SEED, ("--epsilon", dict(type=float, default=1e-9, help="length tail cut")),
+        _ALPHA, _SEED, ("--epsilon", dict(type=float, default=TAIL_CUT, help="length tail cut")),
         _SAMPLER)),
     "occupation": (_cmd_occupation, "Monte Carlo occupation field against its exact mean",
                    True, (_ALPHA, ("--replicas", dict(type=int, default=10_000)), _SEED,

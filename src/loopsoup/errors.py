@@ -2,6 +2,7 @@
 the samplers and the exact laws share."""
 
 import math
+from numbers import Real
 
 
 class LoopSoupError(Exception):
@@ -146,10 +147,8 @@ class NotSquare(BadExactInput):
 
 
 def _check_alpha(alpha) -> None:
-    """Raise BadIntensity unless alpha is a finite number above 0."""
-    try:
-        ok = alpha > 0 and math.isfinite(alpha)
-    except TypeError:  # not a real number
-        ok = False
-    if not ok:
+    """Raise BadIntensity unless alpha is a finite real number above 0, not a
+    bool (numpy's bool is no Real)."""
+    if not (isinstance(alpha, Real) and not isinstance(alpha, bool)
+            and alpha > 0 and math.isfinite(alpha)):
         raise BadIntensity(f"intensity must be positive and finite, got {alpha}")

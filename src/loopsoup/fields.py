@@ -29,24 +29,6 @@ from .rng import BLOCK, DRAW_CAP, SCHEME, _check_count, replica_map, seeded_rng,
 from .soup import merge_diagnostics, occupation_samples
 
 
-def sample_real_fields(kernel: ChainKernel, count: int, seed) -> np.ndarray:
-    """count x n matrix of independent real field samples.  Raises
-    BadReplicaCount unless count is an integer >= 1."""
-    count = _check_count(count)
-    rng = seeded_rng(seed)
-    return rng.standard_normal((count, kernel.n)) @ kernel.field_factor
-
-
-def sample_complex_fields(kernel: ChainKernel, count: int, seed) -> np.ndarray:
-    """count x n matrix of independent complex field samples.  Raises
-    BadReplicaCount unless count is an integer >= 1."""
-    count = _check_count(count)
-    rng = seeded_rng(seed)
-    f1 = rng.standard_normal((count, kernel.n)) @ kernel.field_factor
-    f2 = rng.standard_normal((count, kernel.n)) @ kernel.field_factor
-    return (f1 + 1j * f2) / np.sqrt(2.0)
-
-
 def _two_sample_z(report: TestReport, name: str, a: np.ndarray, b: np.ndarray) -> None:
     ma, mb = float(np.mean(a)), float(np.mean(b))
     se = float(np.sqrt(np.var(a) / len(a) + np.var(b) / len(b)))
@@ -57,9 +39,12 @@ def _ks_gap(a: np.ndarray, b: np.ndarray) -> float:
     """Largest |F_a - F_b| at the points of sorted sample a: at the last of
     each run of ties a[i], F_a is (i + 1) / len(a)."""
     ends = np.flatnonzero(np.append(a[1:] != a[:-1], True))
-    fa = (ends + 1) / len(a)
     fb = np.searchsorted(b, a[ends], side="right") / len(b)
-    return float(np.max(np.abs(fa - fb)))
+    ends += 1
+    gap = ends / len(a)
+    del ends  # from here the difference and its absolute value are taken in place
+    gap -= fb
+    return float(np.max(np.abs(gap, out=gap)))
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
@@ -74,9 +59,9 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _field_chunks(kernel: ChainKernel, count: int, rng):
-    """sample_real_fields' draws in chunks of BLOCK rows, each with its slice
-    of the replica axis: the normals come from the stream in the same order,
-    and the same rows of z @ field_factor have the same bits."""
+    """`count` real fields z @ field_factor, z standard normal, in chunks of
+    BLOCK rows, each with its slice of the replica axis; the rows have the
+    bits of one (count, n) draw (tests/oracles.py sample_real_fields)."""
     for start in range(0, count, BLOCK):
         size = min(BLOCK, count - start)
         yield (slice(start, start + size),
@@ -84,8 +69,8 @@ def _field_chunks(kernel: ChainKernel, count: int, rng):
 
 
 def _half_sq_rows(kernel: ChainKernel, count: int, seed) -> np.ndarray:
-    """0.5 * sample_real_fields(kernel, count, seed) ** 2, transposed to one
-    contiguous row per vertex and filled chunk by chunk."""
+    """Half the squared real field of `count` replicas on seeded_rng(seed),
+    one contiguous row per vertex, filled chunk by chunk."""
     rows = np.empty((kernel.n, count))
     for cols, f in _field_chunks(kernel, count, seeded_rng(seed)):
         rows[:, cols] = (0.5 * f**2).T
@@ -93,9 +78,9 @@ def _half_sq_rows(kernel: ChainKernel, count: int, seed) -> np.ndarray:
 
 
 def _abs_sq_rows(kernel: ChainKernel, count: int, seed) -> np.ndarray:
-    """np.abs(sample_complex_fields(kernel, count, seed)) ** 2, transposed to
-    one contiguous row per vertex: the real parts are filled in first, then
-    each chunk of imaginary parts turns its columns into |phi|^2."""
+    """|phi|^2 of `count` complex fields on seeded_rng(seed), one contiguous
+    row per vertex: the phi1 draws are filled in first, then each chunk of
+    phi2 draws turns its columns into |phi|^2."""
     rng = seeded_rng(seed)
     rows = np.empty((kernel.n, count))
     for cols, f1 in _field_chunks(kernel, count, rng):

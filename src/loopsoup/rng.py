@@ -20,14 +20,15 @@ from .errors import BadReplicaCount, BadSeed
 
 BLOCK = 8192
 DRAW_CAP = 1 << 24  # expected loops or excursions in one block (about 1 GB of arrays)
+TAIL_CUT = 1e-9  # default eps: the loop-length mass the direct sampler may cut
 SCHEME = {"generator": "Philox4x64-10", "key": "(seed, block)", "block": BLOCK}
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
 def stream_seed(seed) -> int:
-    """The master seed of a (seed, block) stream family; integers only."""
-    if not isinstance(seed, Integral):
+    """The master seed of a (seed, block) stream family; integers, not bools."""
+    if not isinstance(seed, Integral) or isinstance(seed, bool):
         raise BadSeed(f"a seed must be an integer, got {type(seed).__name__}")
     return int(seed)
 
@@ -49,8 +50,8 @@ def replica_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _check_count(count) -> int:
-    """The count as an int; BadReplicaCount unless it is an integer >= 1."""
-    if not isinstance(count, Integral) or count < 1:
+    """The count as an int; BadReplicaCount unless it is an integer >= 1, not a bool."""
+    if not isinstance(count, Integral) or isinstance(count, bool) or count < 1:
         raise BadReplicaCount(
             f"need an integer count of at least one replica, got {count!r}")
     return int(count)

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import BadIntensity, UnknownSampler, _check_alpha
 from .graphs import ChainKernel, WeightedGraph
 from .network import Network, _row_codes
-from .rng import DRAW_CAP, _check_count, replica_map, seeded_rng, stream_seed
+from .rng import DRAW_CAP, TAIL_CUT, _check_count, replica_map, seeded_rng, stream_seed
 
 
 class BasedLoop(NamedTuple):
@@ -300,7 +300,7 @@ def _bridges(q: np.ndarray, lengths: np.ndarray, sizes: np.ndarray, counts: np.n
 
 
 def direct_block(kernel: ChainKernel, alpha: float, size: int, rng,
-                 eps: float = 1e-9, times: bool = False, law: tuple | None = None
+                 eps: float = TAIL_CUT, times: bool = False, law: tuple | None = None
                  ) -> LoopBlock:
     """`size` independent ensembles at intensity alpha, all from one generator,
     with one group per length drawn, in increasing order of length.
@@ -354,7 +354,8 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng,
     )
 
 
-def direct_sample(kernel: ChainKernel, alpha: float, eps: float = 1e-9, seed=None) -> LoopSoup:
+def direct_sample(kernel: ChainKernel, alpha: float, eps: float = TAIL_CUT,
+                  seed=None) -> LoopSoup:
     """One ensemble: the single-replica view of direct_block."""
     block = direct_block(kernel, alpha, 1, seeded_rng(seed), eps=eps, times=True)
     meta = {"sampler": "direct", "eps": eps, "max_length": block.cut_length,
@@ -493,10 +494,10 @@ def _wilson_histogram_block(kernel, rng, size) -> tuple:
 
 
 def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
-                      sampler: str = "direct", alpha: float = 1.0,
-                      eps: float = 1e-9) -> Histogram:
+                      sampler: str = "direct", alpha: float = 1.0) -> Histogram:
     """Histogram of jump networks over independent replica ensembles, drawn
-    block by block in (seed, block) streams.
+    block by block in (seed, block) streams; the direct sampler cuts the
+    loop-length tail at TAIL_CUT.
 
     The networks are inserted in the order of their first block, and in
     lexicographic order within it.  Statistics summed over the histogram in
@@ -509,13 +510,14 @@ def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
         task = partial(_wilson_histogram_block, kernel)
     elif sampler == "direct":
         _check_alpha(alpha)
-        task = partial(_direct_histogram_block, kernel, alpha, kernel.length_distribution(eps))
+        task = partial(_direct_histogram_block, kernel, alpha,
+                       kernel.length_distribution(TAIL_CUT))
     else:
         raise UnknownSampler(f"unknown sampler {sampler!r}; use 'direct' or 'wilson'")
     parts = replica_map(task, replicas, seed)
     diagnostics = {"sampler": sampler, "alpha": alpha, **merge_diagnostics([p[2] for p in parts])}
     if sampler == "direct":
-        diagnostics["eps"] = eps
+        diagnostics["eps"] = TAIL_CUT
     # each block's keys are distinct and sorted; a stable sort of all keys'
     # codes groups equal keys with the first block's copy at the front
     rows = np.concatenate([p[0] for p in parts])
@@ -531,7 +533,7 @@ def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
 
 
 def occupation_samples(kernel: ChainKernel, alpha: float, replicas: int, seed,
-                       eps: float = 1e-9, meta: dict | None = None) -> np.ndarray:
+                       eps: float = TAIL_CUT, meta: dict | None = None) -> np.ndarray:
     """replicas x n matrix of occupation fields from independent ensembles,
     drawn block by block in (seed, block) streams.  Each block is written
     into one (n, replicas) array as it is drawn, and the matrix is that

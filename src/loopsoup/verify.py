@@ -103,18 +103,21 @@ def tv_distance(empirical: dict, exact: dict) -> float:
     return 0.5 * (diff + tail)
 
 
-def geometric_pmf(n: int, ratio: float = 0.25) -> float:
-    return (1.0 - ratio) * ratio**n
+def geometric_pmf(n: int) -> float:
+    """The two-point chain's a -> b count law at intensity 1: geometric with
+    ratio P_ab P_ba = 1/4."""
+    return 0.75 * 0.25**n
 
 
-def nb_pmf(n: int, alpha: float, ratio: float = 0.25) -> float:
-    """Series coefficients of (1 - ratio)^alpha (1 - ratio z)^(-alpha)."""
+def nb_pmf(n: int, alpha: float) -> float:
+    """The two-point chain's a -> b count law at intensity alpha: the series
+    coefficients of (3/4)^alpha (1 - z/4)^(-alpha)."""
     return math.exp(
         math.lgamma(alpha + n)
         - math.lgamma(alpha)
         - math.lgamma(n + 1)
-        + alpha * math.log1p(-ratio)
-        + n * math.log(ratio)
+        + alpha * math.log1p(-0.25)
+        + n * math.log(0.25)
     )
 
 

@@ -10,7 +10,9 @@ over a run and over one ensemble's loops, of the canonical loop rotation
 (a scan over every position of the minimal vertex), of the Poisson series (one
 convolution power at a time), of the general-alpha network law (the
 loop-measure Poisson series over the sub-circulations of the network) and of
-the homology law (one determinant per grid point, held as a dict).
+the homology law (one determinant per grid point, held as a dict), and the
+one-draw real and complex field samplers that the chunked field rows of
+check 5 replace.
 
 Each exact reference enumerates everything it sums over, so they are slow
 and only fit small inputs; the tests compare the fast kernels against them.
@@ -57,6 +59,7 @@ from loopsoup.eulerian import (
 )
 from loopsoup.homology import CycleBasis
 from loopsoup.reports import CONVENTIONS
+from loopsoup.rng import seeded_rng
 from loopsoup.soup import LoopBlock, LoopGroup, _concat, _matrix_powers
 from loopsoup.verify import DELTA_TWO_POINT, triangle_graph, two_point_graph
 
@@ -609,6 +612,19 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     fa = np.searchsorted(a, grid, side="right") / len(a)
     fb = np.searchsorted(b, grid, side="right") / len(b)
     return float(np.max(np.abs(fa - fb)))
+
+
+def sample_real_fields(kernel, count: int, seed) -> np.ndarray:
+    """count x n matrix of independent real field samples, in one draw."""
+    return seeded_rng(seed).standard_normal((count, kernel.n)) @ kernel.field_factor
+
+
+def sample_complex_fields(kernel, count: int, seed) -> np.ndarray:
+    """count x n matrix of independent complex field samples, in one draw."""
+    rng = seeded_rng(seed)
+    f1 = rng.standard_normal((count, kernel.n)) @ kernel.field_factor
+    f2 = rng.standard_normal((count, kernel.n)) @ kernel.field_factor
+    return (f1 + 1j * f2) / np.sqrt(2.0)
 
 
 def merge_block_keys(n: int, parts) -> Counter:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from loopsoup import (
     BLOCK,
     BadChi,
@@ -19,20 +20,20 @@ from loopsoup import (
     network_histogram,
     occupation_samples,
     ray_knight_check,
-    sample_complex_fields,
     sample_excursion_field,
-    sample_real_fields,
     verify_det_identity,
     verify_isomorphism,
     verify_moment_formula,
 )
 from loopsoup import fields, verify
-from loopsoup.fields import _abs_sq_rows, _excursion_block, _half_sq_rows
+from loopsoup.fields import _abs_sq_rows, _excursion_block, _field_chunks, _half_sq_rows
+from loopsoup.rng import seeded_rng
 
 
 def test_real_field_covariance(two_point_kernel):
     n = 40_000
-    samples = sample_real_fields(two_point_kernel, n, 100)
+    samples = np.concatenate([f for _, f in _field_chunks(two_point_kernel, n,
+                                                          seeded_rng(100))])
     cov = samples.T @ samples / n
     # G = [[2/3, 1/3], [1/3, 2/3]]; entry noise is about 0.004 at this size
     assert np.allclose(cov, two_point_kernel.G, atol=0.02)
@@ -41,7 +42,7 @@ def test_real_field_covariance(two_point_kernel):
 
 def test_complex_field_covariance(triangle_kernel):
     n = 40_000
-    samples = sample_complex_fields(triangle_kernel, n, 101)
+    samples = oracles.sample_complex_fields(triangle_kernel, n, 101)
     herm = samples.T.conj() @ samples / n
     assert np.allclose(herm, triangle_kernel.G, atol=0.02)
     # the relation kernel E[phi phi] vanishes
@@ -50,30 +51,26 @@ def test_complex_field_covariance(triangle_kernel):
 
 
 def test_field_determinism(two_point_kernel):
-    a = sample_real_fields(two_point_kernel, 1, 7)
-    b = sample_real_fields(two_point_kernel, 1, 7)
-    assert a.shape == (1, 2)
-    assert a == pytest.approx(b)
-    c = sample_complex_fields(two_point_kernel, 1, 7)
-    d = sample_complex_fields(two_point_kernel, 1, 7)
-    assert c == pytest.approx(d)
-    assert c.dtype == complex
+    for rows in (_half_sq_rows, _abs_sq_rows):
+        a = rows(two_point_kernel, 1, 7)
+        assert a.shape == (2, 1) and a.dtype == float
+        assert np.array_equal(a, rows(two_point_kernel, 1, 7))
 
 
 def test_field_count_is_typed(two_point_kernel):
-    for count in (0, -1, 2.5, "3"):
-        for sampler in (sample_real_fields, sample_complex_fields):
-            with pytest.raises(BadReplicaCount) as info:
-                sampler(two_point_kernel, count, 7)
-            assert isinstance(info.value, LoopSoupError)
-            assert isinstance(info.value, ValueError)
+    # the isomorphism refuses its replica count before any field is drawn
+    for count in (0, -1, 2.5, "3", True):
+        with pytest.raises(BadReplicaCount) as info:
+            verify_isomorphism(two_point_kernel, count, 7)
+        assert isinstance(info.value, LoopSoupError)
+        assert isinstance(info.value, ValueError)
 
 
 def test_complex_wick_moment(two_point_kernel):
     # E[prod phi_sources prod conj(phi_targets)] = Per(G block), the closed
     # form verify_moment_formula reads; the sampled moments agree with it
     n = 40_000
-    phi = sample_complex_fields(two_point_kernel, n, 102)
+    phi = oracles.sample_complex_fields(two_point_kernel, n, 102)
     a, b = phi[:, 0], phi[:, 1]
     assert np.mean(a * a.conj()) == pytest.approx(2 / 3, abs=0.02)
     assert np.mean(a * b.conj()) == pytest.approx(1 / 3, abs=0.02)
@@ -118,8 +115,8 @@ def test_chunked_field_rows_match_one_draw(triangle_kernel):
     # the isomorphism's rows, drawn in chunks of BLOCK, carry the bits of
     # the one-draw samplers over full and partial chunks
     count = 2 * BLOCK + 300
-    half_sq = 0.5 * sample_real_fields(triangle_kernel, count, 9) ** 2
-    abs_sq = np.abs(sample_complex_fields(triangle_kernel, count, 10)) ** 2
+    half_sq = 0.5 * oracles.sample_real_fields(triangle_kernel, count, 9) ** 2
+    abs_sq = np.abs(oracles.sample_complex_fields(triangle_kernel, count, 10)) ** 2
     assert _half_sq_rows(triangle_kernel, count, 9).tobytes() == half_sq.T.tobytes()
     assert _abs_sq_rows(triangle_kernel, count, 10).tobytes() == abs_sq.T.tobytes()
 
@@ -142,6 +139,22 @@ def test_field_checks_hold_each_sample_once(check):
     finally:
         tracemalloc.stop()
     assert peak / (MEMORY_REPLICAS * 3 * 8) <= 4.5
+
+
+def test_ks_two_sample_takes_its_gap_in_place():
+    # peak traced bytes in R-long float64 rows: the two sorted copies, the run
+    # ends, a searchsorted row and its CDF fit; a gap row and its absolute
+    # value taken as two more copies do not
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((2, MEMORY_REPLICAS))
+    ks_two_sample(a[:10], b[:10])
+    tracemalloc.start()
+    try:
+        ks_two_sample(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (MEMORY_REPLICAS * 8) <= 5.5
 
 
 def test_isomorphism_report_structure(triangle_kernel):
@@ -205,11 +218,12 @@ def test_ray_knight_non_finite_or_huge_level_is_typed(path3_kernel, monkeypatch)
 
 
 def test_field_samples_take_any_integer_seed(two_point_kernel):
-    for sample in (sample_real_fields, sample_complex_fields):
-        assert np.array_equal(sample(two_point_kernel, 5, -3),
-                              sample(two_point_kernel, 5, 2**64 - 3))
-        with pytest.raises(BadSeed):
-            sample(two_point_kernel, 5, "3")
+    for rows in (_half_sq_rows, _abs_sq_rows):
+        assert np.array_equal(rows(two_point_kernel, 5, -3),
+                              rows(two_point_kernel, 5, 2**64 - 3))
+        for seed in ("3", True):
+            with pytest.raises(BadSeed):
+                rows(two_point_kernel, 5, seed)
 
 
 def test_moment_formula(two_point_kernel):

@@ -10,6 +10,10 @@ The parameter scan fails on a parameter of a package function or method
 that its body never reads; self, cls and `_`-prefixed names are exempt.
 The dependency scan fails on any import, nested ones included, of a module
 outside the standard library, numpy and the package: loopsoup is numpy-only.
+The caller scans keep one path per job and no unused options: the public
+scan fails on a module-level public function that neither the package nor
+the benchmark harness reads, and the default scan on a defaulted parameter
+that no call there sets.  Tests do not count as callers.
 
 The last tests pin the lazy package's public surface: its names, the object
 each one resolves to, and that a re-export follows its submodule's binding.
@@ -98,6 +102,116 @@ def test_no_unreferenced_private_definitions():
     assert unreferenced_private(package, readers) == []
 
 
+# The callers of the public surface: the package and the benchmark harness,
+# not tests.  The package __init__ is left out, since its export table names
+# every public function as a string.
+CALLERS = ([p.read_text() for p in MODULES]
+           + [p.read_text() for p in sorted((TESTS.parent / "perfbench").glob("*.py"))
+              if not p.name.startswith("test_")])
+
+
+def uncalled_public(package: dict, callers: list) -> list:
+    """(module, name) of each module-level public function of the package
+    sources {module: source} that no caller source reads as a name, an
+    attribute, an import or a string (perfbench's tracer finds its targets
+    by dotted name); a definition's own body does not count as a reader."""
+    read = set()
+    for source in callers:
+        for node in ast.parse(source).body:
+            names = _names_read(node) | {sub.value.split(".")[-1] for sub in ast.walk(node)
+                                         if isinstance(sub, ast.Constant)
+                                         and isinstance(sub.value, str)}
+            if isinstance(node, ast.FunctionDef):
+                names.discard(node.name)
+            read |= names
+    return sorted((module, node.name) for module, source in package.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                  and node.name not in read)
+
+
+def test_public_scan_sees_uncalled_and_called_names():
+    package = {"a": "def dead():\n    return dead()\n\ndef live():\n    pass\n"
+                    "def traced():\n    pass\n\ndef _private():\n    pass\n"}
+    callers = [package["a"], "from a import live\nTARGETS = ['a.traced']\n"]
+    assert uncalled_public(package, callers) == [("a", "dead")]
+
+
+def test_every_public_function_has_a_caller():
+    package = {p.stem: p.read_text() for p in MODULES}
+    assert uncalled_public(package, CALLERS) == []
+
+
+def _defaulted(node, method: bool) -> list:
+    """(position, name) of each defaulted parameter of a function definition;
+    position counts the positional parameters after a method's self or cls,
+    and is None for a keyword-only one."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args][1 if method else 0:]
+    found = [(i, a.arg) for i, a in enumerate(positional)
+             if i >= len(positional) - len(args.defaults)]
+    found += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+              if d is not None]
+    return found
+
+
+def _sets(call, position, name) -> bool:
+    """Whether a call's arguments set the parameter: by keyword, by position,
+    or through a starred argument that may reach it."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(i <= position for i, a in enumerate(call.args)
+               if isinstance(a, ast.Starred)) or len(call.args) > position
+
+
+def unset_defaults(package: dict, callers: list) -> list:
+    """(module, function, parameter) of each defaulted parameter of a package
+    function or method that no call in a caller source sets.  A call is
+    matched to every definition of its name; a class call is a call of the
+    class's __init__, and partial(f, ...) a call of f."""
+    calls: dict = {}
+    for source in callers:
+        for call in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)):
+            func, args = call.func, call.args
+            if isinstance(func, ast.Name) and func.id == "partial" and args:
+                func, args = args[0], args[1:]
+                call = ast.Call(func, args, call.keywords)
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            calls.setdefault(name, []).append(call)
+    found = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        methods = {id(item): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for item in cls.body if isinstance(item, ast.FunctionDef)
+                   and not any(getattr(d, "id", None) == "staticmethod"
+                               for d in item.decorator_list)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            key = methods[id(node)] if node.name == "__init__" else node.name
+            found += [(module, node.name, name)
+                      for position, name in _defaulted(node, id(node) in methods)
+                      if not any(_sets(c, position, name) for c in calls.get(key, ()))]
+    return sorted(found)
+
+
+def test_default_scan_sees_unset_and_set_parameters():
+    package = {"a": "class H:\n    def __init__(self, c=(), d=None):\n        pass\n"
+                    "    def m(self, x, y=1):\n        pass\n"
+                    "def f(a, b=1, *, c=2, d=3, e=4):\n    pass\n"
+                    "def g(a, b=0):\n    pass\n"}
+    callers = ["H(1, d=2)\nh.m(0)\nf(0, d=1)\nf(*xs)\npartial(f, 0, e=5)\n"
+               "partial(g, 0, 1)\n"]
+    assert unset_defaults(package, callers) == [("a", "f", "c"), ("a", "m", "y")]
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    package = {p.stem: p.read_text() for p in MODULES}
+    assert unset_defaults(package, CALLERS) == []
+
+
 def unread_parameters(source: str) -> list:
     """(line, function, parameter) of each parameter of a function or method
     that its body, nested definitions included, never reads."""
@@ -165,7 +279,8 @@ def test_package_imports_numpy_and_stdlib_only(path):
 
 # The public surface of the lazy package, each name served from its submodule:
 # the 99 names it exported when it imported every submodule eagerly, less the
-# deleted complex_wick_moment and HomologyClass.
+# deleted complex_wick_moment and HomologyClass and the one-draw field
+# samplers sample_real_fields and sample_complex_fields (now in tests/oracles.py).
 PUBLIC = [
     'BLOCK', 'BadChi', 'BadExactInput', 'BadForm', 'BadGraph', 'BadGrid', 'BadIntensity',
     'BadMassBudget', 'BadPartition', 'BadReplicaCount', 'BadSamplerInput', 'BadSeed',
@@ -185,14 +300,14 @@ PUBLIC = [
     'ks_two_sample', 'max_flow', 'mu_network_measure', 'network', 'network_histogram',
     'network_homology_class', 'occupation', 'occupation_samples', 'permanent',
     'ray_knight_check', 'replica_map', 'replica_rng', 'reports', 'rng', 'run_all',
-    'sample_complex_fields', 'sample_excursion_field', 'sample_real_fields', 'soup',
+    'sample_excursion_field', 'soup',
     'spanning_tree_weight_sum', 'verify', 'verify_det_identity', 'verify_isomorphism',
     'verify_moment_formula', 'verify_poisson_convolution', 'wilson_counts', 'wilson_sample',
 ]
 
 
 def test_public_names_are_pinned():
-    assert loopsoup.__all__ == PUBLIC and len(PUBLIC) == 97
+    assert loopsoup.__all__ == PUBLIC and len(PUBLIC) == 95
 
 
 def test_every_public_name_is_its_submodules_object():

@@ -44,6 +44,7 @@ from loopsoup.eulerian import (
     _circulation_layers,
     _count_matrices,
     _directed_edges,
+    _enumerate_layers,
     _loop_measure,
     _poisson_series,
     _key_weights,
@@ -307,7 +308,7 @@ def test_exact_prob_alpha_route_vs_nb(two_point, two_point_kernel):
     for alpha in (0.5, 1.0, 2.0):
         for n in range(4):
             p = exact_network_prob_alpha(two_point_kernel, _two_point_net(two_point, n), alpha)
-            assert p == pytest.approx(nb_pmf(n, alpha, 1 / 4), abs=1e-12)
+            assert p == pytest.approx(nb_pmf(n, alpha), abs=1e-12)
 
 
 def test_exact_prob_routes_agree_triangle(triangle, triangle_kernel):
@@ -723,6 +724,29 @@ def test_key_weights_are_mixed_radix_numbers(radices, data):
     for d, r in zip(row, radices):
         want = want * r + d
     assert int(np.array(row, dtype=np.int64) @ weights) == want
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 1.0]),
+       st.sampled_from([1e-2, 1e-3]))
+def test_enumerated_layers_are_balanced_and_meet_the_budget(seed, boost, delta):
+    # random connected graphs as drawn, whose one small killing rate mostly
+    # exhausts the caps, and with killing boost * C_x added at every vertex,
+    # so that the enumeration also completes
+    graph = random_connected_graph(np.random.default_rng(seed))
+    edges = [(graph.vertices[i], graph.vertices[j], float(graph.conductance[i, j]))
+             for i, j in graph.edge_pairs]
+    rates = graph.killing + boost * graph.conductance.sum(axis=1)
+    kernel = build_kernel(WeightedGraph.build(graph.vertices, edges,
+                                              dict(zip(graph.vertices, rates.tolist()))))
+    try:
+        layers = _enumerate_layers(kernel, delta)
+    except (BudgetExceeded, TooLarge):
+        return
+    for m, (rows, counts, _, _) in enumerate(layers):
+        assert (rows.sum(axis=1) == m).all()
+        assert np.array_equal(counts.sum(axis=1), counts.sum(axis=2))
+    assert sum(float(probs.sum()) for _, _, probs, _ in layers) >= 1 - delta
 
 
 def test_enumerate_budget_exceeded(triangle_kernel):

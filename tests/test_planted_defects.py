@@ -1,15 +1,21 @@
 """The battery must fail when a known defect is planted.
 
 Each test patches one sampler (direct, cycle popping or excursions), the
-exact network enumeration (its cycles or its dedup) or the cycle covers of
-the network law, reruns the full battery at the acceptance size and seed,
-and asserts that the checks reading the patched code catch the defect while
-the checks that never touch it still pass.
+exact network enumeration (its cycles or its dedup), the cycle covers of
+the network law, the determinant identity or the kernel, reruns the full
+battery at the acceptance size and seed, and asserts that the checks
+reading the patched code catch the defect while the checks that never touch
+it still pass.  A transposed P is caught by no check: that blind spot is
+asserted too, so a change that closes it shows.
 """
 
-import numpy as np
+import dataclasses
+from types import SimpleNamespace
 
-from loopsoup import eulerian, fields, soup
+import numpy as np
+import pytest
+
+from loopsoup import eulerian, fields, soup, verify
 from loopsoup.verify import DEFAULT_REPLICAS, DEFAULT_SEED, run_all
 
 CATCHING = {2, 4, 5, 13}
@@ -131,3 +137,51 @@ def test_raised_excursion_level_fails_the_ray_knight_check(monkeypatch):
 
     failing = _failing_checks(monkeypatch, stop_at_1_1_rho, fields, "_excursion_block")
     assert failing == {6}
+
+
+def test_unnormalized_det_diagonal_fails_the_det_check(monkeypatch):
+    original = verify.verify_det_identity
+
+    def diagonal_without_lam(kernel, chi, histogram):
+        # the diagonal chi_x (1 + N_x), not divided by lam_x: the identity read
+        # through a view of the kernel whose lam is one
+        view = SimpleNamespace(n=kernel.n, lam=np.ones(kernel.n), graph=kernel.graph,
+                               G=kernel.G)
+        return original(view, chi, histogram)
+
+    failing = _failing_checks(monkeypatch, diagonal_without_lam, verify, "verify_det_identity")
+    assert failing == {8}
+
+
+def _transposed_p(kernel):
+    """The kernel with P^T = C[x, y] / lam[x], the walk's q_matrix, as P."""
+    return dataclasses.replace(kernel, P=kernel.q_matrix)
+
+
+def test_transposed_p_is_a_blind_spot(monkeypatch):
+    # The battery reads P only through balanced networks, whose law holds
+    # prod P[x, y]^k_xy; P^T changes it by prod lam_y^k_xy / prod lam_x^k_xy,
+    # the lam product over edge heads over the one over edge tails, and those
+    # are equal when every vertex has in-degree = out-degree.  No check
+    # fails; only the `kernel` payload shows P.
+    original = verify.build_kernel
+
+    def transposed_p(graph):
+        return _transposed_p(original(graph))
+
+    assert _failing_checks(monkeypatch, transposed_p, verify, "build_kernel") == set()
+
+
+def test_transposed_p_keeps_every_balanced_law():
+    # the blind spot is not the reference chains' constant lam: on K4 killed at
+    # one vertex lam is not constant, P is not symmetric, and the laws agree
+    kernel = verify.build_kernel(verify.complete4_graph())
+    transposed = _transposed_p(kernel)
+    assert not np.allclose(kernel.P, transposed.P)
+    rng = np.random.default_rng(DEFAULT_SEED)
+    for _ in range(10):
+        k = verify.random_eulerian_network(kernel.graph, rng)
+        for law in (eulerian.exact_network_prob_alpha1, eulerian.mu_network_measure):
+            assert law(transposed, k) == pytest.approx(law(kernel, k), rel=1e-12)
+        assert eulerian.exact_network_prob_alpha(transposed, k, 0.5) == \
+            pytest.approx(eulerian.exact_network_prob_alpha(kernel, k, 0.5), rel=1e-12)

@@ -42,6 +42,7 @@ from loopsoup.soup import BasedLoop, _canonical
 from loopsoup.verify import (
     complete4_graph,
     path3_graph,
+    random_connected_graph,
     single_vertex_graph,
     triangle_graph,
     two_point_graph,
@@ -300,6 +301,25 @@ def test_wilson_histogram_edge_mean(two_point_kernel):
     assert hist.diagnostics["blocks"] == 3
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sampled_networks_are_balanced(seed):
+    # on random connected graphs every replica's jump network, from either
+    # sampler, is balanced and lies on the graph's edges, and a direct replica
+    # crosses edges as often as its loops jump
+    kernel = build_kernel(random_connected_graph(np.random.default_rng(seed)))
+    rng = np.random.default_rng(seed)
+    off_graph = kernel.graph.conductance == 0  # the diagonal too
+    blocks = [direct_block(kernel, alpha, 30, rng) for alpha in (0.5, 1.0, 2.0)]
+    for counts in [b.counts() for b in blocks] + [wilson_counts(kernel, 30, rng)[0]]:
+        assert np.array_equal(counts.sum(axis=1), counts.sum(axis=2))
+        assert not counts[:, off_graph].any()
+    for block in blocks:
+        jumps = sum(np.bincount(g.owners, minlength=block.size) * g.vertices.shape[1]
+                    for g in block.groups)
+        assert np.array_equal(block.counts().sum(axis=(1, 2)), jumps)
+
+
 def _typed(exc_info, kind):
     assert isinstance(exc_info.value, kind)
     assert isinstance(exc_info.value, LoopSoupError)
@@ -311,6 +331,10 @@ def test_nonpositive_intensity_is_typed(triangle_kernel, tmp_path):
         lambda: direct_sample(triangle_kernel, 0.0, seed=1),
         lambda: network_histogram(triangle_kernel, 10, 1, "direct", alpha=-1.0),
         lambda: occupation_samples(triangle_kernel, float("nan"), 10, 1),
+        # a bool is no intensity, though True > 0
+        lambda: occupation_samples(triangle_kernel, True, 2, 1),
+        lambda: network_histogram(triangle_kernel, 10, 1, "direct", alpha=np.True_),
+        lambda: direct_sample(triangle_kernel, True, seed=1),
     ):
         with pytest.raises(BadIntensity) as info:
             call()
@@ -351,7 +375,7 @@ def test_any_integer_seeds_a_generator(triangle_kernel):
         assert wilson_sample(triangle_kernel, seed)[0] == wilson_sample(triangle_kernel, mapped)[0]
     assert verify_isomorphism(triangle_kernel, 10, -100).lines
     assert len(run_all(replicas=10, seed=-100)) == 13
-    for seed in ("7", 7.0, np.random.default_rng(7)):
+    for seed in ("7", 7.0, np.random.default_rng(7), True, np.True_):
         for call in (
             lambda: direct_sample(triangle_kernel, 1.0, seed=seed),
             lambda: wilson_sample(triangle_kernel, seed),
@@ -365,7 +389,7 @@ def test_any_integer_seeds_a_generator(triangle_kernel):
 def test_tail_cut_out_of_range_is_typed(triangle_kernel):
     for eps in (0.0, -1e-9, 1e-3):
         with pytest.raises(BadTailCut) as info:
-            network_histogram(triangle_kernel, 10, 1, "direct", eps=eps)
+            occupation_samples(triangle_kernel, 1.0, 10, 1, eps=eps)
         _typed(info, BadTailCut)
 
 
@@ -382,18 +406,20 @@ def test_wilson_off_intensity_one_is_typed(triangle_kernel):
 
 
 def test_generator_seed_is_typed(two_point_kernel):
-    rng = np.random.default_rng(0)
-    for call in (
-        lambda: verify_isomorphism(two_point_kernel, 10, rng),
-        lambda: network_histogram(two_point_kernel, 10, rng),
-    ):
-        with pytest.raises(BadSeed) as info:
-            call()
-        _typed(info, BadSeed)
+    # a generator or a bool is no stream seed, though False is an Integral
+    for seed in (np.random.default_rng(0), False, np.False_):
+        for call in (
+            lambda: verify_isomorphism(two_point_kernel, 10, seed),
+            lambda: network_histogram(two_point_kernel, 10, seed),
+            lambda: occupation_samples(two_point_kernel, 1.0, 2, seed),
+        ):
+            with pytest.raises(BadSeed) as info:
+                call()
+            _typed(info, BadSeed)
 
 
 def test_replica_count_below_one_is_typed(triangle_kernel, path3_kernel, tmp_path):
-    for replicas in (0, -1, -5, 2.5):
+    for replicas in (0, -1, -5, 2.5, True, np.True_):
         for call in (
             lambda: replica_map(lambda rng, size: size, replicas, 1),
             lambda: network_histogram(triangle_kernel, replicas, 1),
