@@ -37,7 +37,7 @@ _EXPORTS = {
     "exact": ("alpha_permanent", "arborescence_count", "permanent",
               "spanning_tree_weight_sum"),
     "fields": (
-        "ks_two_sample", "ray_knight_check", "sample_excursion_field", "verify_det_identity",
+        "ray_knight_check", "sample_excursion_field", "verify_det_identity",
         "verify_isomorphism", "verify_moment_formula",
     ),
     "graphs": ("ChainKernel", "WeightedGraph", "build_kernel"),

@@ -1,5 +1,8 @@
-"""Gaussian fields with the chain's Green covariance and the distributional
-identities tying them to loop ensembles.
+"""The distributional identities tying loop ensembles to Gaussian fields
+with the chain's Green covariance.  The occupation and Ray-Knight checks
+draw the loop side and read it against the field side's exact law
+(alpha-permanent moments, and CDFs through math.erf), not against a second
+sample.
 
 Conventions, recorded in every report (`reports.CONVENTIONS`):
 
@@ -22,96 +25,68 @@ from numbers import Real
 import numpy as np
 
 from .errors import BadChi, BadStoppingLevel, BadSupport, DuplicateIndex
-from .exact import permanent
+from .exact import alpha_permanent, permanent
 from .graphs import ChainKernel
 from .reports import CONVENTIONS, TestReport
-from .rng import BLOCK, DRAW_CAP, SCHEME, _check_count, replica_map, seeded_rng, stream_seed
+from .rng import BLOCK, DRAW_CAP, SCHEME, _check_count, replica_map, stream_seed
 from .soup import merge_diagnostics, occupation_samples
 
 
-def _two_sample_z(report: TestReport, name: str, a: np.ndarray, b: np.ndarray) -> None:
-    ma, mb = float(np.mean(a)), float(np.mean(b))
-    se = float(np.sqrt(np.var(a) / len(a) + np.var(b) / len(b)))
-    report.add_z(name, ma, mb, se)
+def _z_line(report: TestReport, name: str, sample: np.ndarray, exact: float) -> None:
+    """z of a sample's mean against its exact value, with the standard error
+    of the sample alone."""
+    report.add_z(name, float(np.mean(sample)), float(exact),
+                 float(np.sqrt(np.var(sample) / len(sample))))
 
 
-def _ks_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest |F_a - F_b| at the points of sorted sample a: at the last of
-    each run of ties a[i], F_a is (i + 1) / len(a)."""
-    ends = np.flatnonzero(np.append(a[1:] != a[:-1], True))
-    fb = np.searchsorted(b, a[ends], side="right") / len(b)
-    ends += 1
-    gap = ends / len(a)
-    del ends  # from here the difference and its absolute value are taken in place
-    gap -= fb
-    return float(np.max(np.abs(gap, out=gap)))
+def _ks_distance(sample: np.ndarray, cdf) -> float:
+    """One-sample Kolmogorov-Smirnov distance between a sample and a
+    continuous law: the largest gap between the empirical CDF and cdf, which
+    maps a sorted array to its CDF values.  Raises BadReplicaCount when the
+    sample is empty."""
+    n = _check_count(len(sample))
+    f = cdf(np.sort(sample))
+    steps = np.arange(n + 1) / n
+    return float(max(np.max(steps[1:] - f), np.max(f - steps[:-1])))
 
 
-def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov distance: the largest gap between the
-    empirical CDFs, attained at a point of one sample.  Raises
-    BadReplicaCount when a sample is empty."""
-    _check_count(len(a))
-    _check_count(len(b))
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    return max(_ks_gap(a, b), _ks_gap(b, a))
+def _erf(x: np.ndarray) -> np.ndarray:
+    """math.erf of each entry of a 1-d array (numpy has no erf), BLOCK
+    entries at a time: a Python float per entry of a whole row would raise
+    the process's peak memory by more than the row itself."""
+    return np.concatenate([np.fromiter(map(math.erf, x[lo:lo + BLOCK].tolist()), float)
+                           for lo in range(0, len(x), BLOCK)])
 
 
-def _field_chunks(kernel: ChainKernel, count: int, rng):
-    """`count` real fields z @ field_factor, z standard normal, in chunks of
-    BLOCK rows, each with its slice of the replica axis; the rows have the
-    bits of one (count, n) draw (tests/oracles.py sample_real_fields)."""
-    for start in range(0, count, BLOCK):
-        size = min(BLOCK, count - start)
-        yield (slice(start, start + size),
-               rng.standard_normal((size, kernel.n)) @ kernel.field_factor)
-
-
-def _half_sq_rows(kernel: ChainKernel, count: int, seed) -> np.ndarray:
-    """Half the squared real field of `count` replicas on seeded_rng(seed),
-    one contiguous row per vertex, filled chunk by chunk."""
-    rows = np.empty((kernel.n, count))
-    for cols, f in _field_chunks(kernel, count, seeded_rng(seed)):
-        rows[:, cols] = (0.5 * f**2).T
-    return rows
-
-
-def _abs_sq_rows(kernel: ChainKernel, count: int, seed) -> np.ndarray:
-    """|phi|^2 of `count` complex fields on seeded_rng(seed), one contiguous
-    row per vertex: the phi1 draws are filled in first, then each chunk of
-    phi2 draws turns its columns into |phi|^2."""
-    rng = seeded_rng(seed)
-    rows = np.empty((kernel.n, count))
-    for cols, f1 in _field_chunks(kernel, count, rng):
-        rows[:, cols] = f1.T
-    for cols, f2 in _field_chunks(kernel, count, rng):
-        rows[:, cols] = (np.abs((rows[:, cols].T + 1j * f2) / np.sqrt(2.0)) ** 2).T
-    return rows
-
-
-def _pair_lines(report: TestReport, label: str, names, occ: np.ndarray,
-                ref: np.ndarray) -> None:
-    """Moments 1-4 per vertex and pairwise joints of two (n, R) samples."""
+def _moment_lines(report: TestReport, label: str, names, occ: np.ndarray, green: np.ndarray,
+                  alpha: float) -> None:
+    """Moments 1-4 per vertex and pairwise joints of an (n, R) occupation
+    sample at intensity alpha against their alpha-permanents of Green
+    blocks: E[prod_i L^(x_i)] = Per_alpha(G[x_i, x_j])."""
     n = len(occ)
     for x in range(n):
         for r in range(1, 5):
-            _two_sample_z(report, f"{label}[{names[x]}]^moment{r}", occ[x] ** r, ref[x] ** r)
+            _z_line(report, f"{label}[{names[x]}]^moment{r}", occ[x] ** r,
+                    alpha_permanent(np.full((r, r), green[x, x]), alpha))
     for x in range(n):
         for y in range(x + 1, n):
-            _two_sample_z(report, f"{label}[{names[x]},{names[y]}] joint",
-                          occ[x] * occ[y], ref[x] * ref[y])
+            _z_line(report, f"{label}[{names[x]},{names[y]}] joint", occ[x] * occ[y],
+                    alpha_permanent(green[np.ix_((x, y), (x, y))], alpha))
 
 
 def verify_isomorphism(kernel: ChainKernel, replicas: int, seed) -> TestReport:
-    """Occupation fields against squared Gaussian fields, moments 1-4 and
-    pairwise joints; exact two-sample KS on a one-vertex graph.
+    """Occupation fields at intensities 1/2 and 1, the laws of half the
+    squared real field and of the squared modulus of the complex field:
+    moments 1-4 and pairwise joints against their alpha-permanents, and on
+    a one-vertex graph a KS line against the exact law at 1/2, whose CDF is
+    erf(sqrt(t / G)).
 
     Each sample is held once, as one contiguous row per vertex (reductions
-    over strided columns are slower), and the half pair is reduced and
-    dropped before the one pair is drawn."""
+    over strided columns are slower), and the intensity-1/2 sample is
+    reduced and dropped before the intensity-1 sample is drawn."""
     report = TestReport(name="isomorphism", conventions=dict(CONVENTIONS))
     names = kernel.graph.vertices
+    green = kernel.G
     seed = stream_seed(seed)
     half_meta: dict = {}
     one_meta: dict = {}
@@ -120,13 +95,12 @@ def verify_isomorphism(kernel: ChainKernel, replicas: int, seed) -> TestReport:
                                                 "alpha=1": one_meta}})
 
     occ = occupation_samples(kernel, 0.5, replicas, seed, meta=half_meta).T
-    ref = _half_sq_rows(kernel, replicas, seed + 1)
-    _pair_lines(report, "half_vs_half_sq", names, occ, ref)
-    ks = ks_two_sample(occ[0], ref[0]) if kernel.n == 1 else None
-    del occ, ref
+    _moment_lines(report, "half_vs_half_sq", names, occ, green, 0.5)
+    ks = (_ks_distance(occ[0], lambda t: _erf(np.sqrt(t / green[0, 0])))
+          if kernel.n == 1 else None)
+    del occ
     occ = occupation_samples(kernel, 1.0, replicas, seed + 2, meta=one_meta).T
-    ref = _abs_sq_rows(kernel, replicas, seed + 3)
-    _pair_lines(report, "one_vs_abs_sq", names, occ, ref)
+    _moment_lines(report, "one_vs_abs_sq", names, occ, green, 1.0)
     if ks is not None:
         report.add_bound("half_vs_half_sq KS", ks, 0.01, note="same law exactly on one vertex")
     return report
@@ -182,29 +156,44 @@ def sample_excursion_field(kernel: ChainKernel, x0, rho: float, rng) -> np.ndarr
 
 
 def _ray_knight_block(kernel, x0, rho, off, factor_d, rng, size) -> tuple:
-    """Both sides of the identity for `size` replicas from one generator:
-    the left field, the excursions, then the right field."""
-    shift = np.sqrt(2.0 * rho)
+    """The left side of the identity for `size` replicas from one generator:
+    the field, then the excursions."""
     lhs = np.zeros((size, kernel.n))
     lhs[:, off] = 0.5 * (rng.standard_normal((size, len(off))) @ factor_d) ** 2
     exc, diagnostics = _excursion_block(kernel, x0, rho, size, rng)
     lhs += exc
-    rhs = np.full((size, kernel.n), 0.5 * shift**2)
-    rhs[:, off] = 0.5 * (rng.standard_normal((size, len(off))) @ factor_d + shift) ** 2
-    return lhs, rhs, diagnostics
+    return lhs, diagnostics
+
+
+def _shifted_half_sq_cdf(shift: float, var: float, t: np.ndarray) -> np.ndarray:
+    """P((phi + shift)^2 / 2 <= t) for phi ~ N(0, var), s = sqrt(var):
+    Phi((sqrt(2t) - shift) / s) - Phi((-sqrt(2t) - shift) / s), where
+    Phi(z / s) = (1 + erf(z / (s sqrt 2))) / 2."""
+    root = np.sqrt(2.0 * t)
+    scale = math.sqrt(2.0 * var)
+    return 0.5 * (_erf((root - shift) / scale) + _erf((root + shift) / scale))
+
+
+def _shifted_half_sq_moment(m: int, shift: float, var: float) -> float:
+    """E[((phi + shift)^2 / 2)^m] for phi ~ N(0, var): the binomial expansion
+    of (phi + shift)^(2m) with the even Gaussian moments var^j (2j - 1)!!."""
+    return sum(math.comb(2 * m, 2 * j) * shift ** (2 * m - 2 * j) * var**j
+               * math.prod(range(1, 2 * j, 2)) for j in range(m + 1)) / 2**m
 
 
 def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -> TestReport:
     """Both sides of the stopped-local-time identity, compared per vertex.
 
     Left side: half the squared field of the chain restricted to D (zero at
-    x0) plus an independent excursion occupation stopped at local time rho.
-    Right side: half the square of an independent D-restricted field shifted
-    by sqrt(2 rho).  The x0 coordinate is the constant rho on both sides and
-    is reported without a gate.  Replicas are drawn block by block in
-    (seed, block) streams.  Raises BadStoppingLevel, before drawing, unless
-    rho is finite and above 0 and a block's expected excursion count stays
-    within DRAW_CAP.
+    x0) plus an independent excursion occupation stopped at local time rho,
+    drawn.  Right side: half the square of a D-restricted field shifted by
+    c = sqrt(2 rho), whose law at x, with s^2 = G_D[x, x], is exact: a KS
+    line against its CDF Phi((sqrt(2t) - c) / s) - Phi((-sqrt(2t) - c) / s)
+    and moments 1-3 against E[((phi + c)^2 / 2)^m].  The x0 coordinate is
+    the constant rho on both sides and is reported without a gate.  Replicas
+    are drawn block by block in (seed, block) streams.  Raises
+    BadStoppingLevel, before drawing, unless rho is finite and above 0 and a
+    block's expected excursion count stays within DRAW_CAP.
     """
     if not (isinstance(rho, Real) and math.isfinite(rho) and rho > 0):
         raise BadStoppingLevel(f"stopping level must be finite and positive, got {rho}")
@@ -227,18 +216,20 @@ def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -
     # one contiguous row per vertex, as in verify_isomorphism; the blocks go
     # before the KS and moment lines take their temporaries
     lhs = np.concatenate([p[0].T for p in parts], axis=1)
-    rhs = np.concatenate([p[1].T for p in parts], axis=1)
-    diagnostics = merge_diagnostics([p[2] for p in parts])
+    diagnostics = merge_diagnostics([p[1] for p in parts])
     del parts
 
     report = TestReport(name="ray-knight", conventions=dict(CONVENTIONS))
     report.meta.update({"x0": graph.vertices[x0], "rho": rho, "replicas": replicas,
                         "rng": dict(SCHEME), "sampler_diagnostics": diagnostics})
     names = graph.vertices
-    for x in off:
-        report.add_bound(f"KS[{names[x]}]", ks_two_sample(lhs[x], rhs[x]), 0.02)
+    shift = math.sqrt(2.0 * rho)
+    for x, var in zip(off, np.diag(factor_d @ factor_d).tolist()):
+        report.add_bound(f"KS[{names[x]}]",
+                         _ks_distance(lhs[x], partial(_shifted_half_sq_cdf, shift, var)), 0.02)
         for mom in range(1, 4):
-            _two_sample_z(report, f"moment{mom}[{names[x]}]", lhs[x] ** mom, rhs[x] ** mom)
+            _z_line(report, f"moment{mom}[{names[x]}]", lhs[x] ** mom,
+                    _shifted_half_sq_moment(mom, shift, var))
     report.add_info(f"x0[{names[x0]}] constant", float(np.max(np.abs(lhs[x0] - rho))),
                     note="left side at x0 minus rho; right side is rho by construction")
     return report

@@ -309,13 +309,6 @@ class ChainKernel:
         det = sign * np.exp(logabs - self.log_prod_lam)  # sign 0 when singular
         return det if det.ndim else complex(det)
 
-    @cached_property
-    def field_factor(self) -> np.ndarray:
-        """Symmetric square root of the Green's function, for field sampling."""
-        w, u = np.linalg.eigh(self.G)
-        w = np.clip(w, 0.0, None)
-        return _frozen((u * np.sqrt(w)) @ u.T)
-
 
 def build_kernel(graph: WeightedGraph) -> ChainKernel:
     """Derive lam, P and det(I - P) from a graph, checking transience; G is

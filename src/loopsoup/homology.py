@@ -162,10 +162,10 @@ class JacobianVolume:
     tree_weight: float
 
 
-def jacobian_volume(graph: WeightedGraph) -> JacobianVolume:
+def _volume_routes(graph: WeightedGraph) -> JacobianVolume:
     """Volume of the torus of harmonic forms modulo integer forms, computed
-    from the intersection determinant and from the spanning tree weight sum;
-    the two routes must agree to relative 1e-10."""
+    from the intersection determinant and from the spanning tree weight sum,
+    whether or not the two routes agree."""
     tree_weight = spanning_tree_weight_sum(graph)
     basis = cycle_basis(graph)
     via_trees = tree_weight**-0.5
@@ -176,12 +176,19 @@ def jacobian_volume(graph: WeightedGraph) -> JacobianVolume:
     for u, v in graph.edge_pairs:
         prod_c *= graph.conductance[u, v]
     via_int = (np.linalg.det(lam) * prod_c) ** -0.5
-    if abs(via_int - via_trees) > VOLUME_TOL * abs(via_trees):
-        raise MismatchBeyondTolerance(
-            f"volume routes disagree: {via_int!r} vs {via_trees!r}"
-        )
     return JacobianVolume(float(via_trees), float(via_int), float(via_trees),
                           False, float(tree_weight))
+
+
+def jacobian_volume(graph: WeightedGraph) -> JacobianVolume:
+    """The torus volume by both routes, which must agree to relative 1e-10;
+    MismatchBeyondTolerance when they do not."""
+    vol = _volume_routes(graph)
+    if abs(vol.via_intersection - vol.via_trees) > VOLUME_TOL * abs(vol.via_trees):
+        raise MismatchBeyondTolerance(
+            f"volume routes disagree: {vol.via_intersection!r} vs {vol.via_trees!r}"
+        )
+    return vol
 
 
 @dataclass(frozen=True, eq=False)

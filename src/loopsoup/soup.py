@@ -299,9 +299,8 @@ def _bridges(q: np.ndarray, lengths: np.ndarray, sizes: np.ndarray, counts: np.n
     return verts
 
 
-def direct_block(kernel: ChainKernel, alpha: float, size: int, rng,
-                 eps: float = TAIL_CUT, times: bool = False, law: tuple | None = None
-                 ) -> LoopBlock:
+def direct_block(kernel: ChainKernel, alpha: float, size: int, rng, times: bool = False,
+                 law: tuple | None = None) -> LoopBlock:
     """`size` independent ensembles at intensity alpha, all from one generator,
     with one group per length drawn, in increasing order of length.
 
@@ -315,13 +314,14 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng,
     for every open loop at a time (see _bridges); the draw order above is
     kept by drawing all bridge uniforms as one array.
 
-    law, when given, is kernel.length_distribution(eps), so that a run of
-    many blocks computes it once.  Raises BadIntensity, before drawing, when
-    the block's expected loop count passes DRAW_CAP.
+    law is the loop-length law kernel.length_distribution(eps), cut at
+    TAIL_CUT when not given, so that a run of many blocks computes it once.
+    Raises BadIntensity, before drawing, when the block's expected loop
+    count passes DRAW_CAP.
     """
     _check_alpha(alpha)
     if law is None:
-        law = kernel.length_distribution(eps)
+        law = kernel.length_distribution(TAIL_CUT)
     cum, total_mass, cut_length, discarded = law
     if alpha * total_mass * size > DRAW_CAP:
         raise BadIntensity(f"intensity too large: {alpha * total_mass * size:.4g} expected "
@@ -357,7 +357,8 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng,
 def direct_sample(kernel: ChainKernel, alpha: float, eps: float = TAIL_CUT,
                   seed=None) -> LoopSoup:
     """One ensemble: the single-replica view of direct_block."""
-    block = direct_block(kernel, alpha, 1, seeded_rng(seed), eps=eps, times=True)
+    block = direct_block(kernel, alpha, 1, seeded_rng(seed), times=True,
+                         law=kernel.length_distribution(eps))
     meta = {"sampler": "direct", "eps": eps, "max_length": block.cut_length,
             "discarded_mu_mass": block.discarded_mu_mass}
     return LoopSoup(block, float(alpha), meta)

@@ -40,7 +40,7 @@ from .fields import (
     verify_moment_formula,
 )
 from .graphs import WeightedGraph, build_kernel
-from .homology import _class_coords, cycle_basis, homology_distribution, jacobian_volume
+from .homology import _class_coords, _volume_routes, cycle_basis, homology_distribution
 from .network import Network
 from .reports import CONVENTIONS, DEFAULT_REPLICAS, DEFAULT_SEED, TestReport
 from .rng import SCHEME, seeded_rng, stream_seed
@@ -261,8 +261,9 @@ def check_generating_function(seed: int, histograms: dict) -> TestReport:
 
 
 def check_isomorphism(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED) -> TestReport:
-    """Occupation-field moments against the squared free field on the
-    triangle, exact distribution match on the single killed vertex."""
+    """Occupation-field moments on the triangle against their
+    alpha-permanents, the laws of the squared free field, and on the single
+    killed vertex a KS line against the exact law as well."""
     tri = verify_isomorphism(build_kernel(triangle_graph()), replicas, seed + 10)
     single = verify_isomorphism(build_kernel(single_vertex_graph()), replicas, seed + 17)
     report = TestReport(name="field-isomorphism", conventions=dict(CONVENTIONS))
@@ -474,7 +475,8 @@ def random_connected_graph(rng) -> WeightedGraph:
 
 def check_jacobian_volume(seed: int = DEFAULT_SEED) -> TestReport:
     """Harmonic-Gram route and tree-weight route to the torus volume on
-    random conductance graphs."""
+    random conductance graphs.  The routes are compared here, not in
+    jacobian_volume, so a disagreement fails the line instead of raising."""
     rng = seeded_rng(seed + 32)
     report = TestReport(name="jacobian-volume", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 11, "cases": JACOBIAN_CASES})
@@ -482,7 +484,7 @@ def check_jacobian_volume(seed: int = DEFAULT_SEED) -> TestReport:
     degenerate = 0
     for _ in range(JACOBIAN_CASES):
         graph = random_connected_graph(rng)
-        vol = jacobian_volume(graph)
+        vol = _volume_routes(graph)
         if vol.degenerate:
             degenerate += 1
         worst = max(worst, abs(vol.via_intersection - vol.via_trees)

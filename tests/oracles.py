@@ -10,9 +10,9 @@ over a run and over one ensemble's loops, of the canonical loop rotation
 (a scan over every position of the minimal vertex), of the Poisson series (one
 convolution power at a time), of the general-alpha network law (the
 loop-measure Poisson series over the sub-circulations of the network) and of
-the homology law (one determinant per grid point, held as a dict), and the
-one-draw real and complex field samplers that the chunked field rows of
-check 5 replace.
+the homology law (one determinant per grid point, held as a dict), a
+brute-force one-sample KS distance, and one-draw real and complex Gaussian
+fields with covariance G, which the field tests sample the Wick moments from.
 
 Each exact reference enumerates everything it sums over, so they are slow
 and only fit small inputs; the tests compare the fast kernels against them.
@@ -602,28 +602,36 @@ def key_counts(counts: np.ndarray) -> tuple:
     return rows[first], freq
 
 
-def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov distance: both empirical CDFs evaluated
-    at every point of both samples, each point binary-searched into each
-    sorted sample."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / len(a)
-    fb = np.searchsorted(b, grid, side="right") / len(b)
-    return float(np.max(np.abs(fa - fb)))
+def ks_one_sample(sample: np.ndarray, cdf) -> float:
+    """One-sample Kolmogorov-Smirnov distance: at every distinct point t of
+    the sample, the empirical CDF just below t and at t, each counted by a
+    binary search into the sorted sample, against cdf(t)."""
+    x = np.sort(np.asarray(sample, dtype=float))
+    t = np.unique(x)
+    f = cdf(t)
+    below = np.searchsorted(x, t, side="left") / len(x)
+    upto = np.searchsorted(x, t, side="right") / len(x)
+    return float(max(np.max(np.abs(upto - f)), np.max(np.abs(f - below))))
+
+
+def field_factor(kernel) -> np.ndarray:
+    """Symmetric square root of the Green's function, for field sampling."""
+    w, u = np.linalg.eigh(kernel.G)
+    w = np.clip(w, 0.0, None)
+    return (u * np.sqrt(w)) @ u.T
 
 
 def sample_real_fields(kernel, count: int, seed) -> np.ndarray:
     """count x n matrix of independent real field samples, in one draw."""
-    return seeded_rng(seed).standard_normal((count, kernel.n)) @ kernel.field_factor
+    return seeded_rng(seed).standard_normal((count, kernel.n)) @ field_factor(kernel)
 
 
 def sample_complex_fields(kernel, count: int, seed) -> np.ndarray:
     """count x n matrix of independent complex field samples, in one draw."""
     rng = seeded_rng(seed)
-    f1 = rng.standard_normal((count, kernel.n)) @ kernel.field_factor
-    f2 = rng.standard_normal((count, kernel.n)) @ kernel.field_factor
+    factor = field_factor(kernel)
+    f1 = rng.standard_normal((count, kernel.n)) @ factor
+    f2 = rng.standard_normal((count, kernel.n)) @ factor
     return (f1 + 1j * f2) / np.sqrt(2.0)
 
 

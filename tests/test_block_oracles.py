@@ -19,7 +19,6 @@ from loopsoup import (
     BLOCK,
     build_kernel,
     direct_block,
-    ks_two_sample,
     network_histogram,
     occupation_samples,
     replica_map,
@@ -27,6 +26,7 @@ from loopsoup import (
     soup,
     wilson_counts,
 )
+from loopsoup.fields import _ks_distance
 from loopsoup.soup import _key_counts
 from loopsoup.verify import (
     complete4_graph,
@@ -232,11 +232,21 @@ def _ks_cases() -> dict:
     }
 
 
+# continuous laws to read each case's samples against: one with all its mass
+# in [0, 1], so the disjoint case's second sample lies wholly above it
+_CDFS = {"uniform": lambda t: np.clip(t, 0.0, 1.0),
+         "logistic": lambda t: 1.0 / (1.0 + np.exp(-t))}
+
+
 @pytest.mark.parametrize("case", list(_ks_cases()))
 def test_ks_matches_full_grid(case):
-    a, b = _ks_cases()[case]
-    assert ks_two_sample(a, b) == oracles.ks_two_sample(a, b)
-    assert ks_two_sample(b, a) == oracles.ks_two_sample(b, a)
+    # each sample of the case against each law: the distance from the sorted
+    # sample's steps equals the one over both sides of every distinct point
+    for sample in _ks_cases()[case]:
+        for cdf in _CDFS.values():
+            assert _ks_distance(sample, cdf) == oracles.ks_one_sample(sample, cdf)
+    if case == "disjoint":
+        assert _ks_distance(_ks_cases()[case][1], _CDFS["uniform"]) == 1.0
 
 
 def _direct_keys(kernel, rng, size):

@@ -70,13 +70,13 @@ PAYLOADS = {
     "convolution-check": (0, "fdbc2070b25d53adad9fa263a085b451ec42ec53e5166ae7af1b71fe17de7767"),
     "homology-dist": (0, "059e2e35bdbf94acbf7599ff475d8ad2cedf9f7ee9229eb8990807e7d8ac7932"),
     "jacobian": (0, "571209ce4084cd9b8145d0367bef54050f57307678caa709b8af4ae321e53019"),
-    "isomorphism": (0, "b7f7b9af3b6feed72b57feca01a09a42f4eac0832e80dc5ce0412c284294704c"),
-    "ray-knight": (2, "b66238435e55c0f139ed50229dd598ac282b55ba6c38cfd54dce1fde974a97cb"),
+    "isomorphism": (0, "5cceb060adbc8a46dac838a56d2d8a9de5bb5e068c27b86de51891bf0a578c2b"),
+    "ray-knight": (0, "bc50de0c5324e0703cb6a8c1b5ec2aedca99ed105556dada6ff1dfde1c731259"),
     "moments": (0, "276120f5b4d7494e3055dadad1320a8cae1395a9564c8d75f22f72c71197f995"),
     "det-identity": (0, "7625056e9a1c39e4097baada359a6c1ae124803344691d77c844152bbde9aaf2"),
     "genfun": (0, "2b43490264c40b29a7ffa06f669e3c39b2f7e4dfa8679062f6f77d7d7372fb97"),
     "maxflow": (0, "871f534dff2e043ed5e881dece94f5f2fc1676a1e510d4f8afaa1e6480e1d981"),
-    "verify-all": (2, "58ea470ebb1f8cb7c68137078543d030d52c460fc4723c86daa1966f27e0ff9b"),
+    "verify-all": (2, "df41fbffa47ea022e474ecfdca25055625a026f4e0d2ba8e752f97b07b1ed273"),
     "occupation-csv": (0, "d3dd4dbfb395c12e619d2995e426d14a7a755fcddcdcc669a4dff26b3c39057c"),
     "kernel-csv": (0, "abb24efc89acb05f988143dadb6c32ddde39da4de63a64a043dffcb6a0f03f45"),
 }

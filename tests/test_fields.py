@@ -1,6 +1,9 @@
-"""Gaussian fields, the occupation isomorphism, and the moment verifiers."""
+"""Gaussian fields, the occupation isomorphism against its exact laws, the
+Ray-Knight identity, and the moment verifiers."""
 
+import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -16,7 +19,6 @@ from loopsoup import (
     BadSupport,
     DuplicateIndex,
     LoopSoupError,
-    ks_two_sample,
     network_histogram,
     occupation_samples,
     ray_knight_check,
@@ -25,15 +27,13 @@ from loopsoup import (
     verify_isomorphism,
     verify_moment_formula,
 )
-from loopsoup import fields, verify
-from loopsoup.fields import _abs_sq_rows, _excursion_block, _field_chunks, _half_sq_rows
-from loopsoup.rng import seeded_rng
+from loopsoup import alpha_permanent, fields, verify
+from loopsoup.fields import _erf, _excursion_block, _ks_distance, _shifted_half_sq_moment
 
 
 def test_real_field_covariance(two_point_kernel):
     n = 40_000
-    samples = np.concatenate([f for _, f in _field_chunks(two_point_kernel, n,
-                                                          seeded_rng(100))])
+    samples = oracles.sample_real_fields(two_point_kernel, n, 100)
     cov = samples.T @ samples / n
     # G = [[2/3, 1/3], [1/3, 2/3]]; entry noise is about 0.004 at this size
     assert np.allclose(cov, two_point_kernel.G, atol=0.02)
@@ -50,11 +50,15 @@ def test_complex_field_covariance(triangle_kernel):
     assert np.abs(rel).max() < 0.02
 
 
-def test_field_determinism(two_point_kernel):
-    for rows in (_half_sq_rows, _abs_sq_rows):
-        a = rows(two_point_kernel, 1, 7)
-        assert a.shape == (2, 1) and a.dtype == float
-        assert np.array_equal(a, rows(two_point_kernel, 1, 7))
+def _lines(report) -> list:
+    return [(line.statistic, line.lhs, line.rhs, line.stderr) for line in report.lines]
+
+
+def test_field_determinism(two_point_kernel, path3_kernel):
+    # the field checks draw from their seed's streams alone
+    for run in (lambda: verify_isomorphism(two_point_kernel, 3, 7),
+                lambda: ray_knight_check(path3_kernel, "a", 1.0, 3, 7)):
+        assert _lines(run()) == _lines(run())
 
 
 def test_field_count_is_typed(two_point_kernel):
@@ -86,20 +90,26 @@ def test_complex_wick_moment(two_point_kernel):
     assert verify_moment_formula(two_point_kernel, [], [], hist).lines[0].rhs == 1.0
 
 
-def test_ks_two_sample():
-    a = np.arange(100, dtype=float)
-    assert ks_two_sample(a, a) == 0.0
-    assert ks_two_sample(a, a + 1000.0) == 1.0
-    rng = np.random.default_rng(5)
-    d = ks_two_sample(rng.standard_normal(5000), rng.standard_normal(5000))
-    assert d < 0.05
-
-
-def test_ks_two_sample_empty_is_typed():
-    for a, b in (([], [1.0]), ([1.0], np.zeros(0)), ([], [])):
+def test_ks_distance_empty_is_typed():
+    for sample in ([], np.zeros(0)):
         with pytest.raises(BadReplicaCount) as info:
-            ks_two_sample(a, b)
+            _ks_distance(sample, lambda t: t)
         assert isinstance(info.value, LoopSoupError)
+
+
+def test_ks_distance_against_exact_laws():
+    # half a squared standard normal has CDF erf(sqrt(t)): the one-vertex
+    # occupation law at alpha 1/2 when G = 1; the check's erf, taken BLOCK
+    # entries at a time, against math.erf one entry at a time
+    half_sq = 0.5 * np.random.default_rng(5).standard_normal(2 * BLOCK + 300) ** 2
+
+    def law(t):
+        return np.array([math.erf(math.sqrt(v)) for v in t])
+
+    d = _ks_distance(half_sq, lambda t: _erf(np.sqrt(t)))
+    assert d == oracles.ks_one_sample(half_sq, law)
+    assert d < 0.02 and _ks_distance(4.0 * half_sq, law) > 0.2
+    assert _ks_distance(np.arange(1.0, 101.0), np.zeros_like) == 1.0
 
 
 def test_occupation_samples_mean(two_point_kernel):
@@ -111,16 +121,6 @@ def test_occupation_samples_mean(two_point_kernel):
     assert np.all(np.abs(mean - target) < 5 * se)
 
 
-def test_chunked_field_rows_match_one_draw(triangle_kernel):
-    # the isomorphism's rows, drawn in chunks of BLOCK, carry the bits of
-    # the one-draw samplers over full and partial chunks
-    count = 2 * BLOCK + 300
-    half_sq = 0.5 * oracles.sample_real_fields(triangle_kernel, count, 9) ** 2
-    abs_sq = np.abs(oracles.sample_complex_fields(triangle_kernel, count, 10)) ** 2
-    assert _half_sq_rows(triangle_kernel, count, 9).tobytes() == half_sq.T.tobytes()
-    assert _abs_sq_rows(triangle_kernel, count, 10).tobytes() == abs_sq.T.tobytes()
-
-
 MEMORY_REPLICAS = 20_000
 
 
@@ -128,9 +128,9 @@ MEMORY_REPLICAS = 20_000
                          ids=["isomorphism", "ray_knight"])
 def test_field_checks_hold_each_sample_once(check):
     # peak traced bytes in (R x 3) float64 arrays, the triangle and path3
-    # having three vertices: two samples, a block and a KS line's temporaries
-    # fit; a transposed copy of every sample, or blocks kept through the KS
-    # lines, do not
+    # having three vertices: a sample, the blocks it is built from and a KS
+    # line's temporaries fit; a transposed copy of every sample, or blocks
+    # kept through the KS lines, do not
     check(10, 1)  # a first call's imports and caches are not the check's arrays
     tracemalloc.start()
     try:
@@ -139,22 +139,6 @@ def test_field_checks_hold_each_sample_once(check):
     finally:
         tracemalloc.stop()
     assert peak / (MEMORY_REPLICAS * 3 * 8) <= 4.5
-
-
-def test_ks_two_sample_takes_its_gap_in_place():
-    # peak traced bytes in R-long float64 rows: the two sorted copies, the run
-    # ends, a searchsorted row and its CDF fit; a gap row and its absolute
-    # value taken as two more copies do not
-    rng = np.random.default_rng(8)
-    a, b = rng.standard_normal((2, MEMORY_REPLICAS))
-    ks_two_sample(a[:10], b[:10])
-    tracemalloc.start()
-    try:
-        ks_two_sample(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / (MEMORY_REPLICAS * 8) <= 5.5
 
 
 def test_isomorphism_report_structure(triangle_kernel):
@@ -178,6 +162,68 @@ def test_ray_knight(path3_kernel):
     # identity is checked away from the stopping vertex
     stats = " ".join(line.statistic for line in rep.lines)
     assert "b" in stats and "c" in stats
+
+
+def test_alpha_permanent_moments():
+    # E[L_x^r] at intensity alpha is Per_alpha of the constant r x r block:
+    # G_xx^r alpha (alpha + 1) ... (alpha + r - 1)
+    for g in (0.5, 2 / 3, 1.7):
+        for alpha in (0.5, 1.0, 2.0):
+            for r in range(1, 6):
+                rising = math.prod(alpha + i for i in range(r))
+                assert alpha_permanent(np.full((r, r), g), alpha) == \
+                    pytest.approx(g**r * rising, rel=1e-12)
+    # a joint: Per_alpha of the 2 x 2 block, alpha^2 G_xx G_yy + alpha G_xy G_yx
+    block = np.array([[2 / 3, 1 / 3], [0.25, 0.5]])
+    for alpha in (0.5, 1.0, 2.0):
+        assert alpha_permanent(block, alpha) == \
+            pytest.approx(alpha**2 / 3 + alpha / 12, rel=1e-12)
+
+
+def test_isomorphism_targets_are_alpha_permanents(triangle_kernel):
+    g = triangle_kernel.G
+    rhs = {line.statistic: line.rhs for line in verify_isomorphism(triangle_kernel, 10, 1).lines}
+    for label, alpha in (("half_vs_half_sq", 0.5), ("one_vs_abs_sq", 1.0)):
+        for r in range(1, 5):
+            assert rhs[f"{label}[b]^moment{r}"] == \
+                pytest.approx(g[1, 1] ** r * math.prod(alpha + i for i in range(r)))
+        assert rhs[f"{label}[a,c] joint"] == \
+            pytest.approx(alpha**2 * g[0, 0] * g[2, 2] + alpha * g[0, 2] ** 2)
+
+
+def test_ray_knight_moments_are_gaussian_sums(path3_kernel):
+    # E[((phi + c)^2 / 2)^m] for phi ~ N(0, s^2) by Gauss-Hermite quadrature,
+    # exact for these polynomials of degree 2m <= 6
+    nodes, weights = np.polynomial.hermite_e.hermegauss(8)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    for shift in (0.0, 1.0, math.sqrt(2.0)):
+        for var in (0.5, 1.0, 2.0):
+            for m in (1, 2, 3):
+                quad = float(np.sum(weights * ((math.sqrt(var) * nodes + shift) ** 2 / 2) ** m))
+                assert _shifted_half_sq_moment(m, shift, var) == pytest.approx(quad, rel=1e-12)
+    # the check's means on path3 from a at rho = 1: (G_D[x, x] + 2 rho) / 2,
+    # with G_D = [[1, 1], [1, 2]] on (b, c)
+    rhs = {line.statistic: line.rhs
+           for line in ray_knight_check(path3_kernel, "a", 1.0, 10, 1).lines}
+    assert rhs["moment1[b]"] == pytest.approx(1.5) and rhs["moment1[c]"] == pytest.approx(2.0)
+
+
+def test_ray_knight_ks_reads_the_shifted_field_law(path3_kernel, monkeypatch):
+    laws = []
+    original = fields._ks_distance
+
+    def spy(sample, cdf):
+        laws.append(cdf)
+        return original(sample, cdf)
+
+    monkeypatch.setattr(fields, "_ks_distance", spy)
+    ray_knight_check(path3_kernel, "a", 1.0, 10, 1)
+    t = np.array([0.0, 0.1, 0.5, 1.0, 2.5, 7.0])
+    phi = NormalDist().cdf
+    c = math.sqrt(2.0)
+    for cdf, s in zip(laws, (1.0, math.sqrt(2.0)), strict=True):  # G_D[b, b], G_D[c, c]
+        want = [phi((math.sqrt(2 * v) - c) / s) - phi((-math.sqrt(2 * v) - c) / s) for v in t]
+        assert cdf(t) == pytest.approx(want, abs=1e-12)
 
 
 def test_excursion_field_is_one_occupation_row(path3_kernel):
@@ -217,13 +263,14 @@ def test_ray_knight_non_finite_or_huge_level_is_typed(path3_kernel, monkeypatch)
         assert isinstance(info.value, BadSamplerInput)
 
 
-def test_field_samples_take_any_integer_seed(two_point_kernel):
-    for rows in (_half_sq_rows, _abs_sq_rows):
-        assert np.array_equal(rows(two_point_kernel, 5, -3),
-                              rows(two_point_kernel, 5, 2**64 - 3))
+def test_field_samples_take_any_integer_seed(two_point_kernel, path3_kernel):
+    # a negative seed is taken modulo 2^64; anything but an integer is refused
+    for run in (lambda seed: verify_isomorphism(two_point_kernel, 5, seed),
+                lambda seed: ray_knight_check(path3_kernel, "a", 1.0, 5, seed)):
+        assert _lines(run(-3)) == _lines(run(2**64 - 3))
         for seed in ("3", True):
             with pytest.raises(BadSeed):
-                rows(two_point_kernel, 5, seed)
+                run(seed)
 
 
 def test_moment_formula(two_point_kernel):

@@ -121,7 +121,7 @@ def test_kernel_arrays_are_read_only(triangle):
     # what later samples or determinants read
     k = build_kernel(triangle)
     arrays = [k.lam, k.P, k.G, k.energy_matrix, k.q_matrix, k.sym_eigs,
-              *k._step_table, k.field_factor, k.graph.conductance, k.graph.killing]
+              *k._step_table, k.graph.conductance, k.graph.killing]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -131,7 +131,7 @@ def test_kernel_arrays_are_read_only(triangle):
     for kernel in (k, fresh):
         for name in ("graph", "lam", "P", "G", "energy_matrix", "det_i_minus_p",
                      "log_det_i_minus_p", "log_prod_lam", "q_matrix", "sym_eigs",
-                     "_step_table", "field_factor"):
+                     "_step_table"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(kernel, name, None)
     for name in ("vertices", "conductance", "killing"):

@@ -18,6 +18,7 @@ from loopsoup import (
     EmptyBasis,
     GridTooCoarse,
     LoopSoupError,
+    MismatchBeyondTolerance,
     Network,
     NonIntegral,
     NotEulerian,
@@ -229,6 +230,15 @@ def test_jacobian_volume(triangle, two_point):
     trivial = jacobian_volume(two_point)
     assert trivial.degenerate
     assert trivial.value == 1.0
+
+
+def test_jacobian_volume_refuses_disagreeing_routes(triangle, monkeypatch):
+    # the public call raises where check 11 fails its line
+    # (tests/test_planted_defects.py)
+    original = homology.intersection_matrix
+    monkeypatch.setattr(homology, "intersection_matrix", lambda basis: 1.01 * original(basis))
+    with pytest.raises(MismatchBeyondTolerance, match="volume routes disagree"):
+        jacobian_volume(triangle)
 
 
 # ------------------------------------------------------------- winding law

@@ -279,8 +279,9 @@ def test_package_imports_numpy_and_stdlib_only(path):
 
 # The public surface of the lazy package, each name served from its submodule:
 # the 99 names it exported when it imported every submodule eagerly, less the
-# deleted complex_wick_moment and HomologyClass and the one-draw field
-# samplers sample_real_fields and sample_complex_fields (now in tests/oracles.py).
+# deleted complex_wick_moment, HomologyClass and ks_two_sample (checks 5 and 6
+# read exact laws, not a second sample) and the one-draw field samplers
+# sample_real_fields and sample_complex_fields (now in tests/oracles.py).
 PUBLIC = [
     'BLOCK', 'BadChi', 'BadExactInput', 'BadForm', 'BadGraph', 'BadGrid', 'BadIntensity',
     'BadMassBudget', 'BadPartition', 'BadReplicaCount', 'BadSamplerInput', 'BadSeed',
@@ -297,7 +298,7 @@ PUBLIC = [
     'exact_network_prob_alpha', 'exact_network_prob_alpha1', 'fields',
     'generating_function', 'graphs', 'homology', 'homology_distribution',
     'homology_distribution_auto', 'intersection_matrix', 'jacobian_volume', 'jump_matrix',
-    'ks_two_sample', 'max_flow', 'mu_network_measure', 'network', 'network_histogram',
+    'max_flow', 'mu_network_measure', 'network', 'network_histogram',
     'network_homology_class', 'occupation', 'occupation_samples', 'permanent',
     'ray_knight_check', 'replica_map', 'replica_rng', 'reports', 'rng', 'run_all',
     'sample_excursion_field', 'soup',
@@ -307,7 +308,7 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
-    assert loopsoup.__all__ == PUBLIC and len(PUBLIC) == 95
+    assert loopsoup.__all__ == PUBLIC and len(PUBLIC) == 94
 
 
 def test_every_public_name_is_its_submodules_object():

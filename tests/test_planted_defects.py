@@ -1,8 +1,9 @@
 """The battery must fail when a known defect is planted.
 
-Each test patches one sampler (direct, cycle popping or excursions), the
-exact network enumeration (its cycles or its dedup), the cycle covers of
-the network law, the determinant identity or the kernel, reruns the full
+Each test patches one sampler (direct, its holding times, cycle popping or
+excursions), the exact network enumeration (its cycles or its dedup), the
+cycle covers of the network law, the determinant identity, the torus volume
+or the kernel, reruns the full
 battery at the acceptance size and seed, and asserts that the checks
 reading the patched code catch the defect while the checks that never touch
 it still pass.  A transposed P is caught by no check: that blind spot is
@@ -15,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from loopsoup import eulerian, fields, soup, verify
+from loopsoup import eulerian, fields, homology, soup, verify
 from loopsoup.verify import DEFAULT_REPLICAS, DEFAULT_SEED, run_all
 
 CATCHING = {2, 4, 5, 13}
@@ -53,6 +54,29 @@ def test_inflated_intensity_fails_the_battery(monkeypatch):
     failing = _failing_checks(monkeypatch, inflate_alpha)
     assert CATCHING <= failing
     assert not failing & UNTOUCHED
+
+
+def test_slow_holding_times_fail_the_isomorphism_check(monkeypatch):
+    original = soup.direct_block
+
+    def hold_at_half_rate(*args, **kwargs):
+        # each loop visit held at rate lam_x / 2, not lam_x
+        block = original(*args, **kwargs)
+        return block._replace(groups=tuple(g._replace(times=2.0 * g.times) if g.times is not None
+                                           else g for g in block.groups))
+
+    assert _failing_checks(monkeypatch, hold_at_half_rate) == {5}
+
+
+def test_skewed_volume_route_fails_the_jacobian_line(monkeypatch):
+    original = homology.intersection_matrix
+
+    def scaled_by_1_01(basis):
+        return 1.01 * original(basis)
+
+    # the routes disagree: check 11 fails its line, the battery still runs
+    assert _failing_checks(monkeypatch, scaled_by_1_01, homology,
+                           "intersection_matrix") == {11}
 
 
 def test_dropped_three_cycles_fail_the_exact_check(monkeypatch):

@@ -388,9 +388,11 @@ def test_any_integer_seeds_a_generator(triangle_kernel):
 
 def test_tail_cut_out_of_range_is_typed(triangle_kernel):
     for eps in (0.0, -1e-9, 1e-3):
-        with pytest.raises(BadTailCut) as info:
-            occupation_samples(triangle_kernel, 1.0, 10, 1, eps=eps)
-        _typed(info, BadTailCut)
+        for call in (lambda: occupation_samples(triangle_kernel, 1.0, 10, 1, eps=eps),
+                     lambda: direct_sample(triangle_kernel, 1.0, eps=eps, seed=1)):
+            with pytest.raises(BadTailCut) as info:
+                call()
+            _typed(info, BadTailCut)
 
 
 def test_unknown_sampler_is_typed(triangle_kernel):

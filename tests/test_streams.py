@@ -9,7 +9,10 @@ check still passes.  The battery digests cover every StatLine of run_all
 except the runtimes, so a change to a reduction over the samples (a sum
 taken in another order, say) fails here too; the full-size one, at the
 benchmark's replica count, also covers the chunk edges of a run of many
-blocks.  A change that moves the streams or the statistics on purpose
+blocks.  The rest-of-battery digests leave out checks 5 and 6, and the
+shape pins every report's name and every line's statistic and kind, so a
+change to some checks shows that it left the others and the battery's
+shape alone.  A change that moves the streams or the statistics on purpose
 updates the digests and says why; run this file as a script to print the
 current ones.
 """
@@ -59,11 +62,21 @@ EXCURSIONS = {  # (graph, start vertex x0, stopping local time rho)
         "e24a196e60dd48f87f6f82d6f5942ddf9170ca98ea03fc7aa1573ebfd22d7419",
 }
 BATTERY_REPLICAS = 20_000
-BATTERY = "4e5ec76636507d9271530413a1854eb21ee614539344b8b08a46c0fbf00bb9e3"
+BATTERY = "2b396934325ba216745df0f484f182889fb2871de1d2f40fbb95f88b80ddf2aa"
 # the benchmark's battery: 12 full blocks and a partial block of 1696; it is
 # checked on the acceptance battery's own run (tests/test_acceptance.py)
 FULL_BATTERY_REPLICAS = 100_000
-FULL_BATTERY = "f1ab55b76c092e77bfa5612263b462b13765ea802b67696ac9a92a25c5322228"
+FULL_BATTERY = "53f798761470453897e9839cabf2dbd19e788986f5525eb5a5ddbc3145e45484"
+# every line outside checks 5 and 6 (runtimes excluded), at both sizes: a
+# change to checks 5 and 6 alone must leave these as they are
+REST_OF_BATTERY = {
+    BATTERY_REPLICAS: "170d07646a0774576a5cac57b7589f0fc6372f2a177009896be7c6e2d6af9f18",
+    FULL_BATTERY_REPLICAS: "5d95a40d0860dd6ffb1b70ef7fec3f83231af78b172174207a77894fc13b2ddd",
+}
+# the battery's shape: per report its name, and per line its statistic and
+# whether it is a z-line; the count of z-lines is the family the
+# benchmark's Bonferroni gate is taken over
+SHAPE = "887503e6e1eea3ecd295638792d93c3d1749ab59e662f79ca4ce5ad8148a598d"
 
 
 def three_neighbours_graph() -> WeightedGraph:
@@ -131,8 +144,18 @@ def _battery_lines(reports) -> list:
             if line.statistic != "runtime_seconds"]
 
 
-def battery_digest() -> str:
-    return _sha(repr(_battery_lines(run_all(BATTERY_REPLICAS, SEED))))
+def battery_digest(reports) -> str:
+    return _sha(repr(_battery_lines(reports)))
+
+
+def rest_of_battery_digest(reports) -> str:
+    """Digest of every line but the runtimes outside checks 5 and 6."""
+    return _sha(repr(_battery_lines(r for r in reports if r.meta["check"] not in (5, 6))))
+
+
+def battery_shape(reports) -> list:
+    return [(report.name, [(line.statistic, line.z is not None) for line in report.lines])
+            for report in reports]
 
 
 def full_battery_digest(reports) -> str:
@@ -164,8 +187,26 @@ def test_excursion_streams(graph, x0, rho):
     assert excursion_digest(graph, x0, rho) == EXCURSIONS[(graph, x0, rho)]
 
 
-def test_battery_statistics():
-    assert battery_digest() == BATTERY
+@pytest.fixture(scope="module")
+def battery():
+    return run_all(BATTERY_REPLICAS, SEED)
+
+
+def test_battery_statistics(battery):
+    assert battery_digest(battery) == BATTERY
+
+
+@pytest.mark.parametrize("replicas", list(REST_OF_BATTERY))
+def test_rest_of_battery_statistics(replicas, battery):
+    reports = battery if replicas == BATTERY_REPLICAS else run_all(replicas, SEED)
+    assert rest_of_battery_digest(reports) == REST_OF_BATTERY[replicas]
+
+
+def test_battery_shape(battery):
+    shape = battery_shape(battery)
+    lines = [line for _, report_lines in shape for line in report_lines]
+    assert (len(shape), len(lines), sum(z for _, z in lines)) == (13, 110, 79)
+    assert _sha(repr(shape)) == SHAPE
 
 
 if __name__ == "__main__":
@@ -176,5 +217,10 @@ if __name__ == "__main__":
     print("wilson_sample", wilson_samples_digest())
     for key in EXCURSIONS:
         print(key, excursion_digest(*key))
-    print("battery", battery_digest())
-    print("full battery", full_battery_digest(run_all(FULL_BATTERY_REPLICAS, SEED)))
+    reports = run_all(BATTERY_REPLICAS, SEED)
+    print("battery", battery_digest(reports))
+    print("rest of battery", BATTERY_REPLICAS, rest_of_battery_digest(reports))
+    print("shape", _sha(repr(battery_shape(reports))))
+    reports = run_all(FULL_BATTERY_REPLICAS, SEED)
+    print("full battery", full_battery_digest(reports))
+    print("rest of battery", FULL_BATTERY_REPLICAS, rest_of_battery_digest(reports))
