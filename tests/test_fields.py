@@ -28,7 +28,13 @@ from loopsoup import (
     verify_moment_formula,
 )
 from loopsoup import alpha_permanent, fields, verify
-from loopsoup.fields import _erf, _excursion_block, _ks_distance, _shifted_half_sq_moment
+from loopsoup.fields import (
+    _erf,
+    _excursion_block,
+    _ks_distance,
+    _shifted_half_sq_cdf,
+    _shifted_half_sq_moment,
+)
 
 
 def test_real_field_covariance(two_point_kernel):
@@ -110,6 +116,95 @@ def test_ks_distance_against_exact_laws():
     assert d == oracles.ks_one_sample(half_sq, law)
     assert d < 0.02 and _ks_distance(4.0 * half_sq, law) > 0.2
     assert _ks_distance(np.arange(1.0, 101.0), np.zeros_like) == 1.0
+
+
+def test_erf_is_total_on_empty_input():
+    for out in (_erf(np.zeros(0)), _shifted_half_sq_cdf(1.0, 0.5, np.zeros(0))):
+        assert out.shape == (0,) and out.dtype == float
+
+
+def _full_ks(sample, cdf) -> float:
+    # the distance with cdf taken at every sorted entry
+    n = len(sample)
+    f = cdf(np.sort(sample))
+    steps = np.arange(n + 1) / n
+    return float(max(np.max(steps[1:] - f), np.max(f - steps[:-1])))
+
+
+def _half_sq_law(t):
+    return _erf(np.sqrt(t))
+
+
+def _counting(cdf, seen: list):
+    def law(t):
+        seen.append(len(t))
+        return cdf(t)
+    return law
+
+
+def test_pruned_ks_distance_is_the_full_pass():
+    # cdf is taken only where the supremum can lie, and every gap skipped is
+    # at most the maximum: the same float as the full pass and the oracle
+    rng = np.random.default_rng(11)
+    half_sq = 0.5 * rng.standard_normal(1000) ** 2
+    samples = {
+        "one": np.array([0.3]),
+        "under a stride": rng.random(17),
+        **{f"n={n}": rng.random(n) for n in (31, 32, 33, 63, 64, 65)},
+        "ties": np.round(rng.random(500), 1),
+        "constant": np.full(100, 0.25),
+        "far": rng.random(1000) + 0.9,
+        "plateaus": rng.uniform(-1.0, 2.0, 1000),
+    }
+    laws = {"uniform": lambda t: np.clip(t, 0.0, 1.0),
+            "steep": lambda t: np.clip(4.0 * t - 1.0, 0.0, 1.0),
+            "logistic": lambda t: 1.0 / (1.0 + np.exp(-t))}
+    for name, sample in samples.items():
+        for law_name, law in laws.items():
+            assert _ks_distance(sample, law) == _full_ks(sample, law) \
+                == oracles.ks_one_sample(sample, law), (name, law_name)
+    for sample in (half_sq, 4.0 * half_sq):
+        assert _ks_distance(sample, _half_sq_law) == _full_ks(sample, _half_sq_law) \
+            == oracles.ks_one_sample(sample, _half_sq_law)
+
+
+def test_pruned_ks_distance_reads_few_entries_of_a_null_sample():
+    replicas = 100_000
+    sample = 0.5 * np.random.default_rng(12).standard_normal(replicas) ** 2
+    seen = []
+    assert _ks_distance(sample, _counting(_half_sq_law, seen)) == _full_ks(sample, _half_sq_law)
+    assert sum(seen) <= replicas // 8
+
+
+def test_pruned_ks_distance_on_the_battery_samples(monkeypatch):
+    # check 5's single-vertex line and check 6's two lines at 20k; the
+    # anchors alone are R/32 entries, and the pinned seed's lines read 7-19%
+    replicas = 20_000
+    lines = []
+    original = fields._ks_distance
+
+    def spy(sample, cdf):
+        seen = []
+        d = original(sample, _counting(cdf, seen))
+        lines.append((d, _full_ks(sample, cdf), oracles.ks_one_sample(sample, cdf), sum(seen)))
+        return d
+
+    monkeypatch.setattr(fields, "_ks_distance", spy)
+    verify.check_isomorphism(replicas)
+    verify.check_ray_knight(replicas)
+    assert len(lines) == 3
+    for d, full, oracle, seen in lines:
+        assert d == full == oracle
+        assert seen <= replicas // 4
+
+
+def test_ks_distance_of_a_sample_with_nan_is_nan():
+    # NaN sorts last, and the last sorted entry is always read
+    for at in (0, 40, 999):
+        sample = np.random.default_rng(13).random(1000)
+        sample[at] = np.nan
+        assert math.isnan(_ks_distance(sample, _half_sq_law))
+        assert math.isnan(_full_ks(sample, _half_sq_law))
 
 
 def test_occupation_samples_mean(two_point_kernel):
