@@ -92,36 +92,64 @@ def _moment_lines(report: TestReport, label: str, names, occ: np.ndarray, green:
                     alpha_permanent(green[np.ix_((x, y), (x, y))], alpha))
 
 
-def verify_isomorphism(kernel: ChainKernel, replicas: int, seed) -> TestReport:
-    """Occupation fields at intensities 1/2 and 1, the laws of half the
-    squared real field and of the squared modulus of the complex field:
-    moments 1-4 and pairwise joints against their alpha-permanents, and on
-    a one-vertex graph a KS line against the exact law at 1/2, whose CDF is
-    erf(sqrt(t / G)).
+_ISOMORPHISM_LABELS = {0.5: "half_vs_half_sq", 1.0: "one_vs_abs_sq"}
 
-    Each sample is held once, as one contiguous row per vertex (reductions
-    over strided columns are slower), and the intensity-1/2 sample is
-    reduced and dropped before the intensity-1 sample is drawn."""
-    report = TestReport(name="isomorphism", conventions=dict(CONVENTIONS))
-    names = kernel.graph.vertices
+
+def _isomorphism_lines(kernel: ChainKernel, alpha: float, occ: np.ndarray) -> list:
+    """The lines of one (n, R) occupation sample at intensity 1/2 or 1:
+    moments 1-4 per vertex and pairwise joints against their
+    alpha-permanents and, at 1/2 on a one-vertex graph, a KS line against
+    the exact law, whose CDF is erf(sqrt(t / G))."""
+    report = TestReport(name="isomorphism")
+    label = _ISOMORPHISM_LABELS[alpha]
     green = kernel.G
-    seed = stream_seed(seed)
-    half_meta: dict = {}
-    one_meta: dict = {}
-    report.meta.update({"replicas": replicas, "rng": dict(SCHEME),
-                        "sampler_diagnostics": {"alpha=0.5": half_meta,
-                                                "alpha=1": one_meta}})
+    _moment_lines(report, label, kernel.graph.vertices, occ, green, alpha)
+    if alpha == 0.5 and kernel.n == 1:
+        report.add_bound(f"{label} KS",
+                         _ks_distance(occ[0], lambda t: _erf(np.sqrt(t / green[0, 0]))),
+                         0.01, note="same law exactly on one vertex")
+    return report.lines
 
-    occ = occupation_samples(kernel, 0.5, replicas, seed, meta=half_meta).T
-    _moment_lines(report, "half_vs_half_sq", names, occ, green, 0.5)
-    ks = (_ks_distance(occ[0], lambda t: _erf(np.sqrt(t / green[0, 0])))
-          if kernel.n == 1 else None)
-    del occ
-    occ = occupation_samples(kernel, 1.0, replicas, seed + 2, meta=one_meta).T
-    _moment_lines(report, "one_vs_abs_sq", names, occ, green, 1.0)
-    if ks is not None:
-        report.add_bound("half_vs_half_sq KS", ks, 0.01, note="same law exactly on one vertex")
+
+def _isomorphism_report(replicas: int, lines: dict, diagnostics: dict) -> TestReport:
+    """verify_isomorphism's report from the lines and the sampler diagnostics
+    of its samples at 1/2 and 1, each keyed by alpha: the z-lines at 1/2,
+    then at 1, then the KS line."""
+    report = TestReport(name="isomorphism", conventions=dict(CONVENTIONS))
+    report.meta.update({"replicas": replicas, "rng": dict(SCHEME),
+                        "sampler_diagnostics": {"alpha=0.5": diagnostics[0.5],
+                                                "alpha=1": diagnostics[1.0]}})
+    both = lines[0.5] + lines[1.0]
+    report.lines = [line for line in both if line.z is not None] + \
+        [line for line in both if line.z is None]
     return report
+
+
+def _drawn_isomorphism(kernel: ChainKernel, replicas: int, streams: dict) -> TestReport:
+    """verify_isomorphism on the occupation samples drawn from the master
+    seeds `streams`, keyed by alpha.  Each sample is held once, as one
+    contiguous row per vertex (reductions over strided columns are slower),
+    and is reduced and dropped before the next one is drawn."""
+    lines: dict = {}
+    diagnostics: dict = {}
+    for alpha in (0.5, 1.0):
+        diagnostics[alpha] = {}
+        occ = occupation_samples(kernel, alpha, replicas, streams[alpha],
+                                 meta=diagnostics[alpha]).T
+        lines[alpha] = _isomorphism_lines(kernel, alpha, occ)
+        del occ
+    return _isomorphism_report(replicas, lines, diagnostics)
+
+
+def verify_isomorphism(kernel: ChainKernel, replicas: int, seed) -> TestReport:
+    """Occupation fields at intensities 1/2 and 1 (streams seed and
+    seed + 2), the laws of half the squared real field and of the squared
+    modulus of the complex field: moments 1-4 and pairwise joints against
+    their alpha-permanents, and on a one-vertex graph a KS line against the
+    exact law at 1/2, whose CDF is erf(sqrt(t / G)).  At most one sample is
+    held at a time."""
+    seed = stream_seed(seed)
+    return _drawn_isomorphism(kernel, replicas, {0.5: seed, 1.0: seed + 2})
 
 
 def _excursion_block(kernel: ChainKernel, x0: int, rho: float, size: int, rng) -> tuple:

@@ -14,10 +14,12 @@ Two independent samplers produce the ensemble law:
 Monte Carlo runs go through a replica axis: direct_block and wilson_counts
 draw a whole block of replicas from one generator as arrays, and
 network_histogram and occupation_samples reduce the blocks of a run (see
-rng for the (seed, block) streams).  The single-ensemble samplers are
-one-replica views: direct_sample of direct_block, and wilson_sample of the
-cycle-popping walk that wilson_counts reduces to jump networks; only the
-view builds the spanning tree and the holding times of the erased cycles.
+rng for the (seed, block) streams); network_histogram can reduce each
+direct block to both, its networks and its occupation fields.  The
+single-ensemble samplers are one-replica views: direct_sample of
+direct_block, and wilson_sample of the cycle-popping walk that
+wilson_counts reduces to jump networks; only the view builds the spanning
+tree and the holding times of the erased cycles.
 Either way a LoopSoup holds a one-replica LoopBlock, so its jump network and
 occupation are that block's reductions.
 
@@ -38,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadIntensity, UnknownSampler, _check_alpha
+from .errors import BadIntensity, BadSamplerInput, UnknownSampler, _check_alpha
 from .graphs import ChainKernel, WeightedGraph
 from .network import Network, _row_codes
 from .rng import DRAW_CAP, TAIL_CUT, _check_count, replica_map, seeded_rng, stream_seed
@@ -465,11 +467,15 @@ def merge_diagnostics(parts: list) -> dict:
 
 class Histogram(Counter):
     """Replica counts per jump network, keyed like Network.key(), with the
-    diagnostics of the sampler run that drew them."""
+    diagnostics of the sampler run that drew them, the master seed of its
+    (seed, block) streams and, when drawn, the replicas x n matrix of its
+    replicas' occupation fields (None otherwise)."""
 
-    def __init__(self, counts=(), diagnostics=None):
+    def __init__(self, counts=(), diagnostics=None, seed=None, occupation=None):
         super().__init__(counts)
         self.diagnostics = dict(diagnostics or {})
+        self.seed = seed
+        self.occupation = occupation
 
 
 def _key_counts(counts: np.ndarray) -> tuple:
@@ -484,8 +490,24 @@ def _key_counts(counts: np.ndarray) -> tuple:
     return rows[order[first]], np.diff(first, append=len(code))
 
 
-def _direct_histogram_block(kernel, alpha, law, rng, size) -> tuple:
-    block = direct_block(kernel, alpha, size, rng, law=law)
+def _occupation_writer(kernel: ChainKernel, alpha: float, law: tuple, rows: np.ndarray):
+    """The block task of an occupation run into the (n, replicas) array rows:
+    write(rng, size) draws the run's next block with holding times, writes
+    its occupation fields into the next `size` columns and returns the block."""
+    end = 0
+
+    def write(rng, size) -> LoopBlock:
+        nonlocal end
+        block = direct_block(kernel, alpha, size, rng, times=True, law=law)
+        rows[:, end:end + size] = block.occupation().T
+        end += size
+        return block
+    return write
+
+
+def _direct_histogram_block(kernel, alpha, law, write, rng, size) -> tuple:
+    block = (direct_block(kernel, alpha, size, rng, law=law) if write is None
+             else write(rng, size))
     return _key_counts(block.counts()) + (block.diagnostics(),)
 
 
@@ -495,7 +517,8 @@ def _wilson_histogram_block(kernel, rng, size) -> tuple:
 
 
 def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
-                      sampler: str = "direct", alpha: float = 1.0) -> Histogram:
+                      sampler: str = "direct", alpha: float = 1.0,
+                      occupation: bool = False) -> Histogram:
     """Histogram of jump networks over independent replica ensembles, drawn
     block by block in (seed, block) streams; the direct sampler cuts the
     loop-length tail at TAIL_CUT.
@@ -504,15 +527,28 @@ def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
     lexicographic order within it.  Statistics summed over the histogram in
     its iteration order (fields._histogram_stat) depend on that order in
     their last bits, so it is kept as the definition of a run's result.
+
+    With occupation, the direct sampler's blocks are drawn with holding
+    times and the histogram's `occupation` is their occupation fields, the
+    matrix occupation_samples(kernel, alpha, replicas, seed) gives.  Every
+    holding time is drawn after every vertex, so the networks are the same.
+    The cycle-popping sampler has no occupation fields here: asking for
+    them raises BadSamplerInput before anything is drawn.
     """
+    occ = write = None
     if sampler == "wilson":
         if alpha != 1.0:
             raise BadIntensity("the cycle-popping sampler is defined at alpha = 1 only")
+        if occupation:
+            raise BadSamplerInput("occupation fields come from the direct sampler only")
         task = partial(_wilson_histogram_block, kernel)
     elif sampler == "direct":
         _check_alpha(alpha)
-        task = partial(_direct_histogram_block, kernel, alpha,
-                       kernel.length_distribution(TAIL_CUT))
+        law = kernel.length_distribution(TAIL_CUT)
+        if occupation:
+            occ = np.empty((kernel.n, _check_count(replicas)))
+            write = _occupation_writer(kernel, alpha, law, occ)
+        task = partial(_direct_histogram_block, kernel, alpha, law, write)
     else:
         raise UnknownSampler(f"unknown sampler {sampler!r}; use 'direct' or 'wilson'")
     parts = replica_map(task, replicas, seed)
@@ -530,7 +566,8 @@ def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
     keep = np.argsort(seen)
     n = kernel.n
     keys = [tuple(map(tuple, key)) for key in rows[seen[keep]].reshape(-1, n, n).tolist()]
-    return Histogram(dict(zip(keys, total[keep].tolist())), diagnostics=diagnostics)
+    return Histogram(dict(zip(keys, total[keep].tolist())), diagnostics=diagnostics,
+                     seed=stream_seed(seed), occupation=None if occ is None else occ.T)
 
 
 def occupation_samples(kernel: ChainKernel, alpha: float, replicas: int, seed,
@@ -544,16 +581,8 @@ def occupation_samples(kernel: ChainKernel, alpha: float, replicas: int, seed,
     law = kernel.length_distribution(eps)
     seed = stream_seed(seed)
     rows = np.empty((kernel.n, _check_count(replicas)))
-    end = 0
-
-    def fill(rng, size):
-        nonlocal end
-        block = direct_block(kernel, alpha, size, rng, times=True, law=law)
-        rows[:, end:end + size] = block.occupation().T
-        end += size
-        return block.diagnostics()
-
-    diagnostics = replica_map(fill, replicas, seed)
+    write = _occupation_writer(kernel, alpha, law, rows)
+    diagnostics = replica_map(lambda rng, size: write(rng, size).diagnostics(), replicas, seed)
     if meta is not None:
         meta.update({"sampler": "direct", "alpha": alpha, "eps": eps,
                      **merge_diagnostics(diagnostics)})

@@ -4,8 +4,11 @@ The module owns the small reference chains and one check function per
 guarantee.  run_all executes the battery in a fixed order.  It draws the
 seven shared Monte Carlo ensembles (network histograms) once and hands them
 to the checks that read them; those checks only reduce what they are given.
-Checks 5 and 6 draw their own occupation and excursion samples, and the
-exact checks draw no Monte Carlo samples.  The settings that run_all does
+The triangle's histograms at alpha 1/2 and 1 are drawn with their
+occupation fields, which check 5 reads; check 5 draws its single-vertex
+samples and check 6 its excursions, and the exact checks draw no Monte
+Carlo samples.  Each report that reads a sample names the master seed of
+every stream it read in meta["streams"].  The settings that run_all does
 not vary are module constants, recorded in each report's meta.  Checks
 return TestReports; nothing here raises on a statistical miss, only on
 broken preconditions.
@@ -34,6 +37,9 @@ from .eulerian import (
     generating_function,
 )
 from .fields import (
+    _drawn_isomorphism,
+    _isomorphism_lines,
+    _isomorphism_report,
     ray_knight_check,
     verify_det_identity,
     verify_isomorphism,
@@ -146,8 +152,11 @@ def _append_lines(report: TestReport, prefix: str, lines) -> None:
 
 
 def _record_sampling(report: TestReport, histograms: dict) -> None:
-    """Put the stream scheme and each histogram's sampler diagnostics in meta."""
+    """Put the stream scheme, and each histogram's master seed and sampler
+    diagnostics, in meta."""
     report.meta["rng"] = dict(SCHEME)
+    report.meta["streams"] = {label: hist.seed for label, hist in histograms.items()
+                              if getattr(hist, "seed", None) is not None}
     report.meta["sampler_diagnostics"] = {
         label: dict(getattr(hist, "diagnostics", {})) for label, hist in histograms.items()
     }
@@ -257,21 +266,35 @@ def check_generating_function(seed: int, histograms: dict) -> TestReport:
             report.add_z(f"Im E[prod Z^N] alpha={alpha} Z#{zi}",
                          mean.imag, target.imag, se_im)
     _record_sampling(report, used)
+    report.meta["streams"]["modifiers"] = seed + 30
     return report
 
 
-def check_isomorphism(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED) -> TestReport:
+def check_isomorphism(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
+                      triangle: TestReport | None = None) -> TestReport:
     """Occupation-field moments on the triangle against their
     alpha-permanents, the laws of the squared free field, and on the single
-    killed vertex a KS line against the exact law as well."""
-    tri = verify_isomorphism(build_kernel(triangle_graph()), replicas, seed + 10)
+    killed vertex a KS line against the exact law as well.
+
+    The triangle's samples at 1/2 and 1 are the occupation fields of check
+    4's histograms (streams seed + 4 and seed + 3): run_all reads them off
+    its own draws and passes their report as `triangle`; without it they
+    are drawn here, from the same streams, through occupation_samples.  The
+    single vertex is drawn here, from seed + 17 and seed + 19."""
+    seed = stream_seed(seed)
+    streams = {"triangle": {"alpha=0.5": seed + 4, "alpha=1": seed + 3},
+               "single-vertex": {"alpha=0.5": seed + 17, "alpha=1": seed + 19}}
+    if triangle is None:
+        triangle = _drawn_isomorphism(build_kernel(triangle_graph()), replicas,
+                                      {0.5: seed + 4, 1.0: seed + 3})
     single = verify_isomorphism(build_kernel(single_vertex_graph()), replicas, seed + 17)
     report = TestReport(name="field-isomorphism", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 5, "replicas": replicas, "rng": dict(SCHEME),
+                        "streams": streams,
                         "sampler_diagnostics": {
-                            "triangle": tri.meta["sampler_diagnostics"],
+                            "triangle": triangle.meta["sampler_diagnostics"],
                             "single-vertex": single.meta["sampler_diagnostics"]}})
-    _append_lines(report, "triangle", tri.lines)
+    _append_lines(report, "triangle", triangle.lines)
     _append_lines(report, "single-vertex", single.lines)
     return report
 
@@ -283,7 +306,7 @@ def check_ray_knight(replicas: int = DEFAULT_REPLICAS,
     the rest of the path returns almost surely."""
     kernel = build_kernel(path3_graph())
     report = ray_knight_check(kernel, "a", RAY_KNIGHT_RHO, replicas, seed + 25)
-    report.meta["check"] = 6
+    report.meta.update({"check": 6, "streams": {"left side": seed + 25}})
     return report
 
 
@@ -557,27 +580,38 @@ def run_all(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
         alpha: network_histogram(kernel2, replicas, seed + off, "direct", alpha=alpha)
         for off, alpha in ((1, 0.5), (2, 2.0))
     }
-    t0 = time.perf_counter()
-    hist3_direct = {1.0: network_histogram(kernel3, replicas, seed + 3, "direct", alpha=1.0)}
-    t_hist3_direct1 = time.perf_counter() - t0  # check 12 reads only this histogram
-    hist3_direct.update({
-        alpha: network_histogram(kernel3, replicas, seed + off, "direct", alpha=alpha)
-        for off, alpha in ((4, 0.5), (5, 2.0))
-    })
+    # check 5 reads the triangle's occupation fields at 1/2 and 1 off the
+    # draws of check 4's histograms; each sample is reduced to its lines and
+    # dropped before the next is drawn
+    field_lines: dict = {}
+    field_diagnostics: dict = {}
+    hist3_direct: dict = {}
+    hist3_seconds: dict = {}  # check 12 reads the alpha-1 histogram's
+    for off, alpha in ((3, 1.0), (4, 0.5), (5, 2.0)):
+        with_fields = alpha != 2.0
+        t0 = time.perf_counter()
+        hist3_direct[alpha] = hist = network_histogram(
+            kernel3, replicas, seed + off, "direct", alpha=alpha, occupation=with_fields)
+        hist3_seconds[alpha] = time.perf_counter() - t0
+        if with_fields:
+            field_lines[alpha] = _isomorphism_lines(kernel3, alpha, hist.occupation.T)
+            field_diagnostics[alpha] = dict(hist.diagnostics)
+            hist.occupation = None
     hist3_wilson = network_histogram(kernel3, replicas, seed + 6, "wilson")
+    triangle_fields = _isomorphism_report(replicas, field_lines, field_diagnostics)
 
     return [
         check_geometric_law(hist2_wilson, t_hist2_wilson),
         check_negative_binomial(hist2_direct),
         check_alpha_routes_agree(),
         check_generating_function(seed, hist3_direct),
-        check_isomorphism(replicas, seed),
+        check_isomorphism(replicas, seed, triangle_fields),
         check_ray_knight(replicas, seed),
         check_moment_formula(hist2_wilson),
         check_det_identity(hist2_wilson),
         check_tour_count(seed),
         check_mu_measure(),
         check_jacobian_volume(seed),
-        check_homology_distribution(hist3_direct[1.0], t_hist3_direct1),
+        check_homology_distribution(hist3_direct[1.0], hist3_seconds[1.0]),
         check_cross_sampler(hist3_wilson, hist3_direct[1.0]),
     ]

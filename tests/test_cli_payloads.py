@@ -76,7 +76,7 @@ PAYLOADS = {
     "det-identity": (0, "7625056e9a1c39e4097baada359a6c1ae124803344691d77c844152bbde9aaf2"),
     "genfun": (0, "2b43490264c40b29a7ffa06f669e3c39b2f7e4dfa8679062f6f77d7d7372fb97"),
     "maxflow": (0, "871f534dff2e043ed5e881dece94f5f2fc1676a1e510d4f8afaa1e6480e1d981"),
-    "verify-all": (2, "df41fbffa47ea022e474ecfdca25055625a026f4e0d2ba8e752f97b07b1ed273"),
+    "verify-all": (2, "0dad34380f2eee43ceb1f73070ec5ed67f82138706657329ab1a40ef102b7219"),
     "occupation-csv": (0, "d3dd4dbfb395c12e619d2995e426d14a7a755fcddcdcc669a4dff26b3c39057c"),
     "kernel-csv": (0, "abb24efc89acb05f988143dadb6c32ddde39da4de63a64a043dffcb6a0f03f45"),
 }

@@ -430,6 +430,35 @@ def test_wilson_off_intensity_one_is_typed(triangle_kernel):
     _typed(info, BadIntensity)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_histogram_with_occupation_is_one_draw_of_both(triangle_kernel, alpha):
+    # holding times come after every vertex, so the networks keep every bit,
+    # and the occupation fields are occupation_samples' rows
+    replicas = 2 * BLOCK + 300
+    plain = network_histogram(triangle_kernel, replicas, 9, "direct", alpha=alpha)
+    shared = network_histogram(triangle_kernel, replicas, 9, "direct", alpha=alpha,
+                               occupation=True)
+    assert list(shared.items()) == list(plain.items())
+    assert shared.diagnostics == plain.diagnostics
+    assert plain.occupation is None and shared.seed == plain.seed == 9
+    rows = occupation_samples(triangle_kernel, alpha, replicas, 9)
+    assert shared.occupation.shape == rows.shape
+    assert shared.occupation.tobytes() == rows.tobytes()
+
+
+def test_occupation_from_cycle_popping_fails_before_drawing(monkeypatch, triangle_kernel):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sampler was called on an input error path")
+
+    monkeypatch.setattr(soup_module, "_cycle_popping_walk", no_draw)
+    monkeypatch.setattr(soup_module, "direct_block", no_draw)
+    with pytest.raises(BadSamplerInput) as info:
+        network_histogram(triangle_kernel, 10, 1, "wilson", occupation=True)
+    _typed(info, BadSamplerInput)
+    with pytest.raises(BadReplicaCount):
+        network_histogram(triangle_kernel, 0, 1, "direct", occupation=True)
+
+
 def test_generator_seed_is_typed(two_point_kernel):
     # a generator or a bool is no stream seed, though False is an Integral
     for seed in (np.random.default_rng(0), False, np.False_):

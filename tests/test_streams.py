@@ -12,7 +12,10 @@ benchmark's replica count, also covers the chunk edges of a run of many
 blocks.  The rest-of-battery digests leave out checks 5 and 6, and the
 shape pins every report's name and every line's statistic and kind, so a
 change to some checks shows that it left the others and the battery's
-shape alone.  A change that moves the streams or the statistics on purpose
+shape alone.  Check 5 reads the triangle's occupation fields off the draws
+of check 4's histograms; its standalone run must give the same lines, and
+every report that reads a sample must name its streams.  A change that
+moves the streams or the statistics on purpose
 updates the digests and says why; run this file as a script to print the
 current ones.
 """
@@ -33,7 +36,13 @@ from loopsoup import (
 )
 from loopsoup.fields import _excursion_block
 from loopsoup.rng import replica_map
-from loopsoup.verify import path3_graph, run_all, triangle_graph, two_point_graph
+from loopsoup.verify import (
+    check_isomorphism,
+    path3_graph,
+    run_all,
+    triangle_graph,
+    two_point_graph,
+)
 
 SEED = 20260816
 HIST_REPLICAS = BLOCK + 500  # one full block and one partial block
@@ -62,11 +71,11 @@ EXCURSIONS = {  # (graph, start vertex x0, stopping local time rho)
         "e24a196e60dd48f87f6f82d6f5942ddf9170ca98ea03fc7aa1573ebfd22d7419",
 }
 BATTERY_REPLICAS = 20_000
-BATTERY = "2b396934325ba216745df0f484f182889fb2871de1d2f40fbb95f88b80ddf2aa"
+BATTERY = "b04494f949692078f6c634657568434edc1f11d3b95aceb2ecb4b051db1b8b5e"
 # the benchmark's battery: 12 full blocks and a partial block of 1696; it is
 # checked on the acceptance battery's own run (tests/test_acceptance.py)
 FULL_BATTERY_REPLICAS = 100_000
-FULL_BATTERY = "53f798761470453897e9839cabf2dbd19e788986f5525eb5a5ddbc3145e45484"
+FULL_BATTERY = "b83ff1c24bb119baed33786b4c25f3c6fcf83f2a48bdd7fc0218dc896de41d5e"
 # every line outside checks 5 and 6 (runtimes excluded), at both sizes: a
 # change to checks 5 and 6 alone must leave these as they are
 REST_OF_BATTERY = {
@@ -200,6 +209,31 @@ def test_battery_statistics(battery):
 def test_rest_of_battery_statistics(replicas, battery):
     reports = battery if replicas == BATTERY_REPLICAS else run_all(replicas, SEED)
     assert rest_of_battery_digest(reports) == REST_OF_BATTERY[replicas]
+
+
+def test_check_5_reads_one_path(battery):
+    # standalone, check 5 draws the triangle through occupation_samples on the
+    # streams of check 4's histograms, which run_all reads its fields off
+    def lines(report):
+        return [(line.statistic, line.lhs, line.rhs, line.stderr, line.z)
+                for line in report.lines]
+
+    alone = check_isomorphism(BATTERY_REPLICAS, SEED)
+    assert lines(alone) == lines(battery[4])
+    for key in ("streams", "sampler_diagnostics"):
+        assert alone.meta[key] == battery[4].meta[key]
+
+
+def test_reports_name_their_streams(battery):
+    s = SEED
+    streams = {report.meta["check"]: report.meta.get("streams") for report in battery}
+    assert streams == {
+        1: {"wilson": s}, 2: {"alpha=0.5": s + 1, "alpha=2.0": s + 2}, 3: None,
+        4: {"alpha=0.5": s + 4, "alpha=1.0": s + 3, "alpha=2.0": s + 5, "modifiers": s + 30},
+        5: {"triangle": {"alpha=0.5": s + 4, "alpha=1": s + 3},
+            "single-vertex": {"alpha=0.5": s + 17, "alpha=1": s + 19}},
+        6: {"left side": s + 25}, 7: {"wilson": s}, 8: {"wilson": s}, 9: None, 10: None,
+        11: None, 12: {"direct": s + 3}, 13: {"wilson": s + 6, "direct": s + 3}}
 
 
 def test_battery_shape(battery):
