@@ -27,7 +27,7 @@ import numpy as np
 
 import loopsoup as ls
 
-from .errors import BadGraph, BadIntensity, BadReplicaCount, LoopSoupError
+from .errors import BadGraph, BadIntensity, BadReplicaCount, LoopSoupError, _check_tail_cut
 from .reports import CONVENTIONS, DEFAULT_REPLICAS, DEFAULT_SEED, Z_GATE, TestReport
 from .rng import TAIL_CUT, _check_count
 
@@ -169,6 +169,7 @@ def _cmd_kernel(args) -> tuple:
 
 def _sample_soup(kernel, args):
     """One ensemble from the sampler, intensity, tail cut and seed given."""
+    _check_tail_cut(args.epsilon)  # for both samplers, though only direct cuts a tail
     if args.sampler == "wilson":
         if args.alpha != 1.0:
             raise BadIntensity("the wilson sampler is defined at alpha = 1 only")

@@ -152,3 +152,9 @@ def _check_alpha(alpha) -> None:
     if not (isinstance(alpha, Real) and not isinstance(alpha, bool)
             and alpha > 0 and math.isfinite(alpha)):
         raise BadIntensity(f"intensity must be positive and finite, got {alpha}")
+
+
+def _check_tail_cut(eps) -> None:
+    """Raise BadTailCut unless the loop-length tail cut eps lies in (0, 1e-6]."""
+    if not 0 < eps <= 1e-6:
+        raise BadTailCut(f"tail cut must be in (0, 1e-6], got {eps}")

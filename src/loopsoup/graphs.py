@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadGraph, BadTailCut, NonTransient, TailTooHeavy
+from .errors import BadGraph, NonTransient, TailTooHeavy, _check_tail_cut
 
 PIVOT_EPS = 1e-12
 
@@ -274,8 +274,7 @@ class ChainKernel:
         normalized probability of length k+2, total_mass the retained loop
         measure, discarded the cut tail mass (< eps).
         """
-        if not 0 < eps <= 1e-6:
-            raise BadTailCut(f"tail cut must be in (0, 1e-6], got {eps}")
+        _check_tail_cut(eps)
         w = self.sym_eigs
         mprime = float(-np.sum(np.log1p(-w)))
         # mu(|l| = n) = tr(P^n) / n, 64 terms at a time, summed one term at a

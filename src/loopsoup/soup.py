@@ -3,9 +3,11 @@
 Two independent samplers produce the ensemble law:
 
   * cycle popping, intensity 1 only.  Loop-erased random walks run in vertex
-    order toward the cemetery; the erased cycles, repackaged through a
-    Poisson-Dirichlet split of each base point's local time, form the loop
-    ensemble, jointly with the random spanning tree rooted at the cemetery.
+    order toward the cemetery, giving the random spanning tree rooted at the
+    cemetery.  Jointly, the walk gives the loop ensemble: each vertex's
+    stretch of the walk, up to its last visit, is cut into excursions at its
+    visits, and the excursions are grouped into loops by an Ewens(1)
+    partition; each visit keeps its holding time.
   * direct, any intensity alpha > 0.  A Poisson number of loops is drawn
     from the truncated loop-length law and each loop is filled in by bridge
     conditioning; one-point loop time is aggregated per vertex as an
@@ -19,7 +21,7 @@ direct block to both, its networks and its occupation fields.  The
 single-ensemble samplers are one-replica views: direct_sample of
 direct_block, and wilson_sample of the cycle-popping walk that
 wilson_counts reduces to jump networks; only the view builds the spanning
-tree and the holding times of the erased cycles.
+tree and the loops with their holding times.
 Either way a LoopSoup holds a one-replica LoopBlock, so its jump network and
 occupation are that block's reductions.
 
@@ -32,7 +34,6 @@ compared across samplers.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -93,74 +94,43 @@ def wilson_sample(kernel: ChainKernel, seed) -> tuple:
     """Run loop-erased walks to the cemetery; return (parents, LoopSoup at 1).
 
     The one-replica view of wilson_counts: its walk at size 1 on
-    rng.seeded_rng(seed), then one Exp(1) holding time per visit.
-    parents[x] is the tree parent of x, the walk's last exit from x, -1
-    meaning the cemetery.  The erased cycles at each vertex are regrouped
-    into loops by a Poisson-Dirichlet(0,1) split of the vertex's base local
-    time; stick mass not claimed by any cycle becomes one-point loop time.
-    Each stick's loop is a one-row group of the soup's block, in vertex and
-    stick order.
+    rng.seeded_rng(seed), then one Exp(1) hold and then one uniform per
+    visit.  parents[x] is the tree parent of x, its last exit, -1 meaning
+    the cemetery.  Each vertex's last visit ends its stretch, which starts
+    right after the previous last visit of any vertex; its own visits cut
+    the stretch into excursions, and its last visit's hold is its one-point
+    time.  Excursion i at a vertex, with the uniform u of its first visit,
+    starts a loop if j = int(u * (i + 1)) is i and joins excursion j's loop
+    otherwise: the Feller coupling of Ewens(1).  Every visit keeps its hold,
+    which is exact: given the partition, a Poisson-Dirichlet split of the
+    vertex's time gives its k excursions and its one-point time k + 1
+    i.i.d. Exp(1) times.  One one-row group per loop, in stretch order.
     """
     rng = seeded_rng(seed)
     n = kernel.n
     jumps, exit_to, steps = _cycle_popping_walk(kernel, 1, rng)
-    visits = (jumps // (n + 1) - 1).tolist()  # index // (n + 1): the cell 1 + x a jump leaves
-    cycles_at: list = [[] for _ in range(n)]
-    # a phase never visits a vertex an earlier phase settled, so one loop
-    # erasure over all visits erases each phase's cycles and keeps each
-    # vertex's last visit, whose hold is its base time outside the cycles
-    path, holds, pos = [], [], {}
-    for x, hold in zip(visits, rng.standard_exponential(steps).tolist()):
-        j = pos.get(x)
-        if j is None:
-            pos[x] = len(path)
-            path.append(x)
-            holds.append(hold)
-            continue
-        # walk returned to x: erase the cycle, keep its visit times
-        cycles_at[x].append((holds[j], tuple(path[j + 1:]), tuple(holds[j + 1:])))
-        for v in path[j + 1:]:
-            del pos[v]
-        del path[j + 1:], holds[j + 1:]
-        holds[j] = hold
-
+    visits = jumps // (n + 1) - 1  # index // (n + 1): the cell 1 + x a jump leaves
+    holds = rng.standard_exponential(steps)
+    u = rng.random(steps).tolist()
+    walk = visits.tolist()
+    last = {x: t for t, x in enumerate(walk)}  # each vertex's last visit
     groups = []
     trivial = np.zeros((1, n))
-    for z in range(n):
-        cycles = cycles_at[z]
-        base_total = holds[pos[z]] + sum(c[0] for c in cycles)
-        # size-biased i.i.d. allocation of cycles onto PD(0,1) sticks,
-        # generated lazily by uniform stick breaking
-        fracs: list = []
-        cum: list = []
-        rem = 1.0
-        by_stick: dict = {}
-        for idx in range(len(cycles)):
-            u = rng.random()
-            while not cum or u >= cum[-1]:
-                piece = rem * rng.random()
-                fracs.append(piece)
-                rem -= piece
-                cum.append(1.0 - rem)
-            by_stick.setdefault(bisect_right(cum, u), []).append(idx)
-        used = 0.0
-        for stick in sorted(by_stick):
-            members = by_stick[stick]
-            stick_time = fracs[stick] * base_total
-            used += fracs[stick]
-            shares = rng.dirichlet(np.ones(len(members))) * stick_time
-            verts: list = []
-            times: list = []
-            for share, idx in zip(shares, members):
-                _, inner_v, inner_t = cycles[idx]
-                verts.append(z)
-                times.append(float(share))
-                verts.extend(inner_v)
-                times.extend(inner_t)
-            groups.append(LoopGroup(np.zeros(1, dtype=np.intp), np.array([verts]),
-                                    np.array([times])))
-        trivial[0, z] = base_total * (1.0 - used)
-
+    start = 0
+    for end in sorted(last.values()):
+        x = walk[end]
+        cuts = [t for t in range(start, end) if walk[t] == x] + [end]
+        loops, of = [], []  # per loop its visit indices, per excursion its loop
+        for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            j = int(u[a] * (i + 1))
+            of.append(len(loops) if j == i else of[j])
+            if j == i:
+                loops.append([])
+            loops[of[i]] += range(a, b)
+        groups += [LoopGroup(np.zeros(1, dtype=np.intp), visits[None, idx], holds[None, idx])
+                   for idx in loops]
+        trivial[0, x] = holds[end]
+        start = end + 1
     block = LoopBlock(kernel=kernel, size=1, groups=tuple(groups), trivial_time=trivial,
                       cut_length=0, discarded_mu_mass=0.0)
     soup = LoopSoup(block, 1.0, {"sampler": "wilson", "walk_steps": steps})
@@ -431,7 +401,7 @@ def wilson_counts(kernel: ChainKernel, size: int, rng) -> tuple:
 
     The network is every walk transition minus the tree edges x -> parent(x),
     the walk's last exits, so only the walk (_cycle_popping_walk) is drawn:
-    the holding times and the Poisson-Dirichlet split do not matter here.
+    the holding times and the grouping of the excursions do not matter here.
     At size 1 the walk is wilson_sample's.
 
     Returns the (size, n, n) counts and block diagnostics (walk steps).

@@ -69,6 +69,23 @@ def test_sample_wilson_alpha_guard(tmp_path):
     assert "alpha" in msg
 
 
+@pytest.mark.parametrize("command", ["sample", "jumps"])
+@pytest.mark.parametrize("sampler", ["direct", "wilson"])
+@pytest.mark.parametrize("epsilon", ["5", "0", "nan"])
+def test_tail_cut_is_checked_for_both_samplers(tmp_path, monkeypatch, command, sampler,
+                                               epsilon):
+    # cycle popping cuts no tail, but a tail cut out of range is refused
+    # before drawing, as the direct sampler refuses it
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sampler was called on an input error path")
+
+    monkeypatch.setattr(soup, "wilson_sample", no_draw)
+    monkeypatch.setattr(soup, "direct_sample", no_draw)
+    msg = run(tmp_path, command, "--graph", TRIANGLE, "--sampler", sampler,
+              "--epsilon", epsilon, expect=1)
+    assert "tail cut must be in (0, 1e-6]" in msg  # BadTailCut's message
+
+
 def test_occupation_command(tmp_path):
     payload = run(
         tmp_path, "occupation", "--graph", TWO_POINT, "--replicas", "3000", "--seed", "2"

@@ -253,10 +253,57 @@ def test_wilson_sample_is_the_walk_view(graph):
         src, dst = np.divmod(jumps, n + 1)
         last_exit = dict(zip((src - 1).tolist(), (dst - 1).tolist()))
         assert parents == tuple(last_exit[x] for x in range(n))
-        held = np.bincount(src - 1, weights=rng.standard_exponential(steps), minlength=n)
+        holds = rng.standard_exponential(steps)
+        held = np.bincount(src - 1, weights=holds, minlength=n)
         assert oracles.occupation(soup, kernel) * kernel.lam == pytest.approx(held, rel=1e-12)
         assert occupation(soup) == pytest.approx(oracles.occupation(soup, kernel), rel=1e-12)
         assert soup.meta["walk_steps"] == steps
+        # every visit keeps its own hold, in a loop or as its vertex's
+        # one-point time, each (visit, hold) pair once
+        read = [pair for loop in soup.loops for pair in zip(loop.vertices, loop.times)]
+        read += list(enumerate(soup.trivial_time.tolist()))
+        assert sorted(read) == sorted(zip((src - 1).tolist(), holds.tolist()))
+
+
+LAW_SEEDS = 3000  # wilson_sample seeds 0 .. LAW_SEEDS - 1 per graph
+LAW_LENGTHS = (2, 3, 4)
+
+
+def _loop_law_z(kernel, lengths: list) -> dict:
+    """z of the mean loop count against mu_mass, and of the mean number of
+    loops of each length n in LAW_LENGTHS against tr(P^n) / n, with Poisson
+    standard errors; lengths holds each sample's loop lengths."""
+    def z(values, mean):
+        return (np.mean(values) - mean) / np.sqrt(mean / len(values))
+
+    lines = {"count": z([len(sample) for sample in lengths], kernel.mu_mass)}
+    for k in LAW_LENGTHS:
+        mass = np.trace(np.linalg.matrix_power(kernel.P, k)) / k
+        lines[f"length {k}"] = z([sample.count(k) for sample in lengths], mass)
+    return lines
+
+
+def _split_at_first_vertex(verts) -> list:
+    """Lengths of the pieces of a loop cut at each visit to its first vertex."""
+    cuts = [i for i, v in enumerate(verts) if v == verts[0]] + [len(verts)]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
+
+
+@pytest.mark.parametrize("graph", [triangle_graph, complete4_graph])
+def test_wilson_sample_loop_law(graph):
+    # at alpha 1 the loop count is Poisson(mu_mass), and the loops of length
+    # n number Poisson(tr(P^n) / n); as a negative control, the soup's loops
+    # split at the visits to their first vertex (every excursion a loop of
+    # its own) must fail the same lines
+    kernel = build_kernel(graph())
+    soups = [wilson_sample(kernel, seed)[1] for seed in range(LAW_SEEDS)]
+    lines = _loop_law_z(kernel, [[len(loop.vertices) for loop in soup.loops]
+                                 for soup in soups])
+    assert all(abs(z) <= 4 for z in lines.values()), lines
+    split = _loop_law_z(kernel, [[piece for loop in soup.loops
+                                  for piece in _split_at_first_vertex(loop.vertices)]
+                                 for soup in soups])
+    assert all(split[name] > 4 for name in ("count", "length 2", "length 3")), split
 
 
 def test_block_reductions_match_loop_reference(triangle_kernel):

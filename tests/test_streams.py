@@ -62,7 +62,7 @@ HISTOGRAMS = {
 }
 OCCUPATION = "296ea3ae0fa522581c05a67c3a5d29f2cf87bcaca210eb69320bae3156082184"
 DIRECT_SAMPLES = "71c614465a3f93c2807d06617dfddb36aaecea2ddfbd1de7470e9ec4448d2341"
-WILSON_SAMPLES = "ec4ff36a09b6068b9a1692d3ee175681a2b726931dfc8e53067b3bf100fdf43b"
+WILSON_SAMPLES = "26a2508a5dfa664fc4182ac8340c2e1fd84a0347d8f754d388c0f52a956b9dbe"
 EXCURSION_REPLICAS = 4 * BLOCK  # four full blocks
 EXCURSIONS = {  # (graph, start vertex x0, stopping local time rho)
     ("path3", "a", 1.0):
