@@ -325,8 +325,7 @@ def _cmd_genfun(args) -> tuple:
     except ValueError:
         raise ValueError(f"--z needs re,im, got {args.z!r}") from None
     mod = ls.eulerian.ModifierMatrix.from_edge_value(
-        kernel.n, kernel.graph.index(u), kernel.graph.index(v), complex(re, im)
-    )
+        kernel.n, *kernel.graph.edge_index(u, v), complex(re, im))
     value = ls.eulerian.generating_function(kernel, mod, args.alpha)
     return {"edge": [u, v], "z": [re, im], "alpha": args.alpha,
             "value": [value.real, value.imag]}, None

@@ -118,7 +118,8 @@ class BadSeed(BadSamplerInput):
 
 
 class BadReplicaCount(BadSamplerInput):
-    """A replica count that is not an integer of at least 1."""
+    """A replica count that is not an integer of at least 1, or whose
+    (n, replicas) sample would pass the entry cap rng.SAMPLE_CAP."""
 
 
 class BadStoppingLevel(BadSamplerInput):

@@ -28,7 +28,7 @@ from .errors import BadChi, BadStoppingLevel, BadSupport, DuplicateIndex
 from .exact import alpha_permanent, permanent
 from .graphs import ChainKernel
 from .reports import CONVENTIONS, TestReport
-from .rng import BLOCK, DRAW_CAP, SCHEME, _check_count, replica_map, stream_seed
+from .rng import BLOCK, DRAW_CAP, SCHEME, _check_count, _check_sample, replica_map, stream_seed
 from .soup import merge_diagnostics, occupation_samples
 
 
@@ -125,31 +125,23 @@ def _isomorphism_report(replicas: int, lines: dict, diagnostics: dict) -> TestRe
     return report
 
 
-def _drawn_isomorphism(kernel: ChainKernel, replicas: int, streams: dict) -> TestReport:
-    """verify_isomorphism on the occupation samples drawn from the master
-    seeds `streams`, keyed by alpha.  Each sample is held once, as one
-    contiguous row per vertex (reductions over strided columns are slower),
-    and is reduced and dropped before the next one is drawn."""
-    lines: dict = {}
-    diagnostics: dict = {}
-    for alpha in (0.5, 1.0):
-        diagnostics[alpha] = {}
-        occ = occupation_samples(kernel, alpha, replicas, streams[alpha],
-                                 meta=diagnostics[alpha]).T
-        lines[alpha] = _isomorphism_lines(kernel, alpha, occ)
-        del occ
-    return _isomorphism_report(replicas, lines, diagnostics)
-
-
 def verify_isomorphism(kernel: ChainKernel, replicas: int, seed) -> TestReport:
     """Occupation fields at intensities 1/2 and 1 (streams seed and
     seed + 2), the laws of half the squared real field and of the squared
     modulus of the complex field: moments 1-4 and pairwise joints against
     their alpha-permanents, and on a one-vertex graph a KS line against the
-    exact law at 1/2, whose CDF is erf(sqrt(t / G)).  At most one sample is
-    held at a time."""
+    exact law at 1/2, whose CDF is erf(sqrt(t / G)).  Each sample is held
+    once, as one contiguous row per vertex, and dropped before the next is
+    drawn; check 5 reads the triangle's lines off run_all's histograms."""
     seed = stream_seed(seed)
-    return _drawn_isomorphism(kernel, replicas, {0.5: seed, 1.0: seed + 2})
+    lines: dict = {}
+    diagnostics: dict = {}
+    for alpha, stream in ((0.5, seed), (1.0, seed + 2)):
+        diagnostics[alpha] = {}
+        occ = occupation_samples(kernel, alpha, replicas, stream, meta=diagnostics[alpha]).T
+        lines[alpha] = _isomorphism_lines(kernel, alpha, occ)
+        del occ
+    return _isomorphism_report(replicas, lines, diagnostics)
 
 
 def _excursion_block(kernel: ChainKernel, x0: int, rho: float, size: int, rng) -> tuple:
@@ -237,18 +229,20 @@ def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -
     line against its CDF Phi((sqrt(2t) - c) / s) - Phi((-sqrt(2t) - c) / s)
     and moments 1-3 against E[((phi + c)^2 / 2)^m].  The x0 coordinate is
     the constant rho on both sides and is reported without a gate.  Replicas
-    are drawn block by block in (seed, block) streams.  Raises
-    BadStoppingLevel, before drawing, unless rho is finite and above 0 and a
-    block's expected excursion count stays within DRAW_CAP.
+    are drawn block by block in (seed, block) streams.  Raises, before
+    drawing, BadStoppingLevel unless rho is a finite number above 0, not a
+    bool, whose blocks expect at most DRAW_CAP excursions, and
+    BadReplicaCount when the (n, replicas) sample passes SAMPLE_CAP entries.
     """
-    if not (isinstance(rho, Real) and math.isfinite(rho) and rho > 0):
+    if isinstance(rho, bool) or not (isinstance(rho, Real) and math.isfinite(rho) and rho > 0):
         raise BadStoppingLevel(f"stopping level must be finite and positive, got {rho}")
     graph = kernel.graph
     x0 = graph.index(x0)
     off = [x for x in range(kernel.n) if x != x0]
     if any(graph.killing[x] > 0 for x in off):
         raise BadSupport("killing must be supported exactly on x0")
-    expected = (kernel.lam[x0] - graph.killing[x0]) * rho * min(BLOCK, _check_count(replicas))
+    replicas = _check_sample(kernel.n, replicas)
+    expected = (kernel.lam[x0] - graph.killing[x0]) * rho * min(BLOCK, replicas)
     if expected > DRAW_CAP:
         raise BadStoppingLevel(f"stopping level too large: {expected:.4g} expected "
                                f"excursions in a block, past the cap of {DRAW_CAP}")
@@ -282,9 +276,10 @@ def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -
 
 
 def _moment_indices(kernel: ChainKernel, edges, points) -> tuple:
-    """verify_moment_formula's edge and point indices; DuplicateIndex on a repeat."""
+    """verify_moment_formula's edge and point indices; BadGraph on a pair
+    that is not an edge, DuplicateIndex on a repeat."""
     graph = kernel.graph
-    edge_idx = [(graph.index(u), graph.index(v)) for u, v in edges]
+    edge_idx = [graph.edge_index(u, v) for u, v in edges]
     point_idx = [graph.index(p) for p in points]
     if len(set(edge_idx)) != len(edge_idx):
         raise DuplicateIndex("oriented edges must be pairwise distinct")

@@ -159,6 +159,14 @@ class WeightedGraph:
         except KeyError:
             raise BadGraph(f"unknown vertex {vertex!r}") from None
 
+    def edge_index(self, u, v) -> tuple[int, int]:
+        """The index pair of the directed edge u -> v; BadGraph naming the
+        pair when u and v are not joined by an edge."""
+        i, j = self.index(u), self.index(v)
+        if not self.conductance[i, j] > 0:
+            raise BadGraph(f"{u}:{v} is not an edge of the graph")
+        return i, j
+
     @cached_property
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         """Undirected edges as index pairs (i, j) with i < j, in lexicographic order."""

@@ -20,6 +20,7 @@ from .errors import BadReplicaCount, BadSeed
 
 BLOCK = 8192
 DRAW_CAP = 1 << 24  # expected loops or excursions in one block (about 1 GB of arrays)
+SAMPLE_CAP = 1 << 27  # float64 entries of one held (n, replicas) sample (1 GiB)
 TAIL_CUT = 1e-9  # default eps: the loop-length mass the direct sampler may cut
 SCHEME = {"generator": "Philox4x64-10", "key": "(seed, block)", "block": BLOCK}
 
@@ -55,6 +56,15 @@ def _check_count(count) -> int:
         raise BadReplicaCount(
             f"need an integer count of at least one replica, got {count!r}")
     return int(count)
+
+
+def _check_sample(n: int, replicas) -> int:
+    """_check_count(replicas), and BadReplicaCount when an (n, replicas)
+    float64 sample would pass SAMPLE_CAP entries; call before drawing."""
+    replicas = _check_count(replicas)
+    if n * replicas > SAMPLE_CAP:
+        raise BadReplicaCount(f"{n} x {replicas} sample entries pass the cap of {SAMPLE_CAP}")
+    return replicas
 
 
 def replica_map(fn: Callable, n_replicas: int, seed: int) -> list:

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import BadIntensity, BadSamplerInput, UnknownSampler, _check_alpha
 from .graphs import ChainKernel, WeightedGraph
 from .network import Network, _row_codes
-from .rng import DRAW_CAP, TAIL_CUT, _check_count, replica_map, seeded_rng, stream_seed
+from .rng import DRAW_CAP, TAIL_CUT, _check_sample, replica_map, seeded_rng, stream_seed
 
 
 class BasedLoop(NamedTuple):
@@ -502,8 +502,9 @@ def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
     times and the histogram's `occupation` is their occupation fields, the
     matrix occupation_samples(kernel, alpha, replicas, seed) gives.  Every
     holding time is drawn after every vertex, so the networks are the same.
-    The cycle-popping sampler has no occupation fields here: asking for
-    them raises BadSamplerInput before anything is drawn.
+    Fields past SAMPLE_CAP entries raise BadReplicaCount before anything is
+    drawn.  The cycle-popping sampler has no occupation fields here: asking
+    for them raises BadSamplerInput before anything is drawn.
     """
     occ = write = None
     if sampler == "wilson":
@@ -516,7 +517,7 @@ def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
         _check_alpha(alpha)
         law = kernel.length_distribution(TAIL_CUT)
         if occupation:
-            occ = np.empty((kernel.n, _check_count(replicas)))
+            occ = np.empty((kernel.n, _check_sample(kernel.n, replicas)))
             write = _occupation_writer(kernel, alpha, law, occ)
         task = partial(_direct_histogram_block, kernel, alpha, law, write)
     else:
@@ -546,11 +547,12 @@ def occupation_samples(kernel: ChainKernel, alpha: float, replicas: int, seed,
     drawn block by block in (seed, block) streams.  Each block is written
     into one (n, replicas) array as it is drawn, and the matrix is that
     array's transpose: one contiguous row per vertex.  meta, when given,
-    receives the sampler diagnostics."""
+    receives the sampler diagnostics.  Raises BadReplicaCount, before
+    drawing, when the matrix would pass SAMPLE_CAP entries."""
     _check_alpha(alpha)
     law = kernel.length_distribution(eps)
     seed = stream_seed(seed)
-    rows = np.empty((kernel.n, _check_count(replicas)))
+    rows = np.empty((kernel.n, _check_sample(kernel.n, replicas)))
     write = _occupation_writer(kernel, alpha, law, rows)
     diagnostics = replica_map(lambda rng, size: write(rng, size).diagnostics(), replicas, seed)
     if meta is not None:

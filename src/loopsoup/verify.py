@@ -37,7 +37,6 @@ from .eulerian import (
     generating_function,
 )
 from .fields import (
-    _drawn_isomorphism,
     _isomorphism_lines,
     _isomorphism_report,
     ray_knight_check,
@@ -49,7 +48,7 @@ from .graphs import WeightedGraph, build_kernel
 from .homology import _class_coords, _volume_routes, cycle_basis, homology_distribution
 from .network import Network
 from .reports import CONVENTIONS, DEFAULT_REPLICAS, DEFAULT_SEED, TestReport
-from .rng import SCHEME, seeded_rng, stream_seed
+from .rng import SCHEME, _check_sample, seeded_rng, stream_seed
 from .soup import network_histogram
 
 ROUTES_MAX_TOTAL = 6  # check 3: largest network size on which the two routes are compared
@@ -270,23 +269,18 @@ def check_generating_function(seed: int, histograms: dict) -> TestReport:
     return report
 
 
-def check_isomorphism(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
-                      triangle: TestReport | None = None) -> TestReport:
+def check_isomorphism(replicas: int, seed: int, triangle: TestReport) -> TestReport:
     """Occupation-field moments on the triangle against their
     alpha-permanents, the laws of the squared free field, and on the single
     killed vertex a KS line against the exact law as well.
 
     The triangle's samples at 1/2 and 1 are the occupation fields of check
-    4's histograms (streams seed + 4 and seed + 3): run_all reads them off
-    its own draws and passes their report as `triangle`; without it they
-    are drawn here, from the same streams, through occupation_samples.  The
-    single vertex is drawn here, from seed + 17 and seed + 19."""
+    4's histograms (streams seed + 4 and seed + 3): `triangle` is the
+    verify_isomorphism report run_all reduces them to.  The single vertex
+    is drawn here, from seed + 17 and seed + 19."""
     seed = stream_seed(seed)
     streams = {"triangle": {"alpha=0.5": seed + 4, "alpha=1": seed + 3},
                "single-vertex": {"alpha=0.5": seed + 17, "alpha=1": seed + 19}}
-    if triangle is None:
-        triangle = _drawn_isomorphism(build_kernel(triangle_graph()), replicas,
-                                      {0.5: seed + 4, 1.0: seed + 3})
     single = verify_isomorphism(build_kernel(single_vertex_graph()), replicas, seed + 17)
     report = TestReport(name="field-isomorphism", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 5, "replicas": replicas, "rng": dict(SCHEME),
@@ -299,8 +293,7 @@ def check_isomorphism(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED
     return report
 
 
-def check_ray_knight(replicas: int = DEFAULT_REPLICAS,
-                     seed: int = DEFAULT_SEED) -> TestReport:
+def check_ray_knight(replicas: int, seed: int) -> TestReport:
     """Stopped local-time identity on the path with killing at one end; the
     chain starts and stops where the killing sits, so every excursion into
     the rest of the path returns almost surely."""
@@ -402,7 +395,7 @@ def random_eulerian_network(graph: WeightedGraph, rng) -> Network:
     return Network(graph, counts)
 
 
-def check_tour_count(seed: int = DEFAULT_SEED) -> TestReport:
+def check_tour_count(seed: int) -> TestReport:
     """Arborescence tour formula against exhaustive enumeration on random
     balanced networks over three reference graphs."""
     rng = seeded_rng(seed + 31)
@@ -496,7 +489,7 @@ def random_connected_graph(rng) -> WeightedGraph:
     return WeightedGraph.build(verts, edges, {kill_at: float(0.5 + rng.random())})
 
 
-def check_jacobian_volume(seed: int = DEFAULT_SEED) -> TestReport:
+def check_jacobian_volume(seed: int) -> TestReport:
     """Harmonic-Gram route and tree-weight route to the torus volume on
     random conductance graphs.  The routes are compared here, not in
     jacobian_volume, so a disagreement fails the line instead of raising."""
@@ -563,15 +556,17 @@ def run_all(replicas: int = DEFAULT_REPLICAS, seed: int = DEFAULT_SEED,
     """Run the thirteen checks with shared sample batches; reports in order.
     replicas and seed default to the point where the fixed bounds are
     calibrated, as `loopsoup verify-all` does.  The settings are checked
-    before anything is drawn: the seed may be any integer.  workers must be
-    1, as blocks are drawn in one process; the keyword goes once the
-    benchmark stops passing it."""
+    before anything is drawn: the seed may be any integer, and a 3-vertex
+    sample of `replicas` must fit SAMPLE_CAP.  workers must be 1, as blocks
+    are drawn in one process; the keyword goes once the benchmark stops
+    passing it."""
     if workers != 1:
         raise BadSamplerInput(
             f"blocks are drawn in one process; workers must be 1, got {workers!r}")
     seed = stream_seed(seed)
     kernel2 = build_kernel(two_point_graph())
     kernel3 = build_kernel(triangle_graph())
+    _check_sample(kernel3.n, replicas)
 
     t0 = time.perf_counter()
     hist2_wilson = network_histogram(kernel2, replicas, seed, "wilson")

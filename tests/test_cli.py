@@ -225,6 +225,12 @@ def test_genfun_command(tmp_path):
     assert payload["result"]["value"] == pytest.approx([0.8, 0.0])
 
 
+@pytest.mark.parametrize("edge", ["a:c", "a:a"])
+def test_genfun_refuses_a_pair_that_is_not_an_edge(tmp_path, edge):
+    msg = run(tmp_path, "genfun", "--graph", PATH3, "--edge", edge, "--z", "0.5,0", expect=1)
+    assert msg == f"error: {edge} is not an edge of the graph\n"
+
+
 def test_maxflow_command(tmp_path):
     net = tmp_path / "flow.json"
     net.write_text(json.dumps({"counts": [[0, 3], [3, 0]]}))
@@ -263,6 +269,11 @@ def test_moments_command(tmp_path):
     # the battery's grid and mass budget are constants, not options
     (("verify-all", "--grid", "64"), "unrecognized arguments: --grid"),
     (("verify-all", "--delta", "1e-3"), "unrecognized arguments: --delta"),
+    # a pair of vertices that no edge joins has no crossing count to read
+    pytest.param(("moments", "--graph", PATH3, "--edges", "a:c"), "a:c is not an edge",
+                 id="moments-non-edge-a:c"),
+    pytest.param(("moments", "--graph", PATH3, "--edges", "a:b,b:b"), "b:b is not an edge",
+                 id="moments-non-edge-b:b"),
 ])
 def test_verifier_input_fails_before_drawing(tmp_path, monkeypatch, argv, message):
     def no_draw(*args, **kwargs):
@@ -274,6 +285,25 @@ def test_verifier_input_fails_before_drawing(tmp_path, monkeypatch, argv, messag
         monkeypatch.setattr(fields, name, no_draw)
     monkeypatch.setattr(verify, "network_histogram", no_draw)  # run_all's draws
     assert message in run(tmp_path, *argv, expect=1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("occupation", "--graph", TRIANGLE),
+    ("isomorphism", "--graph", TRIANGLE),
+    ("ray-knight", "--graph", PATH3, "--x0", "a"),
+    ("verify-all",),
+], ids=lambda argv: argv[0])
+def test_sample_too_large_to_hold_fails_before_drawing(tmp_path, monkeypatch, argv):
+    # 2^40 replicas of a three-vertex field are 26 TB of float64: refused by
+    # the entry cap, not left to numpy's allocator or to the block draws
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a block was drawn for a sample too large to hold")
+
+    for name in ("direct_block", "wilson_counts"):
+        monkeypatch.setattr(soup, name, no_draw)
+    monkeypatch.setattr(fields, "_excursion_block", no_draw)
+    msg = run(tmp_path, *argv, "--replicas", str(2**40), expect=1)
+    assert msg.startswith("error:") and "pass the cap" in msg
 
 
 def test_homology_grid_cap(tmp_path):

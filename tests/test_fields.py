@@ -12,6 +12,7 @@ import oracles
 from loopsoup import (
     BLOCK,
     BadChi,
+    BadGraph,
     BadReplicaCount,
     BadSamplerInput,
     BadSeed,
@@ -176,9 +177,10 @@ def test_pruned_ks_distance_reads_few_entries_of_a_null_sample():
     assert sum(seen) <= replicas // 8
 
 
-def test_pruned_ks_distance_on_the_battery_samples(monkeypatch):
-    # check 5's single-vertex line and check 6's two lines at 20k; the
-    # anchors alone are R/32 entries, and the pinned seed's lines read 7-19%
+def test_pruned_ks_distance_on_the_battery_samples(single_vertex_kernel, monkeypatch):
+    # check 5's single-vertex line (its own draw, on stream DEFAULT_SEED + 17)
+    # and check 6's two lines at 20k; the anchors alone are R/32 entries, and
+    # the pinned seed's lines read 7-19%
     replicas = 20_000
     lines = []
     original = fields._ks_distance
@@ -190,8 +192,8 @@ def test_pruned_ks_distance_on_the_battery_samples(monkeypatch):
         return d
 
     monkeypatch.setattr(fields, "_ks_distance", spy)
-    verify.check_isomorphism(replicas)
-    verify.check_ray_knight(replicas)
+    verify_isomorphism(single_vertex_kernel, replicas, verify.DEFAULT_SEED + 17)
+    verify.check_ray_knight(replicas, verify.DEFAULT_SEED)
     assert len(lines) == 3
     for d, full, oracle, seen in lines:
         assert d == full == oracle
@@ -219,21 +221,44 @@ def test_occupation_samples_mean(two_point_kernel):
 MEMORY_REPLICAS = 20_000
 
 
-@pytest.mark.parametrize("check", [verify.check_isomorphism, verify.check_ray_knight],
-                         ids=["isomorphism", "ray_knight"])
-def test_field_checks_hold_each_sample_once(check):
-    # peak traced bytes in (R x 3) float64 arrays, the triangle and path3
-    # having three vertices: a sample, the blocks it is built from and a KS
-    # line's temporaries fit; a transposed copy of every sample, or blocks
-    # kept through the KS lines, do not
-    check(10, 1)  # a first call's imports and caches are not the check's arrays
+def _peak_per_sample(run) -> float:
+    """Peak traced bytes of run(MEMORY_REPLICAS, DEFAULT_SEED) in (R x 3)
+    float64 arrays, after a first small call has paid for the imports and
+    caches, which are not the run's arrays."""
+    run(10, 1)
     tracemalloc.start()
     try:
-        check(MEMORY_REPLICAS, verify.DEFAULT_SEED)
+        run(MEMORY_REPLICAS, verify.DEFAULT_SEED)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (MEMORY_REPLICAS * 3 * 8) <= 4.5
+    return peak / (MEMORY_REPLICAS * 3 * 8)
+
+
+@pytest.mark.parametrize("check", [
+    lambda replicas, seed: verify_isomorphism(verify.build_kernel(verify.triangle_graph()),
+                                              replicas, seed),
+    verify.check_ray_knight], ids=["isomorphism", "ray_knight"])
+def test_field_checks_hold_each_sample_once(check):
+    # the triangle and path3 have three vertices: a sample, the blocks it is
+    # built from and a KS line's temporaries fit; a transposed copy of every
+    # sample, or blocks kept through the KS lines, do not
+    assert _peak_per_sample(check) <= 4.5
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_battery_field_path_holds_each_sample_once(alpha):
+    # check 5's triangle lines as run_all reads them: the fields of a
+    # histogram drawn with holding times, reduced and dropped
+    kernel = verify.build_kernel(verify.triangle_graph())
+
+    def run(replicas, seed):
+        hist = network_histogram(kernel, replicas, seed, "direct", alpha=alpha,
+                                 occupation=True)
+        fields._isomorphism_lines(kernel, alpha, hist.occupation.T)
+        hist.occupation = None
+
+    assert _peak_per_sample(run) <= 4.5
 
 
 def test_isomorphism_report_structure(triangle_kernel):
@@ -346,13 +371,15 @@ def test_ray_knight_nonpositive_level_is_typed(path3_kernel):
 
 
 def test_ray_knight_non_finite_or_huge_level_is_typed(path3_kernel, monkeypatch):
-    # a level that is not a finite number, or one whose block would walk more
-    # than DRAW_CAP excursions on average, is refused before drawing
+    # a level that is not a finite number (a bool is none), or one whose block
+    # would walk more than DRAW_CAP excursions on average, is refused before
+    # drawing
     def no_draw(*args, **kwargs):
         raise AssertionError("replicas drawn for a refused stopping level")
 
     monkeypatch.setattr(fields, "replica_map", no_draw)
-    for rho in (float("nan"), float("inf"), -float("inf"), 1e300, 2.0**40, "1"):
+    for rho in (float("nan"), float("inf"), -float("inf"), 1e300, 2.0**40, "1", True,
+                np.True_):
         with pytest.raises(BadStoppingLevel) as info:
             ray_knight_check(path3_kernel, "a", rho, 10, 0)
         assert isinstance(info.value, BadSamplerInput)
@@ -376,6 +403,9 @@ def test_moment_formula(two_point_kernel):
         verify_moment_formula(two_point_kernel, [("a", "b"), ("a", "b")], [], hist)
     with pytest.raises(DuplicateIndex):
         verify_moment_formula(two_point_kernel, [], ["a", "a"], hist)
+    # a pair that no edge joins has no crossing count to read
+    with pytest.raises(BadGraph, match="a:a is not an edge"):
+        verify_moment_formula(two_point_kernel, [("a", "b"), ("a", "a")], [], hist)
 
 
 def test_moment_formula_closed_forms(two_point_kernel):

@@ -35,9 +35,11 @@ from loopsoup import (
     wilson_counts,
     wilson_sample,
 )
+from loopsoup import fields as fields_module
 from loopsoup import soup as soup_module
 from loopsoup import verify as verify_module
 from loopsoup.cli import main
+from loopsoup.rng import SAMPLE_CAP, _check_sample
 from loopsoup.soup import BasedLoop, _canonical
 from loopsoup.verify import (
     complete4_graph,
@@ -543,6 +545,33 @@ def test_replica_count_below_one_is_typed(triangle_kernel, path3_kernel, tmp_pat
             code = main([*argv, "--out", str(tmp_path / "out.json")])
         assert code == 1 and "at least one replica" in err.getvalue()
         assert not (tmp_path / "out.json").exists()
+
+
+def test_sample_too_large_to_hold_is_typed(monkeypatch, triangle_kernel, path3_kernel):
+    # an (n, replicas) float64 sample past SAMPLE_CAP entries is refused
+    # before a block is drawn or the sample allocated; the cap itself is not
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a block was drawn for a sample too large to hold")
+
+    monkeypatch.setattr(soup_module, "direct_block", no_draw)
+    monkeypatch.setattr(soup_module, "wilson_counts", no_draw)
+    monkeypatch.setattr(fields_module, "_excursion_block", no_draw)
+    over = SAMPLE_CAP // 3 + 1
+    for call in (
+        lambda: occupation_samples(triangle_kernel, 1.0, over, 1),
+        lambda: network_histogram(triangle_kernel, over, 1, "direct", occupation=True),
+        lambda: verify_isomorphism(triangle_kernel, over, 1),
+        lambda: ray_knight_check(path3_kernel, "a", 1.0, over, 1),
+        lambda: run_all(replicas=over),
+    ):
+        with pytest.raises(BadReplicaCount) as info:
+            call()
+        _typed(info, BadReplicaCount)
+        assert "cap" in str(info.value)
+    assert _check_sample(3, over - 1) == over - 1
+    assert _check_sample(1, SAMPLE_CAP) == SAMPLE_CAP
+    with pytest.raises(BadReplicaCount):
+        _check_sample(1, SAMPLE_CAP + 1)
 
 
 @pytest.mark.parametrize("settings, kind", [

@@ -13,8 +13,9 @@ blocks.  The rest-of-battery digests leave out checks 5 and 6, and the
 shape pins every report's name and every line's statistic and kind, so a
 change to some checks shows that it left the others and the battery's
 shape alone.  Check 5 reads the triangle's occupation fields off the draws
-of check 4's histograms; its standalone run must give the same lines, and
-every report that reads a sample must name its streams.  A change that
+of check 4's histograms; the same fields drawn through occupation_samples
+must give it the same lines, and every report that reads a sample must
+name its streams.  A change that
 moves the streams or the statistics on purpose
 updates the digests and says why; run this file as a script to print the
 current ones.
@@ -34,7 +35,7 @@ from loopsoup import (
     occupation_samples,
     wilson_sample,
 )
-from loopsoup.fields import _excursion_block
+from loopsoup.fields import _excursion_block, _isomorphism_lines, _isomorphism_report
 from loopsoup.rng import replica_map
 from loopsoup.verify import (
     check_isomorphism,
@@ -212,13 +213,22 @@ def test_rest_of_battery_statistics(replicas, battery):
 
 
 def test_check_5_reads_one_path(battery):
-    # standalone, check 5 draws the triangle through occupation_samples on the
-    # streams of check 4's histograms, which run_all reads its fields off
+    # the triangle drawn through occupation_samples on the streams of check
+    # 4's histograms, which run_all reads its fields off, gives check 5 the
+    # same lines, streams and diagnostics
     def lines(report):
         return [(line.statistic, line.lhs, line.rhs, line.stderr, line.z)
                 for line in report.lines]
 
-    alone = check_isomorphism(BATTERY_REPLICAS, SEED)
+    kernel = build_kernel(triangle_graph())
+    field_lines, diagnostics = {}, {}
+    for alpha, stream in ((0.5, SEED + 4), (1.0, SEED + 3)):
+        diagnostics[alpha] = {}
+        occ = occupation_samples(kernel, alpha, BATTERY_REPLICAS, stream,
+                                 meta=diagnostics[alpha])
+        field_lines[alpha] = _isomorphism_lines(kernel, alpha, occ.T)
+    triangle = _isomorphism_report(BATTERY_REPLICAS, field_lines, diagnostics)
+    alone = check_isomorphism(BATTERY_REPLICAS, SEED, triangle)
     assert lines(alone) == lines(battery[4])
     for key in ("streams", "sampler_diagnostics"):
         assert alone.meta[key] == battery[4].meta[key]
