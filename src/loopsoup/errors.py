@@ -72,7 +72,8 @@ class DuplicateIndex(LoopSoupError):
 
 
 class BadChi(LoopSoupError):
-    """A diagonal weight vector fails the required domination constraint."""
+    """A diagonal weight vector that is not a vector of numbers, or fails
+    the required domination constraint."""
 
 
 class EmptyBasis(LoopSoupError):
@@ -106,7 +107,7 @@ class BadIntensity(BadSamplerInput):
 
 
 class BadTailCut(BadSamplerInput):
-    """The loop-length tail cut eps lies outside (0, 1e-6]."""
+    """The loop-length tail cut eps is not a number in (0, 1e-6]."""
 
 
 class UnknownSampler(BadSamplerInput):
@@ -114,7 +115,7 @@ class UnknownSampler(BadSamplerInput):
 
 
 class BadSeed(BadSamplerInput):
-    """A seed that is not an integer (None, where a fresh stream is allowed)."""
+    """A seed that is not an integer."""
 
 
 class BadReplicaCount(BadSamplerInput):
@@ -156,6 +157,7 @@ def _check_alpha(alpha) -> None:
 
 
 def _check_tail_cut(eps) -> None:
-    """Raise BadTailCut unless the loop-length tail cut eps lies in (0, 1e-6]."""
-    if not 0 < eps <= 1e-6:
+    """Raise BadTailCut unless the loop-length tail cut eps is a real number
+    in (0, 1e-6], not a bool."""
+    if not (isinstance(eps, Real) and not isinstance(eps, bool) and 0 < eps <= 1e-6):
         raise BadTailCut(f"tail cut must be in (0, 1e-6], got {eps}")

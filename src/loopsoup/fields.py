@@ -2,7 +2,8 @@
 with the chain's Green covariance.  The occupation and Ray-Knight checks
 draw the loop side and read it against the field side's exact law
 (alpha-permanent moments, and CDFs through math.erf), not against a second
-sample.
+sample.  The loop side is drawn in a for loop over rng.replica_blocks, each
+block written in place into one (n, replicas) array.
 
 Conventions, recorded in every report (`reports.CONVENTIONS`):
 
@@ -28,7 +29,7 @@ from .errors import BadChi, BadStoppingLevel, BadSupport, DuplicateIndex
 from .exact import alpha_permanent, permanent
 from .graphs import ChainKernel
 from .reports import CONVENTIONS, TestReport
-from .rng import BLOCK, DRAW_CAP, SCHEME, _check_count, _check_sample, replica_map, stream_seed
+from .rng import BLOCK, DRAW_CAP, SCHEME, _check_count, _check_sample, replica_blocks, stream_seed
 from .soup import merge_diagnostics, occupation_samples
 
 
@@ -193,16 +194,6 @@ def sample_excursion_field(kernel: ChainKernel, x0, rho: float, rng) -> np.ndarr
     return occ[0]
 
 
-def _ray_knight_block(kernel, x0, rho, off, factor_d, rng, size) -> tuple:
-    """The left side of the identity for `size` replicas from one generator:
-    the field, then the excursions."""
-    lhs = np.zeros((size, kernel.n))
-    lhs[:, off] = 0.5 * (rng.standard_normal((size, len(off))) @ factor_d) ** 2
-    exc, diagnostics = _excursion_block(kernel, x0, rho, size, rng)
-    lhs += exc
-    return lhs, diagnostics
-
-
 def _shifted_half_sq_cdf(shift: float, var: float, t: np.ndarray) -> np.ndarray:
     """P((phi + shift)^2 / 2 <= t) for phi ~ N(0, var), s = sqrt(var):
     Phi((sqrt(2t) - shift) / s) - Phi((-sqrt(2t) - shift) / s), where
@@ -229,7 +220,8 @@ def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -
     line against its CDF Phi((sqrt(2t) - c) / s) - Phi((-sqrt(2t) - c) / s)
     and moments 1-3 against E[((phi + c)^2 / 2)^m].  The x0 coordinate is
     the constant rho on both sides and is reported without a gate.  Replicas
-    are drawn block by block in (seed, block) streams.  Raises, before
+    are drawn block by block in (seed, block) streams, each block written in
+    place into one (n, replicas) array.  Raises, before
     drawing, BadStoppingLevel unless rho is a finite number above 0, not a
     bool, whose blocks expect at most DRAW_CAP excursions, and
     BadReplicaCount when the (n, replicas) sample passes SAMPLE_CAP entries.
@@ -251,13 +243,18 @@ def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -
     w, u = np.linalg.eigh(m_d)
     factor_d = (u / np.sqrt(w)) @ u.T  # symmetric square root of the D Green matrix
 
-    parts = replica_map(partial(_ray_knight_block, kernel, x0, rho, off, factor_d),
-                        replicas, seed)
-    # one contiguous row per vertex, as in verify_isomorphism; the blocks go
-    # before the KS and moment lines take their temporaries
-    lhs = np.concatenate([p[0].T for p in parts], axis=1)
-    diagnostics = merge_diagnostics([p[1] for p in parts])
-    del parts
+    # one contiguous row per vertex, as in verify_isomorphism; each block
+    # draws the field, then the excursions
+    lhs = np.zeros((kernel.n, replicas))
+    parts = []
+    for rng, start, size in replica_blocks(replicas, seed):
+        cols = lhs[:, start:start + size]
+        cols[off] = 0.5 * (rng.standard_normal((size, len(off))) @ factor_d).T ** 2
+        exc, block_diagnostics = _excursion_block(kernel, x0, rho, size, rng)
+        cols += exc.T
+        parts.append(block_diagnostics)
+        del exc  # dropped before the next block is drawn
+    diagnostics = merge_diagnostics(parts)
 
     report = TestReport(name="ray-knight", conventions=dict(CONVENTIONS))
     report.meta.update({"x0": graph.vertices[x0], "rho": rho, "replicas": replicas,
@@ -340,9 +337,12 @@ def _histogram_stat(histogram: dict, stat_fn) -> tuple:
 
 
 def _checked_chi(kernel: ChainKernel, chi) -> np.ndarray:
-    """verify_det_identity's chi as a vector; BadChi unless it is n long,
-    finite and >= lam."""
-    chi = np.asarray(chi, dtype=float)
+    """verify_det_identity's chi as a vector; BadChi unless it is a vector
+    of numbers, n long, finite and >= lam."""
+    try:
+        chi = np.asarray(chi, dtype=float)
+    except (TypeError, ValueError):
+        raise BadChi("chi must be a vector of numbers") from None
     if chi.shape != (kernel.n,):
         raise BadChi(f"chi must be a vector of length {kernel.n}")
     if not np.isfinite(chi).all():

@@ -7,12 +7,15 @@ random numbers: as easy as 1, 2, 3", SC'11), in a draw order fixed by the
 block sampler.  A block's result is therefore a function of (s, b) and the
 block's size alone.  BLOCK is part of the stream definition: changing it
 changes every Monte Carlo number, so it is a constant, not a parameter.
+The Monte Carlo drivers loop over replica_blocks, which hands out each
+block's stream with the block's place in the run; no other module keys a
+stream.
 """
 
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -35,11 +38,9 @@ def stream_seed(seed) -> int:
 
 
 def seeded_rng(seed) -> np.random.Generator:
-    """np.random.default_rng(seed) for None or an integer seed; a negative
-    seed is taken modulo 2^64, as the Philox key takes it.  Raises BadSeed
-    for anything else."""
-    if seed is None:
-        return np.random.default_rng()
+    """np.random.default_rng(seed) for an integer seed; a negative seed is
+    taken modulo 2^64, as the Philox key takes it.  Raises BadSeed for
+    anything else."""
     seed = stream_seed(seed)
     return np.random.default_rng(seed % (_U64 + 1) if seed < 0 else seed)
 
@@ -67,12 +68,17 @@ def _check_sample(n: int, replicas) -> int:
     return replicas
 
 
-def replica_map(fn: Callable, n_replicas: int, seed: int) -> list:
-    """Apply fn(rng, size) once per block of replicas, in block order.
-
-    Block b covers replicas b*BLOCK onwards and gets the (seed, b) stream.
-    Raises BadReplicaCount unless n_replicas is an integer >= 1.
-    """
+def replica_blocks(n_replicas: int, seed: int) -> Iterator[tuple]:
+    """The blocks of a run, in block order, as (rng, start, size): block b
+    covers the `size` replicas from start = b*BLOCK onwards and rng is its
+    (seed, b) stream, built when the block is reached.  Raises BadSeed or
+    BadReplicaCount before any block unless seed and n_replicas are
+    integers, n_replicas >= 1."""
     seed, n = stream_seed(seed), _check_count(n_replicas)
-    return [fn(replica_rng(seed, b), min(BLOCK, n - start))
-            for b, start in enumerate(range(0, n, BLOCK))]
+    return ((replica_rng(seed, b), start, min(BLOCK, n - start))
+            for b, start in enumerate(range(0, n, BLOCK)))
+
+
+def replica_map(fn: Callable, n_replicas: int, seed: int) -> list:
+    """[fn(rng, size) for each block of replica_blocks(n_replicas, seed)]."""
+    return [fn(rng, size) for rng, _, size in replica_blocks(n_replicas, seed)]

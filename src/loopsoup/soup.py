@@ -15,11 +15,12 @@ Two independent samplers produce the ensemble law:
 
 Monte Carlo runs go through a replica axis: direct_block and wilson_counts
 draw a whole block of replicas from one generator as arrays, and
-network_histogram and occupation_samples reduce the blocks of a run (see
-rng for the (seed, block) streams); network_histogram can reduce each
-direct block to both, its networks and its occupation fields.  The
-single-ensemble samplers are one-replica views: direct_sample of
-direct_block, and wilson_sample of the cycle-popping walk that
+network_histogram and occupation_samples loop over the blocks of a run
+(rng.replica_blocks, the (seed, block) streams), writing each block's
+occupation fields in place into one (n, replicas) array; network_histogram
+can reduce each direct block to both, its networks and its occupation
+fields.  The single-ensemble samplers are one-replica views: direct_sample
+of direct_block, and wilson_sample of the cycle-popping walk that
 wilson_counts reduces to jump networks; only the view builds the spanning
 tree and the loops with their holding times.
 Either way a LoopSoup holds a one-replica LoopBlock, so its jump network and
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from .errors import BadIntensity, BadSamplerInput, UnknownSampler, _check_alpha
 from .graphs import ChainKernel, WeightedGraph
 from .network import Network, _row_codes
-from .rng import DRAW_CAP, TAIL_CUT, _check_sample, replica_map, seeded_rng, stream_seed
+from .rng import DRAW_CAP, TAIL_CUT, _check_sample, replica_blocks, seeded_rng, stream_seed
 
 
 class BasedLoop(NamedTuple):
@@ -271,8 +272,8 @@ def _bridges(q: np.ndarray, lengths: np.ndarray, sizes: np.ndarray, counts: np.n
     return verts
 
 
-def direct_block(kernel: ChainKernel, alpha: float, size: int, rng, times: bool = False,
-                 law: tuple | None = None) -> LoopBlock:
+def direct_block(kernel: ChainKernel, alpha: float, size: int, rng, law: tuple,
+                 times: bool = False) -> LoopBlock:
     """`size` independent ensembles at intensity alpha, all from one generator,
     with one group per length drawn, in increasing order of length.
 
@@ -286,14 +287,12 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng, times: bool 
     for every open loop at a time (see _bridges); the draw order above is
     kept by drawing all bridge uniforms as one array.
 
-    law is the loop-length law kernel.length_distribution(eps), cut at
-    TAIL_CUT when not given, so that a run of many blocks computes it once.
+    law is the loop-length law kernel.length_distribution(eps), passed in so
+    that a run of many blocks computes it once.
     Raises BadIntensity, before drawing, when the block's expected loop
     count passes DRAW_CAP.
     """
     _check_alpha(alpha)
-    if law is None:
-        law = kernel.length_distribution(TAIL_CUT)
     cum, total_mass, cut_length, discarded = law
     if alpha * total_mass * size > DRAW_CAP:
         raise BadIntensity(f"intensity too large: {alpha * total_mass * size:.4g} expected "
@@ -326,11 +325,12 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng, times: bool 
     )
 
 
-def direct_sample(kernel: ChainKernel, alpha: float, eps: float = TAIL_CUT,
-                  seed=None) -> LoopSoup:
-    """One ensemble: the single-replica view of direct_block."""
-    block = direct_block(kernel, alpha, 1, seeded_rng(seed), times=True,
-                         law=kernel.length_distribution(eps))
+def direct_sample(kernel: ChainKernel, alpha: float, eps: float = TAIL_CUT, *,
+                  seed) -> LoopSoup:
+    """One ensemble: the single-replica view of direct_block on
+    rng.seeded_rng(seed)."""
+    block = direct_block(kernel, alpha, 1, seeded_rng(seed), kernel.length_distribution(eps),
+                         times=True)
     meta = {"sampler": "direct", "eps": eps, "max_length": block.cut_length,
             "discarded_mu_mass": block.discarded_mu_mass}
     return LoopSoup(block, float(alpha), meta)
@@ -441,9 +441,9 @@ class Histogram(Counter):
     (seed, block) streams and, when drawn, the replicas x n matrix of its
     replicas' occupation fields (None otherwise)."""
 
-    def __init__(self, counts=(), diagnostics=None, seed=None, occupation=None):
+    def __init__(self, counts, diagnostics, seed, occupation):
         super().__init__(counts)
-        self.diagnostics = dict(diagnostics or {})
+        self.diagnostics = diagnostics
         self.seed = seed
         self.occupation = occupation
 
@@ -460,32 +460,6 @@ def _key_counts(counts: np.ndarray) -> tuple:
     return rows[order[first]], np.diff(first, append=len(code))
 
 
-def _occupation_writer(kernel: ChainKernel, alpha: float, law: tuple, rows: np.ndarray):
-    """The block task of an occupation run into the (n, replicas) array rows:
-    write(rng, size) draws the run's next block with holding times, writes
-    its occupation fields into the next `size` columns and returns the block."""
-    end = 0
-
-    def write(rng, size) -> LoopBlock:
-        nonlocal end
-        block = direct_block(kernel, alpha, size, rng, times=True, law=law)
-        rows[:, end:end + size] = block.occupation().T
-        end += size
-        return block
-    return write
-
-
-def _direct_histogram_block(kernel, alpha, law, write, rng, size) -> tuple:
-    block = (direct_block(kernel, alpha, size, rng, law=law) if write is None
-             else write(rng, size))
-    return _key_counts(block.counts()) + (block.diagnostics(),)
-
-
-def _wilson_histogram_block(kernel, rng, size) -> tuple:
-    counts, diagnostics = wilson_counts(kernel, size, rng)
-    return _key_counts(counts) + (diagnostics,)
-
-
 def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
                       sampler: str = "direct", alpha: float = 1.0,
                       occupation: bool = False) -> Histogram:
@@ -499,30 +473,39 @@ def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
     their last bits, so it is kept as the definition of a run's result.
 
     With occupation, the direct sampler's blocks are drawn with holding
-    times and the histogram's `occupation` is their occupation fields, the
-    matrix occupation_samples(kernel, alpha, replicas, seed) gives.  Every
-    holding time is drawn after every vertex, so the networks are the same.
+    times and the histogram's `occupation` is their occupation fields,
+    written in place as occupation_samples writes them: the matrix
+    occupation_samples(kernel, alpha, replicas, seed) gives.  Every holding
+    time is drawn after every vertex, so the networks are the same.
     Fields past SAMPLE_CAP entries raise BadReplicaCount before anything is
     drawn.  The cycle-popping sampler has no occupation fields here: asking
     for them raises BadSamplerInput before anything is drawn.
     """
-    occ = write = None
+    n = kernel.n
+    occ = None
     if sampler == "wilson":
         if alpha != 1.0:
             raise BadIntensity("the cycle-popping sampler is defined at alpha = 1 only")
         if occupation:
             raise BadSamplerInput("occupation fields come from the direct sampler only")
-        task = partial(_wilson_histogram_block, kernel)
     elif sampler == "direct":
         _check_alpha(alpha)
         law = kernel.length_distribution(TAIL_CUT)
         if occupation:
-            occ = np.empty((kernel.n, _check_sample(kernel.n, replicas)))
-            write = _occupation_writer(kernel, alpha, law, occ)
-        task = partial(_direct_histogram_block, kernel, alpha, law, write)
+            occ = np.empty((n, _check_sample(n, replicas)))
     else:
         raise UnknownSampler(f"unknown sampler {sampler!r}; use 'direct' or 'wilson'")
-    parts = replica_map(task, replicas, seed)
+    parts = []  # per block: its distinct count rows, their frequencies, its diagnostics
+    for rng, start, size in replica_blocks(replicas, seed):
+        if sampler == "wilson":
+            counts, block_diagnostics = wilson_counts(kernel, size, rng)
+        else:
+            block = direct_block(kernel, alpha, size, rng, law, times=occupation)
+            if occupation:
+                occ[:, start:start + size] = block.occupation().T
+            counts, block_diagnostics = block.counts(), block.diagnostics()
+        parts.append(_key_counts(counts) + (block_diagnostics,))
+        block = counts = None  # dropped before the next block is drawn
     diagnostics = {"sampler": sampler, "alpha": alpha, **merge_diagnostics([p[2] for p in parts])}
     if sampler == "direct":
         diagnostics["eps"] = TAIL_CUT
@@ -535,7 +518,6 @@ def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
     total = np.add.reduceat(np.concatenate([p[1] for p in parts])[order], first)
     seen = order[first]  # the row of each key's first block
     keep = np.argsort(seen)
-    n = kernel.n
     keys = [tuple(map(tuple, key)) for key in rows[seen[keep]].reshape(-1, n, n).tolist()]
     return Histogram(dict(zip(keys, total[keep].tolist())), diagnostics=diagnostics,
                      seed=stream_seed(seed), occupation=None if occ is None else occ.T)
@@ -551,10 +533,13 @@ def occupation_samples(kernel: ChainKernel, alpha: float, replicas: int, seed,
     drawing, when the matrix would pass SAMPLE_CAP entries."""
     _check_alpha(alpha)
     law = kernel.length_distribution(eps)
-    seed = stream_seed(seed)
     rows = np.empty((kernel.n, _check_sample(kernel.n, replicas)))
-    write = _occupation_writer(kernel, alpha, law, rows)
-    diagnostics = replica_map(lambda rng, size: write(rng, size).diagnostics(), replicas, seed)
+    diagnostics = []
+    for rng, start, size in replica_blocks(replicas, seed):
+        block = direct_block(kernel, alpha, size, rng, law, times=True)
+        rows[:, start:start + size] = block.occupation().T
+        diagnostics.append(block.diagnostics())
+        del block  # dropped before the next block is drawn
     if meta is not None:
         meta.update({"sampler": "direct", "alpha": alpha, "eps": eps,
                      **merge_diagnostics(diagnostics)})

@@ -27,6 +27,7 @@ from loopsoup import (
     wilson_counts,
 )
 from loopsoup.fields import _ks_distance
+from loopsoup.rng import TAIL_CUT
 from loopsoup.soup import _key_counts
 from loopsoup.verify import (
     complete4_graph,
@@ -68,7 +69,8 @@ def _assert_same_block(new, old):
 
 def _compare_direct(kernel, alpha, size, seed, times):
     new_rng, old_rng = replica_rng(seed, 0), replica_rng(seed, 0)
-    new = direct_block(kernel, alpha, size, new_rng, times=times)
+    new = direct_block(kernel, alpha, size, new_rng, kernel.length_distribution(TAIL_CUT),
+                       times=times)
     old = oracles.direct_block(kernel, alpha, size, old_rng, times=times)
     _assert_same_block(new, old)
     assert np.array_equal(new.counts(), oracles.block_counts(old))
@@ -183,7 +185,9 @@ def _assert_same_keys(counts):
 def test_key_counts_matches_column_ranks(name):
     kernel = KERNELS[name]
     for alpha in (0.5, 2.0):
-        _assert_same_keys(direct_block(kernel, alpha, 900, replica_rng(4, 0)).counts())
+        block = direct_block(kernel, alpha, 900, replica_rng(4, 0),
+                             kernel.length_distribution(TAIL_CUT))
+        _assert_same_keys(block.counts())
     _assert_same_keys(wilson_counts(kernel, 900, replica_rng(4, 1))[0])
 
 
@@ -215,7 +219,8 @@ def test_key_counts_all_zero_block():
     assert not counts.any()
     rows = _assert_same_keys(counts)
     assert rows.shape == (1, 1)
-    block = direct_block(KERNELS["single_vertex"], 1.0, 300, replica_rng(1, 0))
+    kernel = KERNELS["single_vertex"]
+    block = direct_block(kernel, 1.0, 300, replica_rng(1, 0), kernel.length_distribution(TAIL_CUT))
     _assert_same_keys(block.counts())
 
 
@@ -250,7 +255,8 @@ def test_ks_matches_full_grid(case):
 
 
 def _direct_keys(kernel, rng, size):
-    return _key_counts(direct_block(kernel, 1.0, size, rng).counts())
+    law = kernel.length_distribution(TAIL_CUT)
+    return _key_counts(direct_block(kernel, 1.0, size, rng, law).counts())
 
 
 def _wilson_keys(kernel, rng, size):

@@ -221,18 +221,18 @@ def test_occupation_samples_mean(two_point_kernel):
 MEMORY_REPLICAS = 20_000
 
 
-def _peak_per_sample(run) -> float:
-    """Peak traced bytes of run(MEMORY_REPLICAS, DEFAULT_SEED) in (R x 3)
+def _peak_per_sample(run, replicas=MEMORY_REPLICAS) -> float:
+    """Peak traced bytes of run(replicas, DEFAULT_SEED) in (replicas x 3)
     float64 arrays, after a first small call has paid for the imports and
     caches, which are not the run's arrays."""
     run(10, 1)
     tracemalloc.start()
     try:
-        run(MEMORY_REPLICAS, verify.DEFAULT_SEED)
+        run(replicas, verify.DEFAULT_SEED)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (MEMORY_REPLICAS * 3 * 8)
+    return peak / (replicas * 3 * 8)
 
 
 @pytest.mark.parametrize("check", [
@@ -244,6 +244,13 @@ def test_field_checks_hold_each_sample_once(check):
     # built from and a KS line's temporaries fit; a transposed copy of every
     # sample, or blocks kept through the KS lines, do not
     assert _peak_per_sample(check) <= 4.5
+
+
+def test_ray_knight_writes_its_blocks_in_place():
+    # at the battery's 100 000 replicas the sample outweighs a block's
+    # temporaries: blocks written into one (n, R) array peak near 1.7
+    # samples; joining the blocks after the last draw would hold it twice
+    assert _peak_per_sample(verify.check_ray_knight, 100_000) <= 1.8
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
@@ -377,7 +384,7 @@ def test_ray_knight_non_finite_or_huge_level_is_typed(path3_kernel, monkeypatch)
     def no_draw(*args, **kwargs):
         raise AssertionError("replicas drawn for a refused stopping level")
 
-    monkeypatch.setattr(fields, "replica_map", no_draw)
+    monkeypatch.setattr(fields, "replica_blocks", no_draw)
     for rho in (float("nan"), float("inf"), -float("inf"), 1e300, 2.0**40, "1", True,
                 np.True_):
         with pytest.raises(BadStoppingLevel) as info:
@@ -432,3 +439,6 @@ def test_det_identity(two_point_kernel):
     for bad in (np.nan, np.inf):  # nan failed the gate, inf passed it
         with pytest.raises(BadChi):
             verify_det_identity(two_point_kernel, [bad, 1.0], hist)
+    for bad in ("abc", ["a", 1.0], {}):  # not left to numpy's float conversion
+        with pytest.raises(BadChi):
+            verify_det_identity(two_point_kernel, bad, hist)

@@ -13,7 +13,10 @@ outside the standard library, numpy and the package: loopsoup is numpy-only.
 The caller scans keep one path per job and no unused options: the public
 scan fails on a module-level public function that neither the package nor
 the benchmark harness reads, and the default scan on a defaulted parameter
-that no call there sets.  Tests do not count as callers.
+that no call there sets.  Tests do not count as callers.  The stream scan
+fails on a call, import or any other reference to replica_rng outside the
+rng module: only rng keys a (seed, block) stream, and every driver reaches
+its blocks through rng.replica_blocks.
 
 The last tests pin the lazy package's public surface: its names, the object
 each one resolves to, and that a re-export follows its submodule's binding.
@@ -275,6 +278,33 @@ def test_dependency_scan_sees_foreign_imports():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_imports_numpy_and_stdlib_only(path):
     assert foreign_imports(path.read_text()) == []
+
+
+def stream_keyers(package: dict) -> list:
+    """(module, line) of each name, attribute or import of replica_rng in
+    the package sources {module: source} other than rng; an import alias
+    counts too, so a renamed binding cannot hide a call."""
+    return sorted({(module, node.lineno)
+                   for module, source in package.items() if module != "rng"
+                   for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Name) and node.id == "replica_rng"
+                   or isinstance(node, ast.Attribute) and node.attr == "replica_rng"
+                   or isinstance(node, ast.ImportFrom)
+                   and any(a.name == "replica_rng" for a in node.names)})
+
+
+def test_stream_scan_sees_references_outside_rng():
+    package = {"rng": "def replica_rng(seed, index):\n    pass\nreplica_rng(0, 0)\n",
+               "soup": "from .rng import replica_rng as keyed\nx = keyed(1, 2)\n",
+               "fields": "from . import rng\ny = rng.replica_rng(1, 2)\n"
+                         "z = rng.replica_blocks(3, 4)\nNAMES = ('replica_rng',)\n",
+               "cli": "def f(g):\n    return g(replica_rng(0, 1))\n"}
+    assert stream_keyers(package) == [("cli", 2), ("fields", 2), ("soup", 1)]
+
+
+def test_only_rng_keys_streams():
+    package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert stream_keyers(package) == []
 
 
 # The public surface of the lazy package, each name served from its submodule:

@@ -39,7 +39,7 @@ from loopsoup import fields as fields_module
 from loopsoup import soup as soup_module
 from loopsoup import verify as verify_module
 from loopsoup.cli import main
-from loopsoup.rng import SAMPLE_CAP, _check_sample
+from loopsoup.rng import SAMPLE_CAP, TAIL_CUT, _check_sample
 from loopsoup.soup import BasedLoop, _canonical
 from loopsoup.verify import (
     complete4_graph,
@@ -227,9 +227,10 @@ def test_loop_time_totals(triangle_kernel):
 def test_single_sample_is_the_block_view(triangle_kernel):
     # direct_sample reads one replica of direct_block; the loop-by-loop
     # reductions of its loops must equal the block's array reductions
+    law = triangle_kernel.length_distribution(TAIL_CUT)
     for seed in range(20):
         soup = direct_sample(triangle_kernel, 1.3, seed=seed)
-        block = direct_block(triangle_kernel, 1.3, 1, np.random.default_rng(seed), times=True)
+        block = direct_block(triangle_kernel, 1.3, 1, np.random.default_rng(seed), law, times=True)
         assert np.array_equal(oracles.jump_matrix(soup).counts, block.counts()[0])
         assert jump_matrix(soup) == oracles.jump_matrix(soup)
         assert oracles.occupation(soup, triangle_kernel) == pytest.approx(
@@ -310,7 +311,8 @@ def test_wilson_sample_loop_law(graph):
 
 def test_block_reductions_match_loop_reference(triangle_kernel):
     size = 64
-    block = direct_block(triangle_kernel, 2.0, size, np.random.default_rng(3), times=True)
+    law = triangle_kernel.length_distribution(TAIL_CUT)
+    block = direct_block(triangle_kernel, 2.0, size, np.random.default_rng(3), law, times=True)
     counts = np.zeros((size, 3, 3), dtype=np.int64)
     time = np.array(block.trivial_time)
     for group in block.groups:
@@ -322,7 +324,7 @@ def test_block_reductions_match_loop_reference(triangle_kernel):
     assert np.array_equal(block.counts(), counts)
     assert block.occupation() == pytest.approx(time / triangle_kernel.lam)
     # holding times are drawn after every vertex, so the loops do not depend on them
-    bare = direct_block(triangle_kernel, 2.0, size, np.random.default_rng(3))
+    bare = direct_block(triangle_kernel, 2.0, size, np.random.default_rng(3), law)
     assert np.array_equal(bare.counts(), counts)
 
 
@@ -359,7 +361,8 @@ def test_sampled_networks_are_balanced(seed):
     kernel = build_kernel(random_connected_graph(np.random.default_rng(seed)))
     rng = np.random.default_rng(seed)
     off_graph = kernel.graph.conductance == 0  # the diagonal too
-    blocks = [direct_block(kernel, alpha, 30, rng) for alpha in (0.5, 1.0, 2.0)]
+    law = kernel.length_distribution(TAIL_CUT)
+    blocks = [direct_block(kernel, alpha, 30, rng, law) for alpha in (0.5, 1.0, 2.0)]
     for counts in [b.counts() for b in blocks] + [wilson_counts(kernel, 30, rng)[0]]:
         assert np.array_equal(counts.sum(axis=1), counts.sum(axis=2))
         assert not counts[:, off_graph].any()
@@ -421,9 +424,10 @@ def test_nonpositive_intensity_is_typed(triangle_kernel, tmp_path):
 def test_non_finite_or_huge_intensity_is_typed(triangle_kernel):
     # inf is refused up front; a finite alpha whose block would draw more than
     # DRAW_CAP loops on average is refused before the block draws anything
+    law = triangle_kernel.length_distribution(TAIL_CUT)
     for alpha in (float("inf"), 1e300, 2.0**40):
         for call in (
-            lambda: direct_block(triangle_kernel, alpha, 10, np.random.default_rng(1)),
+            lambda: direct_block(triangle_kernel, alpha, 10, np.random.default_rng(1), law),
             lambda: direct_sample(triangle_kernel, alpha, seed=1),
             lambda: network_histogram(triangle_kernel, 10, 1, "direct", alpha=alpha),
             lambda: occupation_samples(triangle_kernel, alpha, 10, 1),
@@ -433,13 +437,13 @@ def test_non_finite_or_huge_intensity_is_typed(triangle_kernel):
             _typed(info, BadIntensity)
     rng = np.random.default_rng(1)
     with pytest.raises(BadIntensity):
-        direct_block(triangle_kernel, 2.0**40, 10, rng)
+        direct_block(triangle_kernel, 2.0**40, 10, rng, law)
     assert rng.random() == np.random.default_rng(1).random()  # nothing drawn
 
 
 def test_any_integer_seeds_a_generator(triangle_kernel):
     # a negative seed is taken modulo 2^64, as the Philox key of a block
-    # stream takes it; a seed that is not an integer is refused
+    # stream takes it; a seed that is not an integer, None too, is refused
     for seed in (-1, -100):
         mapped = seed + 2**64
         assert direct_sample(triangle_kernel, 1.5, seed=seed).loops == \
@@ -447,7 +451,7 @@ def test_any_integer_seeds_a_generator(triangle_kernel):
         assert wilson_sample(triangle_kernel, seed)[0] == wilson_sample(triangle_kernel, mapped)[0]
     assert verify_isomorphism(triangle_kernel, 10, -100).lines
     assert len(run_all(replicas=10, seed=-100)) == 13
-    for seed in ("7", 7.0, np.random.default_rng(7), True, np.True_):
+    for seed in (None, "7", 7.0, np.random.default_rng(7), True, np.True_):
         for call in (
             lambda: direct_sample(triangle_kernel, 1.0, seed=seed),
             lambda: wilson_sample(triangle_kernel, seed),
@@ -455,11 +459,12 @@ def test_any_integer_seeds_a_generator(triangle_kernel):
             with pytest.raises(BadSeed) as info:
                 call()
             _typed(info, BadSeed)
-    assert direct_sample(triangle_kernel, 1.0).alpha == 1.0  # None: a fresh stream
 
 
 def test_tail_cut_out_of_range_is_typed(triangle_kernel):
-    for eps in (0.0, -1e-9, 1e-3):
+    # a tail cut that is no number is refused too, not left to the
+    # comparison's TypeError
+    for eps in (0.0, -1e-9, 1e-3, None, "1e-9", True):
         for call in (lambda: occupation_samples(triangle_kernel, 1.0, 10, 1, eps=eps),
                      lambda: direct_sample(triangle_kernel, 1.0, eps=eps, seed=1)):
             with pytest.raises(BadTailCut) as info:

@@ -36,7 +36,7 @@ def test_every_traced_name_resolves():
 # Names that exist only because the tracer binds them: nothing in the package
 # calls them.  Once the tracer drops a binding, the name can be deleted.
 KEPT_FOR_TRACER = [("graphs", "ChainKernel.walk_step"), ("fields", "sample_excursion_field"),
-                   ("exact", "arborescence_count")]
+                   ("exact", "arborescence_count"), ("rng", "replica_map")]
 PACKAGE = SPANS.parent.parent / "src" / "loopsoup"
 
 
