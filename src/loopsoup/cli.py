@@ -233,8 +233,8 @@ def _cmd_exact_network(args) -> tuple:
 
 
 def _cmd_best_count(args) -> tuple:
-    kernel = _read_kernel(args.graph)
-    net = _load_network(kernel.graph, args.network)
+    graph = ls.graphs.WeightedGraph.from_json_file(args.graph)
+    net = _load_network(graph, args.network)
     return {"counts": net.counts.tolist(),
             "tour_count": ls.eulerian.best_tour_count(net)}, None
 
@@ -332,8 +332,8 @@ def _cmd_genfun(args) -> tuple:
 
 
 def _cmd_maxflow(args) -> tuple:
-    kernel = _read_kernel(args.graph)
-    net = _load_network(kernel.graph, args.network)
+    graph = ls.graphs.WeightedGraph.from_json_file(args.graph)
+    net = _load_network(graph, args.network)
     sources = _parse_vertex_list(args.sources)
     sinks = _parse_vertex_list(args.sinks)
     return {"sources": sources, "sinks": sinks,

@@ -19,10 +19,12 @@ network_histogram and occupation_samples loop over the blocks of a run
 (rng.replica_blocks, the (seed, block) streams), writing each block's
 occupation fields in place into one (n, replicas) array; network_histogram
 can reduce each direct block to both, its networks and its occupation
-fields.  The single-ensemble samplers are one-replica views: direct_sample
-of direct_block, and wilson_sample of the cycle-popping walk that
-wilson_counts reduces to jump networks; only the view builds the spanning
-tree and the loops with their holding times.
+fields.  Its Histogram is a dict of replica counts per network that also
+carries the run's diagnostics, seed and occupation.  The single-ensemble
+samplers are one-replica views: direct_sample of direct_block, and
+wilson_sample of the cycle-popping walk that wilson_counts reduces to jump
+networks; only the view builds the spanning tree and the loops with their
+holding times.
 Either way a LoopSoup holds a one-replica LoopBlock, so its jump network and
 occupation are that block's reductions.
 
@@ -35,7 +37,6 @@ compared across samplers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -109,7 +110,8 @@ def wilson_sample(kernel: ChainKernel, seed) -> tuple:
     """
     rng = seeded_rng(seed)
     n = kernel.n
-    jumps, exit_to, steps = _cycle_popping_walk(kernel, 1, rng)
+    jumps, exit_to = _cycle_popping_walk(kernel, 1, rng)
+    steps = len(jumps)
     visits = jumps // (n + 1) - 1  # index // (n + 1): the cell 1 + x a jump leaves
     holds = rng.standard_exponential(steps)
     u = rng.random(steps).tolist()
@@ -298,8 +300,8 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng, law: tuple,
         raise BadIntensity(f"intensity too large: {alpha * total_mass * size:.4g} expected "
                            f"loops in a block of {size} replicas, past the cap of {DRAW_CAP}")
     owners = np.repeat(np.arange(size), rng.poisson(alpha * total_mass, size=size))
+    # cum[-1] is exactly 1.0 and every uniform is below it: lengths <= len(cum) + 1
     lengths = 2 + np.searchsorted(cum, rng.random(len(owners)), side="right")
-    lengths = lengths.clip(2, len(cum) + 1)
     order = np.argsort(lengths.astype(np.uint16), kind="stable")  # radix: lengths < 10^4 + 2
     owners, lengths = owners[order], lengths[order]
     sizes, first, counts = np.unique(lengths, return_index=True, return_counts=True)
@@ -353,8 +355,8 @@ def _cycle_popping_walk(kernel: ChainKernel, size: int, rng) -> tuple:
 
     Returns the raw walk: every jump, in round order, as the index
     cell * (n + 1) + 1 + z of a step from `cell` to its replica's vertex z
-    (z = -1 the cemetery); exit_to, the cell of each cell's last exit (a
-    cemetery cell's own); and the number of steps.
+    (z = -1 the cemetery), one per step; and exit_to, the cell of each
+    cell's last exit (a cemetery cell's own).
     """
     n = kernel.n
     w = n + 1
@@ -367,10 +369,8 @@ def _cycle_popping_walk(kernel: ChainKernel, size: int, rng) -> tuple:
     start = row.copy()
     pos = np.zeros(size, dtype=np.intp)
     jumps = []
-    steps = 0
     while len(row):
         z = kernel.walk_steps(pos, rng.random(len(row)))
-        steps += len(row)
         cell, nxt = row + pos, row + z  # z = -1 steps into the cemetery cell
         exit_to[cell] = nxt
         jumps.append(cell * w + (z + 1))
@@ -393,7 +393,7 @@ def _cycle_popping_walk(kernel: ChainKernel, size: int, rng) -> tuple:
         if (first == n).any():  # a replica with every vertex settled (start = row + n) stops
             walking = start < row + n
             row, start, pos = row[walking], start[walking], pos[walking]
-    return _concat(jumps, np.intp), exit_to, steps
+    return _concat(jumps, np.intp), exit_to
 
 
 def wilson_counts(kernel: ChainKernel, size: int, rng) -> tuple:
@@ -406,12 +406,12 @@ def wilson_counts(kernel: ChainKernel, size: int, rng) -> tuple:
 
     Returns the (size, n, n) counts and block diagnostics (walk steps).
     """
-    jumps, exit_to, steps = _cycle_popping_walk(kernel, size, rng)
+    jumps, exit_to = _cycle_popping_walk(kernel, size, rng)
     w = kernel.n + 1
     counts = np.bincount(jumps, minlength=size * w * w)
     cells = np.arange(size * w)
     counts[cells * w + exit_to - cells // w * w] -= 1  # the tree edges
-    return counts.reshape(size, w, w)[:, 1:, 1:], {"replicas": size, "walk_steps": steps}
+    return counts.reshape(size, w, w)[:, 1:, 1:], {"replicas": size, "walk_steps": len(jumps)}
 
 
 _MAX_DIAGNOSTICS = ("max_loop_length", "discarded_mu_mass")
@@ -435,11 +435,12 @@ def merge_diagnostics(parts: list) -> dict:
     return out
 
 
-class Histogram(Counter):
+class Histogram(dict):
     """Replica counts per jump network, keyed like Network.key(), with the
     diagnostics of the sampler run that drew them, the master seed of its
     (seed, block) streams and, when drawn, the replicas x n matrix of its
-    replicas' occupation fields (None otherwise)."""
+    replicas' occupation fields (None otherwise).  A plain dict otherwise:
+    pickle and copy keep the three attributes, .copy() gives a bare dict."""
 
     def __init__(self, counts, diagnostics, seed, occupation):
         super().__init__(counts)

@@ -8,8 +8,10 @@ The triangle's histograms at alpha 1/2 and 1 are drawn with their
 occupation fields, which check 5 reads; check 5 draws its single-vertex
 samples and check 6 its excursions, and the exact checks draw no Monte
 Carlo samples.  Each report that reads a sample names the master seed of
-every stream it read in meta["streams"].  The settings that run_all does
-not vary are module constants, recorded in each report's meta.  Checks
+every stream it read in meta["streams"]; the seven checks that read a
+soup.Histogram build their reports with _sampled_report, which reads it off
+the histograms.  The settings that run_all does not vary are module
+constants, recorded in each report's meta.  Checks
 return TestReports; nothing here raises on a statistical miss, only on
 broken preconditions.
 """
@@ -49,7 +51,7 @@ from .homology import _class_coords, _volume_routes, cycle_basis, homology_distr
 from .network import Network
 from .reports import CONVENTIONS, DEFAULT_REPLICAS, DEFAULT_SEED, TestReport
 from .rng import SCHEME, _check_sample, seeded_rng, stream_seed
-from .soup import network_histogram
+from .soup import Histogram, network_histogram
 
 ROUTES_MAX_TOTAL = 6  # check 3: largest network size on which the two routes are compared
 N_MODIFIERS = 5  # check 4: random Hermitian modifiers per intensity
@@ -150,15 +152,20 @@ def _append_lines(report: TestReport, prefix: str, lines) -> None:
         report.lines.append(line)
 
 
-def _record_sampling(report: TestReport, histograms: dict) -> None:
-    """Put the stream scheme, and each histogram's master seed and sampler
-    diagnostics, in meta."""
-    report.meta["rng"] = dict(SCHEME)
-    report.meta["streams"] = {label: hist.seed for label, hist in histograms.items()
-                              if getattr(hist, "seed", None) is not None}
-    report.meta["sampler_diagnostics"] = {
-        label: dict(getattr(hist, "diagnostics", {})) for label, hist in histograms.items()
-    }
+def _sampled_report(name: str, check: int, histograms: dict, **meta) -> TestReport:
+    """An empty report on the histograms, keyed by label.  Its meta holds the
+    check number, the given entries, the fewest replicas of any histogram,
+    the stream scheme, and each histogram's master seed and sampler
+    diagnostics."""
+    report = TestReport(name=name, conventions=dict(CONVENTIONS))
+    report.meta.update({
+        "check": check, **meta,
+        "replicas": min(h.diagnostics["replicas"] for h in histograms.values()),
+        "rng": dict(SCHEME),
+        "streams": {label: h.seed for label, h in histograms.items()},
+        "sampler_diagnostics": {label: dict(h.diagnostics) for label, h in histograms.items()},
+    })
+    return report
 
 
 def _all_balanced_up_to(graph: WeightedGraph, max_total: int) -> list:
@@ -171,31 +178,26 @@ def _all_balanced_up_to(graph: WeightedGraph, max_total: int) -> list:
 
 # ---------------------------------------------------------------- check functions
 
-def check_geometric_law(histogram: Counter, hist_seconds: float) -> TestReport:
+def check_geometric_law(histogram: Histogram, hist_seconds: float) -> TestReport:
     """Round-trip count on the two-point chain under the cycle-popping
     sampler follows the ratio-1/4 geometric law."""
     t0 = time.perf_counter()
-    report = TestReport(name="geometric-law", conventions=dict(CONVENTIONS))
-    report.meta.update({"check": 1, "graph": "two-point", "sampler": "wilson",
-                        "replicas": sum(histogram.values())})
-    _record_sampling(report, {"wilson": histogram})
+    report = _sampled_report("geometric-law", 1, {"wilson": histogram},
+                             graph="two-point", sampler="wilson")
     report.add_bound("TV(empirical, geometric)", _round_trip_tv(histogram, geometric_pmf), 0.02)
     report.add_bound("runtime_seconds", hist_seconds + (time.perf_counter() - t0), 60.0)
     return report
 
 
-def check_negative_binomial(histograms: dict) -> TestReport:
+def check_negative_binomial(histograms: dict[float, Histogram]) -> TestReport:
     """Two-point round-trip count at fractional and doubled intensity;
     histograms maps each intensity to its direct-sampler histogram."""
-    report = TestReport(name="negative-binomial", conventions=dict(CONVENTIONS))
-    report.meta.update({"check": 2, "graph": "two-point", "sampler": "direct",
-                        "replicas": min(sum(h.values()) for h in histograms.values())})
-    used = {}
+    report = _sampled_report("negative-binomial", 2,
+                             {f"alpha={alpha}": h for alpha, h in histograms.items()},
+                             graph="two-point", sampler="direct")
     for alpha, hist in histograms.items():
-        used[f"alpha={alpha}"] = hist
         report.add_bound(f"TV(empirical, NB) alpha={alpha}",
                          _round_trip_tv(hist, lambda n: nb_pmf(n, alpha)), 0.02)
-    _record_sampling(report, used)
     return report
 
 
@@ -232,22 +234,19 @@ def _random_hermitian_modifier(n: int, rng) -> ModifierMatrix:
     return ModifierMatrix(z)
 
 
-def check_generating_function(seed: int, histograms: dict) -> TestReport:
+def check_generating_function(seed: int, histograms: dict[float, Histogram]) -> TestReport:
     """Monte Carlo mean of the edge-count pairing against the determinant
     ratio, on the triangle, for random Hermitian modifiers; histograms maps
     the intensities 0.5, 1 and 2 to their direct-sampler histograms."""
     kernel = build_kernel(triangle_graph())
     rng = seeded_rng(seed + 30)
     modifiers = [_random_hermitian_modifier(kernel.n, rng) for _ in range(N_MODIFIERS)]
-    report = TestReport(name="generating-function", conventions=dict(CONVENTIONS))
-    report.meta.update({"check": 4, "graph": "triangle",
-                        "replicas": min(sum(h.values()) for h in histograms.values()),
-                        "n_modifiers": N_MODIFIERS})
-    used = {}
+    report = _sampled_report("generating-function", 4,
+                             {f"alpha={alpha}": histograms[alpha] for alpha in (0.5, 1.0, 2.0)},
+                             graph="triangle", n_modifiers=N_MODIFIERS)
     for alpha in (0.5, 1.0, 2.0):
         hist = histograms[alpha]
-        used[f"alpha={alpha}"] = hist
-        total = sum(hist.values())
+        total = hist.diagnostics["replicas"]
         keys = list(hist.keys())
         weights = np.array([hist[k] for k in keys], dtype=float)
         counts = np.array(keys, dtype=float)
@@ -264,7 +263,6 @@ def check_generating_function(seed: int, histograms: dict) -> TestReport:
                          mean.real, target.real, se_re)
             report.add_z(f"Im E[prod Z^N] alpha={alpha} Z#{zi}",
                          mean.imag, target.imag, se_im)
-    _record_sampling(report, used)
     report.meta["streams"]["modifiers"] = seed + 30
     return report
 
@@ -303,13 +301,10 @@ def check_ray_knight(replicas: int, seed: int) -> TestReport:
     return report
 
 
-def check_moment_formula(histogram: Counter) -> TestReport:
+def check_moment_formula(histogram: Histogram) -> TestReport:
     """Two-point closed-form moments: single edge, vertex visit, cross pair."""
     kernel = build_kernel(two_point_graph())
-    report = TestReport(name="moment-formula", conventions=dict(CONVENTIONS))
-    report.meta.update({"check": 7, "graph": "two-point",
-                        "replicas": sum(histogram.values())})
-    _record_sampling(report, {"wilson": histogram})
+    report = _sampled_report("moment-formula", 7, {"wilson": histogram}, graph="two-point")
     cases = [
         ((("a", "b"),), (), 1.0 / 3.0, "E[N_ab]"),
         ((), ("a",), 4.0 / 3.0, "E[N_a + 1]"),
@@ -324,14 +319,11 @@ def check_moment_formula(histogram: Counter) -> TestReport:
     return report
 
 
-def check_det_identity(histogram: Counter) -> TestReport:
+def check_det_identity(histogram: Histogram) -> TestReport:
     """Random-generator determinant mean on the two-point chain, at the
     duality weights and at their double."""
     kernel = build_kernel(two_point_graph())
-    report = TestReport(name="det-identity", conventions=dict(CONVENTIONS))
-    report.meta.update({"check": 8, "graph": "two-point",
-                        "replicas": sum(histogram.values())})
-    _record_sampling(report, {"wilson": histogram})
+    report = _sampled_report("det-identity", 8, {"wilson": histogram}, graph="two-point")
     for scale, expected in ((1.0, 5.0 / 3.0), (2.0, 75.0 / 9.0)):
         sub = verify_det_identity(kernel, scale * kernel.lam, histogram)
         line = sub.lines[0]
@@ -403,18 +395,11 @@ def check_tour_count(seed: int) -> TestReport:
     report = TestReport(name="tour-count", conventions=dict(CONVENTIONS))
     report.meta.update({"check": 9, "cases": TOUR_CASES})
     worst = 0
-    checked = 0
-    while checked < TOUR_CASES:
-        graph = graphs[checked % len(graphs)]
-        net = random_eulerian_network(graph, rng)
-        if net.total == 0:
-            continue
-        formula = best_tour_count(net)
-        brute = brute_force_tour_count(net)
-        worst = max(worst, abs(formula - brute))
-        checked += 1
+    for case in range(TOUR_CASES):
+        net = random_eulerian_network(graphs[case % len(graphs)], rng)
+        worst = max(worst, abs(best_tour_count(net) - brute_force_tour_count(net)))
     report.add_bound("max |formula - enumeration|", float(worst), 0.0,
-                     note=f"{checked} random balanced networks, sizes <= 8")
+                     note=f"{TOUR_CASES} random balanced networks, sizes <= 8")
     return report
 
 
@@ -429,13 +414,13 @@ def check_mu_measure() -> TestReport:
     report.meta.update({"check": 10, "delta_two_point": DELTA_TWO_POINT,
                         "delta_triangle": DELTA_TRIANGLE})
     try:
-        _mu_measure_lines(report, DELTA_TRIANGLE)
+        _mu_measure_lines(report)
     except BudgetExceeded as exc:
         report.add_bound("enumerations past the |k| cap", 1.0, 0.0, note=str(exc))
     return report
 
 
-def _mu_measure_lines(report: TestReport, delta_triangle: float) -> None:
+def _mu_measure_lines(report: TestReport) -> None:
     """Every line of check 10 from one enumeration per graph."""
     kernel2 = build_kernel(two_point_graph())
     layers2 = _enumerate_layers(kernel2, DELTA_TWO_POINT)
@@ -444,7 +429,7 @@ def _mu_measure_lines(report: TestReport, delta_triangle: float) -> None:
                      note=f"{len(mu2) + 1} networks enumerated")
 
     kernel3 = build_kernel(triangle_graph())
-    layers3 = _enumerate_layers(kernel3, delta_triangle)
+    layers3 = _enumerate_layers(kernel3, DELTA_TRIANGLE)
     # each nonempty layer's mu summed in row order, the order of its networks
     layer_mu = {m: sum(mu.tolist()) for m, (_, _, _, mu) in enumerate(layers3)
                 if m and len(mu)}
@@ -465,7 +450,7 @@ def _mu_measure_lines(report: TestReport, delta_triangle: float) -> None:
                           f"analytic tail {tail:.3e}")
 
     for label, kernel, delta, layers in (("two-point", kernel2, DELTA_TWO_POINT, layers2),
-                                         ("triangle", kernel3, delta_triangle, layers3)):
+                                         ("triangle", kernel3, DELTA_TRIANGLE, layers3)):
         _append_lines(report, label, _convolution_report(kernel, layers, delta).lines)
 
 
@@ -510,7 +495,7 @@ def check_jacobian_volume(seed: int) -> TestReport:
     return report
 
 
-def check_homology_distribution(histogram: Counter, hist_seconds: float) -> TestReport:
+def check_homology_distribution(histogram: Histogram, hist_seconds: float) -> TestReport:
     """Fourier-inverted winding-number law on the triangle against Monte
     Carlo class frequencies."""
     t0 = time.perf_counter()
@@ -524,10 +509,8 @@ def check_homology_distribution(histogram: Counter, hist_seconds: float) -> Test
     for row, c in zip(map(tuple, coords.tolist()), histogram.values()):
         class_counts[row] += c
     empirical = normalize_counter(class_counts)
-    report = TestReport(name="homology-law", conventions=dict(CONVENTIONS))
-    report.meta.update({"check": 12, "graph": "triangle", "grid": HOMOLOGY_GRID,
-                        "replicas": sum(histogram.values())})
-    _record_sampling(report, {"direct": histogram})
+    report = _sampled_report("homology-law", 12, {"direct": histogram},
+                             graph="triangle", grid=HOMOLOGY_GRID)
     report.add_bound("uncaptured window mass", 1.0 - law.captured_mass, 1e-3)
     report.add_bound("max |P(j) - P(-j)|", law.symmetry_defect(), 1e-8)
     report.add_bound("TV(empirical classes, law)", tv_distance(empirical, law.probs), 0.02)
@@ -535,14 +518,12 @@ def check_homology_distribution(histogram: Counter, hist_seconds: float) -> Test
     return report
 
 
-def check_cross_sampler(wilson_histogram: Counter, direct_histogram: Counter) -> TestReport:
+def check_cross_sampler(wilson_histogram: Histogram,
+                        direct_histogram: Histogram) -> TestReport:
     """Cycle-popping and length-biased samplers induce the same network law."""
-    report = TestReport(name="sampler-agreement", conventions=dict(CONVENTIONS))
-    report.meta.update({"check": 13, "graph": "triangle",
-                        "replicas": min(sum(wilson_histogram.values()),
-                                        sum(direct_histogram.values()))})
-    _record_sampling(report, {"wilson": wilson_histogram,
-                              "direct": direct_histogram})
+    report = _sampled_report("sampler-agreement", 13,
+                             {"wilson": wilson_histogram, "direct": direct_histogram},
+                             graph="triangle")
     report.add_bound("TV(wilson, direct)",
                      tv_distance(normalize_counter(wilson_histogram),
                                  normalize_counter(direct_histogram)), 0.02)

@@ -241,6 +241,24 @@ def test_maxflow_command(tmp_path):
     assert payload["result"]["flow"] == 3
 
 
+def test_graph_only_commands_build_no_kernel(tmp_path):
+    # two components, killing on one: no chain kernel, but the graph reads
+    graph = tmp_path / "split.json"
+    graph.write_text(json.dumps({"vertices": ["a", "b", "c", "d"],
+                                 "edges": [{"u": "a", "v": "b", "c": 1.0},
+                                           {"u": "c", "v": "d", "c": 1.0}],
+                                 "killing": {"a": 1.0}}))
+    net = tmp_path / "ab.json"
+    net.write_text(json.dumps({"counts": [[0, 1, 0, 0], [1, 0, 0, 0], [0] * 4, [0] * 4]}))
+    assert "killing vanishes on some connected component" in run(
+        tmp_path, "kernel", "--graph", str(graph), expect=1)
+    best = run(tmp_path, "best-count", "--graph", str(graph), "--network", str(net))
+    assert best["result"]["tour_count"] == 2
+    flow = run(tmp_path, "maxflow", "--graph", str(graph), "--network", str(net),
+               "--sources", "a,c", "--sinks", "b,d")
+    assert flow["result"]["flow"] == 1
+
+
 def test_moments_command(tmp_path):
     payload = run(
         tmp_path, "moments", "--graph", TWO_POINT, "--edges", "a:b",
@@ -274,6 +292,8 @@ def test_moments_command(tmp_path):
                  id="moments-non-edge-a:c"),
     pytest.param(("moments", "--graph", PATH3, "--edges", "a:b,b:b"), "b:b is not an edge",
                  id="moments-non-edge-b:b"),
+    pytest.param(("moments", "--graph", TWO_POINT, "--edges", "a:b:c"),
+                 "error: edge 'a:b:c' must look like u:v", id="moments-edge-a:b:c"),
 ])
 def test_verifier_input_fails_before_drawing(tmp_path, monkeypatch, argv, message):
     def no_draw(*args, **kwargs):

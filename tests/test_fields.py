@@ -283,12 +283,16 @@ def test_isomorphism_single_vertex(single_vertex_kernel):
     assert len(ks_lines) == 1 and ks_lines[0].lhs < 0.01
 
 
-def test_ray_knight(path3_kernel):
+def test_ray_knight(path3_kernel, single_vertex_kernel):
     rep = ray_knight_check(path3_kernel, "a", 1.0, 20_000, 62)
     assert rep.passed
     # identity is checked away from the stopping vertex
     stats = " ".join(line.statistic for line in rep.lines)
     assert "b" in stats and "c" in stats
+    # a lone vertex has no escape mass: no excursions, nothing but the x0 line
+    alone = ray_knight_check(single_vertex_kernel, "a", 1.0, 10, 62)
+    assert [(line.statistic, line.lhs) for line in alone.lines] == [("x0[a] constant", 0.0)]
+    assert alone.meta["sampler_diagnostics"]["excursions"] == 0
 
 
 def test_alpha_permanent_moments():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_transition_normalization(two_point_kernel, path3_kernel, triangle_kerne
         assert np.max(np.abs(np.linalg.eigvals(k.P))) < 1
 
 
-def test_build_rejects_bad_input():
+def test_build_rejects_bad_input(triangle):
     with pytest.raises(BadGraph, match="vertices"):
         WeightedGraph.build((), ())
     with pytest.raises(BadGraph, match="distinct"):
@@ -79,6 +80,17 @@ def test_build_rejects_bad_input():
         WeightedGraph.build(("a", "b"), (("a", "b", -1.0),), {"a": 1.0})
     with pytest.raises(BadGraph, match="unknown vertex"):
         WeightedGraph.build(("a", "b"), (("a", "z", 1.0),), {"a": 1.0})
+    with pytest.raises(BadGraph, match=re.escape("edges[0]: expected (u, v, c)")):
+        WeightedGraph.build(("a", "b"), (("a", "b"),), {"a": 1.0})
+    with pytest.raises(BadGraph, match=re.escape("edges[0].u: unknown vertex 'z'")):
+        WeightedGraph.build(("a", "b"), (("z", "b", 1.0),), {"a": 1.0})
+    with pytest.raises(BadGraph, match=re.escape("killing['z']: unknown vertex")):
+        WeightedGraph.build(("a", "b"), (("a", "b", 1.0),), {"z": 1.0})
+    with pytest.raises(BadGraph, match=re.escape("edges[0] must be an object with u, v, c")):
+        WeightedGraph.from_json_dict({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b"}],
+                                      "killing": {"a": 1.0}})
+    with pytest.raises(BadGraph, match="vertex index 7 out of range"):
+        triangle.index(7)
     with pytest.raises(BadGraph, match="killing"):
         WeightedGraph.build(("a", "b"), (("a", "b", 1.0),), {"a": -0.5})
     with pytest.raises(BadGraph, match="transient"):

@@ -10,6 +10,9 @@ The parameter scan fails on a parameter of a package function or method
 that its body never reads; self, cls and `_`-prefixed names are exempt.
 The dependency scan fails on any import, nested ones included, of a module
 outside the standard library, numpy and the package: loopsoup is numpy-only.
+The same scan over the tests fails on a third-party module that neither
+pyproject.toml's dependencies nor its `test` extra declare, so that
+`pip install -e '.[test]'` brings everything the tests import.
 The caller scans keep one path per job and no unused options: the public
 scan fails on a module-level public function that neither the package nor
 the benchmark harness reads, and the default scan on a defaulted parameter
@@ -24,6 +27,7 @@ each one resolves to, and that a re-export follows its submodule's binding.
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -254,9 +258,9 @@ def test_no_unread_parameters(path):
 ALLOWED_ROOTS = set(sys.stdlib_module_names) | {"numpy", "loopsoup"}
 
 
-def foreign_imports(source: str) -> list:
+def foreign_imports(source: str, allowed: set) -> list:
     """(line, module) of each import, at any depth, whose top-level package
-    is not allowed; relative imports are the package's own."""
+    is not in allowed; relative imports are the package's own."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -265,19 +269,49 @@ def foreign_imports(source: str) -> list:
             modules = [node.module]
         else:
             continue
-        found += [(node.lineno, m) for m in modules if m.split(".")[0] not in ALLOWED_ROOTS]
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] not in allowed]
     return sorted(found)
 
 
 def test_dependency_scan_sees_foreign_imports():
     source = ("import os, numpy as np\nfrom .rng import BLOCK\nfrom loopsoup import cli\n"
               "def f():\n    import scipy.linalg\n    from numba import njit\n")
-    assert foreign_imports(source) == [(5, "scipy.linalg"), (6, "numba")]
+    assert foreign_imports(source, ALLOWED_ROOTS) == [(5, "scipy.linalg"), (6, "numba")]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_imports_numpy_and_stdlib_only(path):
-    assert foreign_imports(path.read_text()) == []
+    assert foreign_imports(path.read_text(), ALLOWED_ROOTS) == []
+
+
+def roots_for_tests(pyproject: str, local: set) -> set:
+    """Top-level modules a test may import: the standard library, the
+    package, the local test modules, and the import name of each
+    distribution that a pyproject.toml's dependencies and `test` extra
+    declare, read off the requirement's name."""
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads(pyproject)["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", r).group().lower().replace("-", "_") for r in requirements}
+    return set(sys.stdlib_module_names) | {"loopsoup"} | local | declared
+
+
+def test_declared_scan_sees_undeclared_test_imports():
+    pyproject = ('[project]\ndependencies = ["numpy>=1.24"]\n'
+                 '[project.optional-dependencies]\ntest = ["pytest>=7", "Hypothesis"]\n')
+    source = ("import os, pytest\nimport hypothesis.strategies\nimport oracles\n"
+              "from loopsoup import cli\nimport numpy as np\ndef f():\n    import scipy\n"
+              "    from yaml import load\n")
+    allowed = roots_for_tests(pyproject, {"oracles"})
+    assert foreign_imports(source, allowed) == [(7, "scipy"), (8, "yaml")]
+
+
+def test_test_imports_are_declared():
+    modules = sorted(TESTS.glob("*.py"))
+    allowed = roots_for_tests((TESTS.parent / "pyproject.toml").read_text(),
+                              {p.stem for p in modules})
+    found = {p.name: foreign_imports(p.read_text(), allowed) for p in modules}
+    assert {name: imports for name, imports in found.items() if imports} == {}
 
 
 def stream_keyers(package: dict) -> list:

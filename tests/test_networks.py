@@ -212,7 +212,11 @@ def test_disconnected_support():
 # ------------------------------------------------------------ edge modifiers
 
 
-def test_modifier_validation():
+def test_modifier_validation(triangle_kernel):
+    with pytest.raises(BadForm, match="square"):
+        ModifierMatrix(np.ones((2, 3)))
+    with pytest.raises(BadForm, match="must be 3x3"):
+        generating_function(triangle_kernel, np.ones((2, 2)), 1.0)
     with pytest.raises(BadForm):
         ModifierMatrix(np.array([[1.0, 1j], [1j, 1.0]]))  # not Hermitian
     with pytest.raises(BadForm):
@@ -297,10 +301,12 @@ def test_exact_prob_factorial_route(two_point, two_point_kernel):
     for n in range(4):
         p = exact_network_prob_alpha1(two_point_kernel, _two_point_net(two_point, n))
         assert p == pytest.approx((3 / 4) * (1 / 4) ** n)
-    with pytest.raises(NotEulerian):
-        exact_network_prob_alpha1(
-            two_point_kernel, Network(two_point, np.array([[0, 1], [0, 0]]))
-        )
+    unbalanced = Network(two_point, np.array([[0, 1], [0, 0]]))
+    for call in (lambda: exact_network_prob_alpha1(two_point_kernel, unbalanced),
+                 lambda: exact_network_prob_alpha(two_point_kernel, unbalanced, 0.5),
+                 lambda: mu_network_measure(two_point_kernel, unbalanced)):
+        with pytest.raises(NotEulerian):
+            call()
 
 
 def test_exact_prob_alpha_route_vs_nb(two_point, two_point_kernel):

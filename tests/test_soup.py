@@ -1,7 +1,9 @@
 """Both loop-ensemble samplers: structure, determinism, quick law checks."""
 
 import contextlib
+import copy
 import io
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from loopsoup import (
     BadSamplerInput,
     BadSeed,
     BadTailCut,
+    Histogram,
     LoopSoupError,
     TailTooHeavy,
     UnknownSampler,
@@ -252,7 +255,8 @@ def test_wilson_sample_is_the_walk_view(graph):
         assert np.array_equal(oracles.jump_matrix(soup).counts, counts[0])
         assert jump_matrix(soup) == oracles.jump_matrix(soup)
         rng = np.random.default_rng(seed)
-        jumps, _, steps = soup_module._cycle_popping_walk(kernel, 1, rng)
+        jumps, _ = soup_module._cycle_popping_walk(kernel, 1, rng)
+        steps = len(jumps)
         src, dst = np.divmod(jumps, n + 1)
         last_exit = dict(zip((src - 1).tolist(), (dst - 1).tolist()))
         assert parents == tuple(last_exit[x] for x in range(n))
@@ -345,7 +349,7 @@ def test_wilson_histogram_edge_mean(two_point_kernel):
     # E N_ab = 1/3 on the two-point chain
     replicas = 20_000
     hist = network_histogram(two_point_kernel, replicas, 8, "wilson")
-    values = np.array([key[0][1] for key in hist.elements()], dtype=float)
+    values = np.repeat([key[0][1] for key in hist], list(hist.values())).astype(float)
     assert len(values) == replicas
     se = values.std() / np.sqrt(replicas)
     assert abs(values.mean() - 1 / 3) < 5 * se
@@ -498,6 +502,16 @@ def test_histogram_with_occupation_is_one_draw_of_both(triangle_kernel, alpha):
     rows = occupation_samples(triangle_kernel, alpha, replicas, 9)
     assert shared.occupation.shape == rows.shape
     assert shared.occupation.tobytes() == rows.tobytes()
+
+
+def test_histogram_pickles_and_copies_with_its_attributes(triangle_kernel):
+    hist = network_histogram(triangle_kernel, 50, 9, "direct", alpha=0.5, occupation=True)
+    for twin in (pickle.loads(pickle.dumps(hist)), copy.copy(hist), copy.deepcopy(hist)):
+        assert type(twin) is Histogram and list(twin.items()) == list(hist.items())
+        assert twin.diagnostics == hist.diagnostics and twin.seed == hist.seed == 9
+        assert twin.occupation.tobytes() == hist.occupation.tobytes()
+    # .copy() is dict's: the counts alone
+    assert type(hist.copy()) is dict and hist.copy() == hist
 
 
 def test_occupation_from_cycle_popping_fails_before_drawing(monkeypatch, triangle_kernel):
