@@ -84,8 +84,11 @@ def _moment_lines(report: TestReport, label: str, names, occ: np.ndarray, green:
     blocks: E[prod_i L^(x_i)] = Per_alpha(G[x_i, x_j])."""
     n = len(occ)
     for x in range(n):
+        power = occ[x]
         for r in range(1, 5):
-            _z_line(report, f"{label}[{names[x]}]^moment{r}", occ[x] ** r,
+            if r > 1:
+                power = power * occ[x]  # successive products: ** 3 and ** 4 call pow
+            _z_line(report, f"{label}[{names[x]}]^moment{r}", power,
                     alpha_permanent(np.full((r, r), green[x, x]), alpha))
     for x in range(n):
         for y in range(x + 1, n):

@@ -57,12 +57,12 @@ def _checked_counts(graph: WeightedGraph, counts) -> np.ndarray:
     return counts
 
 
-def _row_codes(rows: np.ndarray) -> np.ndarray:
+def _row_codes(rows: np.ndarray, limit: int = 1 << 63) -> np.ndarray:
     """One int64 code per row of a 2-d integer array, ordered like the rows
     lexicographically: the columns are folded into a mixed-radix code, and
     the codes are replaced by their ranks only when the next column would
-    take them past 2^63.  Equal codes mean equal rows, so one sort of the
-    codes keys the sample histograms (soup._key_counts and
+    take them past limit (at most 2^63).  Equal codes mean equal rows, so
+    one sort of the codes keys the sample histograms (soup._key_counts and
     soup.network_histogram) and dedups the enumerated circulation layers
     (eulerian._circulation_layers)."""
     code = np.zeros(len(rows), dtype=np.int64)
@@ -73,7 +73,7 @@ def _row_codes(rows: np.ndarray) -> np.ndarray:
         top = int(col.max(initial=0))
         if not top:
             continue
-        if bound * (top + 1) > 1 << 63:
+        if bound * (top + 1) > limit:
             ranked, code = np.unique(code, return_inverse=True)
             bound = len(ranked)
         code *= top + 1

@@ -8,10 +8,12 @@ Two independent samplers produce the ensemble law:
     stretch of the walk, up to its last visit, is cut into excursions at its
     visits, and the excursions are grouped into loops by an Ewens(1)
     partition; each visit keeps its holding time.
-  * direct, any intensity alpha > 0.  A Poisson number of loops is drawn
-    from the truncated loop-length law and each loop is filled in by bridge
+  * direct, any intensity alpha > 0.  The loops of each length of the
+    truncated loop-length law form an independent Poisson process, so a
+    block draws one Poisson count per length for all its replicas and gives
+    each loop a uniform replica; each loop is filled in by bridge
     conditioning; one-point loop time is aggregated per vertex as an
-    independent Gamma(alpha, 1) variable.
+    independent Gamma(alpha, 1) variable, half a squared normal at 1/2.
 
 Monte Carlo runs go through a replica axis: direct_block and wilson_counts
 draw a whole block of replicas from one generator as arrays, and
@@ -224,11 +226,10 @@ def _pick(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _bridges(q: np.ndarray, lengths: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
-             rng) -> np.ndarray:
-    """Closed chain paths with the given lengths (sorted, `counts` loops of
-    each of the `sizes`), rooted with weight Q^length[x, x] and filled in by
-    bridge conditioning: step j picks z with weight Q[y, z] Q^(length - j)[z, start].
+def _bridges(q: np.ndarray, sizes: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
+    """Closed chain paths, `counts` loops of each of the increasing lengths
+    `sizes`, rooted with weight Q^length[x, x] and filled in by bridge
+    conditioning: step j picks z with weight Q[y, z] Q^(length - j)[z, start].
 
     All loops are filled in lockstep; the loops still open at step j are a
     suffix of the sorted lengths.  The uniforms are one array laid out
@@ -236,6 +237,7 @@ def _bridges(q: np.ndarray, lengths: np.ndarray, sizes: np.ndarray, counts: np.n
     come back in one array laid out group by group as (count, length).
     """
     n = len(q)
+    lengths = np.repeat(sizes, counts)
     top = int(sizes[-1])
     pows = _matrix_powers(q, top)
     span = sizes * counts
@@ -279,15 +281,21 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng, law: tuple,
     """`size` independent ensembles at intensity alpha, all from one generator,
     with one group per length drawn, in increasing order of length.
 
-    Draw order: a Poisson(alpha * truncated mass) loop total per replica;
-    one uniform per loop for its length; then for each length in increasing
-    order, one uniform per loop of that length for its start and one for
-    each later vertex.  With times: one Exp(1) holding time per visit, in
-    group order, then Gamma(alpha, 1) one-point time per replica and vertex.
-    Holding times come after every vertex, so the loops do not depend on
-    `times`.  The bridges of all lengths are filled in lockstep, one step
-    for every open loop at a time (see _bridges); the draw order above is
-    kept by drawing all bridge uniforms as one array.
+    The loops of each length k form an independent Poisson process of mass
+    alpha * mu(|l| = k), and giving each loop a uniform replica splits the
+    block's Poisson process into `size` independent ensembles (the colouring
+    theorem), so the block is drawn whole.  Draw order: a
+    Poisson(alpha * size * mu(|l| = k)) loop count for each length k of the
+    cut law, in increasing order; one uniform owner per loop, all groups at
+    once in group order; then for each length in increasing order, one
+    uniform per loop of that length for its start and one for each later
+    vertex.  With times: one Exp(1) holding time per visit, in group order,
+    then the Gamma(alpha, 1) one-point time per replica and vertex, drawn at
+    alpha 1/2 as half a squared standard normal, its exact law.  Holding
+    times come after every vertex, so the loops do not depend on `times`.
+    The bridges of all lengths are filled in lockstep, one step for every
+    open loop at a time (see _bridges); the draw order above is kept by
+    drawing all bridge uniforms as one array.
 
     law is the loop-length law kernel.length_distribution(eps), passed in so
     that a run of many blocks computes it once.
@@ -296,16 +304,15 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng, law: tuple,
     """
     _check_alpha(alpha)
     cum, total_mass, cut_length, discarded = law
-    if alpha * total_mass * size > DRAW_CAP:
-        raise BadIntensity(f"intensity too large: {alpha * total_mass * size:.4g} expected "
-                           f"loops in a block of {size} replicas, past the cap of {DRAW_CAP}")
-    owners = np.repeat(np.arange(size), rng.poisson(alpha * total_mass, size=size))
-    # cum[-1] is exactly 1.0 and every uniform is below it: lengths <= len(cum) + 1
-    lengths = 2 + np.searchsorted(cum, rng.random(len(owners)), side="right")
-    order = np.argsort(lengths.astype(np.uint16), kind="stable")  # radix: lengths < 10^4 + 2
-    owners, lengths = owners[order], lengths[order]
-    sizes, first, counts = np.unique(lengths, return_index=True, return_counts=True)
-    verts = (_bridges(kernel.q_matrix, lengths, sizes, counts, rng) if len(lengths)
+    mean = alpha * total_mass * size
+    if mean > DRAW_CAP:
+        raise BadIntensity(f"intensity too large: {mean:.4g} expected loops in a block of "
+                           f"{size} replicas, past the cap of {DRAW_CAP}")
+    per_length = rng.poisson(mean * np.diff(cum, prepend=0.0))  # lengths 2, 3, ..., cut_length
+    drawn = np.flatnonzero(per_length)
+    sizes, counts = drawn + 2, per_length[drawn]
+    owners = rng.integers(0, size, int(counts.sum()))
+    verts = (_bridges(kernel.q_matrix, sizes, counts, rng) if len(sizes)
              else np.zeros(0, dtype=np.intp))
     ends = np.cumsum(sizes * counts)[:-1]
     shapes = list(zip(counts.tolist(), sizes.tolist()))
@@ -315,12 +322,13 @@ def direct_block(kernel: ChainKernel, alpha: float, size: int, rng, law: tuple,
     if times:
         flat = rng.standard_exponential(sum(v.size for v in verts))
         hold = [part.reshape(shape) for part, shape in zip(np.split(flat, ends), shapes)]
-        trivial = rng.gamma(alpha, 1.0, size=(size, kernel.n))
+        trivial = (0.5 * rng.standard_normal((size, kernel.n)) ** 2 if alpha == 0.5
+                   else rng.gamma(alpha, 1.0, size=(size, kernel.n)))
     return LoopBlock(
         kernel=kernel,
         size=size,
-        groups=tuple(LoopGroup(o, v, t)
-                     for o, v, t in zip(np.split(owners, first[1:]), verts, hold)),
+        groups=tuple(LoopGroup(o, v, t) for o, v, t in
+                     zip(np.split(owners, np.cumsum(counts)[:-1]), verts, hold)),
         trivial_time=trivial,
         cut_length=cut_length,
         discarded_mu_mass=discarded,
@@ -452,13 +460,16 @@ class Histogram(dict):
 def _key_counts(counts: np.ndarray) -> tuple:
     """Distinct rows of the flattened count matrices, in lexicographic order,
     with their frequencies.  Equal row codes mean equal rows, so one sort of
-    the codes finds the rows and their frequencies."""
+    the codes, each carrying its row's index in its low bits, finds the keys,
+    their frequencies and the first row of each: a plain sort of int64s is
+    several times faster than an argsort.  The codes are ranked early enough
+    that code and index fit in one int64."""
     rows = counts.reshape(len(counts), -1)
-    code = _row_codes(rows)
-    order = np.argsort(code)
-    code = code[order]
+    shift = len(rows).bit_length()
+    packed = np.sort(_row_codes(rows, 1 << (63 - shift)) << shift | np.arange(len(rows)))
+    code = packed >> shift
     first = np.flatnonzero(np.diff(code, prepend=-1))
-    return rows[order[first]], np.diff(first, append=len(code))
+    return rows[packed[first] & ((1 << shift) - 1)], np.diff(first, append=len(code))
 
 
 def network_histogram(kernel: ChainKernel, replicas: int, seed: int,

@@ -462,25 +462,31 @@ def _bridges(q: np.ndarray, pows: np.ndarray, length: int, count: int, rng) -> n
 
 def direct_block(kernel, alpha: float, size: int, rng,
                  eps: float = 1e-9, times: bool = False) -> LoopBlock:
-    """direct_block with the bridges filled one length group at a time."""
+    """direct_block with the bridges filled one length group at a time: a
+    Poisson loop count per length, uniform owners for every loop, then each
+    length group's bridges in increasing order of length."""
     _check_alpha(alpha)
     cum, total_mass, cut_length, discarded = kernel.length_distribution(eps)
-    owners = np.repeat(np.arange(size), rng.poisson(alpha * total_mass, size=size))
-    lengths = 2 + np.searchsorted(cum, rng.random(len(owners)), side="right")
-    lengths = lengths.clip(2, len(cum) + 1)
+    per_length = rng.poisson(alpha * total_mass * size * np.diff(cum, prepend=0.0))
+    owners = rng.integers(0, size, int(per_length.sum()))
     q = kernel.q_matrix
-    pows = _matrix_powers(q, int(lengths.max(initial=0)))
-    sizes = np.unique(lengths)
-    owner_sets = [owners[lengths == length] for length in sizes]
-    verts = [_bridges(q, pows, int(length), len(o), rng)
-             for length, o in zip(sizes, owner_sets)]
+    pows = _matrix_powers(q, len(cum) + 1)
+    owner_sets, verts, taken = [], [], 0
+    for length, count in enumerate(per_length.tolist(), start=2):
+        if count:
+            owner_sets.append(owners[taken:taken + count])
+            verts.append(_bridges(q, pows, length, count, rng))
+            taken += count
     hold = [None] * len(verts)
     trivial = None
     if times:
         flat = rng.standard_exponential(sum(v.size for v in verts))
         ends = np.cumsum([v.size for v in verts])
         hold = [part.reshape(v.shape) for part, v in zip(np.split(flat, ends[:-1]), verts)]
-        trivial = rng.gamma(alpha, 1.0, size=(size, kernel.n))
+        if alpha == 0.5:  # Gamma(1/2, 1) is half a squared standard normal
+            trivial = np.square(rng.standard_normal((size, kernel.n))) / 2
+        else:
+            trivial = rng.gamma(alpha, 1.0, size=(size, kernel.n))
     return LoopBlock(
         kernel=kernel,
         size=size,

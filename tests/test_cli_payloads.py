@@ -61,8 +61,8 @@ RUNS = {
 # label -> (exit status, SHA-256 of the stripped payload)
 PAYLOADS = {
     "kernel": (0, "76e64b7381fae84c3fd59b79b3fdd6a8bb71b5bc7dc17049d33ad12f3b76f688"),
-    "sample": (0, "9d7ed8fbe5f832650d36085872de4bec95b3b442b9e378fe231a233b517df0e6"),
-    "occupation": (0, "832a1263637747119a67b47f39f30446dfa6206b4dd7ef53118c0198831a1368"),
+    "sample": (0, "de252c83231d2d9d8965e05d852cc4ef8d8c0e3450cc6f5bda326403546396be"),
+    "occupation": (0, "040fbb8ec113b8e060f9dfadc052b4059f10afb0ac06baa809496b9822b697d4"),
     "jumps": (0, "809a79e83a554ef19476c5dc4fdc4fe1e08042a126220cff357774902520b37f"),
     "exact-network": (0, "2278a50450ad5557ad1e4fc7c673f5ceccd4cfedf366f79f5d134bd6ff800281"),
     "best-count": (0, "8497163d707c7a21dccdad9bb9b986aef9fec627b3e4c42d38c7332b37b7afd3"),
@@ -70,14 +70,14 @@ PAYLOADS = {
     "convolution-check": (0, "fdbc2070b25d53adad9fa263a085b451ec42ec53e5166ae7af1b71fe17de7767"),
     "homology-dist": (0, "059e2e35bdbf94acbf7599ff475d8ad2cedf9f7ee9229eb8990807e7d8ac7932"),
     "jacobian": (0, "571209ce4084cd9b8145d0367bef54050f57307678caa709b8af4ae321e53019"),
-    "isomorphism": (0, "5cceb060adbc8a46dac838a56d2d8a9de5bb5e068c27b86de51891bf0a578c2b"),
+    "isomorphism": (0, "301066d884d31c3c70a0d70eef6483e4a9e49134ef116c26049c1c3342d5f21e"),
     "ray-knight": (0, "bc50de0c5324e0703cb6a8c1b5ec2aedca99ed105556dada6ff1dfde1c731259"),
-    "moments": (0, "276120f5b4d7494e3055dadad1320a8cae1395a9564c8d75f22f72c71197f995"),
-    "det-identity": (0, "7625056e9a1c39e4097baada359a6c1ae124803344691d77c844152bbde9aaf2"),
+    "moments": (0, "b6c9ede767e79aa950acf79ca1d32f9bb822b84984e7f2a0ef4c05ce2c60aba9"),
+    "det-identity": (0, "49657bfec084b9559e6936c3439c76659fa49e5b43fc9252b4c20e371c834d8e"),
     "genfun": (0, "2b43490264c40b29a7ffa06f669e3c39b2f7e4dfa8679062f6f77d7d7372fb97"),
     "maxflow": (0, "871f534dff2e043ed5e881dece94f5f2fc1676a1e510d4f8afaa1e6480e1d981"),
-    "verify-all": (2, "0dad34380f2eee43ceb1f73070ec5ed67f82138706657329ab1a40ef102b7219"),
-    "occupation-csv": (0, "d3dd4dbfb395c12e619d2995e426d14a7a755fcddcdcc669a4dff26b3c39057c"),
+    "verify-all": (2, "080ef38e0e4aba4b282dfa7863cfabadd0935ee835c6f5ce0b5aff892b3ad558"),
+    "occupation-csv": (0, "1da0cf838b99bafa879beba5beb5a7cc5dbc49b7ecbf545669e0d9cf28d446d2"),
     "kernel-csv": (0, "abb24efc89acb05f988143dadb6c32ddde39da4de63a64a043dffcb6a0f03f45"),
 }
 

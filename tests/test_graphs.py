@@ -42,6 +42,19 @@ def test_path3_kernel(path3_kernel):
     assert np.allclose(k.G, [[1, 1, 1], [1, 2, 2], [1, 2, 3]], atol=1e-10)
 
 
+def test_p_divides_by_the_target_lam(path3_kernel):
+    # P[x, y] = C[x, y] / lam[y], column-normalized; no battery line tells P
+    # from its transpose, since the network laws read it on balanced
+    # networks, so the convention is pinned here on a kernel whose lam is
+    # not constant
+    k = path3_kernel
+    c = k.graph.conductance
+    assert len(set(k.lam.tolist())) > 1
+    assert np.array_equal(k.P, c / k.lam[None, :])
+    # b -> c divides by lam[c] = 1, c -> b by lam[b] = 2
+    assert (k.P[1, 2], k.P[2, 1]) == (1.0, 0.5)
+
+
 def test_green_inverts_energy_matrix(triangle_kernel, path3_kernel):
     for k in (triangle_kernel, path3_kernel):
         assert np.allclose(k.G @ k.energy_matrix, np.eye(k.n), atol=1e-10)

@@ -33,6 +33,7 @@ from loopsoup import (
     occupation_samples,
     ray_knight_check,
     replica_map,
+    replica_rng,
     run_all,
     verify_isomorphism,
     wilson_counts,
@@ -330,6 +331,97 @@ def test_block_reductions_match_loop_reference(triangle_kernel):
     # holding times are drawn after every vertex, so the loops do not depend on them
     bare = direct_block(triangle_kernel, 2.0, size, np.random.default_rng(3), law)
     assert np.array_equal(bare.counts(), counts)
+
+
+LAYOUT_BLOCKS = 4  # full blocks of the direct layout law test
+LAYOUT_LOOPS = 8.0  # expected loops per replica there
+
+
+@pytest.mark.parametrize("graph", [triangle_graph, complete4_graph])
+def test_direct_block_layout_law(graph):
+    # a block's loop counts: Poisson(alpha * mass) loops per replica, its
+    # mean and variance, at every replica position (the first and the last
+    # of each block are summed over the blocks, so an owner range that
+    # misses one shows), and Poisson(blocks * size * alpha * mu(|l| = k))
+    # loops of each length k over the run
+    kernel = build_kernel(graph())
+    law = kernel.length_distribution(TAIL_CUT)
+    cum, mass = law[0], law[1]
+    alpha = LAYOUT_LOOPS / mass
+    per_replica, per_length = [], np.zeros(len(cum), dtype=np.int64)
+    for b in range(LAYOUT_BLOCKS):
+        block = direct_block(kernel, alpha, BLOCK, replica_rng(17, b), law)
+        loops = np.zeros(BLOCK, dtype=np.int64)
+        for group in block.groups:
+            loops += np.bincount(group.owners, minlength=BLOCK)
+            per_length[group.vertices.shape[1] - 2] += len(group.owners)
+        per_replica.append(loops)
+    counts = np.concatenate(per_replica)
+    lam, size = alpha * mass, len(counts)
+    z = {"mean": (counts.mean() - lam) / np.sqrt(lam / size),
+         # the sample variance of Poisson(lam) has variance about (lam + 2 lam^2) / size
+         "variance": (counts.var(ddof=1) - lam) / np.sqrt((lam + 2 * lam**2) / size)}
+    for edge in (0, BLOCK - 1):
+        at_edge = sum(int(loops[edge]) for loops in per_replica)
+        z[f"replica {edge}"] = (at_edge - LAYOUT_BLOCKS * lam) / np.sqrt(LAYOUT_BLOCKS * lam)
+    expected = size * lam * np.diff(cum, prepend=0.0)
+    seen = expected >= 20  # lengths with enough loops for a normal z
+    for k in np.flatnonzero(seen):
+        z[f"length {k + 2}"] = (per_length[k] - expected[k]) / np.sqrt(expected[k])
+    tail = expected[~seen].sum()
+    z["rare lengths"] = (per_length[~seen].sum() - tail) / np.sqrt(tail)
+    failing = {name: v for name, v in z.items() if abs(v) > 4.5}
+    assert not failing, failing
+
+
+class _RecordedUniforms:
+    """A generator that hands out a real generator's draws and keeps every
+    array of uniforms it drew."""
+
+    def __init__(self, rng):
+        self._rng, self.uniforms = rng, []
+
+    def random(self, size=None):
+        u = self._rng.random(size)
+        self.uniforms.append(u)
+        return u
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("table_cap", [soup_module._TABLE_CAP, 0])
+def test_every_bridge_uniform_is_read_once(monkeypatch, table_cap):
+    # the uniforms handed to _pick, over every step of every loop, are the
+    # block's one array of bridge uniforms, each read exactly once
+    monkeypatch.setattr(soup_module, "_TABLE_CAP", table_cap)
+    picked = []
+    pick = soup_module._pick
+
+    def recording(cdfs, u):
+        picked.append(np.array(u))
+        return pick(cdfs, u)
+
+    monkeypatch.setattr(soup_module, "_pick", recording)
+    for graph in (triangle_graph, complete4_graph, path3_graph):
+        kernel = build_kernel(graph())
+        for size, seed in ((BLOCK, 1), (1, 2)):
+            picked.clear()
+            rng = _RecordedUniforms(replica_rng(seed, 0))
+            direct_block(kernel, 2.5, size, rng, kernel.length_distribution(TAIL_CUT))
+            (drawn,) = rng.uniforms
+            assert len(drawn) > 0
+            assert np.array_equal(np.sort(np.concatenate(picked)), np.sort(drawn))
+
+
+def test_matrix_powers_are_the_powers():
+    rng = np.random.default_rng(21)
+    for n, top in ((1, 3), (3, 2), (4, 9), (5, 17)):
+        q = rng.random((n, n)) / n
+        pows = soup_module._matrix_powers(q, top)
+        assert pows.shape == (top + 1, n, n)
+        for m in range(top + 1):
+            assert np.allclose(pows[m], np.linalg.matrix_power(q, m), rtol=1e-12, atol=0)
 
 
 def test_wilson_block_networks_balanced(two_point_kernel, triangle_kernel, path3_kernel):

@@ -51,18 +51,18 @@ OCC_REPLICAS = 2 * BLOCK + 300  # two full blocks and one partial block
 
 HISTOGRAMS = {
     ("triangle", "direct", 0.5):
-        "848310ea08269d30c7541076047f977d532431f97cfdb79c25291ec97569dc0a",
+        "adaa8a7c553678b8878ad97e54383a8ea2448e36680987bfd78b51aa02f430c9",
     ("triangle", "direct", 1.0):
-        "a0899d3068f8d0d6bcbec0dddafebb01cf3bcb9623117ac25c6a54facd4c6526",
+        "e03d0a0d2ac123722486789884998ee9f4a83299dc24b57421095b735bfc8a28",
     ("triangle", "direct", 2.0):
-        "4d7a6b851be830cc7c4ea77f8d8e6c58829642a5e94c9a9c77a7bfe2c75a2356",
+        "830a3cd35475a234495b138dcf5f503d44456af9a2b125f8e2590ae56915b7ee",
     ("two_point", "wilson", 1.0):
         "c8cfad7d2c676d092cb0ca4d6dc34a139aa453472d241f76d823d2baea941946",
     ("triangle", "wilson", 1.0):
         "1499604c1dc4247eee28637ac406594bd48333853c0db9bd5598fe0038f603b7",
 }
-OCCUPATION = "296ea3ae0fa522581c05a67c3a5d29f2cf87bcaca210eb69320bae3156082184"
-DIRECT_SAMPLES = "71c614465a3f93c2807d06617dfddb36aaecea2ddfbd1de7470e9ec4448d2341"
+OCCUPATION = "64c9fb707e59d1c2b754ade1c90ee645efc7987399a2940a2613589fd53bece0"
+DIRECT_SAMPLES = "5bac1aabf209c988acb83bec6ad3e8bf06857025398c5670073e55ec0814dec8"
 WILSON_SAMPLES = "26a2508a5dfa664fc4182ac8340c2e1fd84a0347d8f754d388c0f52a956b9dbe"
 EXCURSION_REPLICAS = 4 * BLOCK  # four full blocks
 EXCURSIONS = {  # (graph, start vertex x0, stopping local time rho)
@@ -72,16 +72,16 @@ EXCURSIONS = {  # (graph, start vertex x0, stopping local time rho)
         "e24a196e60dd48f87f6f82d6f5942ddf9170ca98ea03fc7aa1573ebfd22d7419",
 }
 BATTERY_REPLICAS = 20_000
-BATTERY = "b04494f949692078f6c634657568434edc1f11d3b95aceb2ecb4b051db1b8b5e"
+BATTERY = "55260079260c8ed174734302559c381725811aae2fe81d74906bb7088bbd3f6c"
 # the benchmark's battery: 12 full blocks and a partial block of 1696; it is
 # checked on the acceptance battery's own run (tests/test_acceptance.py)
 FULL_BATTERY_REPLICAS = 100_000
-FULL_BATTERY = "b83ff1c24bb119baed33786b4c25f3c6fcf83f2a48bdd7fc0218dc896de41d5e"
+FULL_BATTERY = "df92236c413c04bd405de5ac1cfb2c8c4f3bf928e8d27b1b96a736c2459eccef"
 # every line outside checks 5 and 6 (runtimes excluded), at both sizes: a
 # change to checks 5 and 6 alone must leave these as they are
 REST_OF_BATTERY = {
-    BATTERY_REPLICAS: "170d07646a0774576a5cac57b7589f0fc6372f2a177009896be7c6e2d6af9f18",
-    FULL_BATTERY_REPLICAS: "5d95a40d0860dd6ffb1b70ef7fec3f83231af78b172174207a77894fc13b2ddd",
+    BATTERY_REPLICAS: "0520514472835477850887a2440c78a9c420467724a344f9dc484a54698c2de1",
+    FULL_BATTERY_REPLICAS: "6fa2d72fef1742272c632c41be081674bf89cb0467fff8bac408a312f4e60deb",
 }
 # the battery's shape: per report its name, and per line its statistic and
 # whether it is a z-line; the count of z-lines is the family the
