@@ -148,11 +148,19 @@ class NotSquare(BadExactInput):
     """A permanent was asked of a matrix that is not square."""
 
 
+def _finite_real(x) -> bool:
+    """Whether x is a real number, not a bool (numpy's bool is no Real), that
+    a float holds finitely: an int past the float range is not."""
+    try:
+        return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _check_alpha(alpha) -> None:
     """Raise BadIntensity unless alpha is a finite real number above 0, not a
-    bool (numpy's bool is no Real)."""
-    if not (isinstance(alpha, Real) and not isinstance(alpha, bool)
-            and alpha > 0 and math.isfinite(alpha)):
+    bool."""
+    if not (_finite_real(alpha) and alpha > 0):
         raise BadIntensity(f"intensity must be positive and finite, got {alpha}")
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     BadForm,
+    BadIntensity,
     BadMassBudget,
     BadPartition,
     BudgetExceeded,
@@ -457,7 +458,8 @@ def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> f
     Each r - m with r >= m digit by digit is found by its additive key, a
     mixed-radix number with digit r_e < k_e + 1 per support edge, the first
     edge most significant; the keys of the box are below prod (k_e + 1) <=
-    2^|k|.  Raises BadIntensity unless alpha is finite and above 0, TooLarge
+    2^|k|.  Raises BadIntensity unless alpha is finite and above 0 or when
+    the series or its product with det(I-P)^alpha overflows, TooLarge
     past ALPHA_NETWORK_CAP = 27 (K4 networks at the cap: about 0.03 s) or for
     a box step past LAYER_CAP counts, both before the cover search.
 
@@ -486,18 +488,22 @@ def exact_network_prob_alpha(kernel: ChainKernel, k: Network, alpha: float) -> f
     keys, size, total = rows @ weights, covers.sum(axis=1)[m], rows.sum(axis=1)[r]
     order = np.argsort(keys)
     below = order[keys[order].searchsorted(keys[r] - (covers @ weights)[m])]
-    factor = coef[m] * (total - size + alpha * size) / -total
     bounds = np.cumsum(sizes).tolist()
     pair_bounds = r.searchsorted(bounds).tolist()
     series = np.zeros(len(rows))
     series[0] = 1.0
-    # np.nonzero lists the pairs by row, so each layer's pairs form one run
-    for layer in range(2, len(sizes)):
-        lo, hi = pair_bounds[layer - 1], pair_bounds[layer]
-        series[bounds[layer - 1]:bounds[layer]] = np.bincount(
-            r[lo:hi] - bounds[layer - 1], weights=factor[lo:hi] * series[below[lo:hi]],
-            minlength=sizes[layer])
-    return float(kernel.det_i_minus_p**alpha * series[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        factor = coef[m] * (total - size + alpha * size) / -total
+        # np.nonzero lists the pairs by row, so each layer's pairs form one run
+        for layer in range(2, len(sizes)):
+            lo, hi = pair_bounds[layer - 1], pair_bounds[layer]
+            series[bounds[layer - 1]:bounds[layer]] = np.bincount(
+                r[lo:hi] - bounds[layer - 1], weights=factor[lo:hi] * series[below[lo:hi]],
+                minlength=sizes[layer])
+    prob = kernel.det_i_minus_p**alpha * float(series[-1])
+    if not math.isfinite(prob):
+        raise BadIntensity(f"intensity {alpha} overflows the series of the network law")
+    return prob
 
 
 def verify_poisson_convolution(kernel: ChainKernel, delta: float):

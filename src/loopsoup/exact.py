@@ -9,13 +9,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import Disconnected, EmptyNetwork, NotSquare, TooLarge
+from .errors import BadExactInput, Disconnected, EmptyNetwork, NotSquare, TooLarge, _finite_real
 from .graphs import WeightedGraph
 from .network import Network
 
 PERMANENT_CAP = 20
 ALPHA_PERMANENT_CAP = 12
-PERMANENT_CHUNK = 1 << 14  # column subsets per signed sum and per table of row sums
+PERMANENT_CHUNK = 1 << 14  # column subsets per signed sum; the row-sum table holds half
+
+
+def _square(a) -> np.ndarray:
+    """The matrix as a float or complex array; BadExactInput unless it is a
+    square array of numbers (NotSquare when only the shape is wrong)."""
+    try:
+        a = np.asarray(a)
+        if a.dtype == object:  # numbers held as objects take their numeric dtype
+            a = np.array(a.tolist())
+    except (TypeError, ValueError) as exc:  # ragged rows
+        raise BadExactInput(f"matrix must be a square array of numbers: {exc}") from None
+    if a.dtype.kind not in "biufc":
+        raise BadExactInput(f"matrix entries must be numbers, got dtype {a.dtype}")
+    n = a.shape[0] if a.ndim else 0
+    if a.shape != (n, n):
+        raise NotSquare(f"matrix must be square, got shape {a.shape}")
+    return a.astype(np.result_type(a, float))
 
 
 def permanent(a) -> float | complex:
@@ -24,22 +41,22 @@ def permanent(a) -> float | complex:
       per(A) = sum over column subsets S of (-1)^(n - |S|) prod_i sum_{j in S} a_ij.
 
     The row sums of every subset of the low columns, as many as a table of
-    PERMANENT_CHUNK rows holds, are built once by doubling: column j is added
-    to the sums of the 2^j subsets of the columns below it.  Each block of
-    subsets that share their high columns adds those columns to the table one
-    at a time, so every row sum adds its columns in index order.  The signed
-    sum runs PERMANENT_CHUNK subsets at a time.
+    PERMANENT_CHUNK // 2 rows holds, are built once by doubling: column j is
+    added to the sums of the 2^j subsets of the columns below it.  Each block
+    of subsets that share their high columns adds those columns, one at a
+    time, into one work buffer of the table's shape and writes its products
+    into the terms in place, so a 16 x 16 call holds about 3 MB and makes no
+    temporary per column.  Every row sum adds its columns in index order and
+    the signed sum runs PERMANENT_CHUNK subsets at a time from subset 1,
+    whatever the table's width, so the width moves no bit of the result.
     """
-    a = np.asarray(a)
-    n = a.shape[0] if a.ndim else 0
-    if a.shape != (n, n):
-        raise NotSquare(f"matrix must be square, got shape {a.shape}")
+    a = _square(a)
+    n = len(a)
     if n > PERMANENT_CAP:
         raise TooLarge(f"permanent limited to {PERMANENT_CAP}x{PERMANENT_CAP}, got n={n}")
     if n == 0:
         return 1.0
-    a = a.astype(np.result_type(a, float))
-    low_n = min(n, PERMANENT_CHUNK.bit_length() - 1)
+    low_n = min(n, (PERMANENT_CHUNK // 2).bit_length() - 1)
     low = np.zeros((n, 1 << low_n), dtype=a.dtype)  # low[i, S]: row i's sum over S
     signs = np.empty(1 << n)  # (-1)^(n - |S|), by the same doubling
     signs[0] = (-1.0) ** n
@@ -48,12 +65,13 @@ def permanent(a) -> float | complex:
             low[:, 1 << j:2 << j] = low[:, :1 << j] + a[:, j, None]
         signs[1 << j:2 << j] = -signs[:1 << j]
     terms = np.empty(1 << n, dtype=a.dtype)
+    work = np.empty_like(low)
     for lo in range(0, 1 << n, 1 << low_n):
         sums = low
         for j in range(low_n, n):
             if lo >> j & 1:
-                sums = sums + a[:, j, None]
-        terms[lo:lo + (1 << low_n)] = np.prod(sums, axis=0)
+                sums = np.add(sums, a[:, j, None], out=work)
+        np.prod(sums, axis=0, out=terms[lo:lo + (1 << low_n)])
     total = 0.0
     for lo in range(1, 1 << n, PERMANENT_CHUNK):  # the empty subset adds 0
         hi = lo + PERMANENT_CHUNK
@@ -76,17 +94,16 @@ def alpha_permanent(a, alpha: float) -> float | complex:
         over a table of the (3^n - 1) / 2 pairs (S, T) held by |S|, so that
         n passes of one gather and one bincount fill f by popcount.
     """
-    a = np.asarray(a)
-    n = a.shape[0] if a.ndim else 0
-    if a.shape != (n, n):
-        raise NotSquare(f"matrix must be square, got shape {a.shape}")
+    a = _square(a)
+    n = len(a)
+    if not _finite_real(alpha):
+        raise BadExactInput(f"alpha must be a finite real number, got {alpha!r}")
     if n > ALPHA_PERMANENT_CAP:
         raise TooLarge(
             f"alpha-permanent limited to {ALPHA_PERMANENT_CAP}x{ALPHA_PERMANENT_CAP}, got n={n}"
         )
     if n == 0:
         return 1.0
-    a = a.astype(np.result_type(a, float))
     full = 1 << n
     masks = np.arange(full)
     bits = (masks[:, None] >> np.arange(n)) & 1

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from numbers import Real
 
 import numpy as np
 
-from .errors import BadChi, BadStoppingLevel, BadSupport, DuplicateIndex
+from .errors import BadChi, BadStoppingLevel, BadSupport, DuplicateIndex, _finite_real
 from .exact import alpha_permanent, permanent
 from .graphs import ChainKernel
 from .reports import CONVENTIONS, TestReport
@@ -229,7 +228,7 @@ def ray_knight_check(kernel: ChainKernel, x0, rho: float, replicas: int, seed) -
     bool, whose blocks expect at most DRAW_CAP excursions, and
     BadReplicaCount when the (n, replicas) sample passes SAMPLE_CAP entries.
     """
-    if isinstance(rho, bool) or not (isinstance(rho, Real) and math.isfinite(rho) and rho > 0):
+    if not (_finite_real(rho) and rho > 0):
         raise BadStoppingLevel(f"stopping level must be finite and positive, got {rho}")
     graph = kernel.graph
     x0 = graph.index(x0)

@@ -479,6 +479,15 @@ def test_usage_errors(tmp_path):
             code = main(["sample", "--graph", TRIANGLE, "--alpha", alpha])
         assert code == 1
         assert err.getvalue().startswith("error: intensity")
+    net = tmp_path / "k.json"
+    net.write_text('{"counts": [[0, 1], [1, 0]]}')
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is typed, not a RuntimeWarning and a NaN
+        code = main(["exact-network", "--graph", TWO_POINT, "--network", str(net),
+                     "--alpha", "1e308"])
+    assert code == 1
+    assert err.getvalue() == "error: intensity 1e+308 overflows the series of the network law\n"
 
 
 def _parse_outcome(parse, argv):

@@ -1,6 +1,7 @@
 """Determinants, permanents, alpha-permanents, tree and arborescence counts."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -76,12 +77,27 @@ def test_permanent_subset_sums_match_matrix_products():
 
 
 def test_permanent_high_columns(monkeypatch):
-    # a table of 8 rows: columns 3 and up are added block by block
-    monkeypatch.setattr(exact, "PERMANENT_CHUNK", 8)
+    # a table of chunk / 2 rows: the columns above it are added block by
+    # block into the work buffer, and the signed sum keeps the chunk bounds
     rng = np.random.default_rng(6)
-    for n in (3, 4, 7):
-        a = rng.random((n, n))
-        assert permanent(a) == oracles.permanent(a, chunk=8)
+    for chunk, sizes in ((8, (3, 4, 7)), (4, (5, 9, 12)), (64, (5, 9, 12))):
+        monkeypatch.setattr(exact, "PERMANENT_CHUNK", chunk)
+        for n in sizes:
+            a = rng.random((n, n))
+            assert permanent(a) == oracles.permanent(a, chunk=chunk)
+
+
+def test_permanent_working_set():
+    # a half-chunk table and one work buffer: about 3 MB at 16 x 16, where a
+    # full table and a temporary per high column peaked at 7 MB
+    a = np.random.default_rng(7).random((16, 16))
+    tracemalloc.start()
+    try:
+        permanent(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
 
 
 def test_permanent_cap():
@@ -98,6 +114,19 @@ def test_permanents_reject_non_square():
                 fn(a)
             assert isinstance(info.value, BadExactInput)
             assert isinstance(info.value, LoopSoupError)
+        malformed = (
+            [["a", "b"], ["c", "d"]],
+            [[1, 2], [3]],  # ragged
+            np.array([[1.0, None], [2.0, 3.0]], dtype=object),
+        )
+        for a in malformed:
+            with pytest.raises(BadExactInput):
+                fn(a)
+    # an object array of numbers is still a matrix
+    assert permanent(np.array([[1, 2], [3, 4]], dtype=object)) == 10.0
+    for alpha in (float("nan"), float("inf"), True, 10**400):
+        with pytest.raises(BadExactInput):
+            alpha_permanent(np.ones((2, 2)), alpha)
 
 
 def test_alpha_permanent_cap():

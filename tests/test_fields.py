@@ -389,7 +389,7 @@ def test_ray_knight_non_finite_or_huge_level_is_typed(path3_kernel, monkeypatch)
         raise AssertionError("replicas drawn for a refused stopping level")
 
     monkeypatch.setattr(fields, "replica_blocks", no_draw)
-    for rho in (float("nan"), float("inf"), -float("inf"), 1e300, 2.0**40, "1", True,
+    for rho in (float("nan"), float("inf"), -float("inf"), 1e300, 2.0**40, 10**400, "1", True,
                 np.True_):
         with pytest.raises(BadStoppingLevel) as info:
             ray_knight_check(path3_kernel, "a", rho, 10, 0)

@@ -521,7 +521,7 @@ def test_non_finite_or_huge_intensity_is_typed(triangle_kernel):
     # inf is refused up front; a finite alpha whose block would draw more than
     # DRAW_CAP loops on average is refused before the block draws anything
     law = triangle_kernel.length_distribution(TAIL_CUT)
-    for alpha in (float("inf"), 1e300, 2.0**40):
+    for alpha in (float("inf"), 1e300, 2.0**40, 10**400):  # an int past the float range
         for call in (
             lambda: direct_block(triangle_kernel, alpha, 10, np.random.default_rng(1), law),
             lambda: direct_sample(triangle_kernel, alpha, seed=1),
