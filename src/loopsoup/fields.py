@@ -27,9 +27,10 @@ import numpy as np
 from .errors import BadChi, BadStoppingLevel, BadSupport, DuplicateIndex, _finite_real
 from .exact import alpha_permanent, permanent
 from .graphs import ChainKernel
+from .network import _checked_counts
 from .reports import CONVENTIONS, TestReport
 from .rng import BLOCK, DRAW_CAP, SCHEME, _check_count, _check_sample, replica_blocks, stream_seed
-from .soup import merge_diagnostics, occupation_samples
+from .soup import Histogram, merge_diagnostics, occupation_samples
 
 
 def _z_line(report: TestReport, name: str, sample: np.ndarray, exact: float) -> None:
@@ -287,32 +288,37 @@ def _moment_indices(kernel: ChainKernel, edges, points) -> tuple:
     return edge_idx, point_idx
 
 
-def verify_moment_formula(kernel: ChainKernel, edges, points, histogram: dict) -> TestReport:
-    """Monte Carlo E[prod N_edge prod (N_vertex + 1)] over a {network key:
-    replicas} histogram against the closed-form complex Wick value
-    prod C prod lam * Per(G block)."""
+def _histogram_stat(histogram: Histogram, values: np.ndarray) -> tuple:
+    """Mean, standard error and replica count of a statistic over a
+    histogram, given its value on each row: the replica-weighted mean, and
+    the weighted variance taken about it in a second pass."""
+    weights = histogram.counts
+    total = int(weights.sum())
+    mean = float(weights @ values) / total
+    var = float(weights @ (values - mean) ** 2) / total
+    return mean, math.sqrt(var / total), total
+
+
+def verify_moment_formula(kernel: ChainKernel, edges, points, histogram: Histogram) -> TestReport:
+    """Monte Carlo E[prod N_edge prod (N_vertex + 1)] over a histogram of
+    the kernel's networks against the closed-form complex Wick value
+    prod C prod lam * Per(G block).  BadGraph, before any reduction, when
+    the histogram's networks are not the graph's."""
     graph = kernel.graph
     edge_idx, point_idx = _moment_indices(kernel, edges, points)
+    rows = _checked_counts(graph, histogram.rows)
 
-    sources = [u for u, _ in edge_idx] + point_idx
-    targets = [v for _, v in edge_idx] + point_idx
+    tails, heads = [u for u, _ in edge_idx], [v for _, v in edge_idx]
     # E[prod phi_sources prod conj(phi_targets)] = Per(G block), 1 for no pairs
-    closed = float(permanent(kernel.G[np.ix_(sources, targets)]))
+    closed = float(permanent(kernel.G[np.ix_(tails + point_idx, heads + point_idx)]))
     for u, v in edge_idx:
         closed *= graph.conductance[u, v]
     for p in point_idx:
         closed *= kernel.lam[p]
 
-    def stat(counts) -> float:
-        val = 1.0
-        for u, v in edge_idx:
-            val *= counts[u, v]
-        out_deg = counts.sum(axis=1)
-        for p in point_idx:
-            val *= out_deg[p] + 1
-        return val
-
-    mean, se, replicas = _histogram_stat(histogram, stat)
+    values = (np.prod(rows[:, tails, heads], axis=1, dtype=float)
+              * np.prod(rows[:, point_idx].sum(axis=2) + 1, axis=1, dtype=float))
+    mean, se, replicas = _histogram_stat(histogram, values)
 
     name = ",".join(f"{graph.vertices[u]}->{graph.vertices[v]}" for u, v in edge_idx)
     pname = ",".join(graph.vertices[p] for p in point_idx)
@@ -320,22 +326,6 @@ def verify_moment_formula(kernel: ChainKernel, edges, points, histogram: dict) -
     report.meta.update({"edges": name, "points": pname, "replicas": replicas})
     report.add_z(f"E[prod N({name}) prod (N({pname})+1)]", mean, float(closed), se)
     return report
-
-
-def _histogram_stat(histogram: dict, stat_fn) -> tuple:
-    """Mean, standard error and replica count of stat_fn(count matrix) over
-    a {network key: replicas} histogram."""
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    for key, c in histogram.items():
-        v = float(stat_fn(np.array(key, dtype=np.int64)))
-        total += v * c
-        total_sq += v * v * c
-        count += c
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    return mean, float(np.sqrt(var / count)), count
 
 
 def _checked_chi(kernel: ChainKernel, chi) -> np.ndarray:
@@ -354,22 +344,20 @@ def _checked_chi(kernel: ChainKernel, chi) -> np.ndarray:
     return chi
 
 
-def verify_det_identity(kernel: ChainKernel, chi, histogram: dict) -> TestReport:
+def verify_det_identity(kernel: ChainKernel, chi, histogram: Histogram) -> TestReport:
     """Monte Carlo E[det(M_chi D_N - N)] with the lam-normalized diagonal
-    chi_x (1 + N_x)/lam_x over a {network key: replicas} histogram, against
-    det(M_chi - C) * Per(G)."""
+    chi_x (1 + N_x)/lam_x over a histogram of the kernel's networks, against
+    det(M_chi - C) * Per(G).  BadGraph, before any reduction, when the
+    histogram's networks are not the graph's."""
     chi = _checked_chi(kernel, chi)
+    rows = _checked_counts(kernel.graph, histogram.rows)
 
     target = float(np.linalg.det(np.diag(chi) - kernel.graph.conductance)
                    * permanent(kernel.G))
 
-    lam = kernel.lam
-
-    def stat(counts) -> float:
-        d = chi * (1.0 + counts.sum(axis=1)) / lam
-        return float(np.linalg.det(np.diag(d) - counts))
-
-    mean, se, replicas = _histogram_stat(histogram, stat)
+    diag = chi * (1.0 + rows.sum(axis=2)) / kernel.lam
+    mean, se, replicas = _histogram_stat(
+        histogram, np.linalg.det(diag[:, :, None] * np.eye(kernel.n) - rows))
 
     report = TestReport(name="det-identity", conventions=dict(CONVENTIONS))
     report.meta.update({"chi": chi.tolist(), "replicas": replicas})

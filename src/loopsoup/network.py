@@ -62,9 +62,11 @@ def _row_codes(rows: np.ndarray, limit: int = 1 << 63) -> np.ndarray:
     lexicographically: the columns are folded into a mixed-radix code, and
     the codes are replaced by their ranks only when the next column would
     take them past limit (at most 2^63).  Equal codes mean equal rows, so
-    one sort of the codes keys the sample histograms (soup._key_counts and
-    soup.network_histogram) and dedups the enumerated circulation layers
-    (eulerian._circulation_layers)."""
+    one sort of the codes groups the networks of the sample histograms
+    (soup._key_counts: each block, the merge of the blocks, and check 13's
+    two histograms) and dedups the enumerated circulation layers
+    (eulerian._circulation_layers).  Ranks depend on the whole array, so
+    only codes from one call compare."""
     code = np.zeros(len(rows), dtype=np.int64)
     bound = 1  # every code lies in [0, bound)
     for col in rows.T:

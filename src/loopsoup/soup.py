@@ -21,8 +21,9 @@ network_histogram and occupation_samples loop over the blocks of a run
 (rng.replica_blocks, the (seed, block) streams), writing each block's
 occupation fields in place into one (n, replicas) array; network_histogram
 can reduce each direct block to both, its networks and its occupation
-fields.  Its Histogram is a dict of replica counts per network that also
-carries the run's diagnostics, seed and occupation.  The single-ensemble
+fields.  Its Histogram holds the run's distinct networks as one array of
+count matrices in lexicographic order, their replica counts, and the run's
+diagnostics, seed and occupation.  The single-ensemble
 samplers are one-replica views: direct_sample of direct_block, and
 wilson_sample of the cycle-popping walk that wilson_counts reduces to jump
 networks; only the view builds the spanning tree and the loops with their
@@ -443,33 +444,39 @@ def merge_diagnostics(parts: list) -> dict:
     return out
 
 
-class Histogram(dict):
-    """Replica counts per jump network, keyed like Network.key(), with the
-    diagnostics of the sampler run that drew them, the master seed of its
-    (seed, block) streams and, when drawn, the replicas x n matrix of its
-    replicas' occupation fields (None otherwise).  A plain dict otherwise:
-    pickle and copy keep the three attributes, .copy() gives a bare dict."""
+@dataclass(eq=False)
+class Histogram:
+    """The K distinct jump networks of a run as (K, n, n) count matrices in
+    lexicographic order, their K replica counts, the run's diagnostics, the
+    master seed of its (seed, block) streams and, when drawn, the replicas
+    x n matrix of its occupation fields (None otherwise); len() is K."""
 
-    def __init__(self, counts, diagnostics, seed, occupation):
-        super().__init__(counts)
-        self.diagnostics = diagnostics
-        self.seed = seed
-        self.occupation = occupation
+    rows: np.ndarray
+    counts: np.ndarray
+    diagnostics: dict
+    seed: int
+    occupation: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.counts)
 
 
-def _key_counts(counts: np.ndarray) -> tuple:
+def _key_counts(counts: np.ndarray, weights: np.ndarray | None = None) -> tuple:
     """Distinct rows of the flattened count matrices, in lexicographic order,
-    with their frequencies.  Equal row codes mean equal rows, so one sort of
-    the codes, each carrying its row's index in its low bits, finds the keys,
-    their frequencies and the first row of each: a plain sort of int64s is
-    several times faster than an argsort.  The codes are ranked early enough
-    that code and index fit in one int64."""
+    with their frequencies, or the sums of their weights when given.  Equal
+    row codes mean equal rows, so one sort of the codes, each carrying its
+    row's index in its low bits, groups the equal rows: a plain sort of
+    int64s is several times faster than an argsort.  The codes are ranked
+    early enough that code and index fit in one int64.  network_histogram
+    reduces each block with it and merges the blocks' keys with it."""
     rows = counts.reshape(len(counts), -1)
     shift = len(rows).bit_length()
     packed = np.sort(_row_codes(rows, 1 << (63 - shift)) << shift | np.arange(len(rows)))
-    code = packed >> shift
-    first = np.flatnonzero(np.diff(code, prepend=-1))
-    return rows[packed[first] & ((1 << shift) - 1)], np.diff(first, append=len(code))
+    first = np.flatnonzero(np.diff(packed >> shift, prepend=-1))
+    index = packed & ((1 << shift) - 1)
+    if weights is None:
+        return rows[index[first]], np.diff(first, append=len(rows))
+    return rows[index[first]], np.add.reduceat(weights[index], first)
 
 
 def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
@@ -479,10 +486,9 @@ def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
     block by block in (seed, block) streams; the direct sampler cuts the
     loop-length tail at TAIL_CUT.
 
-    The networks are inserted in the order of their first block, and in
-    lexicographic order within it.  Statistics summed over the histogram in
-    its iteration order (fields._histogram_stat) depend on that order in
-    their last bits, so it is kept as the definition of a run's result.
+    Each block is reduced to its distinct networks and their frequencies,
+    and the blocks are merged by the same sort (_key_counts), so the rows
+    come out in lexicographic order whatever the block order.
 
     With occupation, the direct sampler's blocks are drawn with holding
     times and the histogram's `occupation` is their occupation fields,
@@ -521,18 +527,10 @@ def network_histogram(kernel: ChainKernel, replicas: int, seed: int,
     diagnostics = {"sampler": sampler, "alpha": alpha, **merge_diagnostics([p[2] for p in parts])}
     if sampler == "direct":
         diagnostics["eps"] = TAIL_CUT
-    # each block's keys are distinct and sorted; a stable sort of all keys'
-    # codes groups equal keys with the first block's copy at the front
-    rows = np.concatenate([p[0] for p in parts])
-    code = _row_codes(rows)
-    order = np.argsort(code, kind="stable")
-    first = np.flatnonzero(np.diff(code[order], prepend=-1))
-    total = np.add.reduceat(np.concatenate([p[1] for p in parts])[order], first)
-    seen = order[first]  # the row of each key's first block
-    keep = np.argsort(seen)
-    keys = [tuple(map(tuple, key)) for key in rows[seen[keep]].reshape(-1, n, n).tolist()]
-    return Histogram(dict(zip(keys, total[keep].tolist())), diagnostics=diagnostics,
-                     seed=stream_seed(seed), occupation=None if occ is None else occ.T)
+    rows, counts = _key_counts(np.concatenate([p[0] for p in parts]),
+                               np.concatenate([p[1] for p in parts]))
+    return Histogram(rows.reshape(-1, n, n), counts, diagnostics, stream_seed(seed),
+                     None if occ is None else occ.T)
 
 
 def occupation_samples(kernel: ChainKernel, alpha: float, replicas: int, seed,

@@ -10,8 +10,9 @@ samples and check 6 its excursions, and the exact checks draw no Monte
 Carlo samples.  Each report that reads a sample names the master seed of
 every stream it read in meta["streams"]; the seven checks that read a
 soup.Histogram build their reports with _sampled_report, which reads it off
-the histograms.  The settings that run_all does not vary are module
-constants, recorded in each report's meta.  Checks
+the histograms, and read its arrays of networks and replica counts, checks
+4, 7 and 8 through fields._histogram_stat.  The settings that run_all does
+not vary are module constants, recorded in each report's meta.  Checks
 return TestReports; nothing here raises on a statistical miss, only on
 broken preconditions.
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .eulerian import (
     generating_function,
 )
 from .fields import (
+    _histogram_stat,
     _isomorphism_lines,
     _isomorphism_report,
     ray_knight_check,
@@ -51,7 +52,7 @@ from .homology import _class_coords, _volume_routes, cycle_basis, homology_distr
 from .network import Network
 from .reports import CONVENTIONS, DEFAULT_REPLICAS, DEFAULT_SEED, TestReport
 from .rng import SCHEME, _check_sample, seeded_rng, stream_seed
-from .soup import Histogram, network_histogram
+from .soup import Histogram, _key_counts, network_histogram
 
 ROUTES_MAX_TOTAL = 6  # check 3: largest network size on which the two routes are compared
 N_MODIFIERS = 5  # check 4: random Hermitian modifiers per intensity
@@ -98,16 +99,10 @@ def complete4_graph() -> WeightedGraph:
 
 # ---------------------------------------------------------------- distribution helpers
 
-def tv_distance(empirical: dict, exact: dict) -> float:
-    """Total variation between an empirical pmf and a reference pmf.
-
-    Reference mass outside the enumerated keys is counted in full; the
-    empirical side has no mass there by construction.
-    """
-    keys = set(empirical) | set(exact)
-    diff = sum(abs(empirical.get(k, 0.0) - exact.get(k, 0.0)) for k in keys)
-    tail = max(0.0, 1.0 - sum(exact.get(k, 0.0) for k in keys))
-    return 0.5 * (diff + tail)
+def _tv(empirical: np.ndarray, law: np.ndarray) -> float:
+    """Total variation between two pmfs on the same cells; mass the law puts
+    outside them is counted in full."""
+    return 0.5 * (float(np.abs(empirical - law).sum()) + max(0.0, 1.0 - float(law.sum())))
 
 
 def geometric_pmf(n: int) -> float:
@@ -128,21 +123,13 @@ def nb_pmf(n: int, alpha: float) -> float:
     )
 
 
-def normalize_counter(counter: Counter) -> dict:
-    total = sum(counter.values())
-    return {k: v / total for k, v in counter.items()}
-
-
 # ---------------------------------------------------------------- histogram helpers
 
-def _round_trip_tv(histogram: Counter, pmf) -> float:
+def _round_trip_tv(histogram: Histogram, pmf) -> float:
     """TV between the law of the a -> b count of a two-point histogram and
-    pmf on 0 to ten past the largest count seen."""
-    counts: Counter = Counter()
-    for key, c in histogram.items():
-        counts[int(key[0][1])] += c
-    marginal = normalize_counter(counts)
-    return tv_distance(marginal, {n: pmf(n) for n in range(max(marginal) + 11)})
+    pmf, whose mass past the largest count seen is counted in full."""
+    marginal = np.bincount(histogram.rows[:, 0, 1], weights=histogram.counts)
+    return _tv(marginal / marginal.sum(), np.array([pmf(n) for n in range(len(marginal))]))
 
 
 def _append_lines(report: TestReport, prefix: str, lines) -> None:
@@ -246,23 +233,13 @@ def check_generating_function(seed: int, histograms: dict[float, Histogram]) -> 
                              graph="triangle", n_modifiers=N_MODIFIERS)
     for alpha in (0.5, 1.0, 2.0):
         hist = histograms[alpha]
-        total = hist.diagnostics["replicas"]
-        keys = list(hist.keys())
-        weights = np.array([hist[k] for k in keys], dtype=float)
-        counts = np.array(keys, dtype=float)
         for zi, mod in enumerate(modifiers):
             target = generating_function(kernel, mod, alpha)
-            logz = np.log(mod.entries + 0j)
-            vals = np.exp(np.einsum("kij,ij->k", counts, logz))
-            mean = np.sum(weights * vals) / total
-            var_re = np.sum(weights * (vals.real - mean.real) ** 2) / total
-            var_im = np.sum(weights * (vals.imag - mean.imag) ** 2) / total
-            se_re = math.sqrt(var_re / total)
-            se_im = math.sqrt(var_im / total)
-            report.add_z(f"Re E[prod Z^N] alpha={alpha} Z#{zi}",
-                         mean.real, target.real, se_re)
-            report.add_z(f"Im E[prod Z^N] alpha={alpha} Z#{zi}",
-                         mean.imag, target.imag, se_im)
+            vals = np.exp(np.einsum("kij,ij->k", hist.rows, np.log(mod.entries + 0j)))
+            mean, se, _ = _histogram_stat(hist, vals.real)
+            report.add_z(f"Re E[prod Z^N] alpha={alpha} Z#{zi}", mean, target.real, se)
+            mean, se, _ = _histogram_stat(hist, vals.imag)
+            report.add_z(f"Im E[prod Z^N] alpha={alpha} Z#{zi}", mean, target.imag, se)
     report.meta["streams"]["modifiers"] = seed + 30
     return report
 
@@ -502,18 +479,20 @@ def check_homology_distribution(histogram: Histogram, hist_seconds: float) -> Te
     kernel = build_kernel(triangle_graph())
     basis = cycle_basis(kernel.graph)
     law = homology_distribution(kernel, basis, 1.0, HOMOLOGY_GRID)
-    # one array pass classifies every key; counting the classes in the
-    # histogram's order keeps the order, and so the bits, of the TV sum
-    coords = _class_coords(np.array(list(histogram), dtype=np.int64), basis)
-    class_counts: Counter = Counter()
-    for row, c in zip(map(tuple, coords.tolist()), histogram.values()):
-        class_counts[row] += c
-    empirical = normalize_counter(class_counts)
+    # each class at its cell of law.table; those past its window share one
+    # more cell, where the law has no mass
+    cells = _class_coords(histogram.rows, basis) + (law.grid_m // 2 - 1)
+    past = ((cells < 0) | (cells >= law.grid_m - 1)).any(axis=1)
+    cells = np.where(past, law.table.size,
+                     np.ravel_multi_index(cells.T, law.table.shape, mode="clip"))
+    empirical = np.bincount(cells, weights=histogram.counts, minlength=law.table.size + 1)
     report = _sampled_report("homology-law", 12, {"direct": histogram},
                              graph="triangle", grid=HOMOLOGY_GRID)
     report.add_bound("uncaptured window mass", 1.0 - law.captured_mass, 1e-3)
     report.add_bound("max |P(j) - P(-j)|", law.symmetry_defect(), 1e-8)
-    report.add_bound("TV(empirical classes, law)", tv_distance(empirical, law.probs), 0.02)
+    report.add_bound("TV(empirical classes, law)",
+                     _tv(empirical / empirical.sum(), np.append(law.table.ravel(), 0.0)),
+                     0.02)
     report.add_bound("runtime_seconds", hist_seconds + (time.perf_counter() - t0), 120.0)
     return report
 
@@ -524,9 +503,11 @@ def check_cross_sampler(wilson_histogram: Histogram,
     report = _sampled_report("sampler-agreement", 13,
                              {"wilson": wilson_histogram, "direct": direct_histogram},
                              graph="triangle")
-    report.add_bound("TV(wilson, direct)",
-                     tv_distance(normalize_counter(wilson_histogram),
-                                 normalize_counter(direct_histogram)), 0.02)
+    # both histograms' rows grouped by one sort: per network, p_wilson - p_direct
+    hists = (wilson_histogram, direct_histogram)
+    _, diff = _key_counts(np.concatenate([h.rows for h in hists]), np.concatenate(
+        [sign * h.counts / h.counts.sum() for sign, h in zip((1, -1), hists)]))
+    report.add_bound("TV(wilson, direct)", 0.5 * float(np.abs(diff).sum()), 0.02)
     return report
 
 

@@ -6,7 +6,9 @@ lexsort dedup, and each layer's probability and loop measure from one call
 of its own) and of check 10 (sums over the enumerated networks, each graph
 enumerated twice), and the earlier forms of
 the Monte Carlo block kernels, of the scalar chain step, of the reductions
-over a run and over one ensemble's loops, of the canonical loop rotation
+over a run and over one ensemble's loops, of the sample histogram's readers
+(a walk over a {network key: replicas} dict for the weighted statistic, the
+TV distance and the homology class tally), of the canonical loop rotation
 (a scan over every position of the minimal vertex), of the Poisson series (one
 convolution power at a time), of the general-alpha network law (the
 loop-measure Poisson series over the sub-circulations of the network) and of
@@ -57,7 +59,7 @@ from loopsoup.eulerian import (
     _simple_cycles,
     _sub_circulations,
 )
-from loopsoup.homology import CycleBasis
+from loopsoup.homology import CycleBasis, network_homology_class
 from loopsoup.reports import CONVENTIONS
 from loopsoup.rng import seeded_rng
 from loopsoup.soup import LoopBlock, LoopGroup, _concat, _matrix_powers
@@ -649,6 +651,54 @@ def merge_block_keys(n: int, parts) -> Counter:
         for row, count in zip(keys.tolist(), freq.tolist()):
             hist[tuple(tuple(row[i:i + n]) for i in range(0, n * n, n))] += count
     return hist
+
+
+def histogram_dict(histogram) -> dict:
+    """A Histogram as a {network key: replicas} dict, keyed like
+    Network.key(): the form the battery's readers walked."""
+    return {tuple(map(tuple, key)): count
+            for key, count in zip(histogram.rows.tolist(), histogram.counts.tolist())}
+
+
+def histogram_stat(histogram: dict, stat_fn) -> tuple:
+    """Mean, standard error and replica count of stat_fn(count matrix) over
+    a {network key: replicas} dict, one key at a time, from the running sums
+    of the statistic and of its square."""
+    total = 0.0
+    total_sq = 0.0
+    count = 0
+    for key, c in histogram.items():
+        v = float(stat_fn(np.array(key, dtype=np.int64)))
+        total += v * c
+        total_sq += v * v * c
+        count += c
+    mean = total / count
+    var = max(total_sq / count - mean * mean, 0.0)
+    return mean, float(np.sqrt(var / count)), count
+
+
+def normalize_counter(counter) -> dict:
+    total = sum(counter.values())
+    return {k: v / total for k, v in counter.items()}
+
+
+def tv_distance(empirical: dict, exact: dict) -> float:
+    """Total variation between an empirical pmf and a reference pmf, both
+    dicts.  Reference mass outside the keys of either is counted in full;
+    the empirical side has no mass there by construction."""
+    keys = set(empirical) | set(exact)
+    diff = sum(abs(empirical.get(k, 0.0) - exact.get(k, 0.0)) for k in keys)
+    tail = max(0.0, 1.0 - sum(exact.get(k, 0.0) for k in keys))
+    return 0.5 * (diff + tail)
+
+
+def class_counts(histogram: dict, basis: CycleBasis) -> Counter:
+    """Replicas per homology class of a {network key: replicas} dict, one
+    network at a time."""
+    counts = Counter()
+    for key, c in histogram.items():
+        counts[network_homology_class(Network(basis.graph, np.array(key)), basis)] += c
+    return counts
 
 
 def cycle_basis(graph):

@@ -7,8 +7,11 @@ rows, index (replica, vertex) pairs and rank every column.  Both draw the
 same numbers in the same order, so every array must be equal, not close.
 The reductions over a run (the KS distance, the merge of block histograms,
 the one length law per run) are held to their earlier forms the same way.
+The histogram's readers sum in another order than the dict walkers they
+replaced, so they are held to them to 1e-12 relative.
 """
 
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -17,17 +20,22 @@ import pytest
 import oracles
 from loopsoup import (
     BLOCK,
+    Histogram,
     build_kernel,
+    cycle_basis,
     direct_block,
+    fields,
+    homology_distribution,
     network_histogram,
     occupation_samples,
     replica_map,
     replica_rng,
     soup,
+    verify,
     wilson_counts,
 )
 from loopsoup.fields import _ks_distance
-from loopsoup.rng import TAIL_CUT
+from loopsoup.rng import TAIL_CUT, seeded_rng
 from loopsoup.soup import _key_counts
 from loopsoup.verify import (
     complete4_graph,
@@ -273,9 +281,11 @@ def test_histogram_merge_matches_row_merge():
             parts = replica_map(partial(keys, kernel), MERGE_REPLICAS, 5)
             ref = oracles.merge_block_keys(kernel.n, parts)
             hist = network_histogram(kernel, MERGE_REPLICAS, 5, sampler)
-            assert list(hist.items()) == list(ref.items())  # insertion order too
+            got = [(tuple(map(tuple, key)), count)
+                   for key, count in zip(hist.rows.tolist(), hist.counts.tolist())]
+            assert got == sorted(ref.items())  # lexicographic, whatever the block order
             if name == "triangle":  # later blocks bring keys below earlier ones
-                assert list(hist) != sorted(hist)
+                assert list(ref) != sorted(ref)
 
 
 def test_one_length_law_per_run(monkeypatch):
@@ -292,3 +302,104 @@ def test_one_length_law_per_run(monkeypatch):
     assert len(calls) == 1
     occupation_samples(kernel, 0.5, MERGE_REPLICAS, 5)
     assert len(calls) == 2
+
+
+READER_REPLICAS = BLOCK + 500  # one full block and one partial block
+
+
+@pytest.fixture(scope="module")
+def reader_histograms():
+    """label -> (kernel, histogram): the sampled networks the battery reads,
+    and one random connected graph's."""
+    runs = {"two-point wilson": ("two_point", "wilson", 1.0),
+            **{f"triangle direct {alpha}": ("triangle", "direct", alpha)
+               for alpha in (0.5, 1.0, 2.0)},
+            "triangle wilson": ("triangle", "wilson", 1.0),
+            "random0 direct": ("random0", "direct", 1.0)}
+    return {label: (KERNELS[name], network_histogram(KERNELS[name], READER_REPLICAS, 7,
+                                                     sampler, alpha=alpha))
+            for label, (name, sampler, alpha) in runs.items()}
+
+
+def _stat_lines(report) -> list:
+    return [(line.lhs, line.stderr) for line in report.lines if line.z is not None]
+
+
+def _approx(pairs) -> list:
+    return [(pytest.approx(mean, rel=1e-12), pytest.approx(se, rel=1e-12))
+            for mean, se in pairs]
+
+
+def test_histogram_readers_match_dict_oracles(reader_histograms, monkeypatch):
+    # the array readers against the dict walkers they replaced: the same
+    # statistics, summed in another order
+    for kernel, hist in reader_histograms.values():
+        pairs = oracles.histogram_dict(hist)
+        u, v = kernel.graph.edge_pairs[0]
+
+        def moment(counts, u=u, v=v):
+            return counts[u, v] * counts[v, u] * (counts[0].sum() + 1)
+
+        def det(counts, kernel=kernel):
+            d = kernel.lam * (1.0 + counts.sum(axis=1)) / kernel.lam
+            return np.linalg.det(np.diag(d) - counts)
+
+        names = kernel.graph.vertices
+        report = fields.verify_moment_formula(
+            kernel, [(names[u], names[v]), (names[v], names[u])], [names[0]], hist)
+        assert _stat_lines(report) == _approx([oracles.histogram_stat(pairs, moment)[:2]])
+        report = fields.verify_det_identity(kernel, kernel.lam, hist)
+        assert _stat_lines(report) == _approx([oracles.histogram_stat(pairs, det)[:2]])
+
+    # checks 1 and 2: the a -> b count's law on the two-point chain
+    hist = reader_histograms["two-point wilson"][1]
+    marginal = Counter()
+    for key, c in oracles.histogram_dict(hist).items():
+        marginal[key[0][1]] += c
+    marginal = oracles.normalize_counter(marginal)
+    for pmf in (verify.geometric_pmf, lambda n: verify.nb_pmf(n, 0.5)):
+        want = oracles.tv_distance(marginal, {n: pmf(n) for n in range(max(marginal) + 11)})
+        assert verify._round_trip_tv(hist, pmf) == pytest.approx(want, rel=1e-12)
+
+    # check 4: Re and Im of prod Z^N at every modifier
+    triangle = {alpha: reader_histograms[f"triangle direct {alpha}"][1]
+                for alpha in (0.5, 1.0, 2.0)}
+    rng = seeded_rng(7 + 30)
+    modifiers = [verify._random_hermitian_modifier(3, rng) for _ in range(verify.N_MODIFIERS)]
+    want = []
+    for alpha in (0.5, 1.0, 2.0):
+        pairs = oracles.histogram_dict(triangle[alpha])
+        for mod in modifiers:
+            logz = np.log(mod.entries + 0j)
+            for part in (np.real, np.imag):
+                want.append(oracles.histogram_stat(
+                    pairs, lambda counts, part=part: part(np.exp(np.sum(counts * logz))))[:2])
+    report = verify.check_generating_function(7, triangle)
+    assert _stat_lines(report) == _approx(want)
+
+    # checks 12 and 13: class TV against the law, at the battery's grid and
+    # at one whose window misses drawn classes, and the cross-sampler TV
+    kernel = KERNELS["triangle"]
+    basis = cycle_basis(kernel.graph)
+    wilson = reader_histograms["triangle wilson"][1]
+    # the empty network and five turns round the triangle, a class past the
+    # window at grid 8 whose neighbour inside it was never drawn
+    turns = np.zeros((2, 3, 3), dtype=np.int64)
+    turns[1, 0, 1] = turns[1, 1, 2] = turns[1, 2, 0] = 5
+    far = Histogram(turns, np.array([99, 1]), {"replicas": 100}, 0, None)
+    missed = 0
+    for grid in (verify.HOMOLOGY_GRID, 8):
+        monkeypatch.setattr(verify, "HOMOLOGY_GRID", grid)
+        law = homology_distribution(kernel, basis, 1.0, grid)
+        for hist in (*triangle.values(), wilson, far):
+            classes = oracles.class_counts(oracles.histogram_dict(hist), basis)
+            missed += sum(c for j, c in classes.items() if max(map(abs, j)) >= grid // 2)
+            report = verify.check_homology_distribution(hist, 0.0)
+            want = oracles.tv_distance(oracles.normalize_counter(classes), law.probs)
+            assert report.lines[2].lhs == pytest.approx(want, rel=1e-12)
+    assert missed  # the window at grid 8 misses some drawn classes
+    for hist in triangle.values():
+        report = verify.check_cross_sampler(wilson, hist)
+        want = oracles.tv_distance(oracles.normalize_counter(oracles.histogram_dict(wilson)),
+                                   oracles.normalize_counter(oracles.histogram_dict(hist)))
+        assert report.lines[0].lhs == pytest.approx(want, rel=1e-12)

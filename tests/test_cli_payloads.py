@@ -73,10 +73,10 @@ PAYLOADS = {
     "isomorphism": (0, "301066d884d31c3c70a0d70eef6483e4a9e49134ef116c26049c1c3342d5f21e"),
     "ray-knight": (0, "bc50de0c5324e0703cb6a8c1b5ec2aedca99ed105556dada6ff1dfde1c731259"),
     "moments": (0, "b6c9ede767e79aa950acf79ca1d32f9bb822b84984e7f2a0ef4c05ce2c60aba9"),
-    "det-identity": (0, "49657bfec084b9559e6936c3439c76659fa49e5b43fc9252b4c20e371c834d8e"),
+    "det-identity": (0, "097e9a4efb863b4b01b083e7a6d461bb7b6f1095e6dcc84bf71ac0b9b0eec1d6"),
     "genfun": (0, "2b43490264c40b29a7ffa06f669e3c39b2f7e4dfa8679062f6f77d7d7372fb97"),
     "maxflow": (0, "871f534dff2e043ed5e881dece94f5f2fc1676a1e510d4f8afaa1e6480e1d981"),
-    "verify-all": (2, "080ef38e0e4aba4b282dfa7863cfabadd0935ee835c6f5ce0b5aff892b3ad558"),
+    "verify-all": (2, "d3eda0efc80e333c7ad16dd00e213d9331bce0179a78cb1fa3d00d1bfd100bb9"),
     "occupation-csv": (0, "1da0cf838b99bafa879beba5beb5a7cc5dbc49b7ecbf545669e0d9cf28d446d2"),
     "kernel-csv": (0, "abb24efc89acb05f988143dadb6c32ddde39da4de63a64a043dffcb6a0f03f45"),
 }

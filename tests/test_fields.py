@@ -406,7 +406,15 @@ def test_field_samples_take_any_integer_seed(two_point_kernel, path3_kernel):
                 run(seed)
 
 
-def test_moment_formula(two_point_kernel):
+def _foreign_histograms(two_point_kernel, triangle_kernel, path3_kernel) -> list:
+    """(kernel, histogram drawn on another graph): two-point networks read on
+    the triangle, and triangle networks, whose a-c crossings are no edge of
+    the path, read on the path."""
+    return [(triangle_kernel, network_histogram(two_point_kernel, 2000, 63, "wilson")),
+            (path3_kernel, network_histogram(triangle_kernel, 2000, 63))]
+
+
+def test_moment_formula(two_point_kernel, triangle_kernel, path3_kernel):
     hist = network_histogram(two_point_kernel, 20_000, 63)
     rep = verify_moment_formula(two_point_kernel, [("a", "b")], ["a"], hist)
     assert rep.passed
@@ -417,6 +425,12 @@ def test_moment_formula(two_point_kernel):
     # a pair that no edge joins has no crossing count to read
     with pytest.raises(BadGraph, match="a:a is not an edge"):
         verify_moment_formula(two_point_kernel, [("a", "b"), ("a", "a")], [], hist)
+    # a histogram of another graph's networks; the two-point one read on the
+    # triangle once gave a silently wrong z-line
+    foreign = _foreign_histograms(two_point_kernel, triangle_kernel, path3_kernel)
+    for (kernel, other), match in zip(foreign, ("must be 3x3", "off the edge set")):
+        with pytest.raises(BadGraph, match=match):
+            verify_moment_formula(kernel, [("a", "b")], ["a"], other)
 
 
 def test_moment_formula_closed_forms(two_point_kernel):
@@ -430,7 +444,7 @@ def test_moment_formula_closed_forms(two_point_kernel):
     assert rep2.lines[0].rhs == pytest.approx(4 / 3)
 
 
-def test_det_identity(two_point_kernel):
+def test_det_identity(two_point_kernel, triangle_kernel, path3_kernel):
     hist = network_histogram(two_point_kernel, 20_000, 66)
     rep = verify_det_identity(two_point_kernel, two_point_kernel.lam, hist)
     assert rep.passed
@@ -446,3 +460,9 @@ def test_det_identity(two_point_kernel):
     for bad in ("abc", ["a", 1.0], {}):  # not left to numpy's float conversion
         with pytest.raises(BadChi):
             verify_det_identity(two_point_kernel, bad, hist)
+    # a histogram of another graph's networks; the two-point one read on the
+    # triangle once raised numpy's broadcast ValueError
+    foreign = _foreign_histograms(two_point_kernel, triangle_kernel, path3_kernel)
+    for (kernel, other), match in zip(foreign, ("must be 3x3", "off the edge set")):
+        with pytest.raises(BadGraph, match=match):
+            verify_det_identity(kernel, kernel.lam, other)
